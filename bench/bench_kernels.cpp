@@ -147,6 +147,43 @@ void BM_ChannelSynthesisScratch(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelSynthesisScratch)->Arg(2)->Arg(10);
 
+/// Samples in one multi-cell receive window (a 3×3 floor's cell window).
+constexpr std::size_t kWindowSamples = 26500;
+
+/// AWGN fill of one receive window: the per-window normal stream
+/// (DESIGN.md §4.1). ns_per_packet is ns per window.
+void BM_AwgnFill(benchmark::State& state) {
+  Rng rng(6);
+  const rfsim::AwgnSource noise(1e-9);
+  std::vector<std::complex<double>> iq(kWindowSamples, {0.0, 0.0});
+  for (auto _ : state) {
+    noise.add_to(iq, rng);
+    benchmark::DoNotOptimize(iq.data());
+  }
+  finish_rate(state, static_cast<std::int64_t>(kWindowSamples));
+}
+BENCHMARK(BM_AwgnFill);
+
+/// Arg(0) foreign-gateway leakage tones rendered as one run over one receive
+/// window, the way Channel::receive_into adds a cell's leakage (DESIGN.md
+/// §11). ns_per_packet is ns per window.
+void BM_LeakageTones(benchmark::State& state) {
+  Rng rng(7);
+  std::vector<rfsim::CarrierLeakageInterferer> tones;
+  for (std::int64_t k = 0; k < state.range(0); ++k) {
+    tones.emplace_back(1e-10 / static_cast<double>(k + 1), 40.0 * static_cast<double>(k + 1));
+  }
+  std::vector<const rfsim::CarrierLeakageInterferer*> run;
+  for (const auto& t : tones) run.push_back(&t);
+  std::vector<std::complex<double>> iq(kWindowSamples, {0.0, 0.0});
+  for (auto _ : state) {
+    rfsim::CarrierLeakageInterferer::add_run(run, iq, 124e6, rng);
+    benchmark::DoNotOptimize(iq.data());
+  }
+  finish_rate(state, static_cast<std::int64_t>(kWindowSamples));
+}
+BENCHMARK(BM_LeakageTones)->Arg(8);
+
 void BM_DecodeFrame(benchmark::State& state) {
   Rng rng(3);
   const auto codes = pn::make_code_set(pn::CodeFamily::kTwoNC, 10, 20);
@@ -333,8 +370,10 @@ void run_detect_peaks(benchmark::State& state, rx::DetectEngine kind) {
   }
   const std::size_t n = tmpls.front().size() * kDetectSpc;
   std::vector<double> re(n + lags), im(n + lags);
+  NormalStream normal = rng.normal_stream();
   for (std::size_t i = 0; i < re.size(); ++i) {
-    rng.gaussian_pair(re[i], im[i]);
+    re[i] = normal();
+    im[i] = normal();
   }
   std::vector<double> fold_re, fold_im;
   pn::fold_chip_sums(re, kDetectSpc, fold_re);

@@ -143,9 +143,22 @@ void Channel::receive_into(std::span<const TagTransmission> tags,
     }
   }
 
-  for (const Interferer* itf : interferers) {
-    CBMA_ASSERT(itf != nullptr);
-    itf->add_to(iq, sample_rate_hz(), rng);
+  // Each maximal run of consecutive leakage tones is rendered in one pass
+  // over the window (bit-identical to one pass per tone); every other
+  // interferer adds itself.
+  for (std::size_t i = 0; i < interferers.size();) {
+    CBMA_ASSERT(interferers[i] != nullptr);
+    scratch.leakage_run.clear();
+    for (; i < interferers.size(); ++i) {
+      const auto* leak = dynamic_cast<const CarrierLeakageInterferer*>(interferers[i]);
+      if (leak == nullptr) break;
+      scratch.leakage_run.push_back(leak);
+    }
+    if (!scratch.leakage_run.empty()) {
+      CarrierLeakageInterferer::add_run(scratch.leakage_run, iq, sample_rate_hz(), rng);
+    } else {
+      interferers[i++]->add_to(iq, sample_rate_hz(), rng);
+    }
   }
 
   AwgnSource(config_.noise_power_w).add_to(iq, rng);

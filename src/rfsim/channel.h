@@ -63,6 +63,7 @@ struct ChannelConfig {
 struct ChannelScratch {
   std::vector<double> envelope;  ///< excitation amplitude envelope
   std::vector<double> waveform;  ///< current tag's per-sample 0/1 expansion
+  std::vector<const CarrierLeakageInterferer*> leakage_run;  ///< tones fused into one pass
 };
 
 class Channel {

@@ -3,18 +3,17 @@
 #include <algorithm>
 #include <cmath>
 
+#include "rfsim/noise.h"
 #include "util/expect.h"
 
 namespace cbma::rfsim {
 namespace {
 
-/// Add complex Gaussian energy of total power `power_w` to iq[begin, end).
+/// Add complex Gaussian energy of total power `power_w` to iq[begin, end):
+/// one normal stream per burst.
 void add_burst(std::vector<std::complex<double>>& iq, std::size_t begin, std::size_t end,
                double power_w, Rng& rng) {
-  const double sigma = std::sqrt(power_w / 2.0);
-  for (std::size_t s = begin; s < end; ++s) {
-    iq[s] += std::complex<double>(rng.gaussian(0.0, sigma), rng.gaussian(0.0, sigma));
-  }
+  AwgnSource(power_w).add_to(std::span(iq).subspan(begin, end - begin), rng);
 }
 
 }  // namespace
@@ -54,20 +53,52 @@ CarrierLeakageInterferer::CarrierLeakageInterferer(double power_w,
 
 void CarrierLeakageInterferer::add_to(std::vector<std::complex<double>>& iq,
                                       double sample_rate_hz, Rng& rng) const {
+  const CarrierLeakageInterferer* self = this;
+  add_run({&self, 1}, iq, sample_rate_hz, rng);
+}
+
+void CarrierLeakageInterferer::add_run(std::span<const CarrierLeakageInterferer* const> run,
+                                       std::vector<std::complex<double>>& iq,
+                                       double sample_rate_hz, Rng& rng) {
   CBMA_REQUIRE(sample_rate_hz > 0.0, "sample rate must be positive");
-  if (power_w_ <= 0.0) return;
-  const double amplitude = std::sqrt(power_w_);
-  const double phase0 = rng.phase();
-  const double dphi =
-      2.0 * 3.14159265358979323846 * freq_offset_hz_ / sample_rate_hz;
-  // Coherent tone: rotate incrementally instead of calling sin/cos per
-  // sample (the offset is tiny relative to the sample rate, so the
-  // recurrence stays numerically clean over a window).
-  std::complex<double> tone = std::polar(amplitude, phase0);
-  const std::complex<double> rot = std::polar(1.0, dphi);
-  for (auto& s : iq) {
-    s += tone;
-    tone *= rot;
+  // Tone bank in structure-of-arrays form. A run longer than the bank is
+  // rendered bank by bank; per-sample addition order is run order either way.
+  constexpr std::size_t kBank = 16;
+  double re[kBank] = {}, im[kBank] = {}, rot_re[kBank] = {}, rot_im[kBank] = {};
+  for (std::size_t next = 0; next < run.size();) {
+    std::size_t m = 0;
+    for (; next < run.size() && m < kBank; ++next) {
+      const CarrierLeakageInterferer& leak = *run[next];
+      if (leak.power_w_ <= 0.0) continue;  // silent tones draw no phase
+      const double phase0 = rng.phase();
+      const double dphi =
+          2.0 * 3.14159265358979323846 * leak.freq_offset_hz_ / sample_rate_hz;
+      const std::complex<double> tone = std::polar(std::sqrt(leak.power_w_), phase0);
+      const std::complex<double> rot = std::polar(1.0, dphi);
+      re[m] = tone.real();
+      im[m] = tone.imag();
+      rot_re[m] = rot.real();
+      rot_im[m] = rot.imag();
+      ++m;
+    }
+    if (m == 0) break;  // only silent tones were left
+    // Coherent tones: rotate incrementally instead of calling sin/cos per
+    // sample (the offsets are tiny relative to the sample rate, so the
+    // recurrence stays numerically clean over a window). The update is
+    // written out as tone *= rot, so each tone's samples are bit-identical
+    // to its own serial pass; the tones' chains run side by side.
+    for (auto& s : iq) {
+      double acc_re = s.real();
+      double acc_im = s.imag();
+      for (std::size_t k = 0; k < m; ++k) {
+        acc_re += re[k];
+        acc_im += im[k];
+        const double r = re[k] * rot_re[k] - im[k] * rot_im[k];
+        im[k] = re[k] * rot_im[k] + im[k] * rot_re[k];
+        re[k] = r;
+      }
+      s = {acc_re, acc_im};
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include <complex>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,14 @@ class CarrierLeakageInterferer final : public Interferer {
   double occupancy() const override { return 1.0; }
 
   double power_w() const { return power_w_; }
+
+  /// Render a run of leakage tones in one pass over the window. Phases are
+  /// drawn and tones added to each sample in run order, so `iq` and `rng`
+  /// end bit-identical to calling add_to() on each tone in turn (add_to() is
+  /// a run of one). A zero-power tone draws nothing and adds nothing.
+  static void add_run(std::span<const CarrierLeakageInterferer* const> run,
+                      std::vector<std::complex<double>>& iq, double sample_rate_hz,
+                      Rng& rng);
 
  private:
   double power_w_;

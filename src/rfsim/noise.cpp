@@ -15,15 +15,12 @@ std::complex<double> AwgnSource::sample(Rng& rng) const {
   return {rng.gaussian(0.0, per_dim_sigma_), rng.gaussian(0.0, per_dim_sigma_)};
 }
 
-void AwgnSource::add_to(std::vector<std::complex<double>>& iq, Rng& rng) const {
+void AwgnSource::add_to(std::span<std::complex<double>> iq, Rng& rng) const {
   if (power_ <= 0.0) return;
-  // The noise fill touches every sample of every synthesized window; use
-  // the paired polar draw so each sample costs one engine word per
-  // dimension and the log/sqrt is shared by I and Q.
-  double a, b;
+  NormalStream normal = rng.normal_stream();
   for (auto& s : iq) {
-    rng.gaussian_pair(a, b);
-    s += std::complex<double>(a * per_dim_sigma_, b * per_dim_sigma_);
+    const double i = normal();
+    s += std::complex<double>(i * per_dim_sigma_, normal() * per_dim_sigma_);
   }
 }
 

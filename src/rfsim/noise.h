@@ -2,7 +2,7 @@
 #pragma once
 
 #include <complex>
-#include <vector>
+#include <span>
 
 #include "util/rng.h"
 
@@ -19,8 +19,10 @@ class AwgnSource {
   /// One complex noise sample.
   std::complex<double> sample(Rng& rng) const;
 
-  /// Add noise in place to a baseband buffer.
-  void add_to(std::vector<std::complex<double>>& iq, Rng& rng) const;
+  /// Add noise in place to a baseband buffer. Takes exactly one word from
+  /// `rng` (none at zero power), whatever the buffer's length: the noise
+  /// itself comes from the Rng::normal_stream() that word seeds.
+  void add_to(std::span<std::complex<double>> iq, Rng& rng) const;
 
  private:
   double power_;

@@ -26,18 +26,70 @@ double Rng::gaussian(double mean, double stddev) {
   return d(engine_);
 }
 
-void Rng::gaussian_pair(double& a, double& b) {
-  double u, v, s;
-  do {
-    // 53-bit mantissa directly from the engine word: [0,1) without the
-    // generate_canonical machinery.
-    u = 2.0 * (static_cast<double>(engine_() >> 11) * 0x1.0p-53) - 1.0;
-    v = 2.0 * (static_cast<double>(engine_() >> 11) * 0x1.0p-53) - 1.0;
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const double m = std::sqrt(-2.0 * std::log(s) / s);
-  a = u * m;
-  b = v * m;
+namespace {
+
+/// 256-layer ziggurat for exp(-x²/2): every layer (the base strip counts
+/// its tail) has area kV, so a uniform layer index is exact.
+struct ZigguratTables {
+  double x[NormalStream::kLayers + 1];
+  double f[NormalStream::kLayers + 1];
+};
+
+double half_gauss(double x) { return std::exp(-0.5 * x * x); }
+
+const ZigguratTables& ziggurat() {
+  static const ZigguratTables tables = [] {
+    constexpr double r = NormalStream::kR;
+    constexpr int n = NormalStream::kLayers;
+    const double v = r * half_gauss(r) +
+                     std::sqrt(units::kPi / 2.0) * std::erfc(r / std::sqrt(2.0));
+    ZigguratTables t{};
+    t.x[0] = v / half_gauss(r);  // base strip's width with its tail folded in
+    t.x[1] = r;
+    for (int i = 1; i < n - 1; ++i) {
+      t.x[i + 1] = std::sqrt(-2.0 * std::log(v / t.x[i] + half_gauss(t.x[i])));
+    }
+    t.x[n] = 0.0;
+    for (int i = 0; i <= n; ++i) t.f[i] = half_gauss(t.x[i]);
+    return t;
+  }();
+  return tables;
+}
+
+std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// Uniform in (0, 1] from the top 53 bits of a word (safe under log).
+double open_unit(std::uint64_t bits) {
+  return static_cast<double>((bits >> 11) + 1) * 0x1.0p-53;
+}
+
+}  // namespace
+
+NormalStream::NormalStream(std::uint64_t seed)
+    : x_(ziggurat().x), f_(ziggurat().f) {
+  for (auto& word : s_) word = splitmix64(seed);
+}
+
+double NormalStream::slow(std::size_t i, double u, double x) {
+  if (i == 0) {
+    // Tail beyond kR (Marsaglia 1964): exact, accepts ~94 % of tries.
+    double tx = 0.0, ty = 0.0;
+    do {
+      tx = std::log(open_unit(next_word())) / kR;
+      ty = std::log(open_unit(next_word()));
+    } while (-2.0 * ty < tx * tx);
+    return u < 0.0 ? tx - kR : kR - tx;
+  }
+  // Wedge between the layer's core and the curve: uniform height test.
+  const double y =
+      f_[i] + (f_[i + 1] - f_[i]) * (static_cast<double>(next_word() >> 11) * 0x1.0p-53);
+  if (y < half_gauss(x)) return x;
+  return (*this)();
 }
 
 bool Rng::bernoulli(double p) {

@@ -52,6 +52,49 @@ TEST(AwgnSource, IqComponentsBalanced) {
   EXPECT_NEAR(q_stats.variance(), 0.5, 0.05);
 }
 
+TEST(AwgnSource, AddToTotalPowerMatches) {
+  const double power = 0.25;
+  std::vector<std::complex<double>> iq(50000, {0.0, 0.0});
+  Rng rng(5);
+  AwgnSource(power).add_to(iq, rng);
+  RunningStats p;
+  for (const auto& s : iq) p.add(std::norm(s));
+  EXPECT_NEAR(p.mean(), power, power * 0.03);
+}
+
+TEST(AwgnSource, AddToIqComponentsBalanced) {
+  std::vector<std::complex<double>> iq(50000, {0.0, 0.0});
+  Rng rng(6);
+  AwgnSource(1.0).add_to(iq, rng);
+  RunningStats i_stats, q_stats;
+  RunningStats iq_product;
+  for (const auto& s : iq) {
+    i_stats.add(s.real());
+    q_stats.add(s.imag());
+    iq_product.add(s.real() * s.imag());
+  }
+  EXPECT_NEAR(i_stats.mean(), 0.0, 0.02);
+  EXPECT_NEAR(q_stats.mean(), 0.0, 0.02);
+  EXPECT_NEAR(i_stats.variance(), 0.5, 0.02);
+  EXPECT_NEAR(q_stats.variance(), 0.5, 0.02);
+  EXPECT_NEAR(iq_product.mean(), 0.0, 0.01);  // I and Q uncorrelated
+}
+
+TEST(AwgnSource, AddToTakesOneCallerWordPerWindow) {
+  for (const std::size_t n : {1u, 64u, 26500u}) {
+    Rng filled(7), reference(7);
+    std::vector<std::complex<double>> iq(n, {0.0, 0.0});
+    AwgnSource(1.0).add_to(iq, filled);
+    reference.engine().discard(1);
+    EXPECT_TRUE(filled.engine() == reference.engine()) << n << " samples";
+  }
+  // Zero power draws nothing.
+  Rng silent(7), untouched(7);
+  std::vector<std::complex<double>> iq(64, {0.0, 0.0});
+  AwgnSource(0.0).add_to(iq, silent);
+  EXPECT_TRUE(silent.engine() == untouched.engine());
+}
+
 TEST(AwgnSource, AddToIsAdditive) {
   AwgnSource src(1.0);
   Rng a(4), b(4);

@@ -25,6 +25,15 @@ namespace {
 
 constexpr std::size_t kPreambleBits = 8;
 
+/// Independent standard normals in both components of a split window.
+void fill_normal(Rng& rng, std::vector<double>& re, std::vector<double>& im) {
+  NormalStream normal = rng.normal_stream();
+  for (std::size_t i = 0; i < re.size(); ++i) {
+    re[i] = normal();
+    im[i] = normal();
+  }
+}
+
 std::vector<std::vector<double>> random_chip_templates(std::size_t n_codes,
                                                        std::size_t chips,
                                                        Rng& rng) {
@@ -56,9 +65,7 @@ TEST(CorrelationEngine, FftMatchesNaiveOnRandomWindows) {
         const auto tmpls = random_chip_templates(n_codes, chips, rng);
         const std::size_t n = chips * spc;
         std::vector<double> re(n + 300), im(n + 300);
-        for (std::size_t i = 0; i < re.size(); ++i) {
-          rng.gaussian_pair(re[i], im[i]);
-        }
+        fill_normal(rng, re, im);
         std::vector<double> fold_re, fold_im;
         pn::fold_chip_sums(re, spc, fold_re);
         pn::fold_chip_sums(im, spc, fold_im);
@@ -105,7 +112,7 @@ TEST(CorrelationEngine, WindowShorterThanTemplateYieldsDefaults) {
   const auto tmpls = random_chip_templates(2, 64, rng);
   const std::size_t spc = 4;
   std::vector<double> re(64 * spc - 1), im(re.size());  // one sample short
-  for (std::size_t i = 0; i < re.size(); ++i) rng.gaussian_pair(re[i], im[i]);
+  fill_normal(rng, re, im);
   std::vector<double> fold_re, fold_im;
   pn::fold_chip_sums(re, spc, fold_re);
   pn::fold_chip_sums(im, spc, fold_im);
@@ -260,7 +267,7 @@ TEST(CorrelationEngine, ScratchReuseIsDeterministic) {
   const auto tmpls = random_chip_templates(4, 128, rng);
   const std::size_t spc = 4;
   std::vector<double> re(128 * spc + 200), im(re.size());
-  for (std::size_t i = 0; i < re.size(); ++i) rng.gaussian_pair(re[i], im[i]);
+  fill_normal(rng, re, im);
   std::vector<double> fold_re, fold_im;
   pn::fold_chip_sums(re, spc, fold_re);
   pn::fold_chip_sums(im, spc, fold_im);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -130,6 +131,78 @@ TEST(Rng, ShufflePreservesElements) {
   r.shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, sorted);
+}
+
+/// Standard-normal CDF.
+double phi(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
+
+std::vector<double> normal_draws(std::uint64_t seed, std::size_t n) {
+  NormalStream normal(seed);
+  std::vector<double> v(n);
+  for (auto& x : v) x = normal();
+  return v;
+}
+
+TEST(NormalStream, SameSeedSameStream) {
+  EXPECT_EQ(normal_draws(5, 1000), normal_draws(5, 1000));
+  EXPECT_NE(normal_draws(5, 1000), normal_draws(6, 1000));
+}
+
+TEST(NormalStream, Moments) {
+  RunningStats stats;
+  double m3 = 0.0, m4 = 0.0;
+  const auto v = normal_draws(41, 1'000'000);
+  for (const double x : v) {
+    stats.add(x);
+    m3 += x * x * x;
+    m4 += x * x * x * x;
+  }
+  const auto n = static_cast<double>(v.size());
+  // About five standard errors over 10⁶ draws (0.001, 0.0014, 0.0039 and
+  // 0.0098 for the first four moments).
+  EXPECT_NEAR(stats.mean(), 0.0, 0.005);
+  EXPECT_NEAR(stats.variance(), 1.0, 0.007);
+  EXPECT_NEAR(m3 / n, 0.0, 0.02);
+  EXPECT_NEAR(m4 / n, 3.0, 0.05);
+}
+
+TEST(NormalStream, TailBeyondBaseStripMatchesErfc) {
+  // Draws beyond ±r come only from the tail sampler; their mass must be
+  // P(|X| > r) = erfc(r/√2), about 2.6e-4.
+  const std::size_t n = 4'000'000;
+  NormalStream normal(43);
+  std::size_t beyond = 0, beyond_far = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = std::abs(normal());
+    if (x > NormalStream::kR) ++beyond;
+    if (x > NormalStream::kR + 0.5) ++beyond_far;
+  }
+  const auto expected = static_cast<double>(n) * std::erfc(NormalStream::kR / std::sqrt(2.0));
+  EXPECT_NEAR(static_cast<double>(beyond), expected, 4.0 * std::sqrt(expected));
+  // The tail's own shape: mass beyond r + 0.5 as a share of mass beyond r.
+  const auto expected_far =
+      static_cast<double>(n) * std::erfc((NormalStream::kR + 0.5) / std::sqrt(2.0));
+  EXPECT_NEAR(static_cast<double>(beyond_far), expected_far, 4.0 * std::sqrt(expected_far));
+}
+
+TEST(NormalStream, KolmogorovSmirnovAgainstPhi) {
+  auto v = normal_draws(47, 1'000'000);
+  std::sort(v.begin(), v.end());
+  const auto n = static_cast<double>(v.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const double cdf = phi(v[i]);
+    d = std::max({d, static_cast<double>(i + 1) / n - cdf, cdf - static_cast<double>(i) / n});
+  }
+  EXPECT_LT(d, 1.628 / std::sqrt(n));  // 1 % critical value
+}
+
+TEST(Rng, NormalStreamTakesOneWord) {
+  Rng a(53), b(53);
+  NormalStream from_rng = a.normal_stream();
+  NormalStream direct(b.engine()());
+  EXPECT_TRUE(a.engine() == b.engine());
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(from_rng(), direct());
 }
 
 }  // namespace

@@ -414,13 +414,35 @@ BENCHMARK(BM_DetectPeaksNaive)->Apply(detect_peaks_grid);
 BENCHMARK(BM_DetectPeaksFft)->Apply(detect_peaks_grid);
 BENCHMARK(BM_DetectPeaksAuto)->Apply(detect_peaks_grid);
 
+/// Which observability plane a network-round benchmark arms, in memory
+/// only: no Prometheus or collapsed-stack file, so an armed figure measures
+/// recording, not filesystem I/O.
+enum class ArmedPlane { kNone, kMetrics, kProfile };
+
 /// One multi-cell network round on an Arg(0) x Arg(0) gateway grid with 4
 /// tags per cell: association/roaming, per-cell CBMA MAC (one packet per
 /// cell round to isolate the network layer's overhead around the
 /// per-packet pipeline), inter-cell leakage summation. Runs the cells on
 /// one worker so the figure is a stable single-thread cost; ns_per_round
-/// is per *cell* round — the entry tools/perf_baseline.json gates.
-void BM_NetMulticellRound(benchmark::State& state) {
+/// is per *cell* round. The plain run is the entry tools/perf_baseline.json
+/// gates; check_perf_regression.py --twin-overhead holds each armed run to
+/// +2% of it. Every switch an armed run touches is restored afterwards
+/// (enabling the metrics plane also arms telemetry).
+void run_net_multicell_round(benchmark::State& state, ArmedPlane armed) {
+  const bool telemetry_was_on = telemetry::enabled();
+  const bool metrics_was_on = metrics::enabled();
+  const bool profiler_was_on = profiler::enabled();
+  const std::string metrics_path = metrics::export_path();
+  if (armed == ArmedPlane::kMetrics) {
+    metrics::set_export_path("");
+    core::MetricsPlane::enable();
+    core::MetricsPlane::set_cadence(1);
+    core::MetricsPlane::reset();
+  } else if (armed == ArmedPlane::kProfile) {
+    profiler::set_enabled(true);
+    profiler::reset();
+  }
+
   const auto side = static_cast<std::size_t>(state.range(0));
   net::NetworkConfig cfg;
   cfg.cell.code_family = pn::CodeFamily::kGold;
@@ -441,88 +463,29 @@ void BM_NetMulticellRound(benchmark::State& state) {
       static_cast<double>(cells) * 1e-9,
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
   state.SetItemsProcessed(state.iterations() * cells);
-}
-BENCHMARK(BM_NetMulticellRound)->Arg(2);
 
-/// BM_NetMulticellRound with the metrics plane live: identical workload
-/// plus per-round sampling into the in-memory windowed store (no
-/// Prometheus file — the export path stays empty so the figure measures
-/// sampling, not filesystem I/O). check_perf_regression.py
-/// --metrics-overhead gates this against the metrics-off twin at +2%
-/// ns_per_round. Telemetry's enabled flag is saved/restored because
-/// enabling the plane arms it.
-void BM_NetMulticellRoundMetrics(benchmark::State& state) {
-  const bool telemetry_was_on = telemetry::enabled();
-  const bool metrics_was_on = metrics::enabled();
-  const std::string saved_path = metrics::export_path();
-  metrics::set_export_path("");
-  core::MetricsPlane::enable();
-  core::MetricsPlane::set_cadence(1);
-  core::MetricsPlane::reset();
-
-  const auto side = static_cast<std::size_t>(state.range(0));
-  net::NetworkConfig cfg;
-  cfg.cell.code_family = pn::CodeFamily::kGold;
-  cfg.cell.max_tags = 4;
-  cfg.cell.tx_power_dbm = 30.0;
-  cfg.reuse.family_size = 64;
-  cfg.packets_per_round = 1;
-  auto network = net::Network::grid(cfg, 6.0 * static_cast<double>(side),
-                                    4.0 * static_cast<double>(side), side, side);
-  Rng rng(6);
-  network.place_random_tags(side * side * 4, rng);
-  network.run_round(7, /*max_workers=*/1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(network.run_round(7, /*max_workers=*/1));
+  if (armed == ArmedPlane::kMetrics) {
+    core::MetricsPlane::reset();
+    metrics::set_export_path(metrics_path);
+  } else if (armed == ArmedPlane::kProfile) {
+    profiler::reset();
   }
-  const auto cells = static_cast<std::int64_t>(side * side);
-  state.counters["ns_per_round"] = benchmark::Counter(
-      static_cast<double>(cells) * 1e-9,
-      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
-  state.SetItemsProcessed(state.iterations() * cells);
-
-  core::MetricsPlane::reset();
-  metrics::set_export_path(saved_path);
   metrics::set_enabled(metrics_was_on);
+  profiler::set_enabled(profiler_was_on);
   telemetry::set_enabled(telemetry_was_on);
 }
-BENCHMARK(BM_NetMulticellRoundMetrics)->Arg(2);
 
-/// BM_NetMulticellRound with the hierarchical profiler live: identical
-/// workload plus span-tree attribution and parallel_for busy/idle
-/// measurement into the in-memory node pools (no collapsed-stack file —
-/// the export path is untouched so the figure measures recording, not
-/// filesystem I/O). check_perf_regression.py --profile-overhead gates
-/// this against the profiler-off twin at +2% ns_per_round.
-void BM_NetMulticellRoundProfile(benchmark::State& state) {
-  const bool profiler_was_on = profiler::enabled();
-  profiler::set_enabled(true);
-  profiler::reset();
-
-  const auto side = static_cast<std::size_t>(state.range(0));
-  net::NetworkConfig cfg;
-  cfg.cell.code_family = pn::CodeFamily::kGold;
-  cfg.cell.max_tags = 4;
-  cfg.cell.tx_power_dbm = 30.0;
-  cfg.reuse.family_size = 64;
-  cfg.packets_per_round = 1;
-  auto network = net::Network::grid(cfg, 6.0 * static_cast<double>(side),
-                                    4.0 * static_cast<double>(side), side, side);
-  Rng rng(6);
-  network.place_random_tags(side * side * 4, rng);
-  network.run_round(7, /*max_workers=*/1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(network.run_round(7, /*max_workers=*/1));
-  }
-  const auto cells = static_cast<std::int64_t>(side * side);
-  state.counters["ns_per_round"] = benchmark::Counter(
-      static_cast<double>(cells) * 1e-9,
-      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
-  state.SetItemsProcessed(state.iterations() * cells);
-
-  profiler::reset();
-  profiler::set_enabled(profiler_was_on);
+void BM_NetMulticellRound(benchmark::State& state) {
+  run_net_multicell_round(state, ArmedPlane::kNone);
 }
+void BM_NetMulticellRoundMetrics(benchmark::State& state) {
+  run_net_multicell_round(state, ArmedPlane::kMetrics);
+}
+void BM_NetMulticellRoundProfile(benchmark::State& state) {
+  run_net_multicell_round(state, ArmedPlane::kProfile);
+}
+BENCHMARK(BM_NetMulticellRound)->Arg(2);
+BENCHMARK(BM_NetMulticellRoundMetrics)->Arg(2);
 BENCHMARK(BM_NetMulticellRoundProfile)->Arg(2);
 
 }  // namespace

@@ -19,12 +19,14 @@
 #include <memory>
 #include <string>
 
+#include "core/observability.h"
 #include "core/probe_session.h"
 #include "core/profile_plane.h"
 #include "core/system.h"
 #include "mac/throughput.h"
 #include "net/network.h"
 #include "util/parallel.h"
+#include "util/profiler.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -171,10 +173,10 @@ bool parse(int argc, char** argv, CliOptions& opt) {
 }
 
 // With --profile: where did the time go — top-10 caller paths by exclusive
-// time out of the profiler's attribution tree, plus the collapsed-stack
-// export if CBMA_PROFILE=<path> also asked for the flamegraph file.
+// time out of the profiler's attribution tree. The flamegraph file that
+// CBMA_PROFILE=<path> asks for is written with the other artifacts.
 void print_profile_report() {
-  if (!core::ProfilePlane::enabled()) return;
+  if (!profiler::enabled()) return;
   const auto rows = core::ProfilePlane::top_exclusive(10);
   Table table({"caller path", "count", "incl ms", "excl ms"});
   for (const auto& row : rows) {
@@ -184,9 +186,6 @@ void print_profile_report() {
   }
   std::printf("\nprofile (top 10 by exclusive time):\n%s\n",
               table.render().c_str());
-  if (!core::ProfilePlane::write_collapsed_if_requested()) {
-    std::fprintf(stderr, "profile: collapsed-stack export failed\n");
-  }
 }
 
 // Multi-cell mode (`--cells N`): the net:: layer over an N x N bay grid.
@@ -253,7 +252,7 @@ int run_multicell(const CliOptions& opt) {
               result.aggregate_goodput_bps / 1e6);
   std::printf("Jain fairness      : %.3f\n", result.jain_fairness);
   print_profile_report();
-  return 0;
+  return core::write_observability_artifacts() ? 0 : 1;
 }
 
 }  // namespace
@@ -275,6 +274,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --probe is the programmatic CBMA_PROBE; without it probing stays as the
+  // environment set it (off by default: strict identity).
+  if (!opt.probe.empty()) core::ProbeSession::enable(opt.probe);
+
   core::SystemConfig config;
   config.max_tags = opt.tags;
   config.code_family = opt.family;
@@ -283,7 +286,6 @@ int main(int argc, char** argv) {
   config.tx_power_dbm = opt.power_dbm;
   config.payload_bytes = opt.payload;
   config.multipath.enabled = opt.multipath;
-  config.probe = opt.probe;  // "" keeps probing off (strict identity)
   config.rx_chunk_samples = opt.stream_chunk;  // 0 keeps whole-round feeds
 
   auto deployment = rfsim::Deployment::paper_frame();
@@ -342,11 +344,10 @@ int main(int argc, char** argv) {
   std::printf("aggregate raw rate : %.2f Mbps\n", rates.aggregate_raw_bps / 1e6);
   std::printf("aggregate goodput  : %.2f Mbps\n", rates.aggregate_goodput_bps / 1e6);
 
-  if (core::ProbeSession::enabled()) {
-    if (!core::ProbeSession::write_dump_if_requested()) return 1;
+  if (probe::enabled()) {
     std::printf("probe dump         : %s (+ .json manifest)\n",
-                opt.probe.empty() ? "$CBMA_PROBE" : opt.probe.c_str());
+                probe::dump_path().c_str());
   }
   print_profile_report();
-  return 0;
+  return core::write_observability_artifacts() ? 0 : 1;
 }

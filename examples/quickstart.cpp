@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <string>
 
+#include "core/observability.h"
 #include "core/probe_session.h"
 #include "core/system.h"
 
@@ -75,7 +76,7 @@ int main() {
   // 5. Peek inside the pipeline: enable the signal-probe layer, rerun one
   //    collided round, and dump the per-stage taps (excitation envelope,
   //    composite IQ, sync energy, correlation profiles, soft bits) plus the
-  //    per-tag link-quality rows. Inspect with tools/probe_inspect.py.
+  //    per-tag link-quality rows. Inspect with tools/cbma_inspect.py probe.
   core::ProbeSession::enable("quickstart_probe.bin");
   const auto probed = system.transmit(options, rng);
   std::printf("\nsignal probes (see quickstart_probe.bin.json):\n");
@@ -85,7 +86,7 @@ int main() {
     std::printf("  tag %zu: SNR=%.1f dB EVM=%.3f margin-ratio=%.1f\n", i,
                 lq.snr_db, lq.evm, lq.margin_ratio);
   }
-  if (!core::ProbeSession::write_dump_if_requested()) return 1;
-  core::ProbeSession::disable();
+  if (!core::write_observability_artifacts()) return 1;
+  probe::set_enabled(false);
   return 0;
 }

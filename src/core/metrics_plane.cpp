@@ -75,8 +75,6 @@ void MetricsPlane::enable(std::string prometheus_path) {
   arm_telemetry_once();
 }
 
-void MetricsPlane::disable() { metrics::set_enabled(false); }
-
 void MetricsPlane::reset() {
   metrics::reset();
   auto& s = state();

@@ -52,15 +52,15 @@ class MetricsPlane {
     rx::LinkQualityRollup quality;
   };
 
-  /// True when the plane is live (CBMA_METRICS set, SystemConfig::metrics,
-  /// or enable()). The first true observation arms util/telemetry so the
+  /// True when the plane is live (metrics::enabled(): CBMA_METRICS or
+  /// enable()). The first true observation arms util/telemetry so the
   /// counter/span series have a source.
   static bool enabled();
 
   /// Turn the plane on; a non-empty path becomes the Prometheus exposition
-  /// target (equivalent to CBMA_METRICS=<path>).
+  /// target (equivalent to CBMA_METRICS=<path>). Turn it off with
+  /// metrics::set_enabled(false).
   static void enable(std::string prometheus_path = "");
-  static void disable();
 
   /// Drop all recorded series/events and the plane's round counter +
   /// telemetry baselines. Cadence and the enabled flag are unchanged.
@@ -86,7 +86,7 @@ class MetricsPlane {
                            std::string_view detail);
 
   /// Emit the "timeseries" + "events" sections into an open JSON object
-  /// (RunRecorder::json calls this only when enabled).
+  /// (the plane table calls this only when enabled).
   static void write_json_section(util::JsonWriter& w);
 
   /// Rewrite the Prometheus snapshot at metrics::export_path(), atomically.

@@ -199,7 +199,7 @@ bool ProbeSession::write_dump(const std::string& path) {
 }
 
 bool ProbeSession::write_dump_if_requested() {
-  if (!enabled()) return true;
+  if (!probe::enabled()) return true;
   const auto path = probe::dump_path();
   if (path.empty()) return true;
   return write_dump(path);

@@ -3,7 +3,7 @@
 //
 //  * the probe dump: a compact length-prefixed binary file of every tapped
 //    waveform (CBPROBE1 format, below) plus a <path>.json manifest that
-//    indexes it — what tools/probe_inspect.py validates and slices;
+//    indexes it — what tools/cbma_inspect.py validates and slices;
 //  * the "link_quality" section RunRecorder embeds in BENCH_*.json —
 //    per-tag aggregates of the receiver's LinkQualityReport rows.
 //
@@ -15,9 +15,9 @@
 // repeats every record header with its byte offset, so a reader never has
 // to trust the binary's own framing — the cross-check IS the validation.
 //
-// Everything here is a no-op unless probing is enabled (CBMA_PROBE=<path>
-// or SystemConfig::probe) — the disabled default leaves every bench table
-// and JSON byte-identical. See DESIGN.md §8.
+// The switch lives in util/probe.h (probe::enabled() and the dump path);
+// the plane table (core/observability.h) decides when these exports run.
+// See DESIGN.md §8.
 #pragma once
 
 #include <string>
@@ -33,23 +33,16 @@ inline constexpr int kProbeDumpSchemaVersion = 1;
 
 class ProbeSession {
  public:
-  static bool enabled() { return probe::enabled(); }
-
   /// Programmatic CBMA_PROBE: turn capture on and aim the dump at `path`.
   static void enable(std::string dump_path) {
     probe::set_dump_path(std::move(dump_path));
     probe::set_enabled(true);
   }
-  static void disable() { probe::set_enabled(false); }
-
-  /// Drop every captured record (e.g. between independent runs sharing a
-  /// process). The enabled flag and dump path are unchanged.
-  static void reset() { probe::reset(); }
 
   /// Append the "link_quality" key + object to an open JSON object scope:
   /// sample/drop totals plus per-tag aggregates (frames, decoded, mean
   /// SNR/EVM/soft-margin/margin-ratio/power/correlation). The caller
-  /// decides *whether* to emit (RunRecorder only does when probing is
+  /// decides *whether* to emit (the plane table only does when probing is
   /// enabled, keeping the disabled document byte-identical).
   static void write_json_section(util::JsonWriter& w);
 
@@ -60,7 +53,7 @@ class ProbeSession {
 
   /// Honor the configured dump path: when probing is enabled and a path is
   /// set, write the dump there. Returns true when nothing was requested or
-  /// the write succeeded — benches call this from finish().
+  /// the write succeeded.
   static bool write_dump_if_requested();
 };
 

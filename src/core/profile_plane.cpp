@@ -49,18 +49,12 @@ void write_node(util::JsonWriter& w, const profiler::MergedNode& node) {
 
 }  // namespace
 
-bool ProfilePlane::enabled() { return profiler::enabled(); }
-
 void ProfilePlane::enable(std::string collapsed_path) {
   profiler::set_enabled(true);
   if (!collapsed_path.empty()) {
     profiler::set_export_path(std::move(collapsed_path));
   }
 }
-
-void ProfilePlane::disable() { profiler::set_enabled(false); }
-
-void ProfilePlane::reset() { profiler::reset(); }
 
 std::vector<ProfilePlane::Row> ProfilePlane::top_exclusive(std::size_t n) {
   std::vector<Row> rows = flatten_tree();
@@ -125,7 +119,7 @@ std::string ProfilePlane::collapsed() {
 }
 
 bool ProfilePlane::write_collapsed_if_requested() {
-  if (!enabled()) return true;
+  if (!profiler::enabled()) return true;
   const std::string path = profiler::export_path();
   if (path.empty()) return true;
   const std::string text = collapsed();

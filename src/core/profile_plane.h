@@ -14,10 +14,10 @@
 //    cbma_cli --profile prints.
 //
 // Same identity contract as telemetry/probe/metrics: when disabled
-// (CBMA_PROFILE unset and no enable() call) every entry point returns
-// before touching state, and BENCH_*.json stays byte-identical. Unlike
-// the metrics plane, enabling the profiler does NOT arm telemetry — the
-// span sites feed the tree directly, so the two layers stay independent.
+// (profiler::enabled() false) every entry point returns before touching
+// state, and BENCH_*.json stays byte-identical. Unlike the metrics plane,
+// enabling the profiler does NOT arm telemetry — the span sites feed the
+// tree directly, so the two layers stay independent.
 #pragma once
 
 #include <cstddef>
@@ -33,17 +33,9 @@ namespace cbma::core {
 
 class ProfilePlane {
  public:
-  /// True when the profiler is live (CBMA_PROFILE set or enable() called).
-  static bool enabled();
-
   /// Turn the profiler on; a non-empty path becomes the collapsed-stack
   /// export target (equivalent to CBMA_PROFILE=<path>).
   static void enable(std::string collapsed_path = "");
-  static void disable();
-
-  /// Drop every thread's tree and the parallel-site aggregates. The
-  /// enabled flag and export path are unchanged. Sequential-only.
-  static void reset();
 
   /// One flattened caller path ("net/round;net/cell_round;rx/process")
   /// with its merged counts — the unit of the CLI table and the
@@ -60,7 +52,7 @@ class ProfilePlane {
   static std::vector<Row> top_exclusive(std::size_t n);
 
   /// Emit the "profile" section into an open JSON object
-  /// (RunRecorder::json calls this only when enabled).
+  /// (the plane table calls this only when enabled).
   static void write_json_section(util::JsonWriter& w);
 
   /// The collapsed-stack flamegraph document: one "frame;frame value"

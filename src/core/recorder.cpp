@@ -7,11 +7,10 @@
 #include <system_error>
 
 #include "core/metrics_plane.h"
-#include "core/probe_session.h"
-#include "core/profile_plane.h"
-#include "core/telemetry.h"
+#include "core/observability.h"
 #include "util/expect.h"
 #include "util/json.h"
+#include "util/probe.h"
 
 namespace cbma::core {
 
@@ -180,34 +179,17 @@ std::string RunRecorder::json() const {
   for (const auto& n : notes_) w.value(n);
   w.end_array();
 
-  // Observability export: present only when telemetry is enabled, so the
-  // default document stays byte-identical (DESIGN.md §7). Span timings are
-  // wall-clock and therefore not deterministic; counters are. Neither
-  // enters the config fingerprint above.
-  if (Telemetry::enabled()) {
-    Telemetry::write_json_section(w);
+  // Observability sections: present only while their plane is enabled, so
+  // the default document stays byte-identical (DESIGN.md §7). Timings are
+  // wall-clock and therefore not deterministic; counts and tree shapes
+  // are. None enters the config fingerprint above.
+  for (const auto& plane : observability_planes()) {
+    if (plane.enabled()) plane.write_json_section(w);
   }
-
-  // Same contract for the probe exports: the "link_quality" section rides
-  // along only when probing is enabled, and "watchdog" only when probing is
-  // enabled or a rule actually fired — a silent watchdog on a default run
-  // leaves the document byte-identical (DESIGN.md §8).
-  if (ProbeSession::enabled()) {
-    ProbeSession::write_json_section(w);
-  }
-  // The windowed time-series + event log ride along under the same
-  // contract: sections exist only while the metrics plane is enabled
-  // (DESIGN.md §12), so the default document stays byte-identical.
-  if (MetricsPlane::enabled()) {
-    MetricsPlane::write_json_section(w);
-  }
-  // The profiler's attribution tree + worker-utilization report: present
-  // only while CBMA_PROFILE is live (DESIGN.md §13). Timings are
-  // wall-clock; tree shape and counts are deterministic.
-  if (ProfilePlane::enabled()) {
-    ProfilePlane::write_json_section(w);
-  }
-  if (!warnings_.empty() || ProbeSession::enabled()) {
+  // "watchdog" rides along when probing is enabled or a rule actually
+  // fired — a silent watchdog on a default run leaves the document
+  // byte-identical (DESIGN.md §8).
+  if (!warnings_.empty() || probe::enabled()) {
     w.key("watchdog").begin_array();
     for (const auto& warning : warnings_) {
       w.begin_object();
@@ -255,19 +237,9 @@ int RunRecorder::finish() const {
     std::fprintf(stderr, "error: failed writing %s\n", path.c_str());
     return 1;
   }
-  // CBMA_TRACE=<path> drops a Chrome/Perfetto timeline of the run next to
-  // the JSON (no-op unless telemetry is enabled).
-  if (!Telemetry::write_trace_if_requested()) return 1;
-  // CBMA_PROBE=<path> likewise drops the signal-probe dump + manifest
-  // (no-op unless probing is enabled).
-  if (!ProbeSession::write_dump_if_requested()) return 1;
-  // CBMA_METRICS=<path>: leave a final Prometheus snapshot covering the
-  // whole run (the plane also rewrites it live at window boundaries).
-  if (!MetricsPlane::write_prometheus_if_requested()) return 1;
-  // CBMA_PROFILE=<path>: the collapsed-stack flamegraph of the run
-  // (no-op unless the profiler is enabled).
-  if (!ProfilePlane::write_collapsed_if_requested()) return 1;
-  return 0;
+  // The requested observability files land next to the JSON: CBMA_TRACE,
+  // CBMA_PROBE, CBMA_METRICS and CBMA_PROFILE each name their own path.
+  return write_observability_artifacts() ? 0 : 1;
 }
 
 }  // namespace cbma::core

@@ -4,9 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/metrics_plane.h"
 #include "util/expect.h"
-#include "util/probe.h"
 #include "util/telemetry.h"
 #include "util/units.h"
 
@@ -56,20 +54,6 @@ CbmaSystem::CbmaSystem(SystemConfig config, rfsim::Deployment population)
   CBMA_REQUIRE(population_.tag_count() >= 1, "population must contain tags");
   if (const auto errors = config_.validate(); !errors.empty()) {
     throw std::invalid_argument(join_errors(errors));
-  }
-
-  // SystemConfig::probe is the programmatic CBMA_PROBE: a non-empty path
-  // switches the signal-probe subsystem on for the process and names the
-  // dump target. The empty default touches nothing — probing stays in
-  // whatever state the environment put it.
-  if (!config_.probe.empty()) {
-    probe::set_dump_path(config_.probe);
-    probe::set_enabled(true);
-  }
-  // Same contract for SystemConfig::metrics and the metrics plane
-  // (CBMA_METRICS): non-empty enables it and names the Prometheus target.
-  if (!config_.metrics.empty()) {
-    MetricsPlane::enable(config_.metrics);
   }
 
   budget_.tx_power_w = units::dbm_to_watts(config_.tx_power_dbm);

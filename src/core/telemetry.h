@@ -6,9 +6,9 @@
 // It also speaks the upper layers' vocabulary (rx::DecodeOutcome labels in
 // the flight-recorder export), which the util layer deliberately cannot.
 //
-// Everything here is a no-op unless telemetry is enabled (CBMA_TELEMETRY=1
-// or Telemetry::enable()) — the disabled default leaves every bench table
-// and JSON byte-identical. See DESIGN.md §7.
+// The switches live in util/telemetry.h (telemetry::enabled() and the
+// CBMA_TRACE path); the plane table (core/observability.h) decides when
+// these exports run. See DESIGN.md §7.
 #pragma once
 
 #include <string>
@@ -20,16 +20,6 @@ namespace cbma::core {
 
 class Telemetry {
  public:
-  static bool enabled() { return telemetry::enabled(); }
-  static void enable(bool on = true) { telemetry::set_enabled(on); }
-
-  /// Zero every recorded span, counter, flight-recorder frame and trace
-  /// event (e.g. between independent runs sharing a process).
-  static void reset() { telemetry::reset(); }
-
-  /// Aggregate all thread sinks. Call only while no worker is recording.
-  static telemetry::Snapshot snapshot() { return telemetry::snapshot(); }
-
   /// Append the "telemetry" key + object to an open JSON object scope:
   /// per-span ns statistics (count/total/min/max/mean/p50/p90/p99),
   /// non-zero counters, thread count, and the flight recorder with
@@ -43,9 +33,9 @@ class Telemetry {
   /// this still exports flight-recorder instants (spans need CBMA_TRACE).
   static bool write_trace(const std::string& path);
 
-  /// Honor CBMA_TRACE: when telemetry is enabled and the variable names a
-  /// path, write the trace there. Returns true when nothing was requested
-  /// or the write succeeded — benches call this from finish().
+  /// Honor CBMA_TRACE: when it names a path, write the trace there, even
+  /// with telemetry disabled. Returns true when nothing was requested or
+  /// the write succeeded.
   static bool write_trace_if_requested();
 };
 

@@ -1,0 +1,50 @@
+// The one switch type behind every observability plane (DESIGN.md §7): a
+// relaxed atomic on/off flag plus a mutex-guarded export path, both read
+// once from one environment variable when the switch is constructed. Every
+// CBMA_* observability variable follows the same rule: unset, empty or "0"
+// means off with no path; any other value means on, and the value is the
+// plane's export path. set_on()/set_path() override the environment at any
+// time after that first read.
+//
+// on() is one relaxed load, so ScopedSpan's off path (telemetry::enabled()
+// and profiler::enabled()) stays two relaxed loads. Each plane owns its
+// switch as a function-local static, which makes the first read lazy and
+// thread-safe.
+#pragma once
+
+#include <atomic>
+#include <cstdlib>
+#include <mutex>
+#include <string>
+#include <utility>
+
+namespace cbma::util {
+
+class EnvSwitch {
+ public:
+  explicit EnvSwitch(const char* env_var) {
+    const char* e = std::getenv(env_var);
+    const bool on = e != nullptr && *e != '\0' && std::string(e) != "0";
+    on_.store(on, std::memory_order_relaxed);
+    if (on) path_ = e;
+  }
+
+  bool on() const { return on_.load(std::memory_order_relaxed); }
+  void set_on(bool on) { on_.store(on, std::memory_order_relaxed); }
+
+  std::string path() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return path_;
+  }
+  void set_path(std::string path) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    path_ = std::move(path);
+  }
+
+ private:
+  std::atomic<bool> on_{false};
+  mutable std::mutex mu_;
+  std::string path_;
+};
+
+}  // namespace cbma::util

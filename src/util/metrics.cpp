@@ -1,12 +1,12 @@
 #include "util/metrics.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <utility>
+
+#include "util/env_switch.h"
 
 namespace cbma::metrics {
 namespace {
@@ -41,25 +41,9 @@ class Registry {
   std::size_t ring_capacity = kDefaultWindowCapacity;
 };
 
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{[] {
-    const char* e = std::getenv("CBMA_METRICS");
-    return e != nullptr && *e != '\0';
-  }()};
-  return flag;
-}
-
-std::mutex& path_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-std::string& path_storage() {
-  static std::string path{[] {
-    const char* e = std::getenv("CBMA_METRICS");
-    return e != nullptr ? std::string(e) : std::string();
-  }()};
-  return path;
+util::EnvSwitch& metrics_switch() {
+  static util::EnvSwitch s("CBMA_METRICS");
+  return s;
 }
 
 /// Prometheus metric charset: [a-zA-Z0-9_]; everything else (dots, slashes)
@@ -117,19 +101,12 @@ const char* severity_name(Severity s) {
   return "unknown";
 }
 
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
-void set_enabled(bool on) {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
+bool enabled() { return metrics_switch().on(); }
+void set_enabled(bool on) { metrics_switch().set_on(on); }
 
-std::string export_path() {
-  const std::lock_guard<std::mutex> lock(path_mutex());
-  return path_storage();
-}
-
+std::string export_path() { return metrics_switch().path(); }
 void set_export_path(std::string path) {
-  const std::lock_guard<std::mutex> lock(path_mutex());
-  path_storage() = std::move(path);
+  metrics_switch().set_path(std::move(path));
 }
 
 void push(std::string_view name, std::string_view scope, double value,

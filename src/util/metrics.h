@@ -36,7 +36,7 @@ inline constexpr std::size_t kDefaultWindowCapacity = 256;
 inline constexpr std::size_t kMaxEvents = 1024;
 
 /// Event severity. severity_name() is the wire label the JSON "events"
-/// section and metrics_inspect.py speak.
+/// section and cbma_inspect.py speak.
 enum class Severity : std::uint8_t { kInfo, kWarning, kError, kCount };
 const char* severity_name(Severity s);
 
@@ -77,14 +77,10 @@ struct Snapshot {
 
 // --- master switch ---------------------------------------------------------
 
-/// Initialized once from CBMA_METRICS (unset/empty = off, anything else =
-/// on, value = the Prometheus exposition path); flip programmatically with
-/// set_enabled().
+/// The CBMA_METRICS switch (util/env_switch.h): the value is the Prometheus
+/// exposition path ("" = no file export).
 bool enabled();
 void set_enabled(bool on);
-
-/// Where the Prometheus snapshot goes: the CBMA_METRICS value unless
-/// overridden via set_export_path ("" = no file export).
 std::string export_path();
 void set_export_path(std::string path);
 

@@ -1,9 +1,9 @@
 #include "util/probe.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <utility>
+
+#include "util/env_switch.h"
 
 namespace cbma::probe {
 namespace {
@@ -66,21 +66,7 @@ class Registry {
     return taps_.size();
   }
 
-  std::string dump_path() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return dump_path_;
-  }
-
-  void set_dump_path(std::string path) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    dump_path_ = std::move(path);
-  }
-
  private:
-  Registry() {
-    if (const char* e = std::getenv("CBMA_PROBE")) dump_path_ = e;
-  }
-
   std::mutex mu_;
   std::vector<TapRecord> taps_;
   std::vector<LinkQualitySample> link_;
@@ -88,15 +74,11 @@ class Registry {
   std::size_t dropped_taps_ = 0;
   std::size_t dropped_link_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::string dump_path_;
 };
 
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{[] {
-    const char* e = std::getenv("CBMA_PROBE");
-    return e != nullptr && *e != '\0';
-  }()};
-  return flag;
+util::EnvSwitch& probe_switch() {
+  static util::EnvSwitch s("CBMA_PROBE");
+  return s;
 }
 
 thread_local std::uint64_t t_point = 0;
@@ -115,14 +97,12 @@ const char* tap_name(Tap t) {
   return "unknown";
 }
 
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
-void set_enabled(bool on) {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
+bool enabled() { return probe_switch().on(); }
+void set_enabled(bool on) { probe_switch().set_on(on); }
 
-std::string dump_path() { return Registry::instance().dump_path(); }
+std::string dump_path() { return probe_switch().path(); }
 void set_dump_path(std::string path) {
-  Registry::instance().set_dump_path(std::move(path));
+  probe_switch().set_path(std::move(path));
 }
 
 void record_tap(Tap t, std::uint32_t context, std::span<const double> samples) {

@@ -9,7 +9,7 @@
 // returns before touching anything, no storage is allocated, no clock is
 // read, and no RNG is ever drawn (the probe never draws randomness at
 // all) — every bench table and BENCH_*.json stays byte-identical. Enable
-// with CBMA_PROBE=<dump-path> or SystemConfig::probe.
+// with CBMA_PROBE=<dump-path> or core::ProbeSession::enable().
 //
 // Unlike telemetry's lock-free per-thread sinks, capture goes through one
 // mutex-guarded registry: a probe run is a debugging instrument recording
@@ -29,7 +29,7 @@
 namespace cbma::probe {
 
 /// Every tapped stage of the pipeline, in signal-flow order. Names
-/// (tap_name) are the wire format the manifest and probe_inspect.py speak.
+/// (tap_name) are the wire format the manifest and cbma_inspect.py speak.
 enum class Tap : std::uint8_t {
   kExcitationEnvelope,   ///< post-impairment excitation envelope (rfsim::Channel)
   kCompositeIq,          ///< fully composed antenna window after distort_rx
@@ -78,13 +78,10 @@ struct LinkQualitySample {
 
 // --- master switch ---------------------------------------------------------
 
-/// Initialized once from CBMA_PROBE (unset/empty = off, anything else =
-/// the dump path); flip programmatically with set_enabled().
+/// The CBMA_PROBE switch (util/env_switch.h): the value is where
+/// core::ProbeSession writes the binary dump.
 bool enabled();
 void set_enabled(bool on);
-
-/// Where write_dump_if_requested should put the binary dump: the CBMA_PROBE
-/// value, unless overridden via set_dump_path (SystemConfig::probe does).
 std::string dump_path();
 void set_dump_path(std::string path);
 

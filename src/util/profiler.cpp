@@ -1,12 +1,11 @@
 #include "util/profiler.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
 
+#include "util/env_switch.h"
 #include "util/parallel.h"
 
 namespace cbma::profiler {
@@ -87,22 +86,8 @@ ThreadSink& sink() {
   return *t_sink;
 }
 
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{[] {
-    const char* e = std::getenv("CBMA_PROFILE");
-    return e != nullptr && *e != '\0';
-  }()};
-  return flag;
-}
-
-struct PathState {
-  std::mutex mu;
-  std::string path;
-  bool initialized = false;
-};
-
-PathState& path_state() {
-  static PathState s;
+util::EnvSwitch& profiler_switch() {
+  static util::EnvSwitch s("CBMA_PROFILE");
   return s;
 }
 
@@ -194,28 +179,12 @@ void merge_children(std::map<int, MergedNode>& dst, const ThreadSink& sk,
 
 }  // namespace
 
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
+bool enabled() { return profiler_switch().on(); }
+void set_enabled(bool on) { profiler_switch().set_on(on); }
 
-void set_enabled(bool on) {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
-
-std::string export_path() {
-  auto& s = path_state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  if (!s.initialized) {
-    const char* e = std::getenv("CBMA_PROFILE");
-    s.path = e != nullptr ? e : "";
-    s.initialized = true;
-  }
-  return s.path;
-}
-
+std::string export_path() { return profiler_switch().path(); }
 void set_export_path(std::string path) {
-  auto& s = path_state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  s.path = std::move(path);
-  s.initialized = true;
+  profiler_switch().set_path(std::move(path));
 }
 
 void on_span_enter(telemetry::Span s) {

@@ -55,14 +55,10 @@ inline constexpr std::size_t kNodeCapacity = 512;
 
 // --- master switch ---------------------------------------------------------
 
-/// Master switch. Initialized once from CBMA_PROFILE being set to a
-/// non-empty path; flip programmatically with set_enabled().
+/// The CBMA_PROFILE switch (util/env_switch.h): the value is where
+/// core::ProfilePlane writes the collapsed-stack flamegraph file.
 bool enabled();
 void set_enabled(bool on);
-
-/// Collapsed-stack export target: the CBMA_PROFILE path ("" when unset /
-/// cleared). core::ProfilePlane::write_collapsed_if_requested() writes the
-/// Brendan Gregg flamegraph file here.
 std::string export_path();
 void set_export_path(std::string path);
 

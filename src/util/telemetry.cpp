@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
+
+#include "util/env_switch.h"
 
 namespace cbma::telemetry {
 
@@ -124,20 +125,14 @@ ThreadSink& sink() {
   return *t_sink;
 }
 
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{[] {
-    const char* e = std::getenv("CBMA_TELEMETRY");
-    return e != nullptr && *e != '\0' && !(e[0] == '0' && e[1] == '\0');
-  }()};
-  return flag;
+util::EnvSwitch& telemetry_switch() {
+  static util::EnvSwitch s("CBMA_TELEMETRY");
+  return s;
 }
 
-std::atomic<bool>& trace_flag() {
-  static std::atomic<bool> flag{[] {
-    const char* e = std::getenv("CBMA_TRACE");
-    return e != nullptr && *e != '\0';
-  }()};
-  return flag;
+util::EnvSwitch& trace_switch() {
+  static util::EnvSwitch s("CBMA_TRACE");
+  return s;
 }
 
 }  // namespace
@@ -205,20 +200,13 @@ const char* counter_name(Counter c) {
   return "unknown";
 }
 
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
-void set_enabled(bool on) {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
+bool enabled() { return telemetry_switch().on(); }
+void set_enabled(bool on) { telemetry_switch().set_on(on); }
 
-bool trace_enabled() { return trace_flag().load(std::memory_order_relaxed); }
-void set_trace_enabled(bool on) {
-  trace_flag().store(on, std::memory_order_relaxed);
-}
+bool trace_enabled() { return trace_switch().on(); }
+void set_trace_enabled(bool on) { trace_switch().set_on(on); }
 
-std::string trace_path() {
-  const char* e = std::getenv("CBMA_TRACE");
-  return e != nullptr ? std::string(e) : std::string();
-}
+std::string trace_path() { return trace_switch().path(); }
 
 void record_span(Span s, std::uint64_t start_ns, std::uint64_t dur_ns) {
   if (!enabled()) return;

@@ -134,18 +134,14 @@ struct TraceEvent {
 
 // --- master switches -------------------------------------------------------
 
-/// Master switch. Initialized once from CBMA_TELEMETRY (unset/empty/"0" =
-/// off); flip programmatically with set_enabled().
+/// The CBMA_TELEMETRY switch (util/env_switch.h).
 bool enabled();
 void set_enabled(bool on);
 
-/// Per-event trace capture (needs enabled() too). Initialized from
-/// CBMA_TRACE being set to a non-empty path.
+/// The CBMA_TRACE switch: per-event trace capture (needs enabled() too);
+/// trace_path() is where core::Telemetry writes the Chrome trace.
 bool trace_enabled();
 void set_trace_enabled(bool on);
-
-/// The CBMA_TRACE path ("" when unset) — where finish()-style exporters
-/// write the Chrome trace.
 std::string trace_path();
 
 // --- hot-path recording ----------------------------------------------------

@@ -47,14 +47,14 @@ void enable_in_memory() {
 }
 
 void tear_down() {
-  MetricsPlane::disable();
+  metrics::set_enabled(false);
   telemetry::set_enabled(false);
   metrics::set_export_path("");
   MetricsPlane::reset();
 }
 
 TEST(MetricsPlane, DisabledEntryPointsAreNoOps) {
-  MetricsPlane::disable();
+  metrics::set_enabled(false);
   EXPECT_FALSE(MetricsPlane::enabled());
   MetricsPlane::CellSample sample;
   sample.cell_id = 1;

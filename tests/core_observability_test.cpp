@@ -1,0 +1,170 @@
+// core::observability_planes(): the plane table RunRecorder walks, and the
+// env switches behind it (DESIGN.md §7).
+//
+// One parameterised test per plane pins the document contract: enabling
+// only that plane adds exactly its sections to RunRecorder::json() after a
+// real instrumented run, and switching it off again restores the all-off
+// document byte for byte.
+//
+// gtest_discover_tests runs each TEST in its own process, so every switch
+// starts from the environment and a flip here cannot leak.
+#include "core/observability.h"
+
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <iterator>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "core/metrics_plane.h"
+#include "core/recorder.h"
+#include "core/system.h"
+#include "util/json.h"
+#include "util/metrics.h"
+#include "util/probe.h"
+#include "util/profiler.h"
+#include "util/telemetry.h"
+
+namespace cbma::core {
+namespace {
+
+/// Enabling the metrics plane arms telemetry (its counter and span series
+/// sample it), so its run carries the "telemetry" section too and turning
+/// it off means turning both off.
+void set_metrics(bool on) {
+  if (on) {
+    MetricsPlane::enable();
+  } else {
+    metrics::set_enabled(false);
+    telemetry::set_enabled(false);
+  }
+}
+
+struct PlaneCase {
+  const char* name;
+  void (*set_enabled)(bool);
+  std::vector<std::string> sections;  ///< in document order
+};
+
+const PlaneCase kCases[] = {
+    {"telemetry", telemetry::set_enabled, {"telemetry"}},
+    {"probe", probe::set_enabled, {"link_quality", "watchdog"}},
+    {"metrics", set_metrics, {"telemetry", "timeseries", "events"}},
+    {"profile", profiler::set_enabled, {"profile"}},
+};
+
+RunRecorder make_recorder() {
+  SweepSpec spec;
+  spec.name = "observability_planes";
+  spec.title = "observability planes";
+  spec.paper_ref = "tests only";
+  spec.trials = 4;
+  spec.base_seed = 99;
+  RunRecorder recorder(spec, SystemConfig{});
+  recorder.record(0, "fer", 0.125);
+  recorder.note("identity");
+  return recorder;
+}
+
+/// Two instrumented transmissions, so every plane has something to export.
+void run_pipeline() {
+  SystemConfig config;
+  config.max_tags = 3;
+  auto deployment = rfsim::Deployment::paper_frame();
+  for (std::size_t k = 0; k < 3; ++k) {
+    deployment.add_tag({0.15 * static_cast<double>(k), 0.6});
+  }
+  const CbmaSystem system(config, deployment);
+  Rng rng(1);
+  for (int round = 0; round < 2; ++round) {
+    (void)system.transmit(TransmitOptions{}, rng);
+  }
+}
+
+std::set<std::string> top_level_keys(const std::string& json) {
+  std::set<std::string> keys;
+  for (const auto& [key, value] : util::json_parse(json).object) {
+    keys.insert(key);
+  }
+  return keys;
+}
+
+TEST(ObservabilityPlanes, TableListsThePlanesInSectionOrder) {
+  const auto& planes = observability_planes();
+  ASSERT_EQ(planes.size(), std::size(kCases));
+  for (std::size_t k = 0; k < planes.size(); ++k) {
+    EXPECT_STREQ(planes[k].name, kCases[k].name);
+  }
+}
+
+TEST(ObservabilityPlanes, ZeroInTheEnvironmentTurnsEveryPlaneOff) {
+  for (const char* var : {"CBMA_TELEMETRY", "CBMA_TRACE", "CBMA_PROBE",
+                          "CBMA_METRICS", "CBMA_PROFILE"}) {
+    ::setenv(var, "0", 1);
+  }
+  EXPECT_FALSE(telemetry::enabled());
+  EXPECT_FALSE(telemetry::trace_enabled());
+  EXPECT_EQ(telemetry::trace_path(), "");
+  EXPECT_FALSE(probe::enabled());
+  EXPECT_EQ(probe::dump_path(), "");
+  EXPECT_FALSE(metrics::enabled());
+  EXPECT_EQ(metrics::export_path(), "");
+  EXPECT_FALSE(profiler::enabled());
+  EXPECT_EQ(profiler::export_path(), "");
+  for (const auto& plane : observability_planes()) {
+    EXPECT_FALSE(plane.enabled()) << plane.name;
+  }
+  // With nothing requested, no artifact is owed and none is written.
+  EXPECT_TRUE(write_observability_artifacts());
+}
+
+class PlaneSections : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PlaneSections, EnablingOnlyThisPlaneAddsExactlyItsSections) {
+  const PlaneCase& c = kCases[GetParam()];
+  const ObservabilityPlane& plane = observability_planes()[GetParam()];
+  for (const auto& other : observability_planes()) {
+    ASSERT_FALSE(other.enabled()) << other.name << " must default to off";
+  }
+  const RunRecorder recorder = make_recorder();
+  const std::string off = recorder.json();
+
+  c.set_enabled(true);
+  run_pipeline();
+  ASSERT_TRUE(plane.enabled());
+  const std::string on = recorder.json();
+
+  // The enabled document is the all-off document with the plane's
+  // sections appended: every byte before the closing brace is unchanged.
+  ASSERT_GT(on.size(), off.size());
+  EXPECT_EQ(on.substr(0, off.size() - 1), off.substr(0, off.size() - 1));
+  auto expected = top_level_keys(off);
+  expected.insert(c.sections.begin(), c.sections.end());
+  EXPECT_EQ(top_level_keys(on), expected);
+  std::size_t previous = off.size() - 1;
+  for (const auto& section : c.sections) {
+    const auto at = on.find("\"" + section + "\":", previous);
+    ASSERT_NE(at, std::string::npos) << section << " out of order";
+    previous = at;
+  }
+
+  // Switching the plane off again restores the all-off document, however
+  // much the plane recorded meanwhile; reset drops what it recorded.
+  c.set_enabled(false);
+  EXPECT_FALSE(plane.enabled());
+  EXPECT_EQ(recorder.json(), off);
+  plane.reset();
+  EXPECT_EQ(recorder.json(), off);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ObservabilityPlanes, PlaneSections,
+    ::testing::Range<std::size_t>(0, std::size(kCases)),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return std::string(kCases[info.param].name);
+    });
+
+}  // namespace
+}  // namespace cbma::core

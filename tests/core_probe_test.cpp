@@ -68,52 +68,32 @@ RunDigest run_once() {
 }
 
 TEST(CoreProbe, EnablingProbeChangesNoResultAndDrawsNoRng) {
-  ProbeSession::disable();
-  ProbeSession::reset();
+  probe::set_enabled(false);
+  probe::reset();
   const auto off = run_once();
   EXPECT_EQ(probe::tap_count(), 0u);  // the off path stored nothing
 
   ProbeSession::enable("core_probe_identity.bin");
   const auto on = run_once();
   const auto captured = probe::tap_count();
-  ProbeSession::disable();
-  ProbeSession::reset();
+  probe::set_enabled(false);
+  probe::reset();
 
   EXPECT_GT(captured, 0u);  // the probed run really recorded
   EXPECT_TRUE(off == on);   // ...without perturbing a single result or draw
 }
 
-TEST(CoreProbe, ConfigProbeFieldEnablesCaptureAndKeepsSummaryStable) {
-  ProbeSession::disable();
-  ProbeSession::reset();
-  auto config = three_tag_config();
-  const auto plain_summary = config.summary();
-  config.probe = "core_probe_cfg.bin";
-  // The probe path is observability plumbing, not physics: it must not
-  // move the config summary/fingerprint benches stamp into their JSON.
-  EXPECT_EQ(config.summary(), plain_summary);
-
-  CbmaSystem system(config, three_tag_deployment());
-  EXPECT_TRUE(ProbeSession::enabled());
-  EXPECT_EQ(probe::dump_path(), "core_probe_cfg.bin");
-  Rng rng(5);
-  (void)system.transmit(TransmitOptions{}, rng);
-  EXPECT_GT(probe::tap_count(), 0u);
-  ProbeSession::disable();
-  ProbeSession::reset();
-}
-
 TEST(CoreProbe, DumpAndManifestRoundTrip) {
   ProbeSession::enable("core_probe_roundtrip.bin");
-  ProbeSession::reset();
+  probe::reset();
   CbmaSystem system(three_tag_config(), three_tag_deployment());
   Rng rng(7);
   const auto report = system.transmit(TransmitOptions{}, rng);
   ASSERT_FALSE(report.link_quality.empty());
   const auto capture = probe::snapshot();
   ASSERT_TRUE(ProbeSession::write_dump("core_probe_roundtrip.bin"));
-  ProbeSession::disable();
-  ProbeSession::reset();
+  probe::set_enabled(false);
+  probe::reset();
 
   // Binary: magic + at least one record.
   std::ifstream dump("core_probe_roundtrip.bin", std::ios::binary);
@@ -164,7 +144,7 @@ TEST(CoreProbe, DumpAndManifestRoundTrip) {
 
 TEST(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
   ProbeSession::enable("core_probe_section.bin");
-  ProbeSession::reset();
+  probe::reset();
   probe::LinkQualitySample sample;
   sample.tag = 1;
   sample.detected = true;
@@ -182,8 +162,8 @@ TEST(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
   w.begin_object();
   ProbeSession::write_json_section(w);
   w.end_object();
-  ProbeSession::disable();
-  ProbeSession::reset();
+  probe::set_enabled(false);
+  probe::reset();
 
   const auto doc = util::json_parse(w.str());
   const auto& lq = doc.at("link_quality");

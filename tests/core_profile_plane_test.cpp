@@ -53,13 +53,13 @@ void record_fixture() {
 }
 
 void tear_down() {
-  ProfilePlane::reset();
-  ProfilePlane::disable();
+  profiler::reset();
+  profiler::set_enabled(false);
   profiler::set_export_path("");
 }
 
 TEST(ProfilePlane, DisabledIsAStrictIdentity) {
-  ASSERT_FALSE(ProfilePlane::enabled()) << "profiler must default to off";
+  ASSERT_FALSE(profiler::enabled()) << "profiler must default to off";
   // Spans with the profiler off must leave no trace anywhere.
   {
     const ScopedSpan s(Span::kRxProcess);
@@ -82,7 +82,7 @@ TEST(ProfilePlane, DisabledIsAStrictIdentity) {
 
 TEST(ProfilePlane, JsonSectionParsesAndBalances) {
   ProfilePlane::enable();
-  ProfilePlane::reset();
+  profiler::reset();
   record_fixture();
 
   util::JsonWriter w;
@@ -136,7 +136,7 @@ TEST(ProfilePlane, JsonSectionParsesAndBalances) {
 
 TEST(ProfilePlane, TopExclusiveIsSortedAndBounded) {
   ProfilePlane::enable();
-  ProfilePlane::reset();
+  profiler::reset();
   record_fixture();
   const auto top2 = ProfilePlane::top_exclusive(2);
   const auto all = ProfilePlane::top_exclusive(100);
@@ -163,7 +163,7 @@ TEST(ProfilePlane, TopExclusiveIsSortedAndBounded) {
 
 TEST(ProfilePlane, CollapsedStackSumsToTreeExclusiveTime) {
   ProfilePlane::enable();
-  ProfilePlane::reset();
+  profiler::reset();
   record_fixture();
   const std::string text = ProfilePlane::collapsed();
   std::uint64_t tree_excl = 0;
@@ -197,7 +197,7 @@ TEST(ProfilePlane, CollapsedStackSumsToTreeExclusiveTime) {
 
 TEST(ProfilePlane, WriteCollapsedHonoursTheConfiguredPath) {
   ProfilePlane::enable();
-  ProfilePlane::reset();
+  profiler::reset();
   record_fixture();
   // No path configured: a successful no-op, no file appears.
   EXPECT_TRUE(ProfilePlane::write_collapsed_if_requested());
@@ -219,12 +219,12 @@ TEST(ProfilePlane, WriteCollapsedHonoursTheConfiguredPath) {
 }
 
 TEST(ProfilePlane, EnableWithPathSetsTheExportTarget) {
-  ASSERT_FALSE(ProfilePlane::enabled());
+  ASSERT_FALSE(profiler::enabled());
   ProfilePlane::enable("/tmp/cbma_flame.txt");
-  EXPECT_TRUE(ProfilePlane::enabled());
+  EXPECT_TRUE(profiler::enabled());
   EXPECT_EQ(profiler::export_path(), "/tmp/cbma_flame.txt");
   tear_down();
-  EXPECT_FALSE(ProfilePlane::enabled());
+  EXPECT_FALSE(profiler::enabled());
 }
 
 }  // namespace

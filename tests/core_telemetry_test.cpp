@@ -3,8 +3,9 @@
 // 1. Disabled telemetry is a strict identity (DESIGN.md §7): an instrumented
 //    pipeline run with telemetry compiled in but off performs zero
 //    allocations (no thread sink appears), draws zero randomness (the RNG
-//    stream is bit-identical to an enabled run), and produces byte-identical
-//    RunRecorder JSON — mirroring rfsim_impairment_test's identity cases.
+//    stream is bit-identical to an enabled run) — mirroring
+//    rfsim_impairment_test's identity cases. The byte-identical RunRecorder
+//    JSON half is pinned for every plane in core_observability_test.cpp.
 // 2. The enabled path actually observes the pipeline: spans with ordered
 //    percentiles, ≥ 10 named counters, a bounded flight recorder whose
 //    frames carry the causal fields, and a Chrome-trace export that parses.
@@ -86,22 +87,22 @@ RoundDigest run_rounds(const CbmaSystem& sys, std::uint64_t seed,
 // --- contract 1: disabled telemetry is a strict identity -------------------
 
 TEST(Telemetry, DisabledRunAllocatesNoSinks) {
-  Telemetry::enable(false);
+  telemetry::set_enabled(false);
   const auto sys = make_system(/*with_impairments=*/true);
   (void)run_rounds(sys, 77, 4);
   // No ScopedSpan, count() or record_frame() call may have touched the
   // registry: the off path must never allocate a thread sink.
   EXPECT_EQ(telemetry::sink_count(), 0u);
-  EXPECT_FALSE(Telemetry::enabled());
+  EXPECT_FALSE(telemetry::enabled());
 }
 
 TEST(Telemetry, EnablingDrawsNoRandomnessAndChangesNoResults) {
   const auto sys = make_system(/*with_impairments=*/true);
-  Telemetry::enable(false);
+  telemetry::set_enabled(false);
   const auto off = run_rounds(sys, 20190707, 6);
-  Telemetry::enable(true);
+  telemetry::set_enabled(true);
   const auto on = run_rounds(sys, 20190707, 6);
-  Telemetry::enable(false);
+  telemetry::set_enabled(false);
   // Identical outcome sequence, identical correlations, and the RNG engine
   // is in the identical state afterwards — telemetry drew nothing.
   EXPECT_TRUE(off == on);
@@ -115,7 +116,7 @@ TEST(Telemetry, RecorderJsonByteIdenticalWhenDisabled) {
   spec.trials = 4;
   spec.base_seed = 99;
 
-  Telemetry::enable(false);
+  telemetry::set_enabled(false);
   RunRecorder recorder(spec, SystemConfig{});
   recorder.record(0, "fer", 0.125);
   recorder.note("identity");
@@ -123,15 +124,15 @@ TEST(Telemetry, RecorderJsonByteIdenticalWhenDisabled) {
 
   // Pollute the telemetry state with a real instrumented run, then disable
   // again: the document must not have moved by a byte.
-  Telemetry::enable(true);
+  telemetry::set_enabled(true);
   (void)run_rounds(make_system(), 1, 2);
-  Telemetry::enable(false);
+  telemetry::set_enabled(false);
   EXPECT_EQ(recorder.json(), before);
 
   // And the enabled document is the same document plus a telemetry section.
-  Telemetry::enable(true);
+  telemetry::set_enabled(true);
   const auto enabled_doc = util::json_parse(recorder.json());
-  Telemetry::enable(false);
+  telemetry::set_enabled(false);
   telemetry::reset();
   EXPECT_TRUE(enabled_doc.is_object());
   EXPECT_NO_THROW((void)enabled_doc.at("telemetry"));
@@ -141,12 +142,12 @@ TEST(Telemetry, RecorderJsonByteIdenticalWhenDisabled) {
 
 TEST(Telemetry, SnapshotHasOrderedSpansAndNamedCounters) {
   constexpr std::size_t kRounds = 10;
-  Telemetry::enable(true);
+  telemetry::set_enabled(true);
   telemetry::reset();
   const auto sys = make_system(/*with_impairments=*/true);
   (void)run_rounds(sys, 4242, kRounds);
-  const auto snap = Telemetry::snapshot();
-  Telemetry::enable(false);
+  const auto snap = telemetry::snapshot();
+  telemetry::set_enabled(false);
 
   ASSERT_GE(snap.threads, 1u);
   ASSERT_FALSE(snap.spans.empty());
@@ -214,12 +215,12 @@ TEST(Telemetry, FlightRecorderKeepsOnlyTheLastFrames) {
   // Capacity applies to sinks created afterwards — set it before the first
   // instrumented call in this fresh process.
   telemetry::set_flight_recorder_capacity(8);
-  Telemetry::enable(true);
+  telemetry::set_enabled(true);
   telemetry::reset();
   const auto sys = make_system();
   (void)run_rounds(sys, 7, 12);  // 12 rounds × 3 tags = 36 frames offered
-  const auto snap = Telemetry::snapshot();
-  Telemetry::enable(false);
+  const auto snap = telemetry::snapshot();
+  telemetry::set_enabled(false);
 
   ASSERT_EQ(snap.frames.size(), 8u);
   // The ring keeps the *latest* frames: seq numbers are the top of the
@@ -232,14 +233,14 @@ TEST(Telemetry, FlightRecorderKeepsOnlyTheLastFrames) {
 }
 
 TEST(Telemetry, ChromeTraceExportParsesAndCoversSpansAndFrames) {
-  Telemetry::enable(true);
+  telemetry::set_enabled(true);
   telemetry::set_trace_enabled(true);
   telemetry::reset();
   const auto sys = make_system();
   (void)run_rounds(sys, 3, 3);
-  const auto snap = Telemetry::snapshot();
+  const auto snap = telemetry::snapshot();
   telemetry::set_trace_enabled(false);
-  Telemetry::enable(false);
+  telemetry::set_enabled(false);
 
   ASSERT_FALSE(snap.events.empty());
   const auto doc = util::json_parse(
@@ -285,7 +286,7 @@ TEST(Telemetry, TraceFileIsWrittenEvenWhenTelemetryIsDisabled) {
   const auto path = ::testing::TempDir() + "cbma_trace_disabled.json";
   std::remove(path.c_str());
   ::setenv("CBMA_TRACE", path.c_str(), 1);
-  Telemetry::enable(false);
+  telemetry::set_enabled(false);
   ASSERT_TRUE(Telemetry::write_trace_if_requested());
   ::unsetenv("CBMA_TRACE");
 
@@ -302,7 +303,7 @@ TEST(Telemetry, TraceFileIsWrittenEvenWhenTelemetryIsDisabled) {
 }
 
 TEST(Telemetry, BenchJsonTelemetrySectionMatchesSchema) {
-  Telemetry::enable(true);
+  telemetry::set_enabled(true);
   telemetry::reset();
   (void)run_rounds(make_system(), 11, 4);
 
@@ -315,7 +316,7 @@ TEST(Telemetry, BenchJsonTelemetrySectionMatchesSchema) {
   RunRecorder recorder(spec, SystemConfig{});
   recorder.record(0, "fer", 0.5);
   const auto doc = util::json_parse(recorder.json());
-  Telemetry::enable(false);
+  telemetry::set_enabled(false);
 
   const auto& tel = doc.at("telemetry");
   ASSERT_TRUE(tel.is_object());

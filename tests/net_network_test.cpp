@@ -162,7 +162,7 @@ TEST(Network, MetricsPlaneChangesNoResultsAndAttributesEveryCell) {
   off_net.place_random_tags(8, ro);
   on_net.place_random_tags(8, rn);
 
-  core::MetricsPlane::disable();
+  metrics::set_enabled(false);
   const auto off = off_net.run_round(31);
 
   core::MetricsPlane::enable();
@@ -171,7 +171,7 @@ TEST(Network, MetricsPlaneChangesNoResultsAndAttributesEveryCell) {
   core::MetricsPlane::reset();
   const auto on = on_net.run_round(31);
   const auto snap = metrics::snapshot();
-  core::MetricsPlane::disable();
+  metrics::set_enabled(false);
   telemetry::set_enabled(false);
 
   // Observing the round must not move it: bit-identical aggregates.
@@ -220,7 +220,7 @@ TEST(Network, MetricsPlaneEmitsCodeSliceOverflowEvents) {
   core::MetricsPlane::reset();
   const auto result = network.run_round(5);
   const auto snap = metrics::snapshot();
-  core::MetricsPlane::disable();
+  metrics::set_enabled(false);
   telemetry::set_enabled(false);
 
   ASSERT_EQ(result.cells[0].tags_served, 2u);
@@ -246,7 +246,7 @@ TEST(Network, MetricsPlaneEmitsRoamEvents) {
   core::MetricsPlane::reset();
   ASSERT_EQ(network.roam(), 1u);
   const auto snap = metrics::snapshot();
-  core::MetricsPlane::disable();
+  metrics::set_enabled(false);
   telemetry::set_enabled(false);
 
   ASSERT_EQ(snap.events.size(), 1u);

@@ -159,7 +159,7 @@ TEST(UtilMetrics, EventLogIsBoundedWithStrictlyIncreasingSeq) {
 }
 
 TEST(UtilMetrics, SeverityNamesMatchTheWireVocabulary) {
-  // metrics_inspect.py and the JSON "events" section speak exactly these.
+  // cbma_inspect.py and the JSON "events" section speak exactly these.
   EXPECT_STREQ(severity_name(Severity::kInfo), "info");
   EXPECT_STREQ(severity_name(Severity::kWarning), "warning");
   EXPECT_STREQ(severity_name(Severity::kError), "error");
@@ -206,7 +206,7 @@ TEST(UtilMetrics, PrometheusTextIsWellFormed) {
   EXPECT_NE(text.find("cbma_odd_name_with_spaces 1"), std::string::npos);
   // One TYPE line per metric name even when it fans out across scopes.
   EXPECT_EQ(occurrences(text, "# TYPE cbma_net_cell_goodput_bps gauge"), 1u);
-  // The four meta gauges metrics_inspect.py --prom-check requires.
+  // The four meta gauges cbma_inspect.py timeseries --prom-check requires.
   EXPECT_NE(text.find("cbma_metrics_windows_total 1"), std::string::npos);
   EXPECT_NE(text.find("cbma_metrics_series 4"), std::string::npos);
   EXPECT_NE(text.find("cbma_metrics_events_total 1"), std::string::npos);

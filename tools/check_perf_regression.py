@@ -6,8 +6,7 @@ Usage:
   check_perf_regression.py <BENCH_kernels.json> <baseline.json> --update
   check_perf_regression.py <BENCH_kernels.json> --crossover
   check_perf_regression.py <BENCH_kernels.json> --ring-flat
-  check_perf_regression.py <BENCH_kernels.json> --metrics-overhead
-  check_perf_regression.py <BENCH_kernels.json> --profile-overhead
+  check_perf_regression.py <BENCH_kernels.json> --twin-overhead
 
 Compares the ns_per_packet counter (and, for the streaming-receiver rows,
 ns_per_sample) of every benchmark present in both the fresh
@@ -31,17 +30,14 @@ gate requires the value to be byte-identical across all stream lengths —
 a ring that grows with the 10x stream means per-sample state is being
 retained (DESIGN.md §10).
 
-`--metrics-overhead` checks the metrics plane's cost ceiling instead of
-the baseline: every BM_<X>Metrics row is paired with its metrics-off twin
-BM_<X> on the ns_per_round counter, and the gate requires the enabled run
-to stay within METRICS_OVERHEAD_TOLERANCE (+2 %) of the twin — the
-strict-identity-when-off contract's enabled-side budget (DESIGN.md §12).
-Pairs are matched within one run, so machine speed cancels out.
-
-`--profile-overhead` is the same self-relative gate for the hierarchical
-profiler (DESIGN.md §13): every BM_<X>Profile row is paired with its
-profiler-off twin BM_<X> on ns_per_round, and the enabled run must stay
-within PROFILE_OVERHEAD_TOLERANCE (+2 %) of the twin.
+`--twin-overhead` checks the observability planes' cost ceilings instead
+of the baseline: every BM_<X>Metrics row and every BM_<X>Profile row is
+paired with its plane-off twin BM_<X> on the ns_per_round counter, and the
+enabled run must stay within its plane's budget of the twin —
+METRICS_OVERHEAD_TOLERANCE (+2 %, DESIGN.md §12) and
+PROFILE_OVERHEAD_TOLERANCE (+2 %, DESIGN.md §13), the
+strict-identity-when-off contract's enabled-side budgets. Pairs are matched
+within one run, so machine speed cancels out.
 
 `--crossover` checks the detection-engine crossover policy instead of the
 baseline: it groups the BM_DetectPeaks{Naive,Fft,Auto}/K/L/W rows of a
@@ -63,12 +59,12 @@ CROSSOVER_SEPARATION = 1.5
 # ... and there the auto engine must be within this factor of the winner.
 CROSSOVER_SLACK = 1.3
 
-# --metrics-overhead: a metrics-enabled round may cost at most this much
-# more than its metrics-off twin (ISSUE acceptance: +2% ns_per_round).
+# --twin-overhead: a metrics-enabled round may cost at most this much more
+# than its metrics-off twin (+2% ns_per_round) ...
 METRICS_OVERHEAD_TOLERANCE = 0.02
 
-# --profile-overhead: the same budget for a profiler-enabled round vs its
-# profiler-off twin.
+# ... and a profiler-enabled round the same budget over its profiler-off
+# twin.
 PROFILE_OVERHEAD_TOLERANCE = 0.02
 
 
@@ -178,11 +174,11 @@ def check_ring_flat(current_path: str) -> None:
           f"{next(iter(distinct)):.0f} bytes resident in every run")
 
 
-def check_twin_overhead(current_path: str, suffix: str, tolerance: float,
-                        label: str) -> None:
+def check_twin_overhead(rounds: dict, current_path: str, suffix: str,
+                        tolerance: float, label: str) -> bool:
     """Pair BM_<X><suffix> rows with their plain BM_<X> twins on
-    ns_per_round and enforce the enabled-side cost budget."""
-    rounds = counter_by_name(load(current_path), "ns_per_round")
+    ns_per_round and enforce the enabled-side cost budget; False when a
+    pair is over budget."""
     pairs = []
     for name, ns_on in sorted(rounds.items()):
         base, sep, rest = name.partition("/")
@@ -211,37 +207,27 @@ def check_twin_overhead(current_path: str, suffix: str, tolerance: float,
         print(f"check_perf_regression: FAIL: {name} costs {ratio:.3f}x its "
               f"{label}-off twin (> {1.0 + tolerance:.2f}x allowed)",
               file=sys.stderr)
-    if failures:
-        sys.exit(1)
-    print(f"check_perf_regression: {label} overhead within "
-          f"{tolerance:.0%} on {len(pairs)} pair(s)")
-
-
-def check_metrics_overhead(current_path: str) -> None:
-    check_twin_overhead(current_path, "Metrics", METRICS_OVERHEAD_TOLERANCE,
-                        "metrics")
-
-
-def check_profile_overhead(current_path: str) -> None:
-    check_twin_overhead(current_path, "Profile", PROFILE_OVERHEAD_TOLERANCE,
-                        "profile")
+    if not failures:
+        print(f"check_perf_regression: {label} overhead within "
+              f"{tolerance:.0%} on {len(pairs)} pair(s)")
+    return not failures
 
 
 def main() -> None:
     args = sys.argv[1:]
-    if "--metrics-overhead" in args:
-        args = [a for a in args if a != "--metrics-overhead"]
+    if "--twin-overhead" in args:
+        args = [a for a in args if a != "--twin-overhead"]
         if len(args) != 1:
             fail("usage: check_perf_regression.py <BENCH_kernels.json> "
-                 "--metrics-overhead")
-        check_metrics_overhead(args[0])
-        return
-    if "--profile-overhead" in args:
-        args = [a for a in args if a != "--profile-overhead"]
-        if len(args) != 1:
-            fail("usage: check_perf_regression.py <BENCH_kernels.json> "
-                 "--profile-overhead")
-        check_profile_overhead(args[0])
+                 "--twin-overhead")
+        rounds = counter_by_name(load(args[0]), "ns_per_round")
+        # Both planes are judged before failing, so one run reports both.
+        ok = [check_twin_overhead(rounds, args[0], suffix, tolerance, label)
+              for suffix, tolerance, label in (
+                  ("Metrics", METRICS_OVERHEAD_TOLERANCE, "metrics"),
+                  ("Profile", PROFILE_OVERHEAD_TOLERANCE, "profile"))]
+        if not all(ok):
+            sys.exit(1)
         return
     if "--ring-flat" in args:
         args = [a for a in args if a != "--ring-flat"]

@@ -12,7 +12,7 @@
 // With `--cells N` the CLI switches to the net:: multi-cell layer: an
 // N x N gateway grid over 6 m x 4 m bays, `--tags` tags per cell, shared
 // 64-code family sliced by the spatial-reuse scheduler. Ring geometry and
-// the probe/stream/interferer flags do not apply in that mode.
+// the probe/interferer flags do not apply in that mode.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,7 +49,6 @@ struct CliOptions {
   bool ofdm = false;
   bool multipath = false;
   std::string probe;  ///< signal-probe dump path ("" = probing off)
-  std::size_t stream_chunk = 0;  ///< rx ingestion chunk (0 = whole rounds)
   std::size_t cells = 0;  ///< cells per side (0 = single-cell ring mode)
   bool profile = false;   ///< print the top-10 exclusive-time table
   std::uint64_t seed = 1;
@@ -72,9 +71,6 @@ void usage(const char* argv0) {
       "  --ofdm           use an intermittent OFDM excitation source\n"
       "  --multipath      enable Rician multipath echoes\n"
       "  --probe PATH     capture signal probes to PATH (+ PATH.json manifest)\n"
-      "  --stream CHUNK   feed the receiver in CHUNK-sample pieces through the\n"
-      "                   streaming session (identical results; default: whole\n"
-      "                   rounds)\n"
       "  --cells N        multi-cell mode: N x N gateway grid, --tags tags per\n"
       "                   cell, spatial code reuse over a shared 64-code family\n"
       "  --profile        profile the run and print the top-10 caller paths by\n"
@@ -139,10 +135,6 @@ bool parse(int argc, char** argv, CliOptions& opt) {
       const char* v = need_value("--probe");
       if (!v) return false;
       opt.probe = v;
-    } else if (arg == "--stream") {
-      const char* v = need_value("--stream");
-      if (!v) return false;
-      opt.stream_chunk = static_cast<std::size_t>(std::atol(v));
     } else if (arg == "--cells") {
       const char* v = need_value("--cells");
       if (!v) return false;
@@ -286,7 +278,6 @@ int main(int argc, char** argv) {
   config.tx_power_dbm = opt.power_dbm;
   config.payload_bytes = opt.payload;
   config.multipath.enabled = opt.multipath;
-  config.rx_chunk_samples = opt.stream_chunk;  // 0 keeps whole-round feeds
 
   auto deployment = rfsim::Deployment::paper_frame();
   for (std::size_t k = 0; k < opt.tags; ++k) {

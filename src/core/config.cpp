@@ -140,15 +140,6 @@ std::vector<std::string> SystemConfig::validate() const {
   if (phase_tracking_gain < 0.0 || phase_tracking_gain > 1.0) {
     fail("phase_tracking_gain must be in [0, 1]");
   }
-  // Chunked ingestion is pure mechanics (reports are chunk-invariant), but
-  // a nonsensical chunk size is almost certainly a units mistake — a
-  // per-round window is tens of kilosamples, so cap at 2^26 samples.
-  if (rx_chunk_samples > (std::size_t{1} << 26)) {
-    std::ostringstream os;
-    os << "rx_chunk_samples=" << rx_chunk_samples
-       << " exceeds the 2^26-sample ingestion cap (0 = whole-round feeds)";
-    fail(os.str());
-  }
   return errors;
 }
 

@@ -81,13 +81,6 @@ struct SystemConfig {
   rx::FrameSyncConfig sync{};
   rx::UserDetectConfig detect{};
   double phase_tracking_gain = 0.25;
-  /// Receiver ingestion chunk size in samples. 0 (default) feeds each
-  /// round's window to the streaming core in one piece — the batch path.
-  /// Any positive value drives the same core in chunks of this size; the
-  /// reports are byte-identical either way (DESIGN.md §10 chunk-invariance
-  /// contract), so this knob exists to exercise and measure the streaming
-  /// path, not to change results.
-  std::size_t rx_chunk_samples = 0;
 
   // --- derived quantities ---
   double chip_rate_hz() const;      ///< bitrate × code length

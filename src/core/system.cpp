@@ -299,14 +299,12 @@ rx::RxReport CbmaSystem::transmit(const TransmitOptions& options, Rng& rng,
   channel_->receive_into(scratch.txs, *excitation_, scratch.interferers, rng,
                          scratch.channel, scratch.iq);
   // The streaming session is the receiver's per-packet state; process()
-  // feeds the round's window whole (rx_chunk_samples == 0) or in chunks —
-  // byte-identical reports either way (§10 chunk invariance).
+  // feeds it the round's window whole (DESIGN.md §10).
   if (!scratch.rx_session ||
       &scratch.rx_session->receiver() != receiver_.get()) {
     scratch.rx_session = std::make_unique<rx::StreamingReceiver>(*receiver_);
   }
-  auto report =
-      scratch.rx_session->process(scratch.iq, config_.rx_chunk_samples);
+  auto report = scratch.rx_session->process(scratch.iq);
 
   if (telemetry::enabled()) {
     telemetry::count(telemetry::Counter::kTransmitPackets);

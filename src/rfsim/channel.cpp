@@ -170,25 +170,13 @@ void Channel::receive_into(std::span<const TagTransmission> tags,
   probe::record_tap_iq(probe::Tap::kCompositeIq, 0, iq);
 }
 
-std::vector<std::complex<double>> Channel::receive(
-    std::span<const TagTransmission> tags, const ExcitationSource& excitation,
-    std::span<const Interferer* const> interferers, Rng& rng) const {
-  ChannelScratch scratch;
-  std::vector<std::complex<double>> iq;
-  receive_into(tags, excitation, interferers, rng, scratch, iq);
-  return iq;
-}
-
 std::vector<std::complex<double>> Channel::receive(std::span<const TagTransmission> tags,
                                                    Rng& rng) const {
   const ContinuousTone tone;
-  return receive(tags, tone, {}, rng);
-}
-
-std::vector<double> Channel::magnitude(std::span<const std::complex<double>> iq) {
-  std::vector<double> out(iq.size());
-  for (std::size_t i = 0; i < iq.size(); ++i) out[i] = std::abs(iq[i]);
-  return out;
+  ChannelScratch scratch;
+  std::vector<std::complex<double>> iq;
+  receive_into(tags, tone, {}, rng, scratch, iq);
+  return iq;
 }
 
 }  // namespace cbma::rfsim

@@ -73,29 +73,20 @@ class Channel {
   const ChannelConfig& config() const { return config_; }
   double sample_rate_hz() const;
 
-  /// Synthesize the received window. `interferers` may be empty; the
-  /// excitation envelope scales tag contributions only (noise and
-  /// interference do not depend on the excitation source).
-  std::vector<std::complex<double>> receive(
-      std::span<const TagTransmission> tags, const ExcitationSource& excitation,
-      std::span<const Interferer* const> interferers, Rng& rng) const;
-
-  /// Convenience overload: continuous-tone excitation, no interferers.
-  std::vector<std::complex<double>> receive(std::span<const TagTransmission> tags,
-                                            Rng& rng) const;
-
-  /// receive() into caller-owned buffers: `iq` and the scratch vectors are
-  /// resized (capacity reused), so a sweep synthesizes thousands of windows
-  /// with zero steady-state allocation.
+  /// Synthesize the received window into caller-owned buffers: `iq` and the
+  /// scratch vectors are resized (capacity reused), so a sweep synthesizes
+  /// thousands of windows with zero steady-state allocation. `interferers`
+  /// may be empty; the excitation envelope scales tag contributions only
+  /// (noise and interference do not depend on the excitation source).
   void receive_into(std::span<const TagTransmission> tags,
                     const ExcitationSource& excitation,
                     std::span<const Interferer* const> interferers, Rng& rng,
                     ChannelScratch& scratch,
                     std::vector<std::complex<double>>& iq) const;
 
-  /// Magnitude envelope P(t) = √(I² + Q²) — the quantity the paper's
-  /// receiver operates on (§V-B).
-  static std::vector<double> magnitude(std::span<const std::complex<double>> iq);
+  /// Allocating receive_into(): continuous-tone excitation, no interferers.
+  std::vector<std::complex<double>> receive(std::span<const TagTransmission> tags,
+                                            Rng& rng) const;
 
  private:
   void add_tag_path(std::vector<std::complex<double>>& iq,

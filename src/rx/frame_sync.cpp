@@ -10,38 +10,45 @@ namespace cbma::rx {
 FrameSynchronizer::FrameSynchronizer(FrameSyncConfig config) : config_(config) {
   CBMA_REQUIRE(config_.window >= 2, "baseline window too small");
   CBMA_REQUIRE(config_.head_average >= 1, "head average must be positive");
+  CBMA_REQUIRE(config_.window <= Stream::kRebaseInterval &&
+                   config_.head_average <= Stream::kRebaseInterval,
+               "sync windows must fit in one rebase interval");
   CBMA_REQUIRE(config_.threshold_db > 0.0, "threshold must be positive dB");
   CBMA_REQUIRE(config_.min_baseline > 0.0, "baseline floor must be positive");
 }
 
+// Both batch entries are one Stream walk that scans once per `window`
+// pushes: scan() releases everything behind the cursor (also before `begin`),
+// so the ring stays about two windows long, and a hit still ends the walk.
 std::optional<std::size_t> FrameSynchronizer::detect(std::span<const double> magnitude,
                                                      std::size_t begin) const {
-  const std::size_t w = config_.window;
-  const std::size_t h = config_.head_average;
-  if (magnitude.size() < begin + w + 2 * h) return std::nullopt;
-  const double ratio = units::from_db(config_.threshold_db);
-
-  // Power (energy) domain: the 3 dB comparison is on power levels.
-  // Prefix sums keep the sliding baseline/head averages O(1) per sample.
-  const std::size_t n = magnitude.size();
-  std::vector<double> prefix(n + 1, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    prefix[i + 1] = prefix[i] + magnitude[i] * magnitude[i];
-  }
-  const auto avg = [&](std::size_t lo, std::size_t hi) {
-    return (prefix[hi] - prefix[lo]) / static_cast<double>(hi - lo);
-  };
-
-  // Trailing baseline over [s-w, s); the "current" level is the minimum of
-  // the two consecutive head windows [s, s+h) and [s+h, s+2h) — a real
-  // frame keeps the power up, an isolated spike cannot.
-  for (std::size_t s = begin + w; s + 2 * h <= n; ++s) {
-    const double base_avg = std::max(avg(s - w, s), config_.min_baseline);
-    const double head1 = avg(s, s + h);
-    const double head2 = avg(s + h, s + 2 * h);
-    if (std::min(head1, head2) > ratio * base_avg) return s;
+  Stream stream(*this);
+  stream.rearm(begin);
+  for (std::size_t i = 0; i < magnitude.size();) {
+    for (const std::size_t end = std::min(magnitude.size(), i + config_.window); i < end;
+         ++i) {
+      stream.push(magnitude[i]);
+    }
+    if (const auto hit = stream.scan()) return hit;
   }
   return std::nullopt;
+}
+
+std::vector<std::size_t> FrameSynchronizer::detect_all(std::span<const double> magnitude,
+                                                       std::size_t refractory) const {
+  Stream stream(*this);
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < magnitude.size();) {
+    for (const std::size_t end = std::min(magnitude.size(), i + config_.window); i < end;
+         ++i) {
+      stream.push(magnitude[i]);
+    }
+    while (const auto hit = stream.scan()) {
+      out.push_back(static_cast<std::size_t>(*hit));
+      stream.rearm(*hit + std::max<std::size_t>(1, refractory));
+    }
+  }
+  return out;
 }
 
 FrameSynchronizer::Stream::Stream(const FrameSynchronizer& sync)
@@ -57,48 +64,35 @@ void FrameSynchronizer::Stream::reset() {
   cursor_ = sync_->config().window;
 }
 
-void FrameSynchronizer::Stream::push(double magnitude) {
-  // Same arithmetic as detect()'s prefix loop: acc_ holds prefix[i], the
-  // push appends prefix[i+1] = prefix[i] + m².
-  acc_ += magnitude * magnitude;
-  prefix_.push(acc_);
-  ++pushed_;
-}
-
 void FrameSynchronizer::Stream::rearm(std::uint64_t begin) {
   cursor_ = begin + sync_->config().window;
+}
+
+double FrameSynchronizer::Stream::average(std::uint64_t lo, std::uint64_t hi) const {
+  // b is the last rebase boundary before hi. A window reaching back to it
+  // spans two intervals, bridged by the closing total stored at b.
+  const std::uint64_t b = (hi - 1) & ~(kRebaseInterval - 1);
+  const double bridge = b >= lo ? prefix_[b] : 0.0;
+  return ((prefix_[hi] - prefix_[lo]) + bridge) / static_cast<double>(hi - lo);
 }
 
 std::optional<std::uint64_t> FrameSynchronizer::Stream::scan() {
   const std::size_t w = sync_->config().window;
   const std::size_t h = sync_->config().head_average;
   const double floor = sync_->config().min_baseline;
-  const auto avg = [&](std::uint64_t lo, std::uint64_t hi) {
-    return (prefix_[hi] - prefix_[lo]) / static_cast<double>(hi - lo);
-  };
+  prefix_.release(cursor_ - w);  // also after a rearm() past position()
+  // Trailing baseline over [s-w, s); the "current" level is the minimum of
+  // the two consecutive head windows [s, s+h) and [s+h, s+2h) — a real
+  // frame keeps the power up, an isolated spike cannot.
   while (cursor_ + 2 * h <= pushed_) {
-    const double base_avg = std::max(avg(cursor_ - w, cursor_), floor);
-    const double head1 = avg(cursor_, cursor_ + h);
-    const double head2 = avg(cursor_ + h, cursor_ + 2 * h);
+    const double base_avg = std::max(average(cursor_ - w, cursor_), floor);
+    const double head1 = average(cursor_, cursor_ + h);
+    const double head2 = average(cursor_ + h, cursor_ + 2 * h);
     if (std::min(head1, head2) > ratio_ * base_avg) return cursor_;
     ++cursor_;
     prefix_.release(cursor_ - w);
   }
   return std::nullopt;
-}
-
-std::vector<std::size_t> FrameSynchronizer::detect_all(std::span<const double> magnitude,
-                                                       std::size_t refractory) const {
-  std::vector<std::size_t> out;
-  std::size_t begin = 0;
-  while (true) {
-    const auto hit = detect(magnitude, begin);
-    if (!hit) break;
-    out.push_back(*hit);
-    begin = *hit + std::max<std::size_t>(1, refractory);
-    if (begin >= magnitude.size()) break;
-  }
-  return out;
 }
 
 }  // namespace cbma::rx

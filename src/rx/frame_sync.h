@@ -37,25 +37,31 @@ class FrameSynchronizer {
                                     std::size_t begin = 0) const;
 
   /// All trigger points, suppressing re-triggers within `refractory`
-  /// samples of a previous detection (one detection per frame).
+  /// samples of a previous detection (one detection per frame), in one walk.
   std::vector<std::size_t> detect_all(std::span<const double> magnitude,
                                       std::size_t refractory) const;
 
-  /// Incremental spelling of detect() for the streaming receiver
-  /// (DESIGN.md §10). push() extends the same power prefix sums detect()
-  /// builds — the identical sequence of additions, so the stored values are
-  /// bit-for-bit the batch prefix array — and scan() advances the comparator
-  /// over every position whose baseline and both head windows are complete,
-  /// parking the cursor on a trigger until rearm() moves it (the streaming
-  /// counterpart of calling detect(magnitude, begin) with a later begin).
-  /// Fed the same envelope, scan() fires at exactly the positions detect()
-  /// returns, regardless of how the pushes were chunked.
+  /// The one comparator (DESIGN.md §10): push() extends the power prefix
+  /// sums and scan() advances the comparator over every position whose
+  /// baseline and both head windows are complete, parking the cursor on a
+  /// trigger until rearm() moves it. Decisions are keyed to absolute
+  /// positions and sample content only, so chunking never changes them.
   class Stream {
    public:
+    /// The prefix restarts every kRebaseInterval pushes (error bound: two
+    /// intervals, not the history); no transmit window is this long.
+    static constexpr std::uint64_t kRebaseInterval = std::uint64_t{1} << 16;
+
     explicit Stream(const FrameSynchronizer& sync);
 
-    /// Consume one envelope sample P(t) = √(I²+Q²).
-    void push(double magnitude);
+    /// Consume one envelope sample P(t) = √(I²+Q²). Rebases are keyed to
+    /// the push count, never to chunking: the closing total stays stored at
+    /// the boundary and the next interval counts from zero.
+    void push(double magnitude) {
+      acc_ += magnitude * magnitude;
+      prefix_.push(acc_);
+      if (++pushed_ % kRebaseInterval == 0) acc_ = 0.0;
+    }
     /// Advance the comparator; returns the trigger position if it fired
     /// before running out of lookahead (2×head_average samples past the
     /// cursor). The cursor stays on the trigger until rearm().
@@ -63,6 +69,10 @@ class FrameSynchronizer {
     /// Restart the walk at `begin` (absolute stream position): the next
     /// trigger is the first s >= begin + window where the comparator fires.
     void rearm(std::uint64_t begin);
+    /// Mean power over [lo, hi) ⊆ [cursor() − window, position()], at most
+    /// kRebaseInterval long: within (n + 4)·u·E/n of exact, n = hi − lo,
+    /// u = 2⁻⁵³, E the energy from the start of lo's interval to hi.
+    double average(std::uint64_t lo, std::uint64_t hi) const;
     /// Samples pushed so far (absolute stream position of the next sample).
     std::uint64_t position() const { return pushed_; }
     /// The comparator cursor — nothing before cursor − window is ever read
@@ -74,8 +84,8 @@ class FrameSynchronizer {
 
    private:
     const FrameSynchronizer* sync_;
-    util::RingBuffer<double> prefix_;  ///< P(i) = Σ_{j<i} m_j² at absolute i
-    double acc_ = 0.0;                 ///< running P(position())
+    util::RingBuffer<double> prefix_;  ///< Σ m² since the last rebase
+    double acc_ = 0.0;                 ///< running prefix at position()
     double ratio_ = 0.0;               ///< linear threshold, from_db(P_th)
     std::uint64_t pushed_ = 0;
     std::uint64_t cursor_ = 0;

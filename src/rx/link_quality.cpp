@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/stats.h"
+
 namespace cbma::rx {
 
 LinkQualityReport compute_link_quality(std::span<const double> soft,
@@ -15,18 +17,13 @@ LinkQualityReport compute_link_quality(std::span<const double> soft,
 
   // Moments of the soft-decision magnitudes. With BPSK-style bipolar soft
   // values the magnitude is the distance from the decision boundary, so its
-  // mean is the signal amplitude and its spread is the noise.
-  double sum = 0.0, sum2 = 0.0;
-  double min_abs = std::abs(soft[0]);
-  for (const double s : soft) {
-    const double a = std::abs(s);
-    sum += a;
-    sum2 += a * a;
-    min_abs = std::min(min_abs, a);
-  }
+  // mean is the signal amplitude and its spread is the noise. Welford keeps
+  // a spread tiny against the mean, where sum2/n − mean² cancels.
+  RunningStats stats;
+  for (const double s : soft) stats.add(std::abs(s));
   const auto n = static_cast<double>(soft.size());
-  const double mean = sum / n;
-  const double var = std::max(0.0, sum2 / n - mean * mean);
+  const double mean = stats.mean();
+  const double var = stats.variance() * (n - 1.0) / n;  // population variance
 
   if (mean > 0.0) {
     // var == 0 happens for constant soft values (single bit, or a noiseless
@@ -35,7 +32,7 @@ LinkQualityReport compute_link_quality(std::span<const double> soft,
         var > 0.0 ? (mean * mean) / var : kMaxMarginRatio;
     report.snr_db = 10.0 * std::log10(std::min(snr_lin, kMaxMarginRatio));
     report.evm = std::sqrt(var) / mean;
-    report.soft_margin = min_abs / mean;
+    report.soft_margin = stats.min() / mean;
   }
   report.margin_ratio =
       runner_up > correlation / kMaxMarginRatio && runner_up > 0.0

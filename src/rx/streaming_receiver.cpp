@@ -326,20 +326,13 @@ void StreamingReceiver::release_rings() {
   ring_im_.release(floor);
 }
 
-RxReport StreamingReceiver::process(std::span<const std::complex<double>> iq,
-                                    std::size_t chunk_samples) {
+RxReport StreamingReceiver::process(std::span<const std::complex<double>> iq) {
   reset();
   // Queue internally even when a sink is installed: the batch entry returns
   // its report instead of publishing it.
   ReportSink saved = std::move(sink_);
   sink_ = nullptr;
-  if (chunk_samples == 0) {
-    feed(iq);
-  } else {
-    for (std::size_t off = 0; off < iq.size(); off += chunk_samples) {
-      feed(iq.subspan(off, std::min(chunk_samples, iq.size() - off)));
-    }
-  }
+  feed(iq);
   flush();
   CBMA_ASSERT(!pending_.empty());  // flush emits at least one report
   RxReport out = std::move(pending_.front());

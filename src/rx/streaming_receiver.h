@@ -54,11 +54,10 @@ class StreamingReceiver {
   /// capacity, so a reused session allocates nothing in steady state.
   void reset();
 
-  /// The batch entry: reset, feed the buffer (in `chunk_samples`-sized
-  /// chunks when non-zero), flush, and return the first report — the
-  /// streaming core's spelling of the old whole-round Receiver::process_iq.
-  RxReport process(std::span<const std::complex<double>> iq,
-                   std::size_t chunk_samples = 0);
+  /// The batch entry: reset, feed the whole buffer, flush, and return the
+  /// first report — the streaming core's spelling of the old whole-round
+  /// Receiver::process_iq.
+  RxReport process(std::span<const std::complex<double>> iq);
 
   /// Pop the oldest queued report (sink-less mode). False when none.
   bool take_report(RxReport& out);

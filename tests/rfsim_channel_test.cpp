@@ -205,14 +205,6 @@ TEST(Channel, MultipathAddsEchoEnergy) {
   EXPECT_NE(pa, pb);  // echoes change the window energy
 }
 
-TEST(Channel, MagnitudeHelper) {
-  const std::vector<std::complex<double>> iq{{3.0, 4.0}, {0.0, -2.0}};
-  const auto mag = Channel::magnitude(iq);
-  ASSERT_EQ(mag.size(), 2u);
-  EXPECT_DOUBLE_EQ(mag[0], 5.0);
-  EXPECT_DOUBLE_EQ(mag[1], 2.0);
-}
-
 TEST(Channel, EmptyTagsGiveEmptyPaddedWindow) {
   const Channel ch(quiet_config());
   Rng rng(12);

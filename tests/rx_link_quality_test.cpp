@@ -10,6 +10,7 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/system.h"
@@ -50,6 +51,31 @@ TEST(RxLinkQuality, MomentsMatchHandComputedValues) {
   EXPECT_NEAR(report.soft_margin, 0.5, 1e-12);
   EXPECT_NEAR(report.margin_ratio, 2.5, 1e-12);
   EXPECT_NEAR(report.power_norm, 0.5, 1e-12);
+}
+
+TEST(RxLinkQuality, TinySpreadOnALargeMeanMatchesTwoPassMoments) {
+  // High SNR: |soft| = mean + a spread many orders of magnitude smaller.
+  // sum2/n − mean² cancels here (to exactly 0 for the first set, to a wrong
+  // value for the second); evm must match a two-pass reference. (snr_db is
+  // no witness: mean²/var is far above kMaxMarginRatio, so it reads the cap.)
+  for (const auto& [mean, step] : {std::pair{1e5, 1e-3}, std::pair{1e6, 1e-2}}) {
+    std::vector<double> soft;
+    for (int i = 0; i < 256; ++i) {
+      const double a = mean + step * static_cast<double>(i % 7 - 3);
+      soft.push_back(i % 2 == 0 ? a : -a);
+    }
+    double m = 0.0;
+    for (const double s : soft) m += std::abs(s);
+    m /= static_cast<double>(soft.size());
+    double var = 0.0;
+    for (const double s : soft) var += (std::abs(s) - m) * (std::abs(s) - m);
+    var /= static_cast<double>(soft.size());
+
+    const auto report = compute_link_quality(soft, 1.0, 0.0, 1.0);
+    ASSERT_TRUE(report.valid);
+    EXPECT_NEAR(report.evm, std::sqrt(var) / m, 1e-6 * std::sqrt(var) / m)
+        << "mean " << mean;
+  }
 }
 
 TEST(RxLinkQuality, ZeroRunnerUpCapsTheMarginRatio) {

@@ -7,13 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <complex>
 #include <cstddef>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/system.h"
 #include "phy/tag.h"
 #include "rfsim/channel.h"
 #include "rx/frame_sync.h"
@@ -57,7 +59,7 @@ std::vector<std::complex<double>> make_window(const std::vector<pn::PnCode>& cod
                                               const std::vector<ActiveTag>& active,
                                               cbma::Rng& rng, double noise) {
   // TagTransmission::chips is a non-owning span — the chip storage must
-  // outlive the receive() call, so it lives in its own vector.
+  // outlive the synthesis call, so it lives in its own vector.
   std::vector<std::vector<std::uint8_t>> chips;
   for (const auto& a : active) {
     phy::TagConfig tc;
@@ -76,6 +78,26 @@ std::vector<std::complex<double>> make_window(const std::vector<pn::PnCode>& cod
     txs.push_back(tx);
   }
   return channel(noise).receive(txs, rng);
+}
+
+// Feed `iq` in `chunk`-sized pieces (the last one may be shorter).
+void feed_chunked(StreamingReceiver& session, std::span<const std::complex<double>> iq,
+                  std::size_t chunk) {
+  for (std::size_t off = 0; off < iq.size(); off += chunk) {
+    session.feed(iq.subspan(off, std::min(chunk, iq.size() - off)));
+  }
+}
+
+// StreamingReceiver::process() with the buffer fed in `chunk`-sized pieces:
+// reset, feed, flush, and return the first report of a sink-less session.
+RxReport process_chunked(StreamingReceiver& session,
+                         std::span<const std::complex<double>> iq, std::size_t chunk) {
+  session.reset();
+  feed_chunked(session, iq, chunk);
+  session.flush();
+  RxReport out;
+  EXPECT_TRUE(session.take_report(out));
+  return out;
 }
 
 std::map<std::string, std::uint64_t> counter_map() {
@@ -99,7 +121,7 @@ TEST(StreamingReceiver, ChunkedFeedMatchesBatchByteForByte) {
   StreamingReceiver session(rx);
   const std::size_t chunk_sizes[] = {1, 7, kSpc, 4096, iq.size()};
   for (const std::size_t chunk : chunk_sizes) {
-    const RxReport streamed = session.process(iq, chunk);
+    const RxReport streamed = process_chunked(session, iq, chunk);
     EXPECT_EQ(streamed, batch) << "chunk_samples=" << chunk;
   }
 }
@@ -148,7 +170,7 @@ TEST(StreamingReceiver, TelemetryCountersMatchBatch) {
   StreamingReceiver session(rx);
   for (const std::size_t chunk : {std::size_t{7}, std::size_t{4096}}) {
     telemetry::reset();
-    const RxReport streamed = session.process(iq, chunk);
+    const RxReport streamed = process_chunked(session, iq, chunk);
     const auto streamed_counters = counter_map();
     EXPECT_EQ(streamed, batch);
     EXPECT_EQ(streamed_counters, batch_counters) << "chunk_samples=" << chunk;
@@ -185,8 +207,8 @@ TEST(StreamingReceiver, SessionReuseIsDeterministic) {
   const auto iq = make_window(codes, {{2, 1.0, 0.4, {1, 2, 3, 4}}}, rng, 1e-4);
 
   StreamingReceiver session(rx);
-  const RxReport first = session.process(iq, 997);
-  const RxReport second = session.process(iq, 997);  // same warm session
+  const RxReport first = process_chunked(session, iq, 997);
+  const RxReport second = process_chunked(session, iq, 997);  // same warm session
   EXPECT_EQ(first, second);
   EXPECT_EQ(first, rx.process_iq(iq));
 }
@@ -215,13 +237,10 @@ TEST(StreamingReceiver, ContinuousStreamDecodesEveryRoundAtFlatMemory) {
 
   std::vector<std::complex<double>> unit = round;
   unit.insert(unit.end(), gap.begin(), gap.end());
-  const std::span<const std::complex<double>> unit_span(unit);
 
   std::size_t ring_high_water = 0;
   for (std::size_t k = 0; k < kRounds; ++k) {
-    for (std::size_t off = 0; off < unit_span.size(); off += 4096) {
-      session.feed(unit_span.subspan(off, std::min<std::size_t>(4096, unit_span.size() - off)));
-    }
+    feed_chunked(session, unit, 4096);
     if (k == 2) ring_high_water = session.ring_bytes();  // warmed up
   }
 
@@ -246,15 +265,62 @@ TEST(StreamingReceiver, ContinuousStreamDecodesEveryRoundAtFlatMemory) {
             kRounds * unit.size() * sizeof(std::complex<double>) / 4);
 }
 
+// Chunk invariance across frame-sync rebases: a continuous stream crossing
+// three FrameSynchronizer::Stream rebase boundaries yields the same report
+// sequence at every chunk size, because the rebase is keyed to absolute
+// positions, never to where a chunk ended.
+TEST(StreamingReceiver, ReportsAreChunkInvariantAcrossRebases) {
+  ReceiverConfig cfg = rx_config();
+  cfg.max_payload_bytes = 4;  // tight lookahead: rounds finalize back to back
+  const auto codes = group_codes(2);
+  const Receiver rx(cfg, codes);
+  cbma::Rng rng(17);
+  const std::vector<std::uint8_t> payload{0x3C, 0x5A};
+
+  std::vector<std::complex<double>> iq;
+  std::size_t rounds = 0;
+  while (iq.size() < 3 * FrameSynchronizer::Stream::kRebaseInterval) {
+    const auto round = make_window(codes, {{rounds % 2, 1.0, 0.3, payload}}, rng, 1e-4);
+    std::vector<std::complex<double>> gap(3000 + 397 * (rounds % 5), {0.0, 0.0});
+    rfsim::AwgnSource(1e-4).add_to(gap, rng);
+    iq.insert(iq.end(), round.begin(), round.end());
+    iq.insert(iq.end(), gap.begin(), gap.end());
+    ++rounds;
+  }
+
+  std::vector<RxReport> whole;
+  for (const std::size_t chunk : {iq.size(), std::size_t{1}, std::size_t{7},
+                                  std::size_t{4096}}) {
+    std::vector<RxReport> seen;
+    StreamingReceiver session(rx, [&](RxReport r) { seen.push_back(std::move(r)); });
+    feed_chunked(session, iq, chunk);
+    session.flush();
+    if (whole.empty()) {
+      whole = seen;
+      ASSERT_EQ(whole.size(), rounds);
+      for (std::size_t k = 0; k < rounds; ++k) {
+        EXPECT_EQ(whole[k].for_tag(k % 2).payload, payload) << "round " << k;
+      }
+    }
+    EXPECT_EQ(seen, whole) << "chunk_samples=" << chunk;
+  }
+}
+
 // FrameSynchronizer::Stream fires at exactly the positions the batch
-// detect() walk returns, however the envelope pushes are chunked.
+// detect() walk returns, however the envelope pushes are chunked, and
+// detect_all() is that same walk in one pass.
 TEST(FrameSyncStream, FiresWhereBatchDetectFires) {
   FrameSyncConfig cfg;
   const FrameSynchronizer sync(cfg);
 
-  std::vector<double> mag(4000, 0.01);
+  std::vector<double> mag(5000, 0.01);
   for (std::size_t i = 1500; i < 1620; ++i) mag[i] = 1.0;
   for (std::size_t i = 2600; i < 2720; ++i) mag[i] = 0.8;
+  // A staircase: every 140-sample step is 9.5 dB up, so a refractory of one
+  // window skips every other step and a refractory of 0 catches them all.
+  for (std::size_t i = 3900; i < 4460; ++i) {
+    mag[i] = 0.05 * std::pow(3.0, static_cast<double>((i - 3900) / 140));
+  }
 
   std::vector<std::size_t> batch_triggers;
   std::size_t begin = 0;
@@ -263,7 +329,18 @@ TEST(FrameSyncStream, FiresWhereBatchDetectFires) {
     begin = *t + cfg.window;
     if (batch_triggers.size() >= 8) break;
   }
-  ASSERT_GE(batch_triggers.size(), 2u);
+  ASSERT_GE(batch_triggers.size(), 3u);
+  ASSERT_LT(batch_triggers.size(), 8u);
+  EXPECT_EQ(sync.detect_all(mag, cfg.window), batch_triggers);
+
+  // Refractory 0 re-arms one past each hit.
+  std::vector<std::size_t> every_position;
+  for (std::size_t from = 0; const auto t = sync.detect(mag, from);) {
+    every_position.push_back(*t);
+    from = *t + 1;
+  }
+  EXPECT_GT(every_position.size(), batch_triggers.size());
+  EXPECT_EQ(sync.detect_all(mag, 0), every_position);
 
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
                                   std::size_t{64}, mag.size()}) {
@@ -284,41 +361,6 @@ TEST(FrameSyncStream, FiresWhereBatchDetectFires) {
       EXPECT_EQ(stream_triggers[k], batch_triggers[k]) << "chunk=" << chunk;
     }
   }
-}
-
-// System-level chunked mode: rx_chunk_samples only changes how the receiver
-// ingests the round window, so identically-seeded systems produce identical
-// reports whether the session feeds whole rounds or 997-sample chunks.
-TEST(StreamingSystem, ChunkedTransmitMatchesWholeRoundFeeds) {
-  core::SystemConfig base;
-  base.max_tags = 3;
-  base.payload_bytes = 4;
-  auto deployment = rfsim::Deployment::paper_frame();
-  deployment.add_tag({0.0, 0.5});
-  deployment.add_tag({0.0, -0.5});
-
-  core::SystemConfig chunked = base;
-  chunked.rx_chunk_samples = 997;
-  const core::CbmaSystem whole(base, deployment);
-  const core::CbmaSystem streamed(chunked, deployment);
-
-  cbma::Rng rng_a(42);
-  cbma::Rng rng_b(42);
-  core::TransmitScratch scratch_a;
-  core::TransmitScratch scratch_b;
-  for (int round = 0; round < 5; ++round) {
-    const auto ra = whole.transmit({}, rng_a, scratch_a);
-    const auto rb = streamed.transmit({}, rng_b, scratch_b);
-    EXPECT_EQ(ra, rb) << "round " << round;
-  }
-}
-
-TEST(StreamingSystem, RejectsAbsurdChunkSize) {
-  core::SystemConfig cfg;
-  cfg.rx_chunk_samples = (std::size_t{1} << 26) + 1;
-  auto deployment = rfsim::Deployment::paper_frame();
-  deployment.add_tag({0.0, 0.5});
-  EXPECT_THROW(core::CbmaSystem(cfg, deployment), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,26 +2,36 @@
 """Gate bench_kernels performance against a committed baseline.
 
 Usage:
-  check_perf_regression.py <BENCH_kernels.json> <baseline.json> [--tolerance F]
-  check_perf_regression.py <BENCH_kernels.json> <baseline.json> --update
+  check_perf_regression.py <BENCH_kernels.json>... <baseline.json> [--tolerance F]
+  check_perf_regression.py <BENCH_kernels.json>... <baseline.json> --update
   check_perf_regression.py <BENCH_kernels.json> --crossover
   check_perf_regression.py <BENCH_kernels.json> --ring-flat
   check_perf_regression.py <BENCH_kernels.json> --twin-overhead
 
-Compares the ns_per_packet counter (and, for the streaming-receiver rows,
-ns_per_sample) of every benchmark present in both the fresh
-google-benchmark document and the baseline, and fails when any is
-slower than baseline * (1 + tolerance). The default tolerance is
-deliberately generous (±30 %): shared CI runners are noisy, and the gate
-exists to catch real regressions (an accidental O(n²), a debug build, a
-hot-path allocation) loudly, not 5 % jitter silently. Benchmarks present
-on only one side are reported but never fatal, so adding or retiring a
-benchmark does not break CI before the baseline is refreshed.
+Gates every bench_kernels row on same-run ratios, so the gate judges the
+code, not the host. A row's cost is its ns_per_packet, ns_per_sample or
+ns_per_round counter, or its real time per iteration when it exports none,
+so every row is gated. Over all repetitions of all the given documents the
+fastest one counts, since host noise only ever slows one down: run
+bench_kernels more than once, with --benchmark_repetitions and
+--benchmark_enable_random_interleaving so a row's repetitions spread over
+each run. Each row's cost ratio against the baseline is divided by the
+median ratio over all rows: the run's own speed against the baseline host
+cancels out, and a regression in any kernel that fewer than half of the
+rows exercise shows at full size. The gate fails when a row's normalized
+ratio exceeds 1 + tolerance (default ±30 %, enough to catch an accidental
+O(n²) or a hot-path allocation loudly, not 5 % jitter). A change that
+slows every row alike is invisible to same-run ratios by construction; the
+perfgate end-to-end bounds cover that case. Benchmarks present on only one
+side are reported but never fatal, so adding or retiring a benchmark does
+not break CI before the baseline is refreshed.
 
 A speed-up beyond the same tolerance prints a note suggesting a baseline
-refresh; `--update` rewrites the baseline from the fresh run (commit the
-result; the file records the machine's numbers, so refresh it from the
-same class of machine CI uses).
+refresh; `--update` rewrites the baseline from the given runs: per row, the
+median over the runs of its cost relative to that run's median row (commit
+the result). Ratios move far less between hosts than nanoseconds do, but
+kernels with different memory or SIMD profiles still shift against each
+other, so refresh when they do.
 
 `--ring-flat` checks the streaming receiver's O(window) memory claim
 instead of the baseline: every BM_StreamingRx row exports an
@@ -49,9 +59,12 @@ without hard-coding machine-dependent absolute times.
 """
 import json
 import re
+import statistics
 import sys
 
 DEFAULT_TOLERANCE = 0.30
+
+GATED_COUNTERS = ("ns_per_packet", "ns_per_sample", "ns_per_round")
 
 # --crossover: only grid points where the engines differ by at least this
 # factor are judged (near the crossover either choice is fine) ...
@@ -87,8 +100,32 @@ def counter_by_name(doc: dict, counter: str, positive: bool = True) -> dict:
     return out
 
 
-def ns_per_packet_by_name(doc: dict) -> dict:
-    return counter_by_name(doc, "ns_per_packet")
+def relative_costs(paths: list) -> dict:
+    """benchmark name -> cost relative to the median row cost, over `paths`.
+
+    A row's cost is its gated counter (ns_per_packet, ns_per_sample or
+    ns_per_round), or its real time per iteration when it exports none, so
+    every row is gated. Over all repetitions in all documents the fastest
+    one counts: host noise only ever slows a repetition down.
+    """
+    scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+    costs = {}
+    benches = [b for path in paths for b in load(path).get("benchmarks", [])]
+    for bench in benches:
+        if bench.get("run_type") == "aggregate":
+            continue
+        name = bench.get("name")
+        cost = next((bench[c] for c in GATED_COUNTERS
+                     if isinstance(bench.get(c), (int, float))), None)
+        if cost is None:
+            cost = bench.get("real_time", 0.0) * scale.get(
+                bench.get("time_unit", "ns"), 1.0)
+        if name and cost > 0:
+            costs[name] = min(costs.get(name, cost), float(cost))
+    if not costs:
+        fail(f"{' '.join(paths)}: no benchmark rows")
+    median = statistics.median(costs.values())
+    return {name: cost / median for name, cost in costs.items()}
 
 
 def load(path: str) -> dict:
@@ -103,7 +140,7 @@ def load(path: str) -> dict:
 
 def check_crossover(current_path: str) -> None:
     """Validate auto-engine selection against measured naive/FFT times."""
-    current = ns_per_packet_by_name(load(current_path))
+    current = counter_by_name(load(current_path), "ns_per_packet")
     pattern = re.compile(r"^BM_DetectPeaks(Naive|Fft|Auto)/(\d+/\d+/\d+)$")
     grid = {}  # "K/L/W" -> {"Naive": ns, "Fft": ns, "Auto": ns}
     for name, ns in current.items():
@@ -253,78 +290,69 @@ def main() -> None:
         except (IndexError, ValueError):
             fail("--tolerance needs a float argument")
         del args[i:i + 2]
-    if len(args) != 2:
-        fail("usage: check_perf_regression.py <BENCH_kernels.json> "
+    if len(args) < 2:
+        fail("usage: check_perf_regression.py <BENCH_kernels.json>... "
              "<baseline.json> [--tolerance F | --update]")
-    current_path, baseline_path = args
-
-    doc = load(current_path)
-    # Three gated counters: ns_per_packet (the kernel/end-to-end benches),
-    # ns_per_sample (the streaming-receiver ingest benches) and ns_per_round
-    # (the multi-cell network layer's per-cell round). Each lives in its own
-    # baseline section so a name appearing in several is disambiguated.
-    sections = {
-        "ns_per_packet": ns_per_packet_by_name(doc),
-        "ns_per_sample": counter_by_name(doc, "ns_per_sample"),
-        "ns_per_round": counter_by_name(doc, "ns_per_round"),
-    }
-    if not sections["ns_per_packet"]:
-        fail(f"{current_path} has no ns_per_packet counters")
+    current_paths, baseline_path = args[:-1], args[-1]
 
     if update:
+        # Per row, the median over the runs: one run's lucky or unlucky
+        # minimum does not become the reference.
+        runs = [relative_costs([path]) for path in current_paths]
+        names = set.intersection(*(set(run) for run in runs))
         baseline_doc = {
-            "comment": "ns_per_packet / ns_per_sample / ns_per_round "
-                       "baselines for tools/check_perf_regression.py — "
-                       "refresh with --update on a CI-class machine",
+            "comment": "bench_kernels row costs relative to the run's median "
+                       "row (median over the recording runs), for "
+                       "tools/check_perf_regression.py — refresh with "
+                       "--update",
+            "relative_cost": {name: statistics.median(run[name] for run in runs)
+                              for name in sorted(names)},
         }
-        for section, current in sections.items():
-            if current:
-                baseline_doc[section] = dict(sorted(current.items()))
         with open(baseline_path, "w", encoding="utf-8") as f:
             json.dump(baseline_doc, f, indent=2)
             f.write("\n")
-        total = sum(len(v) for k, v in baseline_doc.items() if k != "comment")
-        print(f"check_perf_regression: wrote {total} baselines "
-              f"to {baseline_path}")
+        print(f"check_perf_regression: wrote {len(names)} relative costs "
+              f"from {len(runs)} runs to {baseline_path}")
         return
 
-    baseline_doc = load(baseline_path)
-    if not baseline_doc.get("ns_per_packet"):
-        fail(f"{baseline_path} has no 'ns_per_packet' object — "
+    current = relative_costs(current_paths)
+
+    baseline = load(baseline_path).get("relative_cost")
+    if not baseline:
+        fail(f"{baseline_path} has no 'relative_cost' object — "
              "generate it with --update")
+    common = sorted(set(baseline) & set(current))
+    if not common:
+        fail(f"{' '.join(current_paths)}: no rows shared with {baseline_path}")
+    speed = statistics.median(current[n] / baseline[n] for n in common)
+    print(f"check_perf_regression: median row ratio {speed:.3f} "
+          f"(this run's relative speed against the baseline run)")
 
     regressions = []
-    checked = 0
-    for section, current in sections.items():
-        baseline = baseline_doc.get(section, {})
-        for name in sorted(baseline):
-            if name not in current:
-                print(f"check_perf_regression: note: '{name}' in baseline "
-                      "but not in this run (filtered out or retired?)")
-                continue
-            checked += 1
-            base, now = baseline[name], current[name]
-            ratio = now / base
-            verdict = "ok"
-            if ratio > 1.0 + tolerance:
-                verdict = "REGRESSION"
-                regressions.append((section, name, base, now, ratio))
-            elif ratio < 1.0 - tolerance:
-                verdict = "faster (consider --update)"
-            print(f"check_perf_regression: {name}: {base:.1f} -> {now:.1f} "
-                  f"ns ({ratio:.2f}x baseline {section}): {verdict}")
-        for name in sorted(set(current) - set(baseline)):
-            print(f"check_perf_regression: note: '{name}' has no {section} "
-                  "baseline — refresh with --update to start gating it")
+    for name in common:
+        ratio = current[name] / baseline[name] / speed
+        verdict = "ok"
+        if ratio > 1.0 + tolerance:
+            verdict = "REGRESSION"
+            regressions.append((name, ratio))
+        elif ratio < 1.0 - tolerance:
+            verdict = "faster (consider --update)"
+        print(f"check_perf_regression: {name}: {ratio:.2f}x baseline: "
+              f"{verdict}")
+    for name in sorted(set(baseline) - set(current)):
+        print(f"check_perf_regression: note: '{name}' in baseline "
+              "but not in this run (filtered out or retired?)")
+    for name in sorted(set(current) - set(baseline)):
+        print(f"check_perf_regression: note: '{name}' has no baseline — "
+              "refresh with --update to start gating it")
 
     if regressions:
-        for section, name, base, now, ratio in regressions:
-            print(f"check_perf_regression: FAIL: {name} regressed "
-                  f"{base:.1f} -> {now:.1f} {section} "
-                  f"({ratio:.2f}x > {1.0 + tolerance:.2f}x allowed)",
-                  file=sys.stderr)
+        for name, ratio in regressions:
+            print(f"check_perf_regression: FAIL: {name} regressed to "
+                  f"{ratio:.2f}x its baseline, relative to the run's median "
+                  f"row (> {1.0 + tolerance:.2f}x allowed)", file=sys.stderr)
         sys.exit(1)
-    print(f"check_perf_regression: {checked} baselines checked, "
+    print(f"check_perf_regression: {len(common)} rows checked, "
           f"no regression beyond {tolerance:.0%}")
 
 

@@ -77,10 +77,33 @@ DetectedUser UserDetector::probe(std::span<const std::complex<double>> iq,
 
 std::vector<DetectedUser> UserDetector::detect(const DetectionInput& input,
                                                Scratch& scratch) const {
-  const auto re = input.re;
-  const auto im = input.im;
-  const std::size_t coarse_start = input.coarse_start;
-  CBMA_REQUIRE(re.size() == im.size(), "split window components disagree");
+  CBMA_REQUIRE(input.re.size() == input.im.size(),
+               "split window components disagree");
+  const auto spc = static_cast<double>(samples_per_chip_);
+  const auto back = static_cast<std::size_t>(config_.search_back_chips * spc);
+  const auto ahead = static_cast<std::size_t>(config_.search_ahead_chips * spc);
+  const auto group_span =
+      static_cast<std::size_t>(config_.group_window_chips * spc);
+
+  // The reach: the only samples any round reads. The anchor round searches
+  // lags [coarse − back, coarse + ahead], a group round lags within ± group
+  // of an anchor from that range, and every lag reads one template length
+  // onward. The reach ends one template past the last lag any round can
+  // search, coarse + ahead + group (or at the window's end). That makes
+  // every size-dependent clamp downstream — the engines' last-lag bound,
+  // the folded dot's fit test, the SIC cancellation's end — resolve as on
+  // the whole window, so the detections are the whole window's, shifted
+  // by `lo`.
+  const std::size_t size = input.re.size();
+  const std::size_t coarse = input.coarse_start;
+  const std::size_t lo =
+      std::min(coarse > back + group_span ? coarse - back - group_span : 0, size);
+  const std::size_t hi =
+      std::min(size, coarse + ahead + group_span + templates_.front().size());
+  const auto re = input.re.subspan(lo, hi - lo);
+  const auto im = input.im.subspan(lo, hi - lo);
+  const std::size_t coarse_start = coarse - lo;
+
   // Successive detection with interference cancellation on a residual copy.
   scratch.residual_re.assign(re.begin(), re.end());
   scratch.residual_im.assign(im.begin(), im.end());
@@ -91,18 +114,12 @@ std::vector<DetectedUser> UserDetector::detect(const DetectionInput& input,
   std::span<const double> res_im = scratch.residual_im;
   std::vector<bool> taken(templates_.size(), false);
 
-  const auto spc = static_cast<double>(samples_per_chip_);
-  const auto group_span =
-      static_cast<std::size_t>(config_.group_window_chips * spc);
-
   // Signal-probe tap: every code's |correlation| across the anchor search
   // window, on the window *before* any cancellation — the per-code profile
   // a human compares against the thresholds when a detection goes wrong.
   // Strictly probe-gated: the hot path neither allocates nor computes this.
   // Computed from the exact folded dot, so the profile is engine-invariant.
   if (probe::enabled()) {
-    const auto back = static_cast<std::size_t>(config_.search_back_chips * spc);
-    const auto ahead = static_cast<std::size_t>(config_.search_ahead_chips * spc);
     const std::size_t pbegin = coarse_start > back ? coarse_start - back : 0;
     const std::size_t pend = coarse_start + ahead + 1;
     std::vector<double> profile;
@@ -126,8 +143,6 @@ std::vector<DetectedUser> UserDetector::detect(const DetectionInput& input,
     // group window around the anchor afterwards.
     std::size_t begin, end;
     if (out.empty()) {
-      const auto back = static_cast<std::size_t>(config_.search_back_chips * spc);
-      const auto ahead = static_cast<std::size_t>(config_.search_ahead_chips * spc);
       begin = coarse_start > back ? coarse_start - back : 0;
       end = coarse_start + ahead + 1;
     } else {
@@ -196,6 +211,7 @@ std::vector<DetectedUser> UserDetector::detect(const DetectionInput& input,
     pn::refold_chip_sums(scratch.residual_im, samples_per_chip_, refold_begin,
                          cancel_end, scratch.fold_im);
   }
+  for (auto& user : out) user.offset_samples += lo;
   return out;
 }
 

@@ -86,9 +86,9 @@ struct DetectionInput {
 class UserDetector {
  public:
   /// Reusable successive-cancellation buffers (the residual copy of the
-  /// window, its per-chip folded sums, the per-round engine batch, and the
-  /// engine's own work buffers); sized once per window length and reused
-  /// across packets — detect() is allocation-free in steady state.
+  /// detector's reach, its per-chip folded sums, the per-round engine
+  /// batch, and the engine's own work buffers); sized once per reach and
+  /// reused across packets — detect() is allocation-free in steady state.
   struct Scratch {
     std::vector<double> residual_re;
     std::vector<double> residual_im;
@@ -112,8 +112,11 @@ class UserDetector {
 
   /// Detect users around `input.coarse_start` (the frame synchronizer's
   /// trigger). Returns every code whose correlation peak clears both
-  /// thresholds. The zero-allocation hot path: `scratch` is caller-owned
-  /// and reused across packets.
+  /// thresholds, offsets relative to the whole window. Copies and folds
+  /// only the reach around the trigger that the search windows and the
+  /// template can touch (DESIGN.md §10); the result equals a whole-window
+  /// search bit for bit. The zero-allocation hot path: `scratch` is
+  /// caller-owned and reused across packets.
   std::vector<DetectedUser> detect(const DetectionInput& input,
                                    Scratch& scratch) const;
 

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
 
+#include "phy/frame.h"
 #include "phy/tag.h"
+#include "pn/correlation.h"
 #include "rfsim/channel.h"
+#include "simd_paths.h"
 #include "util/rng.h"
+#include "util/units.h"
 
 namespace cbma::rx {
 namespace {
@@ -182,6 +187,116 @@ TEST(Decoder, ModerateNoiseStillDecodes) {
     if (dec.decode(iq2, preamble_offset(), 0.0).crc_ok) ++ok;
   }
   EXPECT_GE(ok, 19);
+}
+
+/// What decode() reports, computed the way it was before the bit
+/// correlations were batched: one one-accumulator dot per bit period,
+/// interleaved with the phase tracker — the bit-exact reference.
+struct PerBitDecode {
+  std::vector<std::uint8_t> bits;
+  std::vector<double> soft;
+  bool truncated = false;
+  double final_phase = 0.0;
+};
+
+PerBitDecode per_bit_decode(const Decoder& dec, std::span<const double> re,
+                            std::span<const double> im,
+                            std::size_t preamble_offset, double phase0) {
+  const auto tmpl = pn::mean_removed_template(dec.code(), kSpc);
+  const std::size_t spb = dec.samples_per_bit();
+  const std::size_t body_start = preamble_offset + kPreambleBits * spb;
+  const auto wrap = [](double a) {
+    while (a > units::kPi) a -= 2.0 * units::kPi;
+    while (a <= -units::kPi) a += 2.0 * units::kPi;
+    return a;
+  };
+  PerBitDecode out;
+  double phase = phase0;
+  const auto decode_bits = [&](std::size_t first_bit, std::size_t count) {
+    for (std::size_t b = first_bit; b < first_bit + count; ++b) {
+      const std::size_t off = body_start + b * spb;
+      if (off + spb > re.size()) return false;
+      double acc_re = 0.0;
+      double acc_im = 0.0;
+      for (std::size_t k = 0; k < spb; ++k) {
+        acc_re += re[off + k] * tmpl[k];
+        acc_im += im[off + k] * tmpl[k];
+      }
+      const std::complex<double> corr{acc_re, acc_im};
+      const double soft =
+          corr.real() * std::cos(phase) + corr.imag() * std::sin(phase);
+      out.soft.push_back(soft);
+      const bool bit = soft > 0.0;
+      out.bits.push_back(bit ? 1 : 0);
+      const std::complex<double> re_ref = bit ? corr : -corr;
+      if (std::abs(re_ref) > 0.0 && dec.phase_gain() > 0.0) {
+        phase += dec.phase_gain() * wrap(std::arg(re_ref) - phase);
+      }
+    }
+    return true;
+  };
+  if (!decode_bits(0, 8)) {
+    out.truncated = true;
+    return out;
+  }
+  std::size_t length = 0;
+  for (std::size_t i = 0; i < 8; ++i) length = (length << 1) | out.bits[i];
+  if (length > phy::kMaxPayloadBytes || !decode_bits(8, 8 * (length + 3))) {
+    out.truncated = true;
+    return out;
+  }
+  out.final_phase = wrap(phase);
+  return out;
+}
+
+void expect_same_decode(const DecodedFrame& got, const PerBitDecode& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.bits, want.bits) << where;
+  ASSERT_EQ(got.soft.size(), want.soft.size()) << where;
+  EXPECT_TRUE(want.soft.empty() ||
+              std::memcmp(got.soft.data(), want.soft.data(),
+                          want.soft.size() * sizeof(double)) == 0)
+      << where;
+  EXPECT_EQ(got.truncated, want.truncated) << where;
+  EXPECT_EQ(std::memcmp(&got.final_phase, &want.final_phase, sizeof(double)),
+            0)
+      << where << ": " << got.final_phase << " vs " << want.final_phase;
+}
+
+TEST(Decoder, BatchedCorrelationsMatchPerBitReference) {
+  // Noise and CFO keep the phase tracker moving, so a correlation that
+  // differed in its last bit would show in the soft values or the phase.
+  const auto codes = group_codes(2);
+  cbma::Rng rng(9);
+  const std::vector<std::uint8_t> payload{0x13, 0x57, 0x9B, 0xDF, 0x24};
+  const auto iq = transmit(codes[0], 0, payload, 0.4, 2500.0, rng, 0.05);
+  std::vector<double> re, im;
+  pn::split_iq(iq, re, im);
+  const Decoder dec(codes[0], kPreambleBits, kSpc);
+  const std::size_t spb = dec.samples_per_bit();
+  const std::size_t body_start = preamble_offset() + kPreambleBits * spb;
+  const std::size_t frame_bits = 8 * (payload.size() + 4);
+  pn::simd::on_both_paths([&](bool scalar) {
+    const std::string path = scalar ? "scalar" : "native";
+    const auto full = dec.decode(re, im, preamble_offset(), 0.4);
+    ASSERT_TRUE(full.crc_ok) << path;
+    expect_same_decode(full, per_bit_decode(dec, re, im, preamble_offset(), 0.4),
+                       path + " full window");
+    // Windows cut at every bit boundary ±1 sample, through the length
+    // byte and the body: the truncated prefix must match too.
+    for (std::size_t b = 0; b <= frame_bits + 1; ++b) {
+      for (const int delta : {-1, 0, 1}) {
+        const std::size_t cut = body_start + b * spb + delta;
+        if (cut > re.size()) continue;
+        const std::span<const double> cre(re.data(), cut);
+        const std::span<const double> cim(im.data(), cut);
+        expect_same_decode(dec.decode(cre, cim, preamble_offset(), 0.4),
+                           per_bit_decode(dec, cre, cim, preamble_offset(), 0.4),
+                           path + " cut at bit " + std::to_string(b) + " " +
+                               std::to_string(delta));
+      }
+    }
+  });
 }
 
 }  // namespace

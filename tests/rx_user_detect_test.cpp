@@ -3,11 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 
+#include "phy/frame.h"
 #include "phy/tag.h"
 #include "pn/code.h"
+#include "pn/correlation.h"
 #include "rfsim/channel.h"
+#include "simd_paths.h"
+#include "util/probe.h"
+#include "util/rng.h"
 
 namespace cbma::rx {
 namespace {
@@ -217,6 +224,199 @@ TEST(UserDetector, GoldCodesAlsoDetect) {
   const auto hits = detect_iq(det, iq, 16 * kSpc);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].tag_index, 2u);
+}
+
+/// Per-code |correlation| profiles over the anchor window, as the probe
+/// tap records them.
+using Profiles = std::vector<std::vector<double>>;
+
+/// The detector as it ran on the whole window, before it copied and folded
+/// only its reach: the bit-exact reference for detect(). Same templates,
+/// same engine, same successive cancellation; every offset is absolute.
+std::vector<DetectedUser> whole_window_detect(const UserDetectConfig& cfg,
+                                              const std::vector<pn::PnCode>& codes,
+                                              std::span<const double> re,
+                                              std::span<const double> im,
+                                              std::size_t coarse,
+                                              Profiles& profiles) {
+  std::vector<std::vector<double>> tmpls, chip_tmpls;
+  std::vector<double> norm2;
+  for (const auto& code : codes) {
+    for (const std::size_t spc : {kSpc, std::size_t{1}}) {
+      const auto bit = pn::mean_removed_template(code, spc);
+      std::vector<double> t;
+      for (const auto b : phy::alternating_preamble(kPreambleBits)) {
+        for (const double v : bit) t.push_back(b ? v : -v);
+      }
+      (spc == 1 ? chip_tmpls : tmpls).push_back(t);
+    }
+    double e = 0.0;
+    for (const double v : tmpls.back()) e += v * v;
+    norm2.push_back(e);
+  }
+  const auto spc = static_cast<double>(kSpc);
+  const auto back = static_cast<std::size_t>(cfg.search_back_chips * spc);
+  const auto ahead = static_cast<std::size_t>(cfg.search_ahead_chips * spc);
+  const auto group = static_cast<std::size_t>(cfg.group_window_chips * spc);
+  const auto engine =
+      make_correlation_engine(cfg.engine, chip_tmpls, kSpc, back + ahead + 1);
+  const auto engine_scratch = engine->make_scratch();
+  std::vector<double> res_re(re.begin(), re.end()), res_im(im.begin(), im.end());
+  std::vector<double> fold_re, fold_im;
+  pn::fold_chip_sums(res_re, kSpc, fold_re);
+  pn::fold_chip_sums(res_im, kSpc, fold_im);
+  const std::size_t anchor_begin = coarse > back ? coarse - back : 0;
+  const std::size_t anchor_end = coarse + ahead + 1;
+  profiles.assign(codes.size(), {});
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    for (std::size_t off = anchor_begin; off < anchor_end; ++off) {
+      profiles[i].push_back(std::abs(pn::complex_correlate_folded_at(
+          fold_re, fold_im, chip_tmpls[i], kSpc, off)));
+    }
+  }
+  std::vector<bool> taken(codes.size(), false);
+  std::vector<DetectedUser> out;
+  double anchor_corr = 0.0;
+  for (std::size_t round = 0; round < codes.size(); ++round) {
+    std::size_t begin = anchor_begin;
+    std::size_t end = anchor_end;
+    if (!out.empty()) {
+      const std::size_t anchor = out.front().offset_samples;
+      begin = anchor > group ? anchor - group : 0;
+      end = anchor + group + 1;
+    }
+    std::vector<std::size_t> idx;
+    for (std::size_t i = 0; i < codes.size(); ++i) {
+      if (!taken[i]) idx.push_back(i);
+    }
+    std::vector<pn::ComplexCorrelationPeak> peaks(idx.size());
+    engine->peaks(CorrelationWindow{res_re, res_im, fold_re, fold_im, kSpc}, idx,
+                  begin, end, peaks, *engine_scratch);
+    DetectedUser best;
+    for (std::size_t k = 0; k < idx.size(); ++k) {
+      if (peaks[k].value > best.correlation) {
+        const double displaced = best.correlation;
+        best = DetectedUser{idx[k], peaks[k].offset, peaks[k].value,
+                            peaks[k].phase, displaced};
+      } else if (peaks[k].value > best.runner_up) {
+        best.runner_up = peaks[k].value;
+      }
+    }
+    if (best.correlation < cfg.threshold) break;
+    if (out.empty()) {
+      anchor_corr = best.correlation;
+    } else if (best.correlation < cfg.relative_threshold * anchor_corr) {
+      break;
+    }
+    taken[best.tag_index] = true;
+    out.push_back(best);
+    if (!cfg.enable_sic) continue;
+    const auto& tmpl = tmpls[best.tag_index];
+    const auto corr = pn::complex_correlate_folded_at(
+        fold_re, fold_im, chip_tmpls[best.tag_index], kSpc, best.offset_samples);
+    const double g_re = corr.real() / norm2[best.tag_index];
+    const double g_im = corr.imag() / norm2[best.tag_index];
+    for (std::size_t k = 0; k < tmpl.size(); ++k) {
+      const std::size_t s = best.offset_samples + k;
+      if (s >= res_re.size()) break;
+      res_re[s] -= g_re * tmpl[k];
+      res_im[s] -= g_im * tmpl[k];
+    }
+    // A whole refold: the reference need not be clever about the range.
+    pn::fold_chip_sums(res_re, kSpc, fold_re);
+    pn::fold_chip_sums(res_im, kSpc, fold_im);
+  }
+  return out;
+}
+
+void expect_same_users(const std::vector<DetectedUser>& got,
+                       const std::vector<DetectedUser>& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].tag_index, want[i].tag_index) << where << " user " << i;
+    EXPECT_EQ(got[i].offset_samples, want[i].offset_samples) << where;
+    EXPECT_EQ(std::memcmp(&got[i].correlation, &want[i].correlation,
+                          sizeof(double)),
+              0)
+        << where << " user " << i;
+    EXPECT_EQ(std::memcmp(&got[i].phase, &want[i].phase, sizeof(double)), 0)
+        << where << " user " << i;
+    EXPECT_EQ(std::memcmp(&got[i].runner_up, &want[i].runner_up,
+                          sizeof(double)),
+              0)
+        << where << " user " << i;
+  }
+}
+
+/// detect() reads only its reach around the trigger; its detections — and,
+/// with the probe on, its correlation-profile taps — must equal the whole
+/// window's bit for bit wherever the trigger and the window end fall.
+TEST(UserDetector, ReachWindowMatchesWholeWindow) {
+  const auto codes = group_codes(6);
+  cbma::Rng rng(11);
+  // Three colliding users a few chips apart plus noise: SIC runs several
+  // rounds and the group rounds search around the anchor. The weakest sits
+  // on the group window's last lag, the one the reach's end must keep.
+  auto iq = synthesize(codes, {{0, 1.0, 0.0}, {3, 0.7, 1.5}, {5, 0.5, 2.0}}, rng);
+  for (auto& v : iq) {
+    v += std::complex<double>(0.05 * rng.gaussian(), 0.05 * rng.gaussian());
+  }
+  std::vector<double> re, im;
+  pn::split_iq(iq, re, im);
+  const std::size_t start = 16 * kSpc;
+  const std::size_t tmpl_len = kPreambleBits * codes[0].length() * kSpc;
+  // Triggers that put the true start on the anchor search's lower and
+  // upper edges send the group rounds to the reach's two ends.
+  const auto back =
+      static_cast<std::size_t>(UserDetectConfig{}.search_back_chips * kSpc);
+  const auto ahead =
+      static_cast<std::size_t>(UserDetectConfig{}.search_ahead_chips * kSpc);
+  probe::set_enabled(true);
+  for (const auto engine : {DetectEngine::kNaive, DetectEngine::kFft}) {
+    UserDetectConfig cfg;
+    cfg.engine = engine;
+    const UserDetector det(cfg, codes, kPreambleBits, kSpc);
+    // Whole windows and windows cut inside the reach, so the window end
+    // clamps the last lags, the fold and the cancellation.
+    for (const std::size_t size :
+         {re.size(), start + tmpl_len + 10, start + tmpl_len + 1, start + tmpl_len,
+          start + tmpl_len - 7, start + 5}) {
+      for (const std::size_t coarse :
+           {std::size_t{0}, std::size_t{3}, start - ahead, start - 5, start,
+            start + 9, start + back, re.size() / 2, size - 1, size, size + 100}) {
+        const std::span<const double> wre(re.data(), size);
+        const std::span<const double> wim(im.data(), size);
+        pn::simd::on_both_paths([&](bool scalar) {
+          const std::string where =
+              std::string(to_string(engine)) + " size " + std::to_string(size) +
+              " coarse " + std::to_string(coarse) +
+              (scalar ? " scalar" : " native");
+          Profiles want_profiles;
+          const auto want =
+              whole_window_detect(cfg, codes, wre, wim, coarse, want_profiles);
+          probe::reset();
+          UserDetector::Scratch scratch;
+          expect_same_users(det.detect(DetectionInput{wre, wim, coarse}, scratch),
+                            want, where);
+          const auto capture = probe::snapshot();
+          Profiles got_profiles(codes.size());
+          for (const auto& rec : capture.taps) {
+            if (rec.tap == probe::Tap::kCorrelationProfile) {
+              got_profiles.at(rec.context) = rec.data;
+            }
+          }
+          // |correlation| is never −0, so == on the values is bitwise.
+          EXPECT_EQ(got_profiles, want_profiles) << where;
+          if (size == re.size() && coarse == start) {
+            EXPECT_EQ(want.size(), 3u) << where;  // SIC ran three rounds
+          }
+        });
+      }
+    }
+  }
+  probe::set_enabled(false);
+  probe::reset();
 }
 
 }  // namespace

@@ -26,6 +26,11 @@ perfgate end-to-end bounds cover that case. Benchmarks present on only one
 side are reported but never fatal, so adding or retiring a benchmark does
 not break CI before the baseline is refreshed.
 
+A row that host noise slowed in every run is told apart from a regression
+by one more whole run with the same flags, gated together with the others:
+the row then has a fresh process's repetitions to count, and the median
+row moves with that process, so a real regression fails again.
+
 A speed-up beyond the same tolerance prints a note suggesting a baseline
 refresh; `--update` rewrites the baseline from the given runs: per row, the
 median over the runs of its cost relative to that run's median row (commit

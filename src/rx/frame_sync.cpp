@@ -25,10 +25,10 @@ std::optional<std::size_t> FrameSynchronizer::detect(std::span<const double> mag
   Stream stream(*this);
   stream.rearm(begin);
   for (std::size_t i = 0; i < magnitude.size();) {
-    for (const std::size_t end = std::min(magnitude.size(), i + config_.window); i < end;
-         ++i) {
-      stream.push(magnitude[i]);
-    }
+    const std::size_t n = std::min(config_.window, magnitude.size() - i);
+    const double* m = magnitude.data() + i;
+    stream.push_n(n, [m](std::size_t k) { return m[k]; });
+    i += n;
     if (const auto hit = stream.scan()) return hit;
   }
   return std::nullopt;
@@ -39,10 +39,10 @@ std::vector<std::size_t> FrameSynchronizer::detect_all(std::span<const double> m
   Stream stream(*this);
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < magnitude.size();) {
-    for (const std::size_t end = std::min(magnitude.size(), i + config_.window); i < end;
-         ++i) {
-      stream.push(magnitude[i]);
-    }
+    const std::size_t n = std::min(config_.window, magnitude.size() - i);
+    const double* m = magnitude.data() + i;
+    stream.push_n(n, [m](std::size_t k) { return m[k]; });
+    i += n;
     while (const auto hit = stream.scan()) {
       out.push_back(static_cast<std::size_t>(*hit));
       stream.rearm(*hit + std::max<std::size_t>(1, refractory));

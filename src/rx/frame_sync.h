@@ -58,9 +58,23 @@ class FrameSynchronizer {
     /// the push count, never to chunking: the closing total stays stored at
     /// the boundary and the next interval counts from zero.
     void push(double magnitude) {
-      acc_ += magnitude * magnitude;
-      prefix_.push(acc_);
-      if (++pushed_ % kRebaseInterval == 0) acc_ = 0.0;
+      push_n(1, [magnitude](std::size_t) { return magnitude; });
+    }
+    /// Consume magnitude_at(0), …, magnitude_at(n − 1) in order (push() is
+    /// n = 1); the running prefix and count stay in registers for the run.
+    template <typename F>
+    void push_n(std::size_t n, F&& magnitude_at) {
+      double acc = acc_;
+      std::uint64_t pushed = pushed_;
+      prefix_.push_n(n, [&](std::size_t i) {
+        const double m = magnitude_at(i);
+        acc += m * m;
+        const double prefix = acc;
+        if (++pushed % kRebaseInterval == 0) acc = 0.0;
+        return prefix;
+      });
+      acc_ = acc;
+      pushed_ = pushed;
     }
     /// Advance the comparator; returns the trigger position if it fired
     /// before running out of lookahead (2×head_average samples past the

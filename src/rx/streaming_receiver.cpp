@@ -110,15 +110,17 @@ void StreamingReceiver::feed(std::span<const std::complex<double>> iq) {
   {
     // Frame synchronization consumes the energy envelope (§III-B); the
     // sample rings retain the coherent window for detection and decoding.
+    // One pass per ring, so no ring's positions are stored back per sample.
     const telemetry::ScopedSpan span_sync(telemetry::Span::kRxFrameSync);
-    for (const auto& v : iq) {
-      const double re = v.real();
-      const double im = v.imag();
-      ring_re_.push(re);
-      ring_im_.push(im);
-      sync_stream_.push(std::sqrt(re * re + im * im));
-      ++pos_;
-    }
+    const std::complex<double>* x = iq.data();
+    ring_re_.push_n(iq.size(), [x](std::size_t i) { return x[i].real(); });
+    ring_im_.push_n(iq.size(), [x](std::size_t i) { return x[i].imag(); });
+    sync_stream_.push_n(iq.size(), [x](std::size_t i) {
+      const double re = x[i].real();
+      const double im = x[i].imag();
+      return std::sqrt(re * re + im * im);
+    });
+    pos_ += iq.size();
   }
   advance(false);
   release_rings();

@@ -43,6 +43,19 @@ class RingBuffer {
     ++end_;
   }
 
+  /// Append value_at(0), …, value_at(n − 1): the same contents and
+  /// capacity as n push() calls, with the write position held in a register
+  /// for the run instead of stored back after every element.
+  template <typename F>
+  void push_n(std::size_t n, F&& value_at) {
+    while (size() + n > data_.size()) grow();
+    const std::uint64_t m = mask();
+    T* const d = data_.data();
+    std::uint64_t e = end_;
+    for (std::size_t i = 0; i < n; ++i, ++e) d[static_cast<std::size_t>(e & m)] = value_at(i);
+    end_ = e;
+  }
+
   /// Element at absolute position `pos`; must lie in [begin, end).
   const T& operator[](std::uint64_t pos) const {
     return data_[static_cast<std::size_t>(pos & mask())];

@@ -6,8 +6,10 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "util/rng.h"
 #include "util/units.h"
@@ -259,6 +261,36 @@ ShadowReport run_against_shadow(std::uint64_t loud_samples, double loud_db) {
     }
   }
   return out;
+}
+
+// push_n is push() in a register-held loop: over runs of every length that
+// cross a rebase boundary, every window average and the comparator agree
+// bit for bit with sample-by-sample pushes.
+TEST(FrameSyncStream, PushNMatchesElementwisePushes) {
+  const FrameSynchronizer sync(small_config());
+  FrameSynchronizer::Stream by_one(sync);
+  FrameSynchronizer::Stream by_run(sync);
+  Rng rng(21);
+  std::vector<double> mags(FrameSynchronizer::Stream::kRebaseInterval + 5000);
+  for (auto& m : mags) m = std::abs(rng.gaussian()) * 1e3;
+  for (std::size_t i = 0; i < mags.size();) {
+    const auto n = std::min<std::size_t>(static_cast<std::size_t>(rng.uniform_int(0, 3000)),
+                                         mags.size() - i);
+    for (std::size_t k = 0; k < n; ++k) by_one.push(mags[i + k]);
+    const double* run = mags.data() + i;
+    by_run.push_n(n, [run](std::size_t k) { return run[k]; });
+    i += n;
+    ASSERT_EQ(by_run.position(), by_one.position());
+  }
+  for (std::uint64_t hi = 1; hi <= by_one.position(); hi += 97) {
+    for (const std::uint64_t span : {std::uint64_t{1}, std::uint64_t{4}, std::uint64_t{32}}) {
+      if (span > hi) continue;
+      const double a = by_one.average(hi - span, hi);
+      const double b = by_run.average(hi - span, hi);
+      ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "window ending at " << hi;
+    }
+  }
+  EXPECT_EQ(by_run.scan(), by_one.scan());
 }
 
 // 80 dB of loud history, 2^16 to 2^24 samples long (and one history ending

@@ -41,6 +41,32 @@ TEST(RingBuffer, ReleaseBoundsCapacityUnderSteadyState) {
   }
 }
 
+TEST(RingBuffer, PushNMatchesElementwisePushes) {
+  // Runs of 0–300 elements, with releases between runs, cross growth and
+  // the wrap: contents, positions and capacity equal those of push().
+  Rng rng(12);
+  RingBuffer<double> by_one(8);
+  RingBuffer<double> by_run(8);
+  double next = 0.0;
+  for (int round = 0; round < 200; ++round) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 300));
+    const double first = next;
+    for (std::size_t i = 0; i < n; ++i) by_one.push(first + static_cast<double>(i));
+    by_run.push_n(n, [first](std::size_t i) { return first + static_cast<double>(i); });
+    next += static_cast<double>(n);
+    ASSERT_EQ(by_run.end(), by_one.end());
+    ASSERT_EQ(by_run.capacity(), by_one.capacity()) << "round " << round;
+    for (std::uint64_t pos = by_one.begin(); pos < by_one.end(); ++pos) {
+      ASSERT_EQ(by_run[pos], by_one[pos]) << "pos " << pos;
+    }
+    const auto keep = static_cast<std::uint64_t>(rng.uniform_int(0, 700));
+    if (by_one.end() > keep) {
+      by_one.release(by_one.end() - keep);
+      by_run.release(by_run.end() - keep);
+    }
+  }
+}
+
 TEST(RingBuffer, ReleaseIsMonotonicAndClamped) {
   RingBuffer<int> ring(4);
   for (int i = 0; i < 10; ++i) ring.push(i);

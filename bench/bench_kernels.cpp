@@ -20,7 +20,6 @@
 #include "phy/spreader.h"
 #include "pn/correlation.h"
 #include "rfsim/channel.h"
-#include "rx/correlation_engine.h"
 #include "rx/decoder.h"
 #include "util/metrics.h"
 #include "util/telemetry.h"
@@ -343,20 +342,18 @@ void BM_StreamingRx(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamingRx)->Arg(1)->Arg(10);
 
-// --- detection correlation engines (DESIGN.md §9) --------------------------
+// --- detection peak search (DESIGN.md §9) -----------------------------------
 //
-// One batched peaks() call — every code of the family over one anchor
-// window — per iteration, the unit UserDetector pays once per detection
-// round. The three registrations share a (K codes, L chips/bit, W lags)
-// grid so tools/check_perf_regression.py --crossover can reconstruct the
-// naive-vs-FFT crossover curves and verify the auto engine's cost model
-// picks the faster side wherever the gap is decisive. ns_per_packet here is
-// ns per peaks() batch.
+// One detection round's peak search — pn::sliding_complex_peak_folded for
+// every code of the family over one anchor window — per iteration, the unit
+// UserDetector pays once per round. The (K codes, L chips/bit, W lags) grid
+// spans family size, code length and window width. ns_per_packet here is
+// ns per round.
 
 constexpr std::size_t kDetectSpc = 4;
 constexpr std::size_t kDetectPreambleBits = 8;
 
-void run_detect_peaks(benchmark::State& state, rx::DetectEngine kind) {
+void BM_DetectPeaksNaive(benchmark::State& state) {
   const auto n_codes = static_cast<std::size_t>(state.range(0));
   const auto code_len = static_cast<std::size_t>(state.range(1));
   const auto lags = static_cast<std::size_t>(state.range(2));
@@ -378,27 +375,15 @@ void run_detect_peaks(benchmark::State& state, rx::DetectEngine kind) {
   std::vector<double> fold_re, fold_im;
   pn::fold_chip_sums(re, kDetectSpc, fold_re);
   pn::fold_chip_sums(im, kDetectSpc, fold_im);
-  const auto engine = rx::make_correlation_engine(kind, tmpls, kDetectSpc, lags);
-  const auto scratch = engine->make_scratch();
-  std::vector<std::size_t> code_idx(n_codes);
-  for (std::size_t i = 0; i < n_codes; ++i) code_idx[i] = i;
   std::vector<pn::ComplexCorrelationPeak> peaks(n_codes);
-  const rx::CorrelationWindow window{re, im, fold_re, fold_im, kDetectSpc};
   for (auto _ : state) {
-    engine->peaks(window, code_idx, 0, lags, peaks, *scratch);
+    for (std::size_t c = 0; c < n_codes; ++c) {
+      peaks[c] = pn::sliding_complex_peak_folded(
+          re, im, fold_re, fold_im, tmpls[c], kDetectSpc, 0, lags);
+    }
     benchmark::DoNotOptimize(peaks.data());
   }
   finish_rate(state, 1);
-}
-
-void BM_DetectPeaksNaive(benchmark::State& state) {
-  run_detect_peaks(state, rx::DetectEngine::kNaive);
-}
-void BM_DetectPeaksFft(benchmark::State& state) {
-  run_detect_peaks(state, rx::DetectEngine::kFft);
-}
-void BM_DetectPeaksAuto(benchmark::State& state) {
-  run_detect_peaks(state, rx::DetectEngine::kAuto);
 }
 
 void detect_peaks_grid(benchmark::internal::Benchmark* b) {
@@ -411,8 +396,6 @@ void detect_peaks_grid(benchmark::internal::Benchmark* b) {
   }
 }
 BENCHMARK(BM_DetectPeaksNaive)->Apply(detect_peaks_grid);
-BENCHMARK(BM_DetectPeaksFft)->Apply(detect_peaks_grid);
-BENCHMARK(BM_DetectPeaksAuto)->Apply(detect_peaks_grid);
 
 /// Which observability plane a network-round benchmark arms, in memory
 /// only: no Prometheus or collapsed-stack file, so an armed figure measures

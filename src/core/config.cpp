@@ -128,15 +128,6 @@ std::vector<std::string> SystemConfig::validate() const {
   if (detect.group_window_chips < 0.0) {
     fail("detect.group_window_chips must be non-negative");
   }
-  switch (detect.engine) {
-    case rx::DetectEngine::kNaive:
-    case rx::DetectEngine::kFft:
-    case rx::DetectEngine::kAuto:
-      break;
-    default:
-      fail("detect.engine must be naive, fft or auto");
-      break;
-  }
   if (phase_tracking_gain < 0.0 || phase_tracking_gain > 1.0) {
     fail("phase_tracking_gain must be in [0, 1]");
   }
@@ -159,12 +150,6 @@ std::string SystemConfig::summary() const {
   // config fingerprint; a default (all-off) config keeps its summary bytes.
   if (const auto imp = impairments.summary(); !imp.empty()) {
     os << " imp=[" << imp << "]";
-  }
-  // Engine choice changes detection numerics (within the §9.3 tolerance),
-  // so a non-default engine must change the fingerprint; the default naive
-  // engine keeps its summary bytes.
-  if (detect.engine != rx::DetectEngine::kNaive) {
-    os << " detect.engine=" << rx::to_string(detect.engine);
   }
   return os.str();
 }

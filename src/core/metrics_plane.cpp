@@ -1,6 +1,5 @@
 #include "core/metrics_plane.h"
 
-#include <atomic>
 #include <cstdio>
 
 #include "rx/receiver.h"
@@ -23,16 +22,6 @@ struct PlaneState {
 PlaneState& state() {
   static PlaneState s;
   return s;
-}
-
-/// Arm util/telemetry once per process when the plane goes live — the
-/// counter/span series sample it. Armed stays true even if the plane is
-/// later disabled (tests save/restore the telemetry flag themselves).
-void arm_telemetry_once() {
-  static std::atomic<bool> armed{false};
-  if (!armed.exchange(true, std::memory_order_relaxed)) {
-    telemetry::set_enabled(true);
-  }
 }
 
 void push_span_window(const char* span, const telemetry::SpanHistogram& cur,
@@ -61,18 +50,14 @@ void push_span_window(const char* span, const telemetry::SpanHistogram& cur,
 
 }  // namespace
 
-bool MetricsPlane::enabled() {
-  if (!metrics::enabled()) return false;
-  arm_telemetry_once();
-  return true;
-}
+bool MetricsPlane::enabled() { return metrics::enabled(); }
 
 void MetricsPlane::enable(std::string prometheus_path) {
   metrics::set_enabled(true);
   if (!prometheus_path.empty()) {
     metrics::set_export_path(std::move(prometheus_path));
   }
-  arm_telemetry_once();
+  telemetry::set_enabled(true);
 }
 
 void MetricsPlane::reset() {

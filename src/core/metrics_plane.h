@@ -19,7 +19,8 @@
 // unset and no enable() call) every entry point returns before touching
 // state — no allocation, no clock read, no RNG draw, byte-identical bench
 // output. Enabling metrics arms util/telemetry too (the counter/span
-// series need it); it never arms the probe.
+// series need it), from the first moment the switch is on; it never arms
+// the probe.
 #pragma once
 
 #include <array>
@@ -53,13 +54,14 @@ class MetricsPlane {
   };
 
   /// True when the plane is live (metrics::enabled(): CBMA_METRICS or
-  /// enable()). The first true observation arms util/telemetry so the
-  /// counter/span series have a source.
+  /// enable()).
   static bool enabled();
 
-  /// Turn the plane on; a non-empty path becomes the Prometheus exposition
-  /// target (equivalent to CBMA_METRICS=<path>). Turn it off with
-  /// metrics::set_enabled(false).
+  /// Turn the plane on, and util/telemetry with it so the counter/span
+  /// series have a source; a non-empty path becomes the Prometheus
+  /// exposition target (equivalent to CBMA_METRICS=<path>, which arms
+  /// telemetry from its first read). Turn the plane off with
+  /// metrics::set_enabled(false); telemetry stays on.
   static void enable(std::string prometheus_path = "");
 
   /// Drop all recorded series/events and the plane's round counter +

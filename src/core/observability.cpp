@@ -14,7 +14,6 @@ const std::array<ObservabilityPlane, 4>& observability_planes() {
        Telemetry::write_trace_if_requested, telemetry::reset},
       {"probe", probe::enabled, ProbeSession::write_json_section,
        ProbeSession::write_dump_if_requested, probe::reset},
-      // MetricsPlane::enabled arms telemetry on its first true observation.
       {"metrics", MetricsPlane::enabled, MetricsPlane::write_json_section,
        MetricsPlane::write_prometheus_if_requested, MetricsPlane::reset},
       {"profile", profiler::enabled, ProfilePlane::write_json_section,

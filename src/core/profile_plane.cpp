@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "util/atomic_file.h"
 #include "util/json.h"
 #include "util/profiler.h"
 #include "util/telemetry.h"
@@ -122,28 +123,7 @@ bool ProfilePlane::write_collapsed_if_requested() {
   if (!profiler::enabled()) return true;
   const std::string path = profiler::export_path();
   if (path.empty()) return true;
-  const std::string text = collapsed();
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "profile: cannot open %s for writing\n", tmp.c_str());
-    return false;
-  }
-  const bool wrote =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::fprintf(stderr, "profile: failed writing %s\n", tmp.c_str());
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::fprintf(stderr, "profile: cannot rename %s over %s\n", tmp.c_str(),
-                 path.c_str());
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return util::write_file_atomically(path, collapsed(), "profile");
 }
 
 }  // namespace cbma::core

@@ -58,19 +58,6 @@ void fold_sums_scalar(const double* x, std::size_t count, std::size_t spc,
   }
 }
 
-void cmul_acc_scalar(const double* a_re, const double* a_im, const double* b_re,
-                     const double* b_im, double* acc_re, double* acc_im,
-                     std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double rr = a_re[i] * b_re[i];
-    const double ii = a_im[i] * b_im[i];
-    const double ri = a_re[i] * b_im[i];
-    const double ir = a_im[i] * b_re[i];
-    acc_re[i] += rr - ii;
-    acc_im[i] += ri + ir;
-  }
-}
-
 /// out[j] = Σ_c x[j·out_stride + c·tap_stride] · t[c] for j in [0, n_out):
 /// the one body of both dot kernels, on every dispatch path (simd.h says
 /// why they have no AVX2 variant). Four outputs run interleaved so their
@@ -152,32 +139,6 @@ __attribute__((target("avx2"))) void fold_sums_avx2(const double* x,
   if (i < count) fold_sums_scalar(x + i, count - i, spc, out + i);
 }
 
-__attribute__((target("avx2"))) void cmul_acc_avx2(
-    const double* a_re, const double* a_im, const double* b_re,
-    const double* b_im, double* acc_re, double* acc_im, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d ar = _mm256_loadu_pd(a_re + i);
-    const __m256d ai = _mm256_loadu_pd(a_im + i);
-    const __m256d br = _mm256_loadu_pd(b_re + i);
-    const __m256d bi = _mm256_loadu_pd(b_im + i);
-    const __m256d rr = _mm256_mul_pd(ar, br);
-    const __m256d ii = _mm256_mul_pd(ai, bi);
-    const __m256d ri = _mm256_mul_pd(ar, bi);
-    const __m256d ir = _mm256_mul_pd(ai, br);
-    _mm256_storeu_pd(
-        acc_re + i,
-        _mm256_add_pd(_mm256_loadu_pd(acc_re + i), _mm256_sub_pd(rr, ii)));
-    _mm256_storeu_pd(
-        acc_im + i,
-        _mm256_add_pd(_mm256_loadu_pd(acc_im + i), _mm256_add_pd(ri, ir)));
-  }
-  if (i < n) {
-    cmul_acc_scalar(a_re + i, a_im + i, b_re + i, b_im + i, acc_re + i,
-                    acc_im + i, n - i);
-  }
-}
-
 #endif  // CBMA_SIMD_HAVE_AVX2
 
 }  // namespace
@@ -209,18 +170,6 @@ void fold_sums(const double* x, std::size_t count, std::size_t spc, double* out)
   }
 #endif
   fold_sums_scalar(x, count, spc, out);
-}
-
-void cmul_acc(const double* a_re, const double* a_im, const double* b_re,
-              const double* b_im, double* acc_re, double* acc_im,
-              std::size_t n) {
-#if CBMA_SIMD_HAVE_AVX2
-  if (active_isa() == Isa::kAvx2) {
-    cmul_acc_avx2(a_re, a_im, b_re, b_im, acc_re, acc_im, n);
-    return;
-  }
-#endif
-  cmul_acc_scalar(a_re, a_im, b_re, b_im, acc_re, acc_im, n);
 }
 
 void folded_dots(const double* fold_re, const double* fold_im,

@@ -1,11 +1,11 @@
 // Runtime-dispatched SIMD kernels for the chip-rate split re/im hot loops
-// (DESIGN.md §9.4). fold_sums and cmul_acc have one scalar and one AVX2
-// variant; the active one is chosen once per process from CPUID, the
-// CBMA_FORCE_SCALAR environment variable, and the CBMA_FORCE_SCALAR compile
-// definition. folded_dots and period_dots run one interleaved scalar body
-// on every path: their AVX2 variants made a receiver op faster, but the
-// host's slow spells then swung its rate so far between runs that the gate
-// benchmark could no longer compare them (DESIGN.md §9.4).
+// (DESIGN.md §9.2). fold_sums has one scalar and one AVX2 variant; the
+// active one is chosen once per process from CPUID, the CBMA_FORCE_SCALAR
+// environment variable, and the CBMA_FORCE_SCALAR compile definition.
+// folded_dots and period_dots run one interleaved scalar body on every
+// path: their AVX2 variants made a receiver op faster, but the host's slow
+// spells then swung its rate so far between runs that the gate benchmark
+// could no longer compare them.
 //
 // The dispatch contract is **bit-exactness**: both variants of every kernel
 // produce bit-identical outputs. This is achievable (and tested, see
@@ -49,13 +49,6 @@ bool avx2_supported();
 /// `x` must expose count + spc − 1 readable elements. Per-output summation
 /// order is ascending j in both variants.
 void fold_sums(const double* x, std::size_t count, std::size_t spc, double* out);
-
-/// Elementwise complex multiply-accumulate on split arrays:
-///   acc[i] += a[i] * b[i]  (complex), i in [0, n)
-/// — the frequency-domain template multiply of the FFT correlation engine
-/// (the conjugation lives in the precomputed template spectra).
-void cmul_acc(const double* a_re, const double* a_im, const double* b_re,
-              const double* b_im, double* acc_re, double* acc_im, std::size_t n);
 
 /// Chip-folded sliding dot products, one output per lag:
 ///   out[k] = Σ_c fold[k + c·spc] · tmpl[c],  k in [0, n_lags)

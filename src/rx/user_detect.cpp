@@ -6,6 +6,7 @@
 #include "pn/correlation.h"
 #include "util/expect.h"
 #include "util/probe.h"
+#include "util/telemetry.h"
 
 namespace cbma::rx {
 namespace {
@@ -44,6 +45,10 @@ UserDetector::UserDetector(UserDetectConfig config, std::span<const pn::PnCode> 
                "search window must be non-negative");
   CBMA_REQUIRE(config_.group_window_chips >= 0.0,
                "group window must be non-negative");
+  for (const auto& code : codes) {
+    CBMA_REQUIRE(code.length() == codes.front().length(),
+                 "codes must share one length");
+  }
   templates_.reserve(codes.size());
   chip_templates_.reserve(codes.size());
   tmpl_norm2_.reserve(codes.size());
@@ -54,13 +59,6 @@ UserDetector::UserDetector(UserDetectConfig config, std::span<const pn::PnCode> 
     for (const double v : templates_.back()) e += v * v;
     tmpl_norm2_.push_back(e);
   }
-  // The FFT engine sizes its overlap-save plan for the anchor round's
-  // search window — the wide all-codes batch where the fast path pays off.
-  const auto spc = static_cast<double>(samples_per_chip_);
-  const auto anchor_lags = static_cast<std::size_t>(
-      (config_.search_back_chips + config_.search_ahead_chips) * spc) + 1;
-  engine_ = make_correlation_engine(config_.engine, chip_templates_,
-                                    samples_per_chip_, anchor_lags);
 }
 
 DetectedUser UserDetector::probe(std::span<const std::complex<double>> iq,
@@ -90,10 +88,10 @@ std::vector<DetectedUser> UserDetector::detect(const DetectionInput& input,
   // of an anchor from that range, and every lag reads one template length
   // onward. The reach ends one template past the last lag any round can
   // search, coarse + ahead + group (or at the window's end). That makes
-  // every size-dependent clamp downstream — the engines' last-lag bound,
-  // the folded dot's fit test, the SIC cancellation's end — resolve as on
-  // the whole window, so the detections are the whole window's, shifted
-  // by `lo`.
+  // every size-dependent clamp downstream — the peak search's last-lag
+  // bound, the folded dot's fit test, the SIC cancellation's end — resolve
+  // as on the whole window, so the detections are the whole window's,
+  // shifted by `lo`.
   const std::size_t size = input.re.size();
   const std::size_t coarse = input.coarse_start;
   const std::size_t lo =
@@ -109,16 +107,12 @@ std::vector<DetectedUser> UserDetector::detect(const DetectionInput& input,
   scratch.residual_im.assign(im.begin(), im.end());
   pn::fold_chip_sums(scratch.residual_re, samples_per_chip_, scratch.fold_re);
   pn::fold_chip_sums(scratch.residual_im, samples_per_chip_, scratch.fold_im);
-  if (!scratch.engine) scratch.engine = engine_->make_scratch();
-  std::span<const double> res_re = scratch.residual_re;
-  std::span<const double> res_im = scratch.residual_im;
   std::vector<bool> taken(templates_.size(), false);
 
   // Signal-probe tap: every code's |correlation| across the anchor search
   // window, on the window *before* any cancellation — the per-code profile
   // a human compares against the thresholds when a detection goes wrong.
   // Strictly probe-gated: the hot path neither allocates nor computes this.
-  // Computed from the exact folded dot, so the profile is engine-invariant.
   if (probe::enabled()) {
     const std::size_t pbegin = coarse_start > back ? coarse_start - back : 0;
     const std::size_t pend = coarse_start + ahead + 1;
@@ -151,22 +145,15 @@ std::vector<DetectedUser> UserDetector::detect(const DetectionInput& input,
       end = anchor + group_span + 1;
     }
 
-    // One engine batch per round: every still-unassigned code over the
-    // round's window, against the current residual.
-    scratch.code_idx.clear();
-    for (std::size_t i = 0; i < templates_.size(); ++i) {
-      if (!taken[i]) scratch.code_idx.push_back(i);
-    }
-    scratch.peaks.resize(scratch.code_idx.size());
-    const CorrelationWindow window{res_re, res_im, scratch.fold_re,
-                                   scratch.fold_im, samples_per_chip_};
-    engine_->peaks(window, scratch.code_idx, begin, end, scratch.peaks,
-                   *scratch.engine);
-
+    // One peak search per still-unassigned code over the round's window,
+    // against the current residual.
+    telemetry::count(telemetry::Counter::kRxDetectNaiveBatches);
     DetectedUser best;
-    for (std::size_t k = 0; k < scratch.code_idx.size(); ++k) {
-      const std::size_t i = scratch.code_idx[k];
-      const auto& peak = scratch.peaks[k];
+    for (std::size_t i = 0; i < templates_.size(); ++i) {
+      if (taken[i]) continue;
+      const auto peak = pn::sliding_complex_peak_folded(
+          scratch.residual_re, scratch.residual_im, scratch.fold_re,
+          scratch.fold_im, chip_templates_[i], samples_per_chip_, begin, end);
       if (peak.value > best.correlation) {
         // The displaced leader becomes the runner-up this code had to beat.
         const double displaced = best.correlation;

@@ -14,21 +14,17 @@
 // peak is regularly beaten by the *sum* of the other users' correlation
 // sidelobes at a nearby lag once several tags collide.
 //
-// The batched peak search itself runs on a pluggable CorrelationEngine
-// (DESIGN.md §9): naive sliding dots, an overlap-save FFT fast path sharing
-// forward transforms across all codes, or a cost-model auto pick — selected
-// via UserDetectConfig::engine.
+// Each round's peak search is one pn::sliding_complex_peak_folded call per
+// still-unassigned code, on the chip-folded residual (DESIGN.md §9).
 #pragma once
 
 #include <complex>
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "phy/tag.h"
 #include "pn/code.h"
-#include "rx/correlation_engine.h"
 
 namespace cbma::rx {
 
@@ -55,11 +51,6 @@ struct UserDetectConfig {
   /// §4.4). Disable only for ablation studies: without it the sum of other
   /// users' sidelobes regularly beats a weak user's aligned peak.
   bool enable_sic = true;
-  /// Which correlation engine runs the batched peak search (DESIGN.md §9.2).
-  /// kNaive is the bit-exact reference and the default; kFft shares forward
-  /// transforms across all codes (equivalent up to the §9.3 tolerance);
-  /// kAuto picks per call from the crossover cost model.
-  DetectEngine engine = DetectEngine::kNaive;
 };
 
 struct DetectedUser {
@@ -86,29 +77,24 @@ struct DetectionInput {
 class UserDetector {
  public:
   /// Reusable successive-cancellation buffers (the residual copy of the
-  /// detector's reach, its per-chip folded sums, the per-round engine
-  /// batch, and the engine's own work buffers); sized once per reach and
-  /// reused across packets — detect() is allocation-free in steady state.
+  /// detector's reach and its per-chip folded sums); sized once per reach
+  /// and reused across packets — detect() is allocation-free in steady
+  /// state.
   struct Scratch {
     std::vector<double> residual_re;
     std::vector<double> residual_im;
     std::vector<double> fold_re;  ///< pn::fold_chip_sums of residual_re
     std::vector<double> fold_im;  ///< pn::fold_chip_sums of residual_im
-    std::vector<std::size_t> code_idx;  ///< untaken codes of the round
-    std::vector<pn::ComplexCorrelationPeak> peaks;  ///< engine batch output
-    std::unique_ptr<CorrelationEngine::Scratch> engine;  ///< lazily created
   };
 
-  /// `codes`: the group's PN codes (receiver knows all of them);
-  /// `preamble_bits` and `samples_per_chip` must match the tags' config.
+  /// `codes`: the group's PN codes (receiver knows all of them), all of one
+  /// length; `preamble_bits` and `samples_per_chip` must match the tags'
+  /// config.
   UserDetector(UserDetectConfig config, std::span<const pn::PnCode> codes,
                std::size_t preamble_bits, std::size_t samples_per_chip);
 
   const UserDetectConfig& config() const { return config_; }
   std::size_t group_size() const { return templates_.size(); }
-  /// The configured correlation engine (crossover introspection for tests
-  /// and the watchdog bench).
-  const CorrelationEngine& engine() const { return *engine_; }
 
   /// Detect users around `input.coarse_start` (the frame synchronizer's
   /// trigger). Returns every code whose correlation peak clears both
@@ -134,7 +120,6 @@ class UserDetector {
   /// lag's dot product by samples_per_chip×.
   std::vector<std::vector<double>> chip_templates_;
   std::vector<double> tmpl_norm2_;              ///< template energies (gain fits)
-  std::unique_ptr<CorrelationEngine> engine_;   ///< immutable after ctor
 };
 
 }  // namespace cbma::rx

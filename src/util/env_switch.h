@@ -3,8 +3,9 @@
 // once from one environment variable when the switch is constructed. Every
 // CBMA_* observability variable follows the same rule: unset, empty or "0"
 // means off with no path; any other value means on, and the value is the
-// plane's export path. set_on()/set_path() override the environment at any
-// time after that first read.
+// plane's export path. A switch may name a second variable that turns it on
+// by the same rule but never sets its path. set_on()/set_path() override the
+// environment at any time after that first read.
 //
 // on() is one relaxed load, so ScopedSpan's off path (telemetry::enabled()
 // and profiler::enabled()) stays two relaxed loads. Each plane owns its
@@ -22,10 +23,13 @@ namespace cbma::util {
 
 class EnvSwitch {
  public:
-  explicit EnvSwitch(const char* env_var) {
+  /// `also_on_by`: an optional second variable that also turns the switch
+  /// on (never setting its path).
+  explicit EnvSwitch(const char* env_var, const char* also_on_by = nullptr) {
     const char* e = std::getenv(env_var);
-    const bool on = e != nullptr && *e != '\0' && std::string(e) != "0";
-    on_.store(on, std::memory_order_relaxed);
+    const bool on = is_on(e);
+    const bool also = also_on_by != nullptr && is_on(std::getenv(also_on_by));
+    on_.store(on || also, std::memory_order_relaxed);
     if (on) path_ = e;
   }
 
@@ -42,6 +46,10 @@ class EnvSwitch {
   }
 
  private:
+  static bool is_on(const char* e) {
+    return e != nullptr && *e != '\0' && std::string(e) != "0";
+  }
+
   std::atomic<bool> on_{false};
   mutable std::mutex mu_;
   std::string path_;

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <utility>
 
+#include "util/atomic_file.h"
 #include "util/env_switch.h"
 
 namespace cbma::metrics {
@@ -282,28 +283,8 @@ std::string prometheus_text(const Snapshot& snap) {
 }
 
 bool write_prometheus(const std::string& path) {
-  const std::string text = prometheus_text(snapshot());
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "metrics: cannot open %s for writing\n", tmp.c_str());
-    return false;
-  }
-  const bool wrote =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::fprintf(stderr, "metrics: failed writing %s\n", tmp.c_str());
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::fprintf(stderr, "metrics: cannot rename %s over %s\n", tmp.c_str(),
-                 path.c_str());
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return util::write_file_atomically(path, prometheus_text(snapshot()),
+                                     "metrics");
 }
 
 }  // namespace cbma::metrics

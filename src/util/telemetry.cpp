@@ -126,7 +126,9 @@ ThreadSink& sink() {
 }
 
 util::EnvSwitch& telemetry_switch() {
-  static util::EnvSwitch s("CBMA_TELEMETRY");
+  // The metrics plane samples these counters and spans, so CBMA_METRICS
+  // turns telemetry on from the first read, whichever plane is read first.
+  static util::EnvSwitch s("CBMA_TELEMETRY", "CBMA_METRICS");
   return s;
 }
 
@@ -190,7 +192,6 @@ const char* counter_name(Counter c) {
     case Counter::kNodeSelectReplaced: return "node_select.replaced";
     case Counter::kNodeSelectAnnealed: return "node_select.annealed";
     case Counter::kRxDetectNaiveBatches: return "rx.detect.naive_batches";
-    case Counter::kRxDetectFftBatches: return "rx.detect.fft_batches";
     case Counter::kNetRoundsRun: return "net.rounds";
     case Counter::kNetCellRounds: return "net.cell_rounds";
     case Counter::kNetTagRoams: return "net.roams";

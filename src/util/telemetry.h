@@ -87,8 +87,7 @@ enum class Counter : std::uint8_t {
   kNodeSelectAbandoned,   ///< slots below the bad-ACK threshold
   kNodeSelectReplaced,    ///< slots actually swapped for a candidate
   kNodeSelectAnnealed,    ///< non-improving candidates accepted
-  kRxDetectNaiveBatches,  ///< detection peak batches run on the naive engine
-  kRxDetectFftBatches,    ///< detection peak batches run on the FFT engine
+  kRxDetectNaiveBatches,  ///< detection rounds, all untaken codes each
   kNetRoundsRun,          ///< multi-cell network MAC rounds completed
   kNetCellRounds,         ///< per-cell MAC rounds inside network rounds
   kNetTagRoams,           ///< tags re-associated by the roaming pass

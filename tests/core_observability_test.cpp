@@ -120,6 +120,20 @@ TEST(ObservabilityPlanes, ZeroInTheEnvironmentTurnsEveryPlaneOff) {
   EXPECT_TRUE(write_observability_artifacts());
 }
 
+TEST(ObservabilityPlanes, MetricsEnvArmsTelemetryWhicheverPlaneIsReadFirst) {
+  // No plane has been read in this process yet: the plane table reads the
+  // telemetry switch before the metrics one, and both must already agree.
+  ::unsetenv("CBMA_TELEMETRY");
+  ::setenv("CBMA_METRICS", "1", 1);
+  const RunRecorder recorder = make_recorder();
+  const std::string first = recorder.json();
+  const std::string second = recorder.json();
+  EXPECT_EQ(first, second);
+  EXPECT_NE(first.find("\"telemetry\":"), std::string::npos);
+  EXPECT_NE(first.find("\"timeseries\":"), std::string::npos);
+  ::unsetenv("CBMA_METRICS");
+}
+
 class PlaneSections : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PlaneSections, EnablingOnlyThisPlaneAddsExactlyItsSections) {

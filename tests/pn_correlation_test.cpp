@@ -188,5 +188,27 @@ TEST(SlidingComplexPeak, EmptyWindowReturnsDefault) {
   EXPECT_DOUBLE_EQ(peak.value, 0.0);
 }
 
+TEST(SlidingComplexPeakFolded, WindowShorterThanTemplateYieldsDefaults) {
+  // A window one sample short of the upsampled template has no lag to
+  // score: the peak is the default, whatever search range is asked for.
+  Rng rng(12);
+  const std::size_t spc = 4;
+  std::vector<double> chip_tmpl(64);
+  for (auto& v : chip_tmpl) v = rng.bernoulli(0.5) ? 1.0 : -1.0;
+  std::vector<double> re(chip_tmpl.size() * spc - 1), im(re.size());
+  for (std::size_t i = 0; i < re.size(); ++i) {
+    re[i] = rng.gaussian();
+    im[i] = rng.gaussian();
+  }
+  std::vector<double> fold_re, fold_im;
+  fold_chip_sums(re, spc, fold_re);
+  fold_chip_sums(im, spc, fold_im);
+  const auto peak = sliding_complex_peak_folded(re, im, fold_re, fold_im,
+                                                chip_tmpl, spc, 0, 100);
+  EXPECT_EQ(peak.offset, 0u);
+  EXPECT_EQ(peak.value, 0.0);
+  EXPECT_EQ(peak.phase, 0.0);
+}
+
 }  // namespace
 }  // namespace cbma::pn

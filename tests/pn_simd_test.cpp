@@ -54,22 +54,6 @@ TEST(Simd, FoldSumsMatchesReference) {
   }
 }
 
-TEST(Simd, CmulAccMatchesComplexArithmetic) {
-  Rng rng(2);
-  const std::size_t n = 257;  // odd: exercises the vector tail
-  const auto ar = random_vector(n, rng), ai = random_vector(n, rng);
-  const auto br = random_vector(n, rng), bi = random_vector(n, rng);
-  std::vector<double> acc_re(n, 1.5), acc_im(n, -0.5);
-  cmul_acc(ar.data(), ai.data(), br.data(), bi.data(), acc_re.data(),
-           acc_im.data(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double want_re = 1.5 + (ar[i] * br[i] - ai[i] * bi[i]);
-    const double want_im = -0.5 + (ar[i] * bi[i] + ai[i] * br[i]);
-    EXPECT_NEAR(acc_re[i], want_re, 1e-15);
-    EXPECT_NEAR(acc_im[i], want_im, 1e-15);
-  }
-}
-
 /// The bit-exactness contract: the scalar and dispatched (possibly AVX2)
 /// variants produce byte-identical outputs, forcing each path explicitly.
 TEST(Simd, FoldSumsBitIdenticalAcrossDispatchPaths) {
@@ -88,29 +72,6 @@ TEST(Simd, FoldSumsBitIdenticalAcrossDispatchPaths) {
                           count * sizeof(double)),
               0)
         << "spc=" << spc << " native isa=" << isa_name(active_isa());
-  }
-}
-
-TEST(Simd, CmulAccBitIdenticalAcrossDispatchPaths) {
-  Rng rng(4);
-  for (const std::size_t n : {1u, 4u, 5u, 256u, 999u}) {
-    const auto ar = random_vector(n, rng), ai = random_vector(n, rng);
-    const auto br = random_vector(n, rng), bi = random_vector(n, rng);
-    const auto seed_re = random_vector(n, rng), seed_im = random_vector(n, rng);
-    auto scalar_re = seed_re, scalar_im = seed_im;
-    auto native_re = seed_re, native_im = seed_im;
-    {
-      const ForceScalarGuard guard(true);
-      ASSERT_EQ(active_isa(), Isa::kScalar);
-      cmul_acc(ar.data(), ai.data(), br.data(), bi.data(), scalar_re.data(),
-               scalar_im.data(), n);
-    }
-    cmul_acc(ar.data(), ai.data(), br.data(), bi.data(), native_re.data(),
-             native_im.data(), n);
-    EXPECT_EQ(
-        std::memcmp(scalar_re.data(), native_re.data(), n * sizeof(double)), 0);
-    EXPECT_EQ(
-        std::memcmp(scalar_im.data(), native_im.data(), n * sizeof(double)), 0);
   }
 }
 

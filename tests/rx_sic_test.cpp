@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "phy/tag.h"
+#include "pn/correlation.h"
 #include "rfsim/channel.h"
 #include "rx/user_detect.h"
 #include "util/rng.h"

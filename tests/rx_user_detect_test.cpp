@@ -90,6 +90,16 @@ TEST(UserDetector, RejectsBadConfig) {
                std::invalid_argument);
 }
 
+TEST(UserDetector, RejectsMixedLengthCodeSet) {
+  // The reach around the trigger is sized from the first code's template,
+  // so every code of the group must share its length.
+  auto codes = group_codes(2);
+  codes.push_back(pn::make_code_set(pn::CodeFamily::kTwoNC, 1, 40).front());
+  ASSERT_NE(codes.front().length(), codes.back().length());
+  EXPECT_THROW(UserDetector(UserDetectConfig{}, codes, kPreambleBits, kSpc),
+               std::invalid_argument);
+}
+
 TEST(UserDetector, SingleUserDetectedAtExactOffset) {
   const auto codes = group_codes(4);
   cbma::Rng rng(1);
@@ -232,7 +242,8 @@ using Profiles = std::vector<std::vector<double>>;
 
 /// The detector as it ran on the whole window, before it copied and folded
 /// only its reach: the bit-exact reference for detect(). Same templates,
-/// same engine, same successive cancellation; every offset is absolute.
+/// one sliding_complex_peak_folded call per untaken code in code order, same
+/// successive cancellation; every offset is absolute.
 std::vector<DetectedUser> whole_window_detect(const UserDetectConfig& cfg,
                                               const std::vector<pn::PnCode>& codes,
                                               std::span<const double> re,
@@ -258,9 +269,6 @@ std::vector<DetectedUser> whole_window_detect(const UserDetectConfig& cfg,
   const auto back = static_cast<std::size_t>(cfg.search_back_chips * spc);
   const auto ahead = static_cast<std::size_t>(cfg.search_ahead_chips * spc);
   const auto group = static_cast<std::size_t>(cfg.group_window_chips * spc);
-  const auto engine =
-      make_correlation_engine(cfg.engine, chip_tmpls, kSpc, back + ahead + 1);
-  const auto engine_scratch = engine->make_scratch();
   std::vector<double> res_re(re.begin(), re.end()), res_im(im.begin(), im.end());
   std::vector<double> fold_re, fold_im;
   pn::fold_chip_sums(res_re, kSpc, fold_re);
@@ -285,21 +293,16 @@ std::vector<DetectedUser> whole_window_detect(const UserDetectConfig& cfg,
       begin = anchor > group ? anchor - group : 0;
       end = anchor + group + 1;
     }
-    std::vector<std::size_t> idx;
-    for (std::size_t i = 0; i < codes.size(); ++i) {
-      if (!taken[i]) idx.push_back(i);
-    }
-    std::vector<pn::ComplexCorrelationPeak> peaks(idx.size());
-    engine->peaks(CorrelationWindow{res_re, res_im, fold_re, fold_im, kSpc}, idx,
-                  begin, end, peaks, *engine_scratch);
     DetectedUser best;
-    for (std::size_t k = 0; k < idx.size(); ++k) {
-      if (peaks[k].value > best.correlation) {
+    for (std::size_t i = 0; i < codes.size(); ++i) {
+      if (taken[i]) continue;
+      const auto peak = pn::sliding_complex_peak_folded(
+          res_re, res_im, fold_re, fold_im, chip_tmpls[i], kSpc, begin, end);
+      if (peak.value > best.correlation) {
         const double displaced = best.correlation;
-        best = DetectedUser{idx[k], peaks[k].offset, peaks[k].value,
-                            peaks[k].phase, displaced};
-      } else if (peaks[k].value > best.runner_up) {
-        best.runner_up = peaks[k].value;
+        best = DetectedUser{i, peak.offset, peak.value, peak.phase, displaced};
+      } else if (peak.value > best.runner_up) {
+        best.runner_up = peak.value;
       }
     }
     if (best.correlation < cfg.threshold) break;
@@ -373,46 +376,42 @@ TEST(UserDetector, ReachWindowMatchesWholeWindow) {
   const auto ahead =
       static_cast<std::size_t>(UserDetectConfig{}.search_ahead_chips * kSpc);
   probe::set_enabled(true);
-  for (const auto engine : {DetectEngine::kNaive, DetectEngine::kFft}) {
-    UserDetectConfig cfg;
-    cfg.engine = engine;
-    const UserDetector det(cfg, codes, kPreambleBits, kSpc);
-    // Whole windows and windows cut inside the reach, so the window end
-    // clamps the last lags, the fold and the cancellation.
-    for (const std::size_t size :
-         {re.size(), start + tmpl_len + 10, start + tmpl_len + 1, start + tmpl_len,
-          start + tmpl_len - 7, start + 5}) {
-      for (const std::size_t coarse :
-           {std::size_t{0}, std::size_t{3}, start - ahead, start - 5, start,
-            start + 9, start + back, re.size() / 2, size - 1, size, size + 100}) {
-        const std::span<const double> wre(re.data(), size);
-        const std::span<const double> wim(im.data(), size);
-        pn::simd::on_both_paths([&](bool scalar) {
-          const std::string where =
-              std::string(to_string(engine)) + " size " + std::to_string(size) +
-              " coarse " + std::to_string(coarse) +
-              (scalar ? " scalar" : " native");
-          Profiles want_profiles;
-          const auto want =
-              whole_window_detect(cfg, codes, wre, wim, coarse, want_profiles);
-          probe::reset();
-          UserDetector::Scratch scratch;
-          expect_same_users(det.detect(DetectionInput{wre, wim, coarse}, scratch),
-                            want, where);
-          const auto capture = probe::snapshot();
-          Profiles got_profiles(codes.size());
-          for (const auto& rec : capture.taps) {
-            if (rec.tap == probe::Tap::kCorrelationProfile) {
-              got_profiles.at(rec.context) = rec.data;
-            }
+  const UserDetectConfig cfg;
+  const UserDetector det(cfg, codes, kPreambleBits, kSpc);
+  // Whole windows and windows cut inside the reach, so the window end
+  // clamps the last lags, the fold and the cancellation.
+  for (const std::size_t size :
+       {re.size(), start + tmpl_len + 10, start + tmpl_len + 1, start + tmpl_len,
+        start + tmpl_len - 7, start + 5}) {
+    for (const std::size_t coarse :
+         {std::size_t{0}, std::size_t{3}, start - ahead, start - 5, start,
+          start + 9, start + back, re.size() / 2, size - 1, size, size + 100}) {
+      const std::span<const double> wre(re.data(), size);
+      const std::span<const double> wim(im.data(), size);
+      pn::simd::on_both_paths([&](bool scalar) {
+        const std::string where = "size " + std::to_string(size) + " coarse " +
+                                  std::to_string(coarse) +
+                                  (scalar ? " scalar" : " native");
+        Profiles want_profiles;
+        const auto want =
+            whole_window_detect(cfg, codes, wre, wim, coarse, want_profiles);
+        probe::reset();
+        UserDetector::Scratch scratch;
+        expect_same_users(det.detect(DetectionInput{wre, wim, coarse}, scratch),
+                          want, where);
+        const auto capture = probe::snapshot();
+        Profiles got_profiles(codes.size());
+        for (const auto& rec : capture.taps) {
+          if (rec.tap == probe::Tap::kCorrelationProfile) {
+            got_profiles.at(rec.context) = rec.data;
           }
-          // |correlation| is never −0, so == on the values is bitwise.
-          EXPECT_EQ(got_profiles, want_profiles) << where;
-          if (size == re.size() && coarse == start) {
-            EXPECT_EQ(want.size(), 3u) << where;  // SIC ran three rounds
-          }
-        });
-      }
+        }
+        // |correlation| is never −0, so == on the values is bitwise.
+        EXPECT_EQ(got_profiles, want_profiles) << where;
+        if (size == re.size() && coarse == start) {
+          EXPECT_EQ(want.size(), 3u) << where;  // SIC ran three rounds
+        }
+      });
     }
   }
   probe::set_enabled(false);

@@ -68,5 +68,24 @@ TEST(EnvSwitch, AnOffSwitchCanBeTurnedOnWithAPathLater) {
   EXPECT_EQ(s.path(), "late.bin");
 }
 
+TEST(EnvSwitch, SecondVariableTurnsItOnWithoutAPath) {
+  constexpr const char* kAlso = "CBMA_TEST_ENV_SWITCH_ALSO";
+  ::unsetenv(kVar);
+  ::setenv(kAlso, "other.bin", 1);
+  EnvSwitch on_by_second(kVar, kAlso);
+  EXPECT_TRUE(on_by_second.on());
+  EXPECT_EQ(on_by_second.path(), "");
+  // The second variable follows the same rule: "0" leaves the switch off.
+  ::setenv(kAlso, "0", 1);
+  EXPECT_FALSE(EnvSwitch(kVar, kAlso).on());
+  // The first variable still sets the path.
+  ::setenv(kVar, "own.bin", 1);
+  EnvSwitch own(kVar, kAlso);
+  EXPECT_TRUE(own.on());
+  EXPECT_EQ(own.path(), "own.bin");
+  ::unsetenv(kVar);
+  ::unsetenv(kAlso);
+}
+
 }  // namespace
 }  // namespace cbma::util

@@ -4,7 +4,6 @@
 Usage:
   check_perf_regression.py <BENCH_kernels.json>... <baseline.json> [--tolerance F]
   check_perf_regression.py <BENCH_kernels.json>... <baseline.json> --update
-  check_perf_regression.py <BENCH_kernels.json> --crossover
   check_perf_regression.py <BENCH_kernels.json> --ring-flat
   check_perf_regression.py <BENCH_kernels.json> --twin-overhead
 
@@ -16,20 +15,24 @@ fastest one counts, since host noise only ever slows one down: run
 bench_kernels more than once, with --benchmark_repetitions and
 --benchmark_enable_random_interleaving so a row's repetitions spread over
 each run. Each row's cost ratio against the baseline is divided by the
-median ratio over all rows: the run's own speed against the baseline host
-cancels out, and a regression in any kernel that fewer than half of the
-rows exercise shows at full size. The gate fails when a row's normalized
-ratio exceeds 1 + tolerance (default ±30 %, enough to catch an accidental
-O(n²) or a hot-path allocation loudly, not 5 % jitter). A change that
-slows every row alike is invisible to same-run ratios by construction; the
-perfgate end-to-end bounds cover that case. Benchmarks present on only one
-side are reported but never fatal, so adding or retiring a benchmark does
-not break CI before the baseline is refreshed.
+run's speed: the median over benchmark families (a row's name up to its
+first '/') of each family's median row ratio. The run's own speed against
+the baseline host cancels out, and a regression in any kernel that fewer
+than half of the families exercise shows at full size. A family counts
+once however many grid points it registers, so a kernel timed over a long
+grid cannot drag the anchor it is judged against. The gate fails when a
+row's normalized ratio exceeds 1 + tolerance (default ±30 %, enough to
+catch an accidental O(n²) or a hot-path allocation loudly, not 5 %
+jitter). A change that slows every row alike is invisible to same-run
+ratios by construction; the perfgate end-to-end bounds cover that case.
+Benchmarks present on only one side are reported but never fatal, so
+adding or retiring a benchmark does not break CI before the baseline is
+refreshed.
 
 A row that host noise slowed in every run is told apart from a regression
 by one more whole run with the same flags, gated together with the others:
-the row then has a fresh process's repetitions to count, and the median
-row moves with that process, so a real regression fails again.
+the row then has a fresh process's repetitions to count, and the run's
+speed moves with that process, so a real regression fails again.
 
 A speed-up beyond the same tolerance prints a note suggesting a baseline
 refresh; `--update` rewrites the baseline from the given runs: per row, the
@@ -53,29 +56,14 @@ METRICS_OVERHEAD_TOLERANCE (+2 %, DESIGN.md §12) and
 PROFILE_OVERHEAD_TOLERANCE (+2 %, DESIGN.md §13), the
 strict-identity-when-off contract's enabled-side budgets. Pairs are matched
 within one run, so machine speed cancels out.
-
-`--crossover` checks the detection-engine crossover policy instead of the
-baseline: it groups the BM_DetectPeaks{Naive,Fft,Auto}/K/L/W rows of a
-fresh run by grid point and, wherever the naive and FFT engines are
-clearly separated (>= CROSSOVER_SEPARATION apart), requires the auto
-engine to land within CROSSOVER_SLACK of the winner. That pins the auto
-cost model (rx::CorrelationEngine, DESIGN.md §9.2) to measured reality
-without hard-coding machine-dependent absolute times.
 """
 import json
-import re
 import statistics
 import sys
 
 DEFAULT_TOLERANCE = 0.30
 
 GATED_COUNTERS = ("ns_per_packet", "ns_per_sample", "ns_per_round")
-
-# --crossover: only grid points where the engines differ by at least this
-# factor are judged (near the crossover either choice is fine) ...
-CROSSOVER_SEPARATION = 1.5
-# ... and there the auto engine must be within this factor of the winner.
-CROSSOVER_SLACK = 1.3
 
 # --twin-overhead: a metrics-enabled round may cost at most this much more
 # than its metrics-off twin (+2% ns_per_round) ...
@@ -141,54 +129,6 @@ def load(path: str) -> dict:
         fail(f"{path} missing")
     except json.JSONDecodeError as e:
         fail(f"{path} is not valid JSON: {e}")
-
-
-def check_crossover(current_path: str) -> None:
-    """Validate auto-engine selection against measured naive/FFT times."""
-    current = counter_by_name(load(current_path), "ns_per_packet")
-    pattern = re.compile(r"^BM_DetectPeaks(Naive|Fft|Auto)/(\d+/\d+/\d+)$")
-    grid = {}  # "K/L/W" -> {"Naive": ns, "Fft": ns, "Auto": ns}
-    for name, ns in current.items():
-        m = pattern.match(name)
-        if m:
-            grid.setdefault(m.group(2), {})[m.group(1)] = ns
-    judged = 0
-    failures = []
-    for point in sorted(grid, key=lambda p: [int(x) for x in p.split("/")]):
-        engines = grid[point]
-        if not all(k in engines for k in ("Naive", "Fft", "Auto")):
-            print(f"check_perf_regression: note: grid point {point} missing "
-                  "an engine row — skipped")
-            continue
-        naive, fft, auto = engines["Naive"], engines["Fft"], engines["Auto"]
-        best = min(naive, fft)
-        separation = max(naive, fft) / best
-        winner = "naive" if naive <= fft else "fft"
-        if separation < CROSSOVER_SEPARATION:
-            print(f"check_perf_regression: crossover {point}: naive {naive:.0f}"
-                  f" vs fft {fft:.0f} ns within {CROSSOVER_SEPARATION}x — "
-                  "either choice fine, skipped")
-            continue
-        judged += 1
-        ratio = auto / best
-        verdict = "ok" if ratio <= CROSSOVER_SLACK else "WRONG ENGINE"
-        print(f"check_perf_regression: crossover {point}: winner {winner} "
-              f"({best:.0f} ns), auto {auto:.0f} ns "
-              f"({ratio:.2f}x winner): {verdict}")
-        if ratio > CROSSOVER_SLACK:
-            failures.append((point, winner, best, auto, ratio))
-    if not grid:
-        fail(f"{current_path} has no BM_DetectPeaks rows — run bench_kernels "
-             "with --benchmark_filter=BM_DetectPeaks")
-    for point, winner, best, auto, ratio in failures:
-        print(f"check_perf_regression: FAIL: auto engine picked the losing "
-              f"path at {point}: winner {winner} {best:.0f} ns, auto "
-              f"{auto:.0f} ns ({ratio:.2f}x > {CROSSOVER_SLACK}x allowed)",
-              file=sys.stderr)
-    if failures:
-        sys.exit(1)
-    print(f"check_perf_regression: crossover policy ok at {judged} separated "
-          f"grid points ({len(grid)} total)")
 
 
 def check_ring_flat(current_path: str) -> None:
@@ -278,13 +218,6 @@ def main() -> None:
                  "--ring-flat")
         check_ring_flat(args[0])
         return
-    if "--crossover" in args:
-        args = [a for a in args if a != "--crossover"]
-        if len(args) != 1:
-            fail("usage: check_perf_regression.py <BENCH_kernels.json> "
-                 "--crossover")
-        check_crossover(args[0])
-        return
     update = "--update" in args
     args = [a for a in args if a != "--update"]
     tolerance = DEFAULT_TOLERANCE
@@ -329,8 +262,13 @@ def main() -> None:
     common = sorted(set(baseline) & set(current))
     if not common:
         fail(f"{' '.join(current_paths)}: no rows shared with {baseline_path}")
-    speed = statistics.median(current[n] / baseline[n] for n in common)
-    print(f"check_perf_regression: median row ratio {speed:.3f} "
+    families = {}
+    for name in common:
+        families.setdefault(name.split("/")[0], []).append(
+            current[name] / baseline[name])
+    speed = statistics.median(statistics.median(ratios)
+                              for ratios in families.values())
+    print(f"check_perf_regression: median family ratio {speed:.3f} "
           f"(this run's relative speed against the baseline run)")
 
     regressions = []
@@ -354,8 +292,8 @@ def main() -> None:
     if regressions:
         for name, ratio in regressions:
             print(f"check_perf_regression: FAIL: {name} regressed to "
-                  f"{ratio:.2f}x its baseline, relative to the run's median "
-                  f"row (> {1.0 + tolerance:.2f}x allowed)", file=sys.stderr)
+                  f"{ratio:.2f}x its baseline, relative to the run's speed "
+                  f"(> {1.0 + tolerance:.2f}x allowed)", file=sys.stderr)
         sys.exit(1)
     print(f"check_perf_regression: {len(common)} rows checked, "
           f"no regression beyond {tolerance:.0%}")

@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: spreading,
 // sliding complex correlation, channel synthesis, frame decode, and the
-// full end-to-end collided round on both the legacy (allocating) and the
-// batched (scratch-reusing) transmit paths. These bound the simulator's
-// packets/second and document where the cycles go.
+// full end-to-end collided round through both transmit() overloads (a
+// fresh TransmitScratch per packet, and one scratch reused across packets).
+// These bound the simulator's packets/second and document where the cycles
+// go.
 //
 // Besides the console table, the run writes BENCH_kernels.json (google
 // benchmark's JSON schema) next to the working directory so tooling and CI
@@ -78,25 +79,6 @@ void BM_SlidingComplexPeak(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SlidingComplexPeak)->Arg(64)->Arg(256);
-
-/// The split-kernel variant the receiver actually runs: the window is
-/// deinterleaved once outside the timed region (as process_iq does per
-/// packet), and the peak search streams the contiguous re/im arrays.
-void BM_SlidingComplexPeakSplit(benchmark::State& state) {
-  Rng rng(1);
-  const auto code = pn::make_code_set(pn::CodeFamily::kTwoNC, 10, 20)[0];
-  const auto tmpl = pn::mean_removed_template(code, 4);
-  std::vector<std::complex<double>> signal(8192);
-  for (auto& s : signal) s = {rng.gaussian(), rng.gaussian()};
-  std::vector<double> re, im;
-  pn::split_iq(signal, re, im);
-  const auto lags = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pn::sliding_complex_peak(re, im, tmpl, 0, lags));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SlidingComplexPeakSplit)->Arg(64)->Arg(256);
 
 void BM_ChannelSynthesis(benchmark::State& state) {
   Rng rng(2);

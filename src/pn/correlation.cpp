@@ -52,36 +52,6 @@ std::vector<double> mean_removed_template(const PnCode& code,
   return tmpl;
 }
 
-double correlate_at(std::span<const double> signal, std::span<const double> tmpl,
-                    std::size_t offset) {
-  if (offset + tmpl.size() > signal.size()) return 0.0;
-  double acc = 0.0;
-  const double* s = signal.data() + offset;
-  for (std::size_t i = 0; i < tmpl.size(); ++i) acc += s[i] * tmpl[i];
-  return acc;
-}
-
-double normalized_correlation_at(std::span<const double> signal,
-                                 std::span<const double> tmpl, std::size_t offset) {
-  if (offset + tmpl.size() > signal.size() || tmpl.empty()) return 0.0;
-  const double* s = signal.data() + offset;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < tmpl.size(); ++i) sum += s[i];
-  const double mean = sum / static_cast<double>(tmpl.size());
-  double dot = 0.0;
-  double s_norm2 = 0.0;
-  double t_norm2 = 0.0;
-  for (std::size_t i = 0; i < tmpl.size(); ++i) {
-    const double sv = s[i] - mean;
-    dot += sv * tmpl[i];
-    s_norm2 += sv * sv;
-    t_norm2 += tmpl[i] * tmpl[i];
-  }
-  const double denom = std::sqrt(s_norm2 * t_norm2);
-  if (denom <= 0.0) return 0.0;
-  return dot / denom;
-}
-
 std::complex<double> complex_correlate_at(std::span<const std::complex<double>> signal,
                                           std::span<const double> tmpl,
                                           std::size_t offset) {
@@ -177,87 +147,6 @@ void split_iq(std::span<const std::complex<double>> iq, std::vector<double>& re,
   }
 }
 
-std::complex<double> complex_correlate_at(std::span<const double> re,
-                                          std::span<const double> im,
-                                          std::span<const double> tmpl,
-                                          std::size_t offset) {
-  if (offset + tmpl.size() > re.size()) return {0.0, 0.0};
-  double acc_re = 0.0;
-  double acc_im = 0.0;
-  simd::period_dots(re.data() + offset, im.data() + offset, tmpl.data(),
-                    tmpl.size(), 1, &acc_re, &acc_im);
-  return {acc_re, acc_im};
-}
-
-ComplexCorrelationPeak sliding_complex_peak(std::span<const double> re,
-                                            std::span<const double> im,
-                                            std::span<const double> tmpl,
-                                            std::size_t search_begin,
-                                            std::size_t search_end) {
-  CBMA_REQUIRE(re.size() == im.size(), "split window components disagree");
-  CBMA_REQUIRE(search_begin <= search_end, "search window inverted");
-  ComplexCorrelationPeak best;
-  best.value = -1.0;
-  const std::size_t n = tmpl.size();
-  if (n == 0 || re.size() < n) return ComplexCorrelationPeak{};
-  const std::size_t end = std::min({search_end, re.size() - n + 1});
-  if (search_begin >= end) return ComplexCorrelationPeak{};
-
-  double t_norm2 = 0.0;
-  double t_sum = 0.0;
-  for (const double v : tmpl) {
-    t_norm2 += v * v;
-    t_sum += v;
-  }
-  const double inv_n = 1.0 / static_cast<double>(n);
-
-  // Running window sums shared across lags; only the dot product is
-  // recomputed per lag.
-  double s_sum_re = 0.0;
-  double s_sum_im = 0.0;
-  double s_sumsq = 0.0;
-  for (std::size_t i = search_begin; i < search_begin + n; ++i) {
-    s_sum_re += re[i];
-    s_sum_im += im[i];
-    s_sumsq += re[i] * re[i] + im[i] * im[i];
-  }
-
-  for (std::size_t off = search_begin; off < end; ++off) {
-    double dot_re = 0.0;
-    double dot_im = 0.0;
-    const double* r = re.data() + off;
-    const double* i = im.data() + off;
-    for (std::size_t k = 0; k < n; ++k) {
-      dot_re += r[k] * tmpl[k];
-      dot_im += i[k] * tmpl[k];
-    }
-    // Mean-removed forms: dot_c = dot − mean·Σtmpl, ‖window−mean‖².
-    const double mean_re = s_sum_re * inv_n;
-    const double mean_im = s_sum_im * inv_n;
-    const double dc_re = dot_re - mean_re * t_sum;
-    const double dc_im = dot_im - mean_im * t_sum;
-    const double s_norm2 =
-        s_sumsq - (s_sum_re * s_sum_re + s_sum_im * s_sum_im) * inv_n;
-    const double denom2 = s_norm2 * t_norm2;
-    const double v =
-        denom2 > 0.0 ? std::sqrt((dc_re * dc_re + dc_im * dc_im) / denom2) : 0.0;
-    if (v > best.value) {
-      best.value = v;
-      best.offset = off;
-    }
-    if (off + n < re.size()) {
-      s_sum_re += re[off + n] - re[off];
-      s_sum_im += im[off + n] - im[off];
-      s_sumsq += re[off + n] * re[off + n] + im[off + n] * im[off + n] -
-                 re[off] * re[off] - im[off] * im[off];
-    }
-  }
-  if (best.value < 0.0) return ComplexCorrelationPeak{};
-  const auto peak_corr = complex_correlate_at(re, im, tmpl, best.offset);
-  best.phase = std::atan2(peak_corr.imag(), peak_corr.real());
-  return best;
-}
-
 void fold_chip_sums(std::span<const double> x, std::size_t samples_per_chip,
                     std::vector<double>& out) {
   CBMA_REQUIRE(samples_per_chip >= 1, "samples_per_chip must be positive");
@@ -273,8 +162,7 @@ void refold_chip_sums(std::span<const double> x, std::size_t samples_per_chip,
                       std::size_t begin, std::size_t end, std::vector<double>& out) {
   // Direct per-entry sums (not a running window) so refolding a subrange
   // reproduces exactly what a full fold computes — no accumulated drift.
-  // simd::fold_sums keeps the same ascending-j per-entry order in every
-  // variant, so the result is bit-identical on any dispatch path.
+  // simd::fold_sums rejects an `out` that overlaps `x`.
   end = std::min(end, out.size());
   if (begin >= end) return;
   simd::fold_sums(x.data() + begin, end - begin, samples_per_chip,
@@ -378,25 +266,6 @@ ComplexCorrelationPeak sliding_complex_peak_folded(
   const auto peak_corr = complex_correlate_folded_at(fold_re, fold_im, chip_tmpl,
                                                      samples_per_chip, best.offset);
   best.phase = std::atan2(peak_corr.imag(), peak_corr.real());
-  return best;
-}
-
-CorrelationPeak sliding_peak(std::span<const double> signal,
-                             std::span<const double> tmpl,
-                             std::size_t search_begin, std::size_t search_end) {
-  CBMA_REQUIRE(search_begin <= search_end, "search window inverted");
-  CorrelationPeak best;
-  best.value = -2.0;  // below any normalized correlation
-  const std::size_t end = std::min(search_end, signal.size());
-  for (std::size_t off = search_begin; off < end; ++off) {
-    if (off + tmpl.size() > signal.size()) break;
-    const double v = normalized_correlation_at(signal, tmpl, off);
-    if (v > best.value) {
-      best.value = v;
-      best.offset = off;
-    }
-  }
-  if (best.value < -1.5) best = CorrelationPeak{};  // nothing searched
   return best;
 }
 

@@ -5,10 +5,10 @@
 //  * code-vs-code correlations on binary chips (periodic / aperiodic), used
 //    to validate family properties (Gold's three-valued cross-correlation,
 //    2NC orthogonality);
-//  * real-signal-vs-template sliding correlation, used on the receiver's
-//    magnitude envelope. Templates are mean-removed so the unipolar OOK
-//    envelope and constant offsets from other users do not bias decisions
-//    (this is the "correlation-based detector" of §V-B).
+//  * complex-baseband-vs-template sliding correlation, the receiver's
+//    coherent detector and decoder. Templates are mean-removed so the
+//    unipolar OOK chips and constant offsets from other users do not bias
+//    decisions (this is the "correlation-based detector" of §V-B).
 #pragma once
 
 #include <complex>
@@ -35,27 +35,6 @@ int peak_cross_correlation(const PnCode& a, const PnCode& b);
 /// mean, optionally repeated `samples_per_chip` times per chip.
 std::vector<double> mean_removed_template(const PnCode& code,
                                           std::size_t samples_per_chip = 1);
-
-/// Dot product of `signal` (from `offset`) against `tmpl`; returns 0 if the
-/// template does not fit.
-double correlate_at(std::span<const double> signal, std::span<const double> tmpl,
-                    std::size_t offset);
-
-/// Normalized correlation in [-1, 1]: correlate_at divided by the L2 norms
-/// of the template and the mean-removed signal window.
-double normalized_correlation_at(std::span<const double> signal,
-                                 std::span<const double> tmpl, std::size_t offset);
-
-struct CorrelationPeak {
-  std::size_t offset = 0;
-  double value = 0.0;  ///< normalized correlation at the peak
-};
-
-/// Slide `tmpl` over signal[search_begin, search_end) and return the offset
-/// with the largest normalized correlation.
-CorrelationPeak sliding_peak(std::span<const double> signal,
-                             std::span<const double> tmpl,
-                             std::size_t search_begin, std::size_t search_end);
 
 // --- complex-baseband correlation (coherent receiver path) ---
 
@@ -96,19 +75,6 @@ ComplexCorrelationPeak sliding_complex_peak(
 void split_iq(std::span<const std::complex<double>> iq, std::vector<double>& re,
               std::vector<double>& im);
 
-/// complex_correlate_at on a split window.
-std::complex<double> complex_correlate_at(std::span<const double> re,
-                                          std::span<const double> im,
-                                          std::span<const double> tmpl,
-                                          std::size_t offset);
-
-/// sliding_complex_peak on a split window.
-ComplexCorrelationPeak sliding_complex_peak(std::span<const double> re,
-                                            std::span<const double> im,
-                                            std::span<const double> tmpl,
-                                            std::size_t search_begin,
-                                            std::size_t search_end);
-
 // --- chip-folded kernels ---
 //
 // Every detection template is an upsampled chip sequence: `samples_per_chip`
@@ -120,12 +86,14 @@ ComplexCorrelationPeak sliding_complex_peak(std::span<const double> re,
 // user-detection search where many lags and many codes share one window.
 
 /// Per-chip partial sums of `x`: out[i] = x[i] + … + x[i+spc−1], resized to
-/// x.size() − spc + 1 (empty if x is shorter than one chip).
+/// x.size() − spc + 1 (empty if x is shorter than one chip). `out` must not
+/// share storage with `x` (checked: std::invalid_argument).
 void fold_chip_sums(std::span<const double> x, std::size_t samples_per_chip,
                     std::vector<double>& out);
 
 /// Recompute fold entries [begin, end) after `x` changed in place (the SIC
-/// residual update). Bounds are clamped to the fold's size.
+/// residual update). Bounds are clamped to the fold's size; as for
+/// fold_chip_sums, `out` must not overlap `x`.
 void refold_chip_sums(std::span<const double> x, std::size_t samples_per_chip,
                       std::size_t begin, std::size_t end, std::vector<double>& out);
 

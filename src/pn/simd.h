@@ -1,54 +1,26 @@
-// Runtime-dispatched SIMD kernels for the chip-rate split re/im hot loops
-// (DESIGN.md §9.2). fold_sums has one scalar and one AVX2 variant; the
-// active one is chosen once per process from CPUID, the CBMA_FORCE_SCALAR
-// environment variable, and the CBMA_FORCE_SCALAR compile definition.
-// folded_dots and period_dots run one interleaved scalar body on every
-// path: their AVX2 variants made a receiver op faster, but the host's slow
-// spells then swung its rate so far between runs that the gate benchmark
-// could no longer compare them.
+// The chip-rate split re/im hot loops of the receiver (DESIGN.md §9.2).
+// Each kernel has one portable body, built once for the baseline ISA; none
+// is chosen at runtime.
 //
-// The dispatch contract is **bit-exactness**: both variants of every kernel
-// produce bit-identical outputs. This is achievable (and tested, see
-// tests/pn_simd_test.cpp) because every kernel here vectorizes across
-// *independent output elements* — each output's floating-point accumulation
-// order is the same in both variants, lanes never sum across each other,
-// and the translation unit is compiled with FP contraction off so the
-// scalar fallback cannot silently fuse into FMAs the vector path does not
-// use. Bit-exactness is what lets the receiver keep its byte-identical
-// bench/JSON guarantees regardless of which ISA the host dispatches to.
+// Every kernel gives each output its own accumulation in a fixed order (the
+// order documented per kernel below), never summing across outputs, and
+// the translation unit is compiled with FP contraction off, so an output is
+// the same double whatever the compiler vectorizes and whichever -march or
+// FMA flags the rest of the build uses. tests/pn_simd_test.cpp pins every
+// kernel bit for bit against the plain per-output loop.
 #pragma once
 
 #include <cstddef>
 
 namespace cbma::pn::simd {
 
-enum class Isa {
-  kScalar,
-  kAvx2,
-};
-
-/// Stable label for logs and tests ("scalar", "avx2").
-const char* isa_name(Isa isa);
-
-/// The ISA the kernels below currently dispatch to. Resolved on first call
-/// from compile flags, CPUID and CBMA_FORCE_SCALAR; overridable afterwards
-/// with set_force_scalar().
-Isa active_isa();
-
-/// Test hook: true pins the scalar variants regardless of CPU support;
-/// false re-enables CPU detection (still subject to the compile-time
-/// CBMA_FORCE_SCALAR definition, which removes the AVX2 variants entirely).
-void set_force_scalar(bool force);
-
-/// Whether the AVX2 variants exist in this build and on this CPU (ignores
-/// the force-scalar override — i.e. whether set_force_scalar(false) would
-/// dispatch to AVX2).
-bool avx2_supported();
-
-/// out[i] = x[i] + x[i+1] + … + x[i+spc−1] for i in [0, count).
-/// `x` must expose count + spc − 1 readable elements. Per-output summation
-/// order is ascending j in both variants.
-void fold_sums(const double* x, std::size_t count, std::size_t spc, double* out);
+/// out[i] = x[i] + x[i+1] + … + x[i+spc−1] for i in [0, count), summed in
+/// ascending j. `x` must expose count + spc − 1 readable elements, and
+/// `out` must not overlap them (checked: std::invalid_argument) — the body
+/// runs spc passes over `out`, which the compiler vectorizes only because
+/// the two ranges are declared disjoint.
+void fold_sums(const double* __restrict x, std::size_t count, std::size_t spc,
+               double* __restrict out);
 
 /// Chip-folded sliding dot products, one output per lag:
 ///   out[k] = Σ_c fold[k + c·spc] · tmpl[c],  k in [0, n_lags)

@@ -35,12 +35,6 @@ Decoder::Decoder(pn::PnCode code, std::size_t preamble_bits,
   bit_template_ = pn::mean_removed_template(code_, samples_per_chip_);
 }
 
-double Decoder::decode_bit_soft(std::span<const std::complex<double>> iq,
-                                std::size_t offset, double phase) const {
-  const auto corr = pn::complex_correlate_at(iq, bit_template_, offset);
-  return corr.real() * std::cos(phase) + corr.imag() * std::sin(phase);
-}
-
 DecodedFrame Decoder::decode(std::span<const std::complex<double>> iq,
                              std::size_t preamble_offset, double phase0) const {
   std::vector<double> re, im;

@@ -42,11 +42,6 @@ class Decoder {
 
   const pn::PnCode& code() const { return code_; }
 
-  /// Coherent soft value of one bit period at `offset`, projected onto
-  /// carrier phase `phase` (positive → '1').
-  double decode_bit_soft(std::span<const std::complex<double>> iq, std::size_t offset,
-                         double phase) const;
-
   /// Decode the whole frame whose *preamble* starts at `preamble_offset`,
   /// starting from carrier phase estimate `phase0` (from user detection).
   /// Reads the length field first, then exactly the advertised body.

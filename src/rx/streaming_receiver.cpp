@@ -310,7 +310,6 @@ void StreamingReceiver::emit_segment(std::uint64_t rearm_pos) {
       probe::record_link_quality(sample);
     }
   }
-  ++reports_emitted_;
   ++reports_since_mark_;
   if (sink_) {
     sink_(std::move(report_));

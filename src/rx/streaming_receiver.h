@@ -64,16 +64,11 @@ class StreamingReceiver {
 
   // --- session statistics ---
   std::uint64_t samples_consumed() const { return pos_; }
-  std::uint64_t reports_emitted() const { return reports_emitted_; }
   /// Resident ring storage (samples + sync prefix) — the O(window) bound
   /// BM_StreamingRx proves stays flat as the stream grows.
   std::size_t ring_bytes() const;
   /// ring_bytes() plus the reusable attempt-window copies and scratch.
   std::size_t resident_bytes() const;
-  /// Lookahead retained past a sync trigger before its window is finalized
-  /// (derived from the detect search window and the longest decodable
-  /// frame under ReceiverConfig::max_payload_bytes).
-  std::size_t lookahead_samples() const { return need_ahead_; }
 
  private:
   void advance(bool end_of_stream);
@@ -101,7 +96,6 @@ class StreamingReceiver {
   bool collecting_ = false;   ///< a trigger is waiting for its lookahead
   std::uint64_t trigger_ = 0;
 
-  std::uint64_t reports_emitted_ = 0;
   std::uint64_t reports_since_mark_ = 0;  ///< since last flush/reset
 
   // Reusable attempt buffers (the pre-streaming receiver scratch, folded in).

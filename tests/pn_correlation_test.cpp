@@ -54,66 +54,6 @@ TEST(MeanRemovedTemplate, RejectsZeroUpsampling) {
   EXPECT_THROW(mean_removed_template(msequence_code(3), 0), std::invalid_argument);
 }
 
-TEST(CorrelateAt, ExactMatchGivesEnergy) {
-  const std::vector<double> tmpl{1.0, -1.0, 1.0};
-  const std::vector<double> signal{0.0, 1.0, -1.0, 1.0, 0.0};
-  EXPECT_DOUBLE_EQ(correlate_at(signal, tmpl, 1), 3.0);
-}
-
-TEST(CorrelateAt, OutOfRangeIsZero) {
-  const std::vector<double> tmpl{1.0, 1.0};
-  const std::vector<double> signal{1.0};
-  EXPECT_DOUBLE_EQ(correlate_at(signal, tmpl, 0), 0.0);
-  EXPECT_DOUBLE_EQ(correlate_at(signal, {}, 2), 0.0);
-}
-
-TEST(NormalizedCorrelation, PerfectMatchIsOne) {
-  const auto code = msequence_code(5);
-  const auto tmpl = mean_removed_template(code);
-  // Signal = scaled unipolar chips + constant offset; the mean-removed
-  // normalized correlation must still be 1.
-  std::vector<double> signal;
-  signal.reserve(code.length());
-  for (const auto c : code.chips()) signal.push_back(5.0 * c + 3.0);
-  EXPECT_NEAR(normalized_correlation_at(signal, tmpl, 0), 1.0, 1e-9);
-}
-
-TEST(NormalizedCorrelation, InvertedMatchIsMinusOne) {
-  const auto code = msequence_code(5);
-  const auto tmpl = mean_removed_template(code);
-  std::vector<double> signal;
-  for (const auto c : code.chips()) signal.push_back(c ? -1.0 : 1.0);
-  EXPECT_NEAR(normalized_correlation_at(signal, tmpl, 0), -1.0, 1e-9);
-}
-
-TEST(NormalizedCorrelation, FlatSignalIsZero) {
-  const auto code = msequence_code(5);
-  const auto tmpl = mean_removed_template(code);
-  const std::vector<double> signal(code.length(), 7.0);
-  EXPECT_DOUBLE_EQ(normalized_correlation_at(signal, tmpl, 0), 0.0);
-}
-
-TEST(SlidingPeak, FindsEmbeddedCode) {
-  const auto code = msequence_code(5);
-  const auto tmpl = mean_removed_template(code, 2);
-  std::vector<double> signal(200, 0.0);
-  const std::size_t true_offset = 57;
-  for (std::size_t i = 0; i < code.length(); ++i) {
-    for (std::size_t s = 0; s < 2; ++s) {
-      signal[true_offset + 2 * i + s] = code.chip(i) ? 2.0 : 0.0;
-    }
-  }
-  const auto peak = sliding_peak(signal, tmpl, 0, 120);
-  EXPECT_EQ(peak.offset, true_offset);
-  EXPECT_NEAR(peak.value, 1.0, 1e-9);
-}
-
-TEST(SlidingPeak, RejectsInvertedWindow) {
-  const std::vector<double> signal(10, 0.0);
-  const std::vector<double> tmpl{1.0};
-  EXPECT_THROW(sliding_peak(signal, tmpl, 5, 2), std::invalid_argument);
-}
-
 TEST(ComplexCorrelateAt, PhaseRecovered) {
   const auto code = msequence_code(5);
   const auto tmpl = mean_removed_template(code);

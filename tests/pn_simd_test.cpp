@@ -1,16 +1,15 @@
-// The SIMD dispatch contract (pn/simd.h): every kernel's AVX2 and scalar
-// variants are bit-identical, and the dispatch switch actually selects each
-// path. On hosts without AVX2 (or builds with CBMA_FORCE_SCALAR defined)
-// the cross-variant tests collapse to scalar-vs-scalar and pass trivially.
+// The kernel contract (pn/simd.h): every kernel's output equals, bit for
+// bit, the plain per-output loop in its documented order, and fold_sums
+// refuses an output that overlaps its input.
 #include "pn/simd.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <string>
+#include <stdexcept>
 #include <vector>
 
-#include "simd_paths.h"
+#include "pn/correlation.h"
 #include "util/rng.h"
 
 namespace cbma::pn::simd {
@@ -22,24 +21,11 @@ std::vector<double> random_vector(std::size_t n, Rng& rng) {
   return v;
 }
 
-TEST(Simd, IsaNamesAreStable) {
-  EXPECT_STREQ(isa_name(Isa::kScalar), "scalar");
-  EXPECT_STREQ(isa_name(Isa::kAvx2), "avx2");
-}
-
-TEST(Simd, ForceScalarPinsDispatch) {
-  {
-    const ForceScalarGuard guard(true);
-    EXPECT_EQ(active_isa(), Isa::kScalar);
-  }
-  // After the guard, dispatch follows CPU support again.
-  EXPECT_EQ(active_isa(), avx2_supported() ? Isa::kAvx2 : Isa::kScalar);
-}
-
 TEST(Simd, FoldSumsMatchesReference) {
   Rng rng(1);
   for (const std::size_t spc : {1u, 2u, 4u, 7u}) {
-    for (const std::size_t count : {1u, 3u, 4u, 5u, 64u, 1001u}) {
+    // 1050 and 2020 are the per-call sizes of the gate workloads.
+    for (const std::size_t count : {1u, 3u, 4u, 5u, 64u, 1001u, 1050u, 2020u}) {
       const auto x = random_vector(count + spc - 1, rng);
       std::vector<double> got(count, 0.0);
       fold_sums(x.data(), count, spc, got.data());
@@ -47,32 +33,26 @@ TEST(Simd, FoldSumsMatchesReference) {
         double want = x[i];
         for (std::size_t j = 1; j < spc; ++j) want += x[i + j];
         // Reference accumulates in the same ascending-j order, so equality
-        // is exact on every dispatch path.
+        // is exact.
         EXPECT_EQ(got[i], want) << "spc=" << spc << " i=" << i;
       }
     }
   }
 }
 
-/// The bit-exactness contract: the scalar and dispatched (possibly AVX2)
-/// variants produce byte-identical outputs, forcing each path explicitly.
-TEST(Simd, FoldSumsBitIdenticalAcrossDispatchPaths) {
-  Rng rng(3);
-  for (const std::size_t spc : {1u, 3u, 4u, 8u}) {
-    const std::size_t count = 1003;  // not a multiple of the vector width
-    const auto x = random_vector(count + spc - 1, rng);
-    std::vector<double> scalar_out(count), native_out(count);
-    {
-      const ForceScalarGuard guard(true);
-      ASSERT_EQ(active_isa(), Isa::kScalar);
-      fold_sums(x.data(), count, spc, scalar_out.data());
-    }
-    fold_sums(x.data(), count, spc, native_out.data());
-    EXPECT_EQ(std::memcmp(scalar_out.data(), native_out.data(),
-                          count * sizeof(double)),
-              0)
-        << "spc=" << spc << " native isa=" << isa_name(active_isa());
-  }
+/// The body declares `x` and `out` disjoint (__restrict); an overlapping
+/// call throws instead of reading what it has already written.
+TEST(Simd, FoldSumsRejectsOverlappingOutput) {
+  std::vector<double> v(128, 1.0);
+  // out starts inside x's reach of 35, x starts inside out, and in place.
+  EXPECT_THROW(fold_sums(v.data(), 32, 4, v.data() + 34), std::invalid_argument);
+  EXPECT_THROW(fold_sums(v.data() + 8, 32, 4, v.data()), std::invalid_argument);
+  EXPECT_THROW(fold_sums(v.data(), 32, 1, v.data()), std::invalid_argument);
+  // In place through the span API: refold into the folded vector itself.
+  EXPECT_THROW(refold_chip_sums(v, 4, 0, 8, v), std::invalid_argument);
+  // Adjacent ranges share no element: x reaches v[34], out starts at v[35].
+  EXPECT_NO_THROW(fold_sums(v.data(), 32, 4, v.data() + 35));
+  EXPECT_NO_THROW(fold_sums(v.data() + 29, 29, 4, v.data()));
 }
 
 /// Byte equality of two vectors (memcmp on empty vectors would pass null).
@@ -83,8 +63,7 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
 
 TEST(Simd, FoldedDotsMatchPerLagReference) {
   // n_lags 0–19 straddle the 4-lag interleave and its tail; each lag must
-  // equal the one-accumulator loop it replaced, bit for bit. The kernel has
-  // one body on every dispatch path (simd.h).
+  // equal the one-accumulator loop it replaced, bit for bit.
   Rng rng(5);
   for (const std::size_t spc : {1u, 2u, 3u, 4u, 5u}) {
     for (const std::size_t n_chips : {1u, 7u, 33u}) {

@@ -9,7 +9,6 @@
 #include "phy/tag.h"
 #include "pn/correlation.h"
 #include "rfsim/channel.h"
-#include "simd_paths.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -276,27 +275,24 @@ TEST(Decoder, BatchedCorrelationsMatchPerBitReference) {
   const std::size_t spb = dec.samples_per_bit();
   const std::size_t body_start = preamble_offset() + kPreambleBits * spb;
   const std::size_t frame_bits = 8 * (payload.size() + 4);
-  pn::simd::on_both_paths([&](bool scalar) {
-    const std::string path = scalar ? "scalar" : "native";
-    const auto full = dec.decode(re, im, preamble_offset(), 0.4);
-    ASSERT_TRUE(full.crc_ok) << path;
-    expect_same_decode(full, per_bit_decode(dec, re, im, preamble_offset(), 0.4),
-                       path + " full window");
-    // Windows cut at every bit boundary ±1 sample, through the length
-    // byte and the body: the truncated prefix must match too.
-    for (std::size_t b = 0; b <= frame_bits + 1; ++b) {
-      for (const int delta : {-1, 0, 1}) {
-        const std::size_t cut = body_start + b * spb + delta;
-        if (cut > re.size()) continue;
-        const std::span<const double> cre(re.data(), cut);
-        const std::span<const double> cim(im.data(), cut);
-        expect_same_decode(dec.decode(cre, cim, preamble_offset(), 0.4),
-                           per_bit_decode(dec, cre, cim, preamble_offset(), 0.4),
-                           path + " cut at bit " + std::to_string(b) + " " +
-                               std::to_string(delta));
-      }
+  const auto full = dec.decode(re, im, preamble_offset(), 0.4);
+  ASSERT_TRUE(full.crc_ok);
+  expect_same_decode(full, per_bit_decode(dec, re, im, preamble_offset(), 0.4),
+                     "full window");
+  // Windows cut at every bit boundary ±1 sample, through the length
+  // byte and the body: the truncated prefix must match too.
+  for (std::size_t b = 0; b <= frame_bits + 1; ++b) {
+    for (const int delta : {-1, 0, 1}) {
+      const std::size_t cut = body_start + b * spb + delta;
+      if (cut > re.size()) continue;
+      const std::span<const double> cre(re.data(), cut);
+      const std::span<const double> cim(im.data(), cut);
+      expect_same_decode(dec.decode(cre, cim, preamble_offset(), 0.4),
+                         per_bit_decode(dec, cre, cim, preamble_offset(), 0.4),
+                         "cut at bit " + std::to_string(b) + " " +
+                             std::to_string(delta));
     }
-  });
+  }
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "pn/code.h"
 #include "pn/correlation.h"
 #include "rfsim/channel.h"
-#include "simd_paths.h"
 #include "util/probe.h"
 #include "util/rng.h"
 
@@ -388,30 +387,27 @@ TEST(UserDetector, ReachWindowMatchesWholeWindow) {
           start + 9, start + back, re.size() / 2, size - 1, size, size + 100}) {
       const std::span<const double> wre(re.data(), size);
       const std::span<const double> wim(im.data(), size);
-      pn::simd::on_both_paths([&](bool scalar) {
-        const std::string where = "size " + std::to_string(size) + " coarse " +
-                                  std::to_string(coarse) +
-                                  (scalar ? " scalar" : " native");
-        Profiles want_profiles;
-        const auto want =
-            whole_window_detect(cfg, codes, wre, wim, coarse, want_profiles);
-        probe::reset();
-        UserDetector::Scratch scratch;
-        expect_same_users(det.detect(DetectionInput{wre, wim, coarse}, scratch),
-                          want, where);
-        const auto capture = probe::snapshot();
-        Profiles got_profiles(codes.size());
-        for (const auto& rec : capture.taps) {
-          if (rec.tap == probe::Tap::kCorrelationProfile) {
-            got_profiles.at(rec.context) = rec.data;
-          }
+      const std::string where =
+          "size " + std::to_string(size) + " coarse " + std::to_string(coarse);
+      Profiles want_profiles;
+      const auto want =
+          whole_window_detect(cfg, codes, wre, wim, coarse, want_profiles);
+      probe::reset();
+      UserDetector::Scratch scratch;
+      expect_same_users(det.detect(DetectionInput{wre, wim, coarse}, scratch),
+                        want, where);
+      const auto capture = probe::snapshot();
+      Profiles got_profiles(codes.size());
+      for (const auto& rec : capture.taps) {
+        if (rec.tap == probe::Tap::kCorrelationProfile) {
+          got_profiles.at(rec.context) = rec.data;
         }
-        // |correlation| is never −0, so == on the values is bitwise.
-        EXPECT_EQ(got_profiles, want_profiles) << where;
-        if (size == re.size() && coarse == start) {
-          EXPECT_EQ(want.size(), 3u) << where;  // SIC ran three rounds
-        }
-      });
+      }
+      // |correlation| is never −0, so == on the values is bitwise.
+      EXPECT_EQ(got_profiles, want_profiles) << where;
+      if (size == re.size() && coarse == start) {
+        EXPECT_EQ(want.size(), 3u) << where;  // SIC ran three rounds
+      }
     }
   }
   probe::set_enabled(false);

@@ -16,7 +16,6 @@
 
 #include "core/metrics_plane.h"
 #include "core/system.h"
-#include "util/profiler.h"
 #include "net/network.h"
 #include "phy/spreader.h"
 #include "pn/correlation.h"
@@ -396,16 +395,15 @@ enum class ArmedPlane { kNone, kMetrics, kProfile };
 void run_net_multicell_round(benchmark::State& state, ArmedPlane armed) {
   const bool telemetry_was_on = telemetry::enabled();
   const bool metrics_was_on = metrics::enabled();
-  const bool profiler_was_on = profiler::enabled();
+  const bool profile_was_on = telemetry::profile_enabled();
   const std::string metrics_path = metrics::export_path();
   if (armed == ArmedPlane::kMetrics) {
     metrics::set_export_path("");
     core::MetricsPlane::enable();
-    core::MetricsPlane::set_cadence(1);
     core::MetricsPlane::reset();
   } else if (armed == ArmedPlane::kProfile) {
-    profiler::set_enabled(true);
-    profiler::reset();
+    telemetry::set_profile_enabled(true);
+    telemetry::reset();
   }
 
   const auto side = static_cast<std::size_t>(state.range(0));
@@ -433,10 +431,10 @@ void run_net_multicell_round(benchmark::State& state, ArmedPlane armed) {
     core::MetricsPlane::reset();
     metrics::set_export_path(metrics_path);
   } else if (armed == ArmedPlane::kProfile) {
-    profiler::reset();
+    telemetry::reset();
   }
   metrics::set_enabled(metrics_was_on);
-  profiler::set_enabled(profiler_was_on);
+  telemetry::set_profile_enabled(profile_was_on);
   telemetry::set_enabled(telemetry_was_on);
 }
 

@@ -15,8 +15,8 @@
 #include <string>
 
 #include "common.h"
-#include "core/metrics_plane.h"
 #include "net/network.h"
+#include "util/metrics.h"
 #include "util/table.h"
 
 using namespace cbma;
@@ -94,8 +94,7 @@ int main() {
 
   // CBMA_METRICS=<path>: one window per network round, so the per-cell
   // goodput/outcome series chart every round of the sweep (the net::
-  // layer publishes the samples; this bench only picks the cadence).
-  if (core::MetricsPlane::enabled()) core::MetricsPlane::set_cadence(1);
+  // layer publishes the samples and closes the windows).
 
   // Grid points run sequentially; each network round parallelizes across
   // its cells (worker-count independent by the net:: determinism contract).
@@ -128,11 +127,10 @@ int main() {
         const std::string cond = "cond=" + std::to_string(side) + "x" +
                                  std::to_string(side) + "/t" +
                                  std::to_string(tpc);
-        core::MetricsPlane::record_value("bench.goodput_mbps", cond,
-                                         out.goodput_mbps, "Mbps");
-        core::MetricsPlane::record_value("bench.network_fer", cond, out.fer);
-        core::MetricsPlane::record_value("bench.tags_roamed", cond,
-                                         static_cast<double>(out.roamed));
+        metrics::push("bench.goodput_mbps", cond, out.goodput_mbps, "Mbps");
+        metrics::push("bench.network_fer", cond, out.fer);
+        metrics::push("bench.tags_roamed", cond,
+                      static_cast<double>(out.roamed));
       },
       /*workers=*/1);
 

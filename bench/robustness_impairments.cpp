@@ -20,6 +20,7 @@
 #include "mac/arq.h"
 #include "mac/throughput.h"
 #include "phy/frame.h"
+#include "util/metrics.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -234,8 +235,7 @@ int main() {
   // above runs parallel, which the plane's tick() contract forbids) —
   // per-window PRR and decode-outcome series under "cond=duty<d>/ppm<p>"
   // scopes, across the dropout axis at the drift extremes.
-  if (core::MetricsPlane::enabled()) {
-    core::MetricsPlane::set_cadence(1);
+  if (metrics::enabled()) {
     constexpr std::size_t kWindows = 6;
     const std::size_t packets_per_window =
         std::max<std::size_t>(1, n_packets / 30);
@@ -260,14 +260,14 @@ int main() {
         for (std::size_t w = 0; w < kWindows; ++w) {
           const auto stats = sys.run_packets(packets_per_window, rng);
           const auto sent_w = stats.total_sent();
-          core::MetricsPlane::record_value(
+          metrics::push(
               "bench.prr", scope,
               sent_w > 0 ? static_cast<double>(stats.total_acked()) /
                                static_cast<double>(sent_w)
                          : 0.0);
           for (std::size_t o = 0; o < stats.outcomes.size(); ++o) {
             if (stats.outcomes[o] == 0) continue;
-            core::MetricsPlane::record_value(
+            metrics::push(
                 std::string("rx.outcome.") +
                     rx::to_string(static_cast<rx::DecodeOutcome>(o)),
                 scope, static_cast<double>(stats.outcomes[o]));

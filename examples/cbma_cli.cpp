@@ -26,8 +26,8 @@
 #include "mac/throughput.h"
 #include "net/network.h"
 #include "util/parallel.h"
-#include "util/profiler.h"
 #include "util/table.h"
+#include "util/telemetry.h"
 #include "util/units.h"
 
 using namespace cbma;
@@ -165,10 +165,10 @@ bool parse(int argc, char** argv, CliOptions& opt) {
 }
 
 // With --profile: where did the time go — top-10 caller paths by exclusive
-// time out of the profiler's attribution tree. The flamegraph file that
+// time out of the span recorder's attribution tree. The flamegraph file that
 // CBMA_PROFILE=<path> asks for is written with the other artifacts.
 void print_profile_report() {
-  if (!profiler::enabled()) return;
+  if (!telemetry::profile_enabled()) return;
   const auto rows = core::ProfilePlane::top_exclusive(10);
   Table table({"caller path", "count", "incl ms", "excl ms"});
   for (const auto& row : rows) {

@@ -13,8 +13,6 @@ namespace {
 /// Sequential-context state: tick()/reset() are only legal while no
 /// telemetry worker is recording, so plain fields suffice.
 struct PlaneState {
-  std::size_t cadence = 1;
-  std::uint64_t rounds = 0;
   std::array<std::uint64_t, telemetry::kCounterCount> prev_counters{};
   std::array<telemetry::SpanHistogram, telemetry::kSpanCount> prev_spans{};
 };
@@ -50,8 +48,6 @@ void push_span_window(const char* span, const telemetry::SpanHistogram& cur,
 
 }  // namespace
 
-bool MetricsPlane::enabled() { return metrics::enabled(); }
-
 void MetricsPlane::enable(std::string prometheus_path) {
   metrics::set_enabled(true);
   if (!prometheus_path.empty()) {
@@ -63,22 +59,13 @@ void MetricsPlane::enable(std::string prometheus_path) {
 void MetricsPlane::reset() {
   metrics::reset();
   auto& s = state();
-  s.rounds = 0;
   s.prev_counters = {};
   s.prev_spans = {};
 }
 
-void MetricsPlane::set_cadence(std::size_t rounds) {
-  state().cadence = rounds == 0 ? 1 : rounds;
-}
-
-std::size_t MetricsPlane::cadence() { return state().cadence; }
-
 void MetricsPlane::tick() {
-  if (!enabled()) return;
+  if (!metrics::enabled()) return;
   auto& s = state();
-  ++s.rounds;
-  if (s.rounds % s.cadence != 0) return;
 
   // Telemetry counters: per-window deltas of the merged totals. A counter
   // appears once it has ever fired, so quiet windows still chart as 0.
@@ -107,7 +94,7 @@ void MetricsPlane::tick() {
 }
 
 void MetricsPlane::record_cell(const CellSample& sample) {
-  if (!enabled()) return;
+  if (!metrics::enabled()) return;
   const std::string scope = "cell=" + std::to_string(sample.cell_id);
   metrics::push("net.cell.goodput_bps", scope, sample.goodput_bps, "bps");
   metrics::push("net.cell.fer", scope, sample.frame_error_rate);
@@ -133,26 +120,13 @@ void MetricsPlane::record_cell(const CellSample& sample) {
   }
 }
 
-void MetricsPlane::record_value(std::string_view name, std::string_view scope,
-                                double value, std::string_view unit) {
-  if (!enabled()) return;
-  metrics::push(name, scope, value, unit);
-}
-
-void MetricsPlane::record_event(metrics::Severity severity,
-                                std::string_view type, std::string_view scope,
-                                double value, std::string_view detail) {
-  if (!enabled()) return;
-  metrics::push_event(severity, type, scope, value, detail);
-}
-
 void MetricsPlane::write_json_section(util::JsonWriter& w) {
   const metrics::Snapshot snap = metrics::snapshot();
 
   w.key("timeseries").begin_object();
   w.key("windows").value(snap.windows);
   w.key("window_capacity")
-      .value(static_cast<std::uint64_t>(metrics::window_capacity()));
+      .value(static_cast<std::uint64_t>(metrics::kWindowCapacity));
   w.key("dropped").begin_object();
   w.key("points").value(snap.dropped_points);
   w.key("series").value(snap.dropped_series);
@@ -193,7 +167,7 @@ void MetricsPlane::write_json_section(util::JsonWriter& w) {
 }
 
 bool MetricsPlane::write_prometheus_if_requested() {
-  if (!enabled()) return true;
+  if (!metrics::enabled()) return true;
   const std::string path = metrics::export_path();
   if (path.empty()) return true;
   return metrics::write_prometheus(path);

@@ -1,9 +1,11 @@
-// MetricsPlane: the sampling cadence + export half of the metrics plane
-// (DESIGN.md §12). util/metrics owns the bounded storage; this facade owns
-// *when* samples are taken and *what* they mean:
+// MetricsPlane: the windowing + export half of the metrics plane
+// (DESIGN.md §12). util/metrics owns the bounded storage and the recording
+// entry points (metrics::push / push_event, strict no-ops while the plane
+// is off); this facade owns *when* windows close and *what* the derived
+// series mean:
 //
 //  - tick() is called once per round from a sequential context (after any
-//    parallel_for has joined). Every `cadence` rounds it closes a window:
+//    parallel_for has joined) and closes one window:
 //    telemetry counter totals become per-window deltas, span histograms
 //    become per-window count/mean/p50/p90/p99 series (computed from the
 //    histogram *delta*, so each window's percentiles cover only that
@@ -12,8 +14,6 @@
 //  - record_cell() attributes one cell's round result to scope "cell=<id>"
 //    — goodput, FER, code-slice occupancy, per-outcome decode tallies and
 //    the link-quality rollup.
-//  - record_event() feeds the bounded structured event log (roam,
-//    code_slice_overflow, watchdog, decode_failure, ...).
 //
 // Same identity contract as telemetry/probe: when disabled (CBMA_METRICS
 // unset and no enable() call) every entry point returns before touching
@@ -26,7 +26,6 @@
 #include <array>
 #include <cstddef>
 #include <string>
-#include <string_view>
 
 #include "core/metrics.h"
 #include "util/metrics.h"
@@ -53,10 +52,6 @@ class MetricsPlane {
     rx::LinkQualityRollup quality;
   };
 
-  /// True when the plane is live (metrics::enabled(): CBMA_METRICS or
-  /// enable()).
-  static bool enabled();
-
   /// Turn the plane on, and util/telemetry with it so the counter/span
   /// series have a source; a non-empty path becomes the Prometheus
   /// exposition target (equivalent to CBMA_METRICS=<path>, which arms
@@ -64,28 +59,15 @@ class MetricsPlane {
   /// metrics::set_enabled(false); telemetry stays on.
   static void enable(std::string prometheus_path = "");
 
-  /// Drop all recorded series/events and the plane's round counter +
-  /// telemetry baselines. Cadence and the enabled flag are unchanged.
+  /// Drop all recorded series/events and the plane's telemetry
+  /// baselines. The enabled flag is unchanged.
   static void reset();
 
-  /// Rounds per window (default 1). 0 is clamped to 1.
-  static void set_cadence(std::size_t rounds);
-  static std::size_t cadence();
-
   /// Per-round heartbeat — MUST be called from a sequential context (no
-  /// telemetry workers recording). Closes a window at each cadence
-  /// boundary.
+  /// telemetry workers recording). Closes one window per call.
   static void tick();
 
   static void record_cell(const CellSample& sample);
-
-  /// Generic sample into (name, scope) at the current window.
-  static void record_value(std::string_view name, std::string_view scope,
-                           double value, std::string_view unit = {});
-
-  static void record_event(metrics::Severity severity, std::string_view type,
-                           std::string_view scope, double value,
-                           std::string_view detail);
 
   /// Emit the "timeseries" + "events" sections into an open JSON object
   /// (the plane table calls this only when enabled).

@@ -4,7 +4,7 @@
 #include "core/probe_session.h"
 #include "core/profile_plane.h"
 #include "core/telemetry.h"
-#include "util/profiler.h"
+#include "util/telemetry.h"
 
 namespace cbma::core {
 
@@ -14,10 +14,10 @@ const std::array<ObservabilityPlane, 4>& observability_planes() {
        Telemetry::write_trace_if_requested, telemetry::reset},
       {"probe", probe::enabled, ProbeSession::write_json_section,
        ProbeSession::write_dump_if_requested, probe::reset},
-      {"metrics", MetricsPlane::enabled, MetricsPlane::write_json_section,
+      {"metrics", metrics::enabled, MetricsPlane::write_json_section,
        MetricsPlane::write_prometheus_if_requested, MetricsPlane::reset},
-      {"profile", profiler::enabled, ProfilePlane::write_json_section,
-       ProfilePlane::write_collapsed_if_requested, profiler::reset},
+      {"profile", telemetry::profile_enabled, ProfilePlane::write_json_section,
+       ProfilePlane::write_collapsed_if_requested, telemetry::reset},
   }};
   return planes;
 }

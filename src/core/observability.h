@@ -23,7 +23,9 @@ struct ObservabilityPlane {
   /// Write the plane's export file if one is requested; true when nothing
   /// was requested or the write succeeded.
   bool (*write_artifact_if_requested)();
-  /// Drop everything the plane recorded; switches stay as they are.
+  /// Drop everything the plane recorded; switches stay as they are. The
+  /// telemetry and profile rows share one span recorder, so either one
+  /// clears both of its views.
   void (*reset)();
 };
 

@@ -5,7 +5,6 @@
 
 #include "util/atomic_file.h"
 #include "util/json.h"
-#include "util/profiler.h"
 #include "util/telemetry.h"
 
 namespace cbma::core {
@@ -15,7 +14,7 @@ namespace {
 /// Depth-first flatten of the merged tree into ";"-joined caller-path rows
 /// (the collapsed-stack frame order: outermost first). Span names use "/"
 /// internally, so ";" is an unambiguous frame separator.
-void flatten(const profiler::MergedNode& node, const std::string& prefix,
+void flatten(const telemetry::MergedNode& node, const std::string& prefix,
              std::vector<ProfilePlane::Row>& out) {
   ProfilePlane::Row row;
   row.path = prefix.empty()
@@ -29,13 +28,13 @@ void flatten(const profiler::MergedNode& node, const std::string& prefix,
 }
 
 std::vector<ProfilePlane::Row> flatten_tree() {
-  const profiler::TreeSnapshot snap = profiler::merged_tree();
+  const telemetry::TreeSnapshot snap = telemetry::merged_tree();
   std::vector<ProfilePlane::Row> rows;
   for (const auto& root : snap.roots) flatten(root, "", rows);
   return rows;
 }
 
-void write_node(util::JsonWriter& w, const profiler::MergedNode& node) {
+void write_node(util::JsonWriter& w, const telemetry::MergedNode& node) {
   w.begin_object();
   w.key("span").value(telemetry::span_name(node.span));
   w.key("count").value(node.count);
@@ -51,9 +50,9 @@ void write_node(util::JsonWriter& w, const profiler::MergedNode& node) {
 }  // namespace
 
 void ProfilePlane::enable(std::string collapsed_path) {
-  profiler::set_enabled(true);
+  telemetry::set_profile_enabled(true);
   if (!collapsed_path.empty()) {
-    profiler::set_export_path(std::move(collapsed_path));
+    telemetry::set_profile_path(std::move(collapsed_path));
   }
 }
 
@@ -68,7 +67,7 @@ std::vector<ProfilePlane::Row> ProfilePlane::top_exclusive(std::size_t n) {
 }
 
 void ProfilePlane::write_json_section(util::JsonWriter& w) {
-  const profiler::TreeSnapshot snap = profiler::merged_tree();
+  const telemetry::TreeSnapshot snap = telemetry::merged_tree();
   w.key("profile").begin_object();
   w.key("threads").value(static_cast<std::uint64_t>(snap.threads));
   w.key("dropped").value(snap.dropped);
@@ -76,7 +75,7 @@ void ProfilePlane::write_json_section(util::JsonWriter& w) {
   for (const auto& root : snap.roots) write_node(w, root);
   w.end_array();
   w.key("parallel").begin_array();
-  for (const auto& site : profiler::parallel_stats()) {
+  for (const auto& site : telemetry::parallel_stats()) {
     w.begin_object();
     w.key("site").value(site.site);
     w.key("calls").value(site.calls);
@@ -120,8 +119,8 @@ std::string ProfilePlane::collapsed() {
 }
 
 bool ProfilePlane::write_collapsed_if_requested() {
-  if (!profiler::enabled()) return true;
-  const std::string path = profiler::export_path();
+  if (!telemetry::profile_enabled()) return true;
+  const std::string path = telemetry::profile_path();
   if (path.empty()) return true;
   return util::write_file_atomically(path, collapsed(), "profile");
 }

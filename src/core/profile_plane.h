@@ -1,6 +1,7 @@
-// ProfilePlane: the export half of the hierarchical profiler (DESIGN.md
-// §13). util/profiler owns the per-thread span stacks and the merged
-// caller-path tree; this facade owns what leaves the process:
+// ProfilePlane: the export half of the span recorder's tree view
+// (DESIGN.md §13). util/telemetry records the caller-path tree in its
+// per-thread sinks and merges it; this facade owns what leaves the
+// process:
 //
 //  - write_json_section() emits the "profile" section of BENCH_*.json —
 //    the attribution tree (count / inclusive / exclusive / same-thread
@@ -14,10 +15,11 @@
 //    cbma_cli --profile prints.
 //
 // Same identity contract as telemetry/probe/metrics: when disabled
-// (profiler::enabled() false) every entry point returns before touching
-// state, and BENCH_*.json stays byte-identical. Unlike the metrics plane,
-// enabling the profiler does NOT arm telemetry — the span sites feed the
-// tree directly, so the two layers stay independent.
+// (telemetry::profile_enabled() false) every entry point returns before
+// touching state, and BENCH_*.json stays byte-identical. Unlike the
+// metrics plane, enabling profiling does NOT arm the flat telemetry view —
+// each span feeds only the views that are on, so a profile-only run emits
+// no "telemetry" section.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +35,7 @@ namespace cbma::core {
 
 class ProfilePlane {
  public:
-  /// Turn the profiler on; a non-empty path becomes the collapsed-stack
+  /// Turn profiling on; a non-empty path becomes the collapsed-stack
   /// export target (equivalent to CBMA_PROFILE=<path>).
   static void enable(std::string collapsed_path = "");
 
@@ -60,7 +62,7 @@ class ProfilePlane {
   /// Values are exclusive nanoseconds.
   static std::string collapsed();
 
-  /// Write collapsed() to profiler::export_path(), if one is configured.
+  /// Write collapsed() to telemetry::profile_path(), if one is configured.
   /// No-op (true) when disabled or no path is set.
   static bool write_collapsed_if_requested();
 };

@@ -6,10 +6,10 @@
 #include <fstream>
 #include <system_error>
 
-#include "core/metrics_plane.h"
 #include "core/observability.h"
 #include "util/expect.h"
 #include "util/json.h"
+#include "util/metrics.h"
 #include "util/probe.h"
 
 namespace cbma::core {
@@ -85,9 +85,9 @@ std::size_t RunRecorder::run_watchdog(const std::vector<WatchdogRule>& rules) {
     std::fprintf(stderr, "watchdog: %s\n", warning.detail.c_str());
     // Watchdog firings double as structured events on the metrics plane
     // (no-op when it is off).
-    MetricsPlane::record_event(metrics::Severity::kWarning, "watchdog",
-                               "metric=" + warning.metric, warning.value,
-                               warning.detail);
+    metrics::push_event(metrics::Severity::kWarning, "watchdog",
+                        "metric=" + warning.metric, warning.value,
+                        warning.detail);
   }
   return warnings_.size();
 }

@@ -8,7 +8,6 @@
 
 #include "util/expect.h"
 #include "util/probe.h"
-#include "util/profiler.h"
 #include "util/telemetry.h"
 
 namespace cbma::core {
@@ -95,9 +94,10 @@ void SweepRunner::run(const std::function<void(const SweepPoint&)>& body,
         body(SweepPoint(spec_, flat));
       },
       workers, &stats);
-  // Worker-utilization report for the profiler (collected only while it
-  // is live; the pool has joined, so this is the sequential context).
-  if (stats.collected) profiler::record_parallel("sweep/run", stats);
+  // Worker-utilization report for the tree view (collected only while
+  // profiling is on; the pool has joined, so this is the sequential
+  // context).
+  if (stats.collected) telemetry::record_parallel("sweep/run", stats);
 }
 
 std::vector<WatchdogWarning> scan_sweep_anomalies(

@@ -8,7 +8,6 @@
 #include "rx/receiver.h"
 #include "util/expect.h"
 #include "util/parallel.h"
-#include "util/profiler.h"
 #include "util/telemetry.h"
 #include "util/units.h"
 
@@ -181,8 +180,8 @@ std::size_t Network::roam() {
       serving_[t] = best;
       ++moved;
       telemetry::count(telemetry::Counter::kNetTagRoams);
-      if (core::MetricsPlane::enabled()) {
-        core::MetricsPlane::record_event(
+      if (metrics::enabled()) {
+        metrics::push_event(
             metrics::Severity::kInfo, "roam",
             "cell=" + std::to_string(best), static_cast<double>(t),
             "tag " + std::to_string(t) + " roamed cell " +
@@ -271,9 +270,9 @@ NetworkRoundResult Network::run_round(std::uint64_t seed,
             config_.scheme, config_.packets_per_round, config_.fsa, rng);
       },
       max_workers, &stats);
-  // Worker utilization of the cell pass (profiler only; the pool joined,
+  // Worker utilization of the cell pass (profiling only; the pool joined,
   // so this runs in the sequential context record_parallel requires).
-  if (stats.collected) profiler::record_parallel("net/round", stats);
+  if (stats.collected) telemetry::record_parallel("net/round", stats);
 
   // 5. Aggregate: network goodput and Jain fairness over every tag
   //    (unserved tags score zero — fairness sees the capacity shortfall).
@@ -290,7 +289,7 @@ NetworkRoundResult Network::run_round(std::uint64_t seed,
 
   // 6. Metrics-plane attribution (strict no-op when the plane is off) —
   //    sequential by construction: the parallel cell pass above joined.
-  if (core::MetricsPlane::enabled()) publish_round(result);
+  if (metrics::enabled()) publish_round(result);
   return result;
 }
 
@@ -313,7 +312,7 @@ void Network::publish_round(const NetworkRoundResult& result) {
     if (cell.tags_total > cell.tags_served) {
       // More members than the cell's code-slice can serve: the capacity
       // shortfall the paper's reuse scheduler exists to avoid.
-      MetricsPlane::record_event(
+      metrics::push_event(
           metrics::Severity::kWarning, "code_slice_overflow", scope,
           static_cast<double>(cell.tags_total - cell.tags_served),
           std::to_string(cell.tags_total) + " members for " +
@@ -324,20 +323,17 @@ void Network::publish_round(const NetworkRoundResult& result) {
       if (outcome == rx::DecodeOutcome::kOk || cell.stats.outcomes[o] == 0) {
         continue;
       }
-      MetricsPlane::record_event(
+      metrics::push_event(
           metrics::Severity::kInfo, "decode_failure", scope,
           static_cast<double>(cell.stats.outcomes[o]), rx::to_string(outcome));
     }
   }
-  MetricsPlane::record_value("net.goodput_bps", {},
-                             result.aggregate_goodput_bps, "bps");
-  MetricsPlane::record_value("net.jain_fairness", {}, result.jain_fairness);
-  MetricsPlane::record_value("net.tags_served", {},
-                             static_cast<double>(result.tags_served));
-  MetricsPlane::record_value("net.tags_total", {},
-                             static_cast<double>(result.tags_total));
-  MetricsPlane::record_value("net.roamed", {},
-                             static_cast<double>(result.roamed));
+  metrics::push("net.goodput_bps", {}, result.aggregate_goodput_bps, "bps");
+  metrics::push("net.jain_fairness", {}, result.jain_fairness);
+  metrics::push("net.tags_served", {},
+                static_cast<double>(result.tags_served));
+  metrics::push("net.tags_total", {}, static_cast<double>(result.tags_total));
+  metrics::push("net.roamed", {}, static_cast<double>(result.roamed));
   MetricsPlane::tick();
 }
 

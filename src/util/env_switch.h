@@ -8,7 +8,7 @@
 // environment at any time after that first read.
 //
 // on() is one relaxed load, so ScopedSpan's off path (telemetry::enabled()
-// and profiler::enabled()) stays two relaxed loads. Each plane owns its
+// and telemetry::profile_enabled()) stays two relaxed loads. Each plane owns its
 // switch as a function-local static, which makes the first read lazy and
 // thread-safe.
 #pragma once

@@ -1,6 +1,7 @@
 #include "util/metrics.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -14,10 +15,9 @@ namespace {
 
 struct Series {
   std::string unit;
-  std::vector<SeriesPoint> ring;  ///< ring.capacity fixed at creation
+  std::array<SeriesPoint, kWindowCapacity> ring{};
   std::size_t next = 0;
   std::size_t filled = 0;
-  std::size_t capacity = 0;
 };
 
 /// One mutex-guarded store for the process (window-cadence writes, not a
@@ -39,7 +39,6 @@ class Registry {
   std::uint64_t dropped_points = 0;
   std::uint64_t dropped_series = 0;
   std::uint64_t dropped_events = 0;
-  std::size_t ring_capacity = kDefaultWindowCapacity;
 };
 
 util::EnvSwitch& metrics_switch() {
@@ -122,21 +121,14 @@ void push(std::string_view name, std::string_view scope, double value,
       ++r.dropped_series;
       return;
     }
-    Series s;
-    s.unit = std::string(unit);
-    s.capacity = r.ring_capacity;
-    s.ring.resize(s.capacity);
-    it = r.series.emplace(std::move(key), std::move(s)).first;
+    it = r.series.emplace(std::move(key), Series{}).first;
+    it->second.unit = std::string(unit);
   }
   Series& s = it->second;
-  if (s.capacity == 0) {
-    ++r.dropped_points;
-    return;
-  }
-  if (s.filled == s.capacity) ++r.dropped_points;  // overwrites the oldest
+  if (s.filled == kWindowCapacity) ++r.dropped_points;  // overwrites the oldest
   s.ring[s.next] = {r.window, value};
-  s.next = (s.next + 1) % s.capacity;
-  s.filled = std::min(s.filled + 1, s.capacity);
+  s.next = (s.next + 1) % kWindowCapacity;
+  s.filled = std::min(s.filled + 1, kWindowCapacity);
 }
 
 void push_event(Severity severity, std::string_view type,
@@ -173,18 +165,6 @@ std::uint64_t current_window() {
   return r.window;
 }
 
-void set_window_capacity(std::size_t points) {
-  auto& r = Registry::instance();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  r.ring_capacity = points;
-}
-
-std::size_t window_capacity() {
-  auto& r = Registry::instance();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  return r.ring_capacity;
-}
-
 Snapshot snapshot() {
   Snapshot out;
   auto& r = Registry::instance();
@@ -201,9 +181,9 @@ Snapshot snapshot() {
     snap.unit = s.unit;
     snap.points.reserve(s.filled);
     const std::size_t start =
-        s.filled == s.capacity ? s.next : 0;  // oldest slot
+        s.filled == kWindowCapacity ? s.next : 0;  // oldest slot
     for (std::size_t k = 0; k < s.filled; ++k) {
-      snap.points.push_back(s.ring[(start + k) % s.capacity]);
+      snap.points.push_back(s.ring[(start + k) % kWindowCapacity]);
     }
     out.series.push_back(std::move(snap));
   }

@@ -1,11 +1,11 @@
 // Bounded time-series store + structured event log: the windowed substrate
-// of the metrics plane (core::MetricsPlane owns sampling cadence and the
+// of the metrics plane (core::MetricsPlane owns window closing and the
 // exports). Numeric samples land in fixed-capacity per-series rings keyed
 // by (name, scope) — scope "" is the global rollup, "cell=<id>" attributes
 // a sample to one cell of the net:: layer — and typed events (severity,
 // type, scope, value, detail) land in one bounded log with a drop counter.
 // Memory is bounded by construction: at most kMaxSeries rings of
-// window_capacity() points each plus kMaxEvents log entries; overflow
+// kWindowCapacity points each plus kMaxEvents log entries; overflow
 // increments a drop counter instead of growing.
 //
 // The contract mirrors telemetry/probe exactly: **disabled metrics are a
@@ -32,7 +32,7 @@ namespace cbma::metrics {
 
 /// Capacity bounds (compile-time; overflow counts drops, never grows).
 inline constexpr std::size_t kMaxSeries = 512;
-inline constexpr std::size_t kDefaultWindowCapacity = 256;
+inline constexpr std::size_t kWindowCapacity = 256;  ///< points per series
 inline constexpr std::size_t kMaxEvents = 1024;
 
 /// Event severity. severity_name() is the wire label the JSON "events"
@@ -47,7 +47,7 @@ struct SeriesPoint {
 };
 
 /// One series' exported state: identity, unit, and its ring contents in
-/// oldest → newest order (≤ window_capacity() points).
+/// oldest → newest order (≤ kWindowCapacity points).
 struct SeriesSnapshot {
   std::string name;
   std::string scope;  ///< "" = global rollup; "cell=3" = per-cell
@@ -99,11 +99,6 @@ void push_event(Severity severity, std::string_view type,
 /// one. Returns the new current window index.
 std::uint64_t advance_window();
 std::uint64_t current_window();
-
-/// Ring depth for series created after the call (default
-/// kDefaultWindowCapacity). Existing rings keep their size.
-void set_window_capacity(std::size_t points);
-std::size_t window_capacity();
 
 // --- aggregation -----------------------------------------------------------
 

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
 #include <memory>
 #include <mutex>
 
 #include "util/env_switch.h"
+#include "util/parallel.h"
 
 namespace cbma::telemetry {
 
@@ -60,14 +62,56 @@ struct SpanAccum {
 /// 64k events per thread" instead of exhausting memory.
 constexpr std::size_t kMaxTraceEventsPerThread = 1u << 16;
 
+/// One caller-path node of the tree view. Children form a singly-linked
+/// list off the parent (new children prepend); sibling lists are short —
+/// the span vocabulary bounds the fan-out — so the linear scan beats any
+/// hashing.
+struct Node {
+  Span span = Span::kTransmitTotal;
+  std::int32_t parent = -1;
+  std::int32_t first_child = -1;
+  std::int32_t next_sibling = -1;
+  std::uint64_t count = 0;
+  std::uint64_t incl_ns = 0;
+  std::uint64_t child_ns = 0;
+  /// Structural replica of a parallel_for caller path: records no time of
+  /// its own, and child exits must not fold into it (its inclusive time
+  /// stays 0, so folding would drive exclusive time negative).
+  bool context = false;
+};
+
+/// Everything one thread records: the flat view (span histograms,
+/// counters, flight-recorder ring, trace events) and the tree view (node
+/// pool, roots, the live path).
 struct ThreadSink {
   SpanAccum spans[kSpanCount];
   std::uint64_t counters[kCounterCount] = {};
-  std::vector<FrameTrace> ring;  ///< flight recorder, ring.size() == capacity
+  std::array<FrameTrace, kFlightRecorderCapacity> ring{};
   std::size_t ring_next = 0;
   std::size_t ring_filled = 0;
   std::vector<TraceEvent> events;
   std::uint32_t tid = 0;
+
+  std::vector<Node> pool;           ///< reserved to kNodeCapacity once
+  std::vector<std::int32_t> roots;  ///< top-level nodes on this thread
+  std::int32_t current = -1;        ///< innermost live node (-1 = none)
+  std::size_t skip_depth = 0;       ///< live spans beyond pool capacity
+  std::uint64_t dropped = 0;
+
+  Node& node(std::int32_t i) { return pool[static_cast<std::size_t>(i)]; }
+  const Node& node(std::int32_t i) const {
+    return pool[static_cast<std::size_t>(i)];
+  }
+
+  bool has_flat_data() const {
+    for (const auto& s : spans) {
+      if (s.count != 0) return true;
+    }
+    for (const auto c : counters) {
+      if (c != 0) return true;
+    }
+    return ring_filled > 0 || !events.empty();
+  }
 
   void clear() {
     for (auto& s : spans) s = SpanAccum{};
@@ -75,47 +119,42 @@ struct ThreadSink {
     ring_next = 0;
     ring_filled = 0;
     events.clear();
+    pool.clear();
+    roots.clear();
+    current = -1;
+    skip_depth = 0;
+    dropped = 0;
   }
 };
 
-/// Owns every sink for the life of the process: a worker thread exiting
+/// Owns every sink for the life of the process — a worker thread exiting
 /// leaves its recorded data aggregatable, and the thread_local below is a
-/// plain pointer with no destructor ordering hazards.
-class Registry {
- public:
+/// plain pointer with no destructor ordering hazards — plus the
+/// parallel_for site table, under the same lock.
+struct Registry {
   static Registry& instance() {
     static Registry r;
     return r;
   }
 
   ThreadSink* acquire() {
-    const std::lock_guard<std::mutex> lock(mu_);
+    const std::lock_guard<std::mutex> lock(mu);
     auto sink = std::make_unique<ThreadSink>();
-    sink->tid = static_cast<std::uint32_t>(sinks_.size());
-    sink->ring.resize(ring_capacity_.load(std::memory_order_relaxed));
-    sinks_.push_back(std::move(sink));
-    return sinks_.back().get();
+    sink->tid = static_cast<std::uint32_t>(sinks.size());
+    sinks.push_back(std::move(sink));
+    return sinks.back().get();
   }
 
   template <typename F>
   void for_each(F&& f) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (auto& s : sinks_) f(*s);
+    const std::lock_guard<std::mutex> lock(mu);
+    for (auto& s : sinks) f(*s);
   }
 
-  std::size_t size() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return sinks_.size();
-  }
-
-  std::atomic<std::size_t>& ring_capacity() { return ring_capacity_; }
-  std::atomic<std::uint64_t>& frame_seq() { return frame_seq_; }
-
- private:
-  std::mutex mu_;
-  std::vector<std::unique_ptr<ThreadSink>> sinks_;
-  std::atomic<std::size_t> ring_capacity_{256};
-  std::atomic<std::uint64_t> frame_seq_{0};
+  std::mutex mu;
+  std::vector<std::unique_ptr<ThreadSink>> sinks;
+  std::map<std::string, ParallelSiteStats> sites;
+  std::atomic<std::uint64_t> frame_seq{0};
 };
 
 thread_local ThreadSink* t_sink = nullptr;
@@ -135,6 +174,117 @@ util::EnvSwitch& telemetry_switch() {
 util::EnvSwitch& trace_switch() {
   static util::EnvSwitch s("CBMA_TRACE");
   return s;
+}
+
+util::EnvSwitch& profile_switch() {
+  static util::EnvSwitch s("CBMA_PROFILE");
+  return s;
+}
+
+void record_flat(ThreadSink& sk, Span s, std::uint64_t start_ns,
+                 std::uint64_t dur_ns) {
+  auto& acc = sk.spans[static_cast<std::size_t>(s)];
+  ++acc.count;
+  acc.total_ns += dur_ns;
+  acc.min_ns = std::min(acc.min_ns, dur_ns);
+  acc.max_ns = std::max(acc.max_ns, dur_ns);
+  ++acc.hist[histogram_bucket_of(dur_ns)];
+  if (trace_enabled() && sk.events.size() < kMaxTraceEventsPerThread) {
+    sk.events.push_back({s, start_ns, dur_ns, sk.tid});
+  }
+}
+
+/// Descend into (or create) the child of the current node for span `s`;
+/// on pool exhaustion count the span as dropped and skip it (and every
+/// span nested in it) until it exits.
+void push(ThreadSink& sk, Span s, bool context) {
+  if (sk.skip_depth > 0) {
+    ++sk.skip_depth;
+    ++sk.dropped;
+    return;
+  }
+  std::int32_t found = -1;
+  if (sk.current < 0) {
+    for (const std::int32_t r : sk.roots) {
+      if (sk.node(r).span == s) {
+        found = r;
+        break;
+      }
+    }
+  } else {
+    for (std::int32_t i = sk.node(sk.current).first_child; i >= 0;
+         i = sk.node(i).next_sibling) {
+      if (sk.node(i).span == s) {
+        found = i;
+        break;
+      }
+    }
+  }
+  if (found < 0) {
+    if (sk.pool.size() >= kNodeCapacity) {
+      ++sk.skip_depth;
+      ++sk.dropped;
+      return;
+    }
+    if (sk.pool.capacity() == 0) sk.pool.reserve(kNodeCapacity);
+    Node n;
+    n.span = s;
+    n.parent = sk.current;
+    n.context = context;
+    found = static_cast<std::int32_t>(sk.pool.size());
+    if (sk.current < 0) {
+      sk.roots.push_back(found);
+    } else {
+      auto& parent = sk.node(sk.current);
+      n.next_sibling = parent.first_child;
+      parent.first_child = found;
+    }
+    sk.pool.push_back(n);
+  } else if (!context) {
+    // A real span re-entering a node first created as context claims it:
+    // the node now records time, so child folding must apply to it.
+    sk.node(found).context = false;
+  }
+  sk.current = found;
+}
+
+void pop(ThreadSink& sk, std::uint64_t dur_ns, bool context) {
+  if (sk.skip_depth > 0) {
+    --sk.skip_depth;
+    return;
+  }
+  if (sk.current < 0) return;  // unbalanced exit — defensive, never expected
+  auto& node = sk.node(sk.current);
+  if (!context) {
+    ++node.count;
+    node.incl_ns += dur_ns;
+  }
+  sk.current = node.parent;
+  if (!context && node.parent >= 0) {
+    auto& parent = sk.node(node.parent);
+    if (!parent.context) parent.child_ns += dur_ns;
+  }
+}
+
+/// Merge sink node `i` and its subtree into `dst`, keyed by span.
+void merge_node(std::map<int, MergedNode>& dst, const ThreadSink& sk,
+                std::int32_t i) {
+  const Node& n = sk.node(i);
+  auto& m = dst[static_cast<int>(n.span)];
+  m.span = n.span;
+  m.count += n.count;
+  m.incl_ns += n.incl_ns;
+  m.child_ns += n.child_ns;
+  std::map<int, MergedNode> kids;
+  for (auto& existing : m.children) {
+    kids.emplace(static_cast<int>(existing.span), std::move(existing));
+  }
+  for (std::int32_t c = n.first_child; c >= 0; c = sk.node(c).next_sibling) {
+    merge_node(kids, sk, c);
+  }
+  m.children.clear();
+  m.children.reserve(kids.size());
+  for (auto& [id, child] : kids) m.children.push_back(std::move(child));
 }
 
 }  // namespace
@@ -209,18 +359,16 @@ void set_trace_enabled(bool on) { trace_switch().set_on(on); }
 
 std::string trace_path() { return trace_switch().path(); }
 
+bool profile_enabled() { return profile_switch().on(); }
+void set_profile_enabled(bool on) { profile_switch().set_on(on); }
+
+std::string profile_path() { return profile_switch().path(); }
+void set_profile_path(std::string path) {
+  profile_switch().set_path(std::move(path));
+}
+
 void record_span(Span s, std::uint64_t start_ns, std::uint64_t dur_ns) {
-  if (!enabled()) return;
-  auto& sk = sink();
-  auto& acc = sk.spans[static_cast<std::size_t>(s)];
-  ++acc.count;
-  acc.total_ns += dur_ns;
-  acc.min_ns = std::min(acc.min_ns, dur_ns);
-  acc.max_ns = std::max(acc.max_ns, dur_ns);
-  ++acc.hist[histogram_bucket_of(dur_ns)];
-  if (trace_enabled() && sk.events.size() < kMaxTraceEventsPerThread) {
-    sk.events.push_back({s, start_ns, dur_ns, sk.tid});
-  }
+  if (enabled()) record_flat(sink(), s, start_ns, dur_ns);
 }
 
 void add_count(Counter c, std::uint64_t n) {
@@ -231,8 +379,7 @@ void add_count(Counter c, std::uint64_t n) {
 void record_frame(FrameTrace frame) {
   if (!enabled()) return;
   auto& sk = sink();
-  if (sk.ring.empty()) return;  // capacity 0: flight recorder off
-  frame.seq = Registry::instance().frame_seq().fetch_add(
+  frame.seq = Registry::instance().frame_seq.fetch_add(
       1, std::memory_order_relaxed);
   frame.ts_ns = util::monotonic_ns();
   sk.ring[sk.ring_next] = frame;
@@ -240,77 +387,33 @@ void record_frame(FrameTrace frame) {
   sk.ring_filled = std::min(sk.ring_filled + 1, sk.ring.size());
 }
 
-Snapshot snapshot() {
-  Snapshot out;
-  std::uint64_t counters[kCounterCount] = {};
-  SpanAccum spans[kSpanCount];
+void enter_span(Span s) { push(sink(), s, /*context=*/false); }
 
-  Registry::instance().for_each([&](ThreadSink& sk) {
-    bool any = false;
-    for (std::size_t i = 0; i < kCounterCount; ++i) {
-      counters[i] += sk.counters[i];
-      any |= sk.counters[i] != 0;
-    }
-    for (std::size_t i = 0; i < kSpanCount; ++i) {
-      const auto& a = sk.spans[i];
-      if (a.count == 0) continue;
-      any = true;
-      auto& m = spans[i];
-      m.count += a.count;
-      m.total_ns += a.total_ns;
-      m.min_ns = std::min(m.min_ns, a.min_ns);
-      m.max_ns = std::max(m.max_ns, a.max_ns);
-      for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-        m.hist[b] += a.hist[b];
-      }
-    }
-    for (std::size_t k = 0; k < sk.ring_filled; ++k) {
-      out.frames.push_back(sk.ring[k]);
-    }
-    out.events.insert(out.events.end(), sk.events.begin(), sk.events.end());
-    if (any || sk.ring_filled > 0 || !sk.events.empty()) ++out.threads;
-  });
+void exit_span(Span s, std::uint64_t start_ns, std::uint64_t dur_ns,
+               std::uint8_t views) {
+  auto& sk = sink();
+  if ((views & kSpanFlat) != 0) record_flat(sk, s, start_ns, dur_ns);
+  if ((views & kSpanTree) != 0) pop(sk, dur_ns, /*context=*/false);
+}
 
-  for (std::size_t i = 0; i < kSpanCount; ++i) {
-    const auto& m = spans[i];
-    if (m.count == 0) continue;
-    SpanSnapshot s;
-    s.id = static_cast<Span>(i);
-    s.name = span_name(s.id);
-    s.count = m.count;
-    s.total_ns = m.total_ns;
-    s.min_ns = m.min_ns;
-    s.max_ns = m.max_ns;
-    s.mean_ns = static_cast<double>(m.total_ns) / static_cast<double>(m.count);
-    // Histogram quantiles: walk cumulative counts to the target rank.
-    std::uint64_t wide[kHistogramBuckets];
-    for (std::size_t b = 0; b < kHistogramBuckets; ++b) wide[b] = m.hist[b];
-    const auto fallback = static_cast<double>(m.max_ns);
-    s.p50_ns = histogram_quantile(wide, m.count, 0.50, fallback);
-    s.p90_ns = histogram_quantile(wide, m.count, 0.90, fallback);
-    s.p99_ns = histogram_quantile(wide, m.count, 0.99, fallback);
-    out.spans.push_back(std::move(s));
+std::vector<Span> current_path() {
+  std::vector<Span> path;
+  if (t_sink == nullptr) return path;
+  for (std::int32_t i = t_sink->current; i >= 0; i = t_sink->node(i).parent) {
+    path.push_back(t_sink->node(i).span);
   }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
 
-  for (std::size_t i = 0; i < kCounterCount; ++i) {
-    if (counters[i] == 0) continue;
-    out.counters.push_back(
-        {static_cast<Counter>(i), counter_name(static_cast<Counter>(i)),
-         counters[i]});
-  }
+void enter_context(const std::vector<Span>& path) {
+  auto& sk = sink();
+  for (const Span s : path) push(sk, s, /*context=*/true);
+}
 
-  std::sort(out.frames.begin(), out.frames.end(),
-            [](const FrameTrace& a, const FrameTrace& b) { return a.seq < b.seq; });
-  const std::size_t cap = flight_recorder_capacity();
-  if (out.frames.size() > cap) {
-    out.frames.erase(out.frames.begin(),
-                     out.frames.end() - static_cast<std::ptrdiff_t>(cap));
-  }
-  std::sort(out.events.begin(), out.events.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              return a.ts_ns < b.ts_ns;
-            });
-  return out;
+void exit_context(std::size_t depth) {
+  if (t_sink == nullptr) return;
+  for (std::size_t d = 0; d < depth; ++d) pop(*t_sink, 0, /*context=*/true);
 }
 
 std::array<SpanHistogram, kSpanCount> span_histograms() {
@@ -319,10 +422,13 @@ std::array<SpanHistogram, kSpanCount> span_histograms() {
     for (std::size_t i = 0; i < kSpanCount; ++i) {
       const auto& a = sk.spans[i];
       if (a.count == 0) continue;
-      out[i].count += a.count;
-      out[i].total_ns += a.total_ns;
+      auto& h = out[i];
+      h.min_ns = h.count == 0 ? a.min_ns : std::min(h.min_ns, a.min_ns);
+      h.max_ns = std::max(h.max_ns, a.max_ns);
+      h.count += a.count;
+      h.total_ns += a.total_ns;
       for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-        out[i].buckets[b] += a.hist[b];
+        h.buckets[b] += a.hist[b];
       }
     }
   });
@@ -337,19 +443,112 @@ std::array<std::uint64_t, kCounterCount> counter_totals() {
   return out;
 }
 
+Snapshot snapshot() {
+  Snapshot out;
+  const auto spans = span_histograms();
+  for (std::size_t i = 0; i < kSpanCount; ++i) {
+    const auto& h = spans[i];
+    if (h.count == 0) continue;
+    SpanSnapshot s;
+    s.id = static_cast<Span>(i);
+    s.name = span_name(s.id);
+    s.count = h.count;
+    s.total_ns = h.total_ns;
+    s.min_ns = h.min_ns;
+    s.max_ns = h.max_ns;
+    s.mean_ns = static_cast<double>(h.total_ns) / static_cast<double>(h.count);
+    const auto fallback = static_cast<double>(h.max_ns);
+    s.p50_ns = histogram_quantile(h.buckets.data(), h.count, 0.50, fallback);
+    s.p90_ns = histogram_quantile(h.buckets.data(), h.count, 0.90, fallback);
+    s.p99_ns = histogram_quantile(h.buckets.data(), h.count, 0.99, fallback);
+    out.spans.push_back(std::move(s));
+  }
+
+  const auto counters = counter_totals();
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    if (counters[i] == 0) continue;
+    out.counters.push_back(
+        {static_cast<Counter>(i), counter_name(static_cast<Counter>(i)),
+         counters[i]});
+  }
+
+  Registry::instance().for_each([&](ThreadSink& sk) {
+    for (std::size_t k = 0; k < sk.ring_filled; ++k) {
+      out.frames.push_back(sk.ring[k]);
+    }
+    out.events.insert(out.events.end(), sk.events.begin(), sk.events.end());
+    if (sk.has_flat_data()) ++out.threads;
+  });
+  std::sort(out.frames.begin(), out.frames.end(),
+            [](const FrameTrace& a, const FrameTrace& b) { return a.seq < b.seq; });
+  if (out.frames.size() > kFlightRecorderCapacity) {
+    out.frames.erase(out.frames.begin(),
+                     out.frames.end() -
+                         static_cast<std::ptrdiff_t>(kFlightRecorderCapacity));
+  }
+  std::sort(out.events.begin(), out.events.end(),
+            [](const TraceEvent& a, const TraceEvent& b) {
+              return a.ts_ns < b.ts_ns;
+            });
+  return out;
+}
+
+TreeSnapshot merged_tree() {
+  TreeSnapshot out;
+  std::map<int, MergedNode> roots;
+  Registry::instance().for_each([&](ThreadSink& sk) {
+    if (sk.roots.empty() && sk.dropped == 0) return;
+    ++out.threads;
+    out.dropped += sk.dropped;
+    for (const std::int32_t r : sk.roots) merge_node(roots, sk, r);
+  });
+  out.roots.reserve(roots.size());
+  for (auto& [id, node] : roots) out.roots.push_back(std::move(node));
+  return out;
+}
+
+void record_parallel(const char* site, const util::ParallelStats& stats) {
+  if (!profile_enabled() || !stats.collected) return;
+  auto& reg = Registry::instance();
+  const std::lock_guard<std::mutex> lock(reg.mu);
+  auto& acc = reg.sites[site];
+  acc.site = site;
+  ++acc.calls;
+  acc.items += stats.items;
+  acc.wall_ns += stats.wall_ns;
+  if (acc.worker_busy_ns.size() < stats.worker_busy_ns.size()) {
+    acc.worker_busy_ns.resize(stats.worker_busy_ns.size(), 0);
+    acc.worker_items.resize(stats.worker_items.size(), 0);
+  }
+  for (std::size_t w = 0; w < stats.worker_busy_ns.size(); ++w) {
+    acc.busy_ns += stats.worker_busy_ns[w];
+    acc.worker_busy_ns[w] += stats.worker_busy_ns[w];
+    acc.worker_items[w] += stats.worker_items[w];
+  }
+  acc.worst_imbalance = std::max(acc.worst_imbalance, stats.imbalance());
+}
+
+std::vector<ParallelSiteStats> parallel_stats() {
+  auto& reg = Registry::instance();
+  const std::lock_guard<std::mutex> lock(reg.mu);
+  std::vector<ParallelSiteStats> out;
+  out.reserve(reg.sites.size());
+  for (const auto& [site, stats] : reg.sites) out.push_back(stats);
+  return out;
+}
+
 void reset() {
-  Registry::instance().for_each([](ThreadSink& sk) { sk.clear(); });
-  Registry::instance().frame_seq().store(0, std::memory_order_relaxed);
+  auto& reg = Registry::instance();
+  reg.for_each([](ThreadSink& sk) { sk.clear(); });
+  const std::lock_guard<std::mutex> lock(reg.mu);
+  reg.sites.clear();
+  reg.frame_seq.store(0, std::memory_order_relaxed);
 }
 
-std::size_t sink_count() { return Registry::instance().size(); }
-
-void set_flight_recorder_capacity(std::size_t frames) {
-  Registry::instance().ring_capacity().store(frames, std::memory_order_relaxed);
-}
-
-std::size_t flight_recorder_capacity() {
-  return Registry::instance().ring_capacity().load(std::memory_order_relaxed);
+std::size_t sink_count() {
+  auto& reg = Registry::instance();
+  const std::lock_guard<std::mutex> lock(reg.mu);
+  return reg.sinks.size();
 }
 
 }  // namespace cbma::telemetry

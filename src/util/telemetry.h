@@ -1,28 +1,41 @@
-// Pipeline-wide tracing & metrics: RAII span timers, monotonic counters and
-// a bounded flight recorder of per-frame structured events, all recorded
-// into lock-free per-thread sinks and aggregated on demand.
+// Pipeline-wide span recorder: RAII span timers, monotonic counters, a
+// bounded flight recorder of per-frame structured events and the
+// caller-path attribution tree, all recorded into one lock-free sink per
+// thread and aggregated on demand.
+//
+// Two switches arm it. CBMA_TELEMETRY (or set_enabled) keeps the flat
+// view: per-span duration histograms, counters and the flight recorder,
+// plus per-event Chrome/Perfetto capture with CBMA_TRACE=<path> on top.
+// CBMA_PROFILE=<path> (or set_profile_enabled) keeps the tree view: for
+// every distinct path of nested spans, how often it ran, its inclusive
+// wall time and how much of that was spent in same-thread child spans, so
+// exclusive = inclusive - child_ns holds exactly per node. Each ScopedSpan
+// reads the clock once and feeds whichever views are on from the same
+// duration, so the two views agree span for span (DESIGN.md §7, §13).
 //
 // The contract that makes this safe to compile into every hot path:
-// **disabled telemetry is a strict identity**. When enabled() is false (the
-// default), ScopedSpan never reads the clock, count() and record_frame()
-// return immediately, no thread sink is ever allocated, and no RNG is
-// touched (telemetry never draws randomness at all) — so every existing
-// bench table and BENCH_*.json stays byte-identical, the same contract
-// rfsim::ImpairmentSuite pins for its stages. Enable with CBMA_TELEMETRY=1
-// (or set_enabled(true)); capture per-event Chrome/Perfetto traces with
-// CBMA_TRACE=<path> on top.
+// **a disabled recorder is a strict identity**. With both switches off
+// (the default), ScopedSpan never reads the clock, count() and
+// record_frame() return immediately, no thread sink is ever allocated, and
+// no RNG is touched (the recorder never draws randomness at all) — so
+// every existing bench table and BENCH_*.json stays byte-identical, the
+// same contract rfsim::ImpairmentSuite pins for its stages.
 //
-// Span and counter identities are compile-time enums, so the hot path is an
-// array index into the calling thread's sink — no string hashing, no map,
-// no lock. Sinks register once under a mutex on first use per thread and
-// are owned by the process-lifetime registry (a worker thread exiting does
-// not invalidate its recorded data). Aggregation (snapshot()) merges all
+// Span and counter identities are compile-time enums, so the flat hot path
+// is an array index into the calling thread's sink — no string hashing, no
+// map, no lock. The tree hot path walks the current node's child list in a
+// fixed per-thread node pool (kNodeCapacity; exhaustion drops deeper paths
+// and counts them, never allocates). Sinks register once under a mutex on
+// first use per thread and are owned by the process-lifetime registry (a
+// worker thread exiting does not invalidate its recorded data). Workers
+// launched by util::parallel_for replay the caller's span path as
+// zero-cost "context" nodes, so their subtrees merge under the span that
+// launched them. Aggregation (snapshot(), merged_tree(), ...) merges all
 // sinks and must run while no worker is recording — in practice after
 // parallel_for joined, which is how SweepRunner and the benches use it.
 // Durations are histogrammed (log₂ buckets, 4 linear sub-buckets each) so
 // percentiles cost O(1) memory per span; quantiles are accurate to the
-// sub-bucket width (≤ 12.5 %). See DESIGN.md §7 for the naming scheme and
-// the full observability contract.
+// sub-bucket width (≤ 12.5 %).
 #pragma once
 
 #include <array>
@@ -33,6 +46,10 @@
 #include <vector>
 
 #include "util/timer.h"
+
+namespace cbma::util {
+struct ParallelStats;  // util/parallel.h — record_parallel's payload
+}  // namespace cbma::util
 
 namespace cbma::telemetry {
 
@@ -131,9 +148,18 @@ struct TraceEvent {
   std::uint32_t tid = 0;  ///< registry-assigned thread index
 };
 
+/// Flight-recorder depth per thread, and the merged export cap.
+inline constexpr std::size_t kFlightRecorderCapacity = 256;
+
+/// Per-thread node-pool capacity of the caller-path tree: distinct caller
+/// paths per thread. Deeper or wider trees drop nodes (counted in
+/// TreeSnapshot::dropped) instead of allocating — the pipeline's span
+/// vocabulary keeps real trees far below this.
+inline constexpr std::size_t kNodeCapacity = 512;
+
 // --- master switches -------------------------------------------------------
 
-/// The CBMA_TELEMETRY switch (util/env_switch.h).
+/// The CBMA_TELEMETRY switch (util/env_switch.h): the flat view.
 bool enabled();
 void set_enabled(bool on);
 
@@ -142,6 +168,13 @@ void set_enabled(bool on);
 bool trace_enabled();
 void set_trace_enabled(bool on);
 std::string trace_path();
+
+/// The CBMA_PROFILE switch: the caller-path tree. profile_path() is where
+/// core::ProfilePlane writes the collapsed-stack flamegraph file.
+bool profile_enabled();
+void set_profile_enabled(bool on);
+std::string profile_path();
+void set_profile_path(std::string path);
 
 // --- hot-path recording ----------------------------------------------------
 
@@ -153,42 +186,40 @@ inline void count(Counter c, std::uint64_t n = 1) {
   if (enabled()) add_count(c, n);
 }
 
-}  // namespace cbma::telemetry
+/// Span entry for the tree view: descend into (or create) the child node
+/// for `s` under the calling thread's current node.
+void enter_span(Span s);
 
-/// Hierarchical-profiler hook (util/profiler, DESIGN.md §13): ScopedSpan
-/// feeds the caller-path attribution tree whenever the profiler is live.
-/// Forward-declared so every span site keeps its single telemetry.h
-/// include; implemented in util/profiler.cpp. Signatures must match
-/// util/profiler.h exactly.
-namespace cbma::profiler {
-bool enabled();
-void on_span_enter(telemetry::Span s);
-void on_span_exit(telemetry::Span s, std::uint64_t dur_ns);
-}  // namespace cbma::profiler
+/// The views a span feeds, sampled once at entry.
+inline constexpr std::uint8_t kSpanFlat = 1u << 0;  ///< telemetry histograms
+inline constexpr std::uint8_t kSpanTree = 1u << 1;  ///< caller-path tree
 
-namespace cbma::telemetry {
+/// Span exit: with kSpanFlat set, fold `dur_ns` into the span's histogram
+/// (and the trace capture when it is on); with kSpanTree set, credit it to
+/// the current tree node and its parent's child_ns, and pop to the parent.
+void exit_span(Span s, std::uint64_t start_ns, std::uint64_t dur_ns,
+               std::uint8_t views);
 
-/// RAII span timer: reads the clock only when telemetry or the profiler is
+/// RAII span timer: reads the clock only when telemetry or profiling is
 /// enabled at construction, records on destruction. The off path costs two
 /// relaxed atomic loads and nothing else — no clock read, no allocation.
-/// The enabled flags are sampled once (bit 1 = telemetry, bit 2 =
-/// profiler), so a mid-span flip cannot unbalance the profiler's stack.
+/// The views are sampled once at entry, so a mid-span flip cannot
+/// unbalance the tree's stack.
 class ScopedSpan {
  public:
   explicit ScopedSpan(Span s) : span_(s) {
-    const bool telem = enabled();
-    const bool prof = profiler::enabled();
-    if (telem || prof) {
-      flags_ = static_cast<std::uint8_t>((telem ? 1u : 0u) | (prof ? 2u : 0u));
-      if (prof) profiler::on_span_enter(s);
+    const bool flat = enabled();
+    const bool tree = profile_enabled();
+    if (flat || tree) {
+      views_ = static_cast<std::uint8_t>((flat ? kSpanFlat : 0u) |
+                                         (tree ? kSpanTree : 0u));
+      if (tree) enter_span(s);
       start_ns_ = util::monotonic_ns();
     }
   }
   ~ScopedSpan() {
-    if (flags_ == 0) return;
-    const std::uint64_t dur_ns = util::monotonic_ns() - start_ns_;
-    if ((flags_ & 1u) != 0) record_span(span_, start_ns_, dur_ns);
-    if ((flags_ & 2u) != 0) profiler::on_span_exit(span_, dur_ns);
+    if (views_ == 0) return;
+    exit_span(span_, start_ns_, util::monotonic_ns() - start_ns_, views_);
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -196,8 +227,22 @@ class ScopedSpan {
  private:
   Span span_;
   std::uint64_t start_ns_ = 0;
-  std::uint8_t flags_ = 0;
+  std::uint8_t views_ = 0;
 };
+
+// --- parallel_for context propagation --------------------------------------
+
+/// The calling thread's current span path in the tree, outermost first.
+/// parallel_for captures this before spawning workers.
+std::vector<Span> current_path();
+
+/// Replay `path` on the calling (worker) thread as structural "context"
+/// nodes: they anchor the worker's subtree under the launching span but
+/// record no count and no time of their own.
+void enter_context(const std::vector<Span>& path);
+
+/// Pop `depth` context levels pushed by enter_context.
+void exit_context(std::size_t depth);
 
 // --- duration histogram ----------------------------------------------------
 // The log₂-octave / 4-linear-sub-bucket histogram every span duration lands
@@ -230,6 +275,8 @@ double histogram_quantile(const std::uint64_t* buckets, std::uint64_t count,
 struct SpanHistogram {
   std::uint64_t count = 0;
   std::uint64_t total_ns = 0;
+  std::uint64_t min_ns = 0;  ///< meaningful only when count > 0
+  std::uint64_t max_ns = 0;
   std::array<std::uint64_t, kHistogramBuckets> buckets{};
 };
 
@@ -268,24 +315,71 @@ struct Snapshot {
   std::vector<CounterSnapshot> counters;  ///< non-zero counters only
   std::vector<FrameTrace> frames;   ///< merged rings, seq order, last N
   std::vector<TraceEvent> events;   ///< merged, ts order (trace capture on)
-  std::size_t threads = 0;          ///< sinks that recorded anything
+  std::size_t threads = 0;          ///< sinks that recorded flat data
 };
 
-/// Merge every thread sink. Must not race recording — call after workers
-/// joined (SweepRunner::run returns ⇒ safe).
+/// Merge every thread sink's flat view. Must not race recording — call
+/// after workers joined (SweepRunner::run returns ⇒ safe).
 Snapshot snapshot();
 
-/// Zero every sink (counts, histograms, rings, events). Sinks stay
-/// registered; sink_count() is unchanged.
+// --- caller-path tree ------------------------------------------------------
+
+/// One node of the merged attribution tree. excl_ns() is exact — child_ns
+/// only ever counted same-thread children, so inclusive ≥ child_ns holds
+/// per thread and survives the merge.
+struct MergedNode {
+  Span span = Span::kTransmitTotal;
+  std::uint64_t count = 0;     ///< completed occurrences of this path
+  std::uint64_t incl_ns = 0;   ///< wall time inside this path
+  std::uint64_t child_ns = 0;  ///< time in same-thread direct children
+  std::vector<MergedNode> children;  ///< sorted by span id (deterministic)
+  std::uint64_t excl_ns() const { return incl_ns - child_ns; }
+};
+
+struct TreeSnapshot {
+  std::vector<MergedNode> roots;  ///< sorted by span id
+  std::size_t threads = 0;        ///< sinks that recorded any node
+  std::uint64_t dropped = 0;      ///< spans lost to pool exhaustion
+};
+
+/// Merge every thread sink's tree by caller path. Same safety contract as
+/// snapshot().
+TreeSnapshot merged_tree();
+
+// --- parallel_for worker-utilization reports -------------------------------
+
+/// Per-site aggregate of every ParallelStats report published under one
+/// label ("sweep/run", "net/round"): call/item/wall totals plus per-pool-
+/// slot busy time and item counts summed across calls.
+struct ParallelSiteStats {
+  std::string site;
+  std::uint64_t calls = 0;     ///< parallel_for invocations recorded
+  std::uint64_t items = 0;     ///< Σ n over those invocations
+  std::uint64_t wall_ns = 0;   ///< Σ wall time of the parallel regions
+  std::uint64_t busy_ns = 0;   ///< Σ worker busy time (≤ wall × workers)
+  double worst_imbalance = 1.0;  ///< max over calls of max-busy ÷ mean-busy
+  std::vector<std::uint64_t> worker_busy_ns;  ///< per pool slot, summed
+  std::vector<std::uint64_t> worker_items;    ///< per pool slot, summed
+};
+
+/// Publish one parallel_for's stats under `site`. No-op unless profiling
+/// is on and the stats were actually collected. Call from the sequential
+/// context after the pool joined (how SweepRunner::run and
+/// net::Network::run_round use it).
+void record_parallel(const char* site, const util::ParallelStats& stats);
+
+/// Merged per-site aggregates, sorted by site name. Sequential-only.
+std::vector<ParallelSiteStats> parallel_stats();
+
+// --- lifecycle -------------------------------------------------------------
+
+/// Zero every sink (counts, histograms, rings, events, trees) and the
+/// parallel sites. Sinks stay registered; sink_count() is unchanged.
+/// Sequential-only: no span may be live on any thread.
 void reset();
 
 /// Number of registered per-thread sinks — 0 proves the off path never
-/// allocated (the telemetry-off identity test asserts this).
+/// allocated (the identity tests assert this).
 std::size_t sink_count();
-
-/// Flight-recorder depth per thread (also the merged export cap). Applies
-/// to sinks created after the call; default 256.
-void set_flight_recorder_capacity(std::size_t frames);
-std::size_t flight_recorder_capacity();
 
 }  // namespace cbma::telemetry

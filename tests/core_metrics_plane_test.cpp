@@ -1,5 +1,5 @@
-// core::MetricsPlane: the sampling-cadence + export half of the metrics
-// plane (DESIGN.md §12). Pins the two contracts the benches rely on:
+// core::MetricsPlane: the windowing + export half of the metrics plane
+// (DESIGN.md §12). Pins the two contracts the benches rely on:
 //
 // 1. Disabled is a strict identity — every entry point returns before
 //    touching storage, and the plane never arms telemetry while off.
@@ -8,7 +8,7 @@
 //    percentiles (not cumulative ones), cell samples land under their
 //    "cell=<id>" scope, and the JSON/Prometheus exports are well-formed.
 //
-// Each TEST runs in its own process (gtest_discover_tests), so flipping the
+// Every test starts from the shared observability fixture, so flipping the
 // metrics/telemetry flags here cannot leak into other tests.
 #include "core/metrics_plane.h"
 
@@ -17,6 +17,7 @@
 #include <fstream>
 #include <string>
 
+#include "observability_fixture.h"
 #include "rx/link_quality.h"
 #include "rx/receiver.h"
 #include "util/json.h"
@@ -25,6 +26,8 @@
 
 namespace cbma::core {
 namespace {
+
+class MetricsPlane : public ObservabilityTest {};
 
 /// Find one series in a snapshot by (name, scope); nullptr when absent.
 const metrics::SeriesSnapshot* find_series(const metrics::Snapshot& snap,
@@ -36,13 +39,12 @@ const metrics::SeriesSnapshot* find_series(const metrics::Snapshot& snap,
   return nullptr;
 }
 
-/// Bring the plane up for an in-memory test: no Prometheus file, one round
-/// per window, clean store and baselines.
+/// Bring the plane up for an in-memory test: no Prometheus file, clean
+/// store and baselines.
 void enable_in_memory() {
-  MetricsPlane::enable();
+  core::MetricsPlane::enable();
   metrics::set_export_path("");
-  MetricsPlane::set_cadence(1);
-  MetricsPlane::reset();
+  core::MetricsPlane::reset();
   telemetry::reset();
 }
 
@@ -50,30 +52,29 @@ void tear_down() {
   metrics::set_enabled(false);
   telemetry::set_enabled(false);
   metrics::set_export_path("");
-  MetricsPlane::reset();
+  core::MetricsPlane::reset();
 }
 
-TEST(MetricsPlane, DisabledEntryPointsAreNoOps) {
+TEST_F(MetricsPlane, DisabledEntryPointsAreNoOps) {
   metrics::set_enabled(false);
-  EXPECT_FALSE(MetricsPlane::enabled());
-  MetricsPlane::CellSample sample;
+  EXPECT_FALSE(metrics::enabled());
+  core::MetricsPlane::CellSample sample;
   sample.cell_id = 1;
   sample.goodput_bps = 1e4;
-  MetricsPlane::record_cell(sample);
-  MetricsPlane::record_value("net.goodput_bps", {}, 1.0);
-  MetricsPlane::record_event(metrics::Severity::kInfo, "roam", {}, 0.0, {});
-  MetricsPlane::tick();
-  EXPECT_TRUE(MetricsPlane::write_prometheus_if_requested());
+  core::MetricsPlane::record_cell(sample);
+  metrics::push("net.goodput_bps", {}, 1.0);
+  metrics::push_event(metrics::Severity::kInfo, "roam", {}, 0.0, {});
+  core::MetricsPlane::tick();
+  EXPECT_TRUE(core::MetricsPlane::write_prometheus_if_requested());
   EXPECT_EQ(metrics::series_count(), 0u);
   // An off plane must never have armed telemetry as a side effect.
   EXPECT_FALSE(telemetry::enabled());
 }
 
-TEST(MetricsPlane, EnableArmsTelemetryAndSetsTheExpositionPath) {
+TEST_F(MetricsPlane, EnableArmsTelemetryAndSetsTheExpositionPath) {
   ASSERT_FALSE(telemetry::enabled());
   const auto path = ::testing::TempDir() + "cbma_plane_test.prom";
-  MetricsPlane::enable(path);
-  EXPECT_TRUE(MetricsPlane::enabled());
+  core::MetricsPlane::enable(path);
   EXPECT_TRUE(metrics::enabled());
   // The counter/span series need a source: going live arms telemetry.
   EXPECT_TRUE(telemetry::enabled());
@@ -81,47 +82,33 @@ TEST(MetricsPlane, EnableArmsTelemetryAndSetsTheExpositionPath) {
   tear_down();
 }
 
-TEST(MetricsPlane, TickClosesAWindowEveryCadenceRounds) {
+TEST_F(MetricsPlane, TickClosesOneWindowPerCall) {
   enable_in_memory();
-  MetricsPlane::set_cadence(3);
-  EXPECT_EQ(MetricsPlane::cadence(), 3u);
-  for (int r = 0; r < 7; ++r) {
-    MetricsPlane::record_value("net.goodput_bps", {},
-                               static_cast<double>(r), "bps");
-    MetricsPlane::tick();
+  for (int r = 0; r < 3; ++r) {
+    metrics::push("net.goodput_bps", {}, static_cast<double>(r), "bps");
+    core::MetricsPlane::tick();
   }
+  metrics::push("net.goodput_bps", {}, 3.0, "bps");
   const auto snap = metrics::snapshot();
-  MetricsPlane::set_cadence(1);
   tear_down();
 
-  // Rounds 3 and 6 closed windows; round 7 is still accumulating.
-  EXPECT_EQ(snap.windows, 2u);
+  // Three ticks closed three windows; the fourth sample is in the open one.
+  EXPECT_EQ(snap.windows, 3u);
   const auto* s = find_series(snap, "net.goodput_bps", "");
   ASSERT_NE(s, nullptr);
-  ASSERT_EQ(s->points.size(), 7u);
-  const std::uint64_t expected_windows[] = {0, 0, 0, 1, 1, 1, 2};
-  for (std::size_t k = 0; k < 7; ++k) {
-    EXPECT_EQ(s->points[k].window, expected_windows[k]) << "round " << k;
+  ASSERT_EQ(s->points.size(), 4u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(s->points[k].window, k) << "round " << k;
   }
 }
 
-TEST(MetricsPlane, ZeroCadenceIsClampedToOne) {
-  enable_in_memory();
-  MetricsPlane::set_cadence(0);
-  EXPECT_EQ(MetricsPlane::cadence(), 1u);
-  MetricsPlane::tick();
-  const auto snap = metrics::snapshot();
-  tear_down();
-  EXPECT_EQ(snap.windows, 1u);
-}
-
-TEST(MetricsPlane, CounterSeriesCarryPerWindowDeltas) {
+TEST_F(MetricsPlane, CounterSeriesCarryPerWindowDeltas) {
   enable_in_memory();
   telemetry::add_count(telemetry::Counter::kChannelSamples, 5);
-  MetricsPlane::tick();
+  core::MetricsPlane::tick();
   telemetry::add_count(telemetry::Counter::kChannelSamples, 3);
-  MetricsPlane::tick();
-  MetricsPlane::tick();  // quiet window: the counter still charts, as 0
+  core::MetricsPlane::tick();
+  core::MetricsPlane::tick();  // quiet window: the counter still charts, as 0
   const auto snap = metrics::snapshot();
   tear_down();
 
@@ -135,7 +122,7 @@ TEST(MetricsPlane, CounterSeriesCarryPerWindowDeltas) {
   EXPECT_EQ(find_series(snap, "net.tag_roams", ""), nullptr);
 }
 
-TEST(MetricsPlane, SpanSeriesCarryPerWindowPercentiles) {
+TEST_F(MetricsPlane, SpanSeriesCarryPerWindowPercentiles) {
   enable_in_memory();
   // Window 0: 100 spans of ~100 ns. Window 1: 100 spans of ~1000 ns. A
   // cumulative percentile would blend the two; the per-window delta must
@@ -143,11 +130,11 @@ TEST(MetricsPlane, SpanSeriesCarryPerWindowPercentiles) {
   for (int k = 0; k < 100; ++k) {
     telemetry::record_span(telemetry::Span::kRxDecode, k, 100);
   }
-  MetricsPlane::tick();
+  core::MetricsPlane::tick();
   for (int k = 0; k < 100; ++k) {
     telemetry::record_span(telemetry::Span::kRxDecode, k, 1000);
   }
-  MetricsPlane::tick();
+  core::MetricsPlane::tick();
   const auto snap = metrics::snapshot();
   tear_down();
 
@@ -173,9 +160,9 @@ TEST(MetricsPlane, SpanSeriesCarryPerWindowPercentiles) {
   EXPECT_EQ(find_series(snap, "transmit/total.count", ""), nullptr);
 }
 
-TEST(MetricsPlane, RecordCellAttributesSeriesToTheCellScope) {
+TEST_F(MetricsPlane, RecordCellAttributesSeriesToTheCellScope) {
   enable_in_memory();
-  MetricsPlane::CellSample s;
+  core::MetricsPlane::CellSample s;
   s.cell_id = 3;
   s.goodput_bps = 1.0e4;
   s.frame_error_rate = 0.25;
@@ -196,13 +183,13 @@ TEST(MetricsPlane, RecordCellAttributesSeriesToTheCellScope) {
   s.quality.add(q);
   q.snr_db = 14.0;
   s.quality.add(q);
-  MetricsPlane::record_cell(s);
+  core::MetricsPlane::record_cell(s);
 
   // A cell with no decodes and no quality reports: the outcome and link
   // series must simply not appear for its scope.
-  MetricsPlane::CellSample quiet;
+  core::MetricsPlane::CellSample quiet;
   quiet.cell_id = 4;
-  MetricsPlane::record_cell(quiet);
+  core::MetricsPlane::record_cell(quiet);
   const auto snap = metrics::snapshot();
   tear_down();
 
@@ -232,17 +219,16 @@ TEST(MetricsPlane, RecordCellAttributesSeriesToTheCellScope) {
   EXPECT_EQ(find_series(snap, "rx.outcome.ok", "cell=4"), nullptr);
 }
 
-TEST(MetricsPlane, JsonSectionParsesAndMatchesTheSchema) {
+TEST_F(MetricsPlane, JsonSectionParsesAndMatchesTheSchema) {
   enable_in_memory();
-  MetricsPlane::record_value("net.goodput_bps", {}, 100.0, "bps");
-  MetricsPlane::record_value("net.cell.fer", "cell=1", 0.5);
-  MetricsPlane::record_event(metrics::Severity::kWarning,
-                             "code_slice_overflow", "cell=1", 1.0,
-                             "3 members for 2 served slots");
-  MetricsPlane::tick();
+  metrics::push("net.goodput_bps", {}, 100.0, "bps");
+  metrics::push("net.cell.fer", "cell=1", 0.5);
+  metrics::push_event(metrics::Severity::kWarning, "code_slice_overflow",
+                      "cell=1", 1.0, "3 members for 2 served slots");
+  core::MetricsPlane::tick();
   util::JsonWriter w;
   w.begin_object();
-  MetricsPlane::write_json_section(w);
+  core::MetricsPlane::write_json_section(w);
   w.end_object();
   tear_down();
 
@@ -280,17 +266,17 @@ TEST(MetricsPlane, JsonSectionParsesAndMatchesTheSchema) {
   EXPECT_EQ(e.at("detail").string, "3 members for 2 served slots");
 }
 
-TEST(MetricsPlane, PrometheusExportHonoursTheConfiguredPath) {
+TEST_F(MetricsPlane, PrometheusExportHonoursTheConfiguredPath) {
   enable_in_memory();
-  MetricsPlane::record_value("net.goodput_bps", {}, 7.0, "bps");
+  metrics::push("net.goodput_bps", {}, 7.0, "bps");
   // No path configured: a successful no-op, no file appears.
-  EXPECT_TRUE(MetricsPlane::write_prometheus_if_requested());
+  EXPECT_TRUE(core::MetricsPlane::write_prometheus_if_requested());
 
   const auto path = ::testing::TempDir() + "cbma_plane_export.prom";
   std::remove(path.c_str());
   metrics::set_export_path(path);
   // tick() itself rewrites the snapshot at every window boundary.
-  MetricsPlane::tick();
+  core::MetricsPlane::tick();
   tear_down();
 
   std::ifstream in(path);
@@ -302,19 +288,19 @@ TEST(MetricsPlane, PrometheusExportHonoursTheConfiguredPath) {
   std::remove(path.c_str());
 }
 
-TEST(MetricsPlane, ResetClearsSeriesEventsAndTelemetryBaselines) {
+TEST_F(MetricsPlane, ResetClearsSeriesEventsAndTelemetryBaselines) {
   enable_in_memory();
   telemetry::add_count(telemetry::Counter::kChannelSamples, 5);
-  MetricsPlane::tick();
-  MetricsPlane::record_event(metrics::Severity::kInfo, "roam", {}, 0.0, {});
+  core::MetricsPlane::tick();
+  metrics::push_event(metrics::Severity::kInfo, "roam", {}, 0.0, {});
   ASSERT_GT(metrics::series_count(), 0u);
 
-  MetricsPlane::reset();
+  core::MetricsPlane::reset();
   EXPECT_EQ(metrics::series_count(), 0u);
   EXPECT_TRUE(metrics::snapshot().events.empty());
   // Baselines were re-zeroed too: the next window reports the full total
   // again, not the delta since the pre-reset sample.
-  MetricsPlane::tick();
+  core::MetricsPlane::tick();
   const auto snap = metrics::snapshot();
   tear_down();
   const auto* s = find_series(snap, "channel.samples", "");

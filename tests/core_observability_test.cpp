@@ -4,10 +4,8 @@
 // One parameterised test per plane pins the document contract: enabling
 // only that plane adds exactly its sections to RunRecorder::json() after a
 // real instrumented run, and switching it off again restores the all-off
-// document byte for byte.
-//
-// gtest_discover_tests runs each TEST in its own process, so every switch
-// starts from the environment and a flip here cannot leak.
+// document byte for byte. The environment tests need each switch's first
+// read, so their bodies run in a fresh process.
 #include "core/observability.h"
 
 #include <gtest/gtest.h>
@@ -21,10 +19,10 @@
 #include "core/metrics_plane.h"
 #include "core/recorder.h"
 #include "core/system.h"
+#include "observability_fixture.h"
 #include "util/json.h"
 #include "util/metrics.h"
 #include "util/probe.h"
-#include "util/profiler.h"
 #include "util/telemetry.h"
 
 namespace cbma::core {
@@ -52,7 +50,7 @@ const PlaneCase kCases[] = {
     {"telemetry", telemetry::set_enabled, {"telemetry"}},
     {"probe", probe::set_enabled, {"link_quality", "watchdog"}},
     {"metrics", set_metrics, {"telemetry", "timeseries", "events"}},
-    {"profile", profiler::set_enabled, {"profile"}},
+    {"profile", telemetry::set_profile_enabled, {"profile"}},
 };
 
 RunRecorder make_recorder() {
@@ -100,41 +98,46 @@ TEST(ObservabilityPlanes, TableListsThePlanesInSectionOrder) {
 }
 
 TEST(ObservabilityPlanes, ZeroInTheEnvironmentTurnsEveryPlaneOff) {
-  for (const char* var : {"CBMA_TELEMETRY", "CBMA_TRACE", "CBMA_PROBE",
-                          "CBMA_METRICS", "CBMA_PROFILE"}) {
-    ::setenv(var, "0", 1);
-  }
-  EXPECT_FALSE(telemetry::enabled());
-  EXPECT_FALSE(telemetry::trace_enabled());
-  EXPECT_EQ(telemetry::trace_path(), "");
-  EXPECT_FALSE(probe::enabled());
-  EXPECT_EQ(probe::dump_path(), "");
-  EXPECT_FALSE(metrics::enabled());
-  EXPECT_EQ(metrics::export_path(), "");
-  EXPECT_FALSE(profiler::enabled());
-  EXPECT_EQ(profiler::export_path(), "");
-  for (const auto& plane : observability_planes()) {
-    EXPECT_FALSE(plane.enabled()) << plane.name;
-  }
-  // With nothing requested, no artifact is owed and none is written.
-  EXPECT_TRUE(write_observability_artifacts());
+  in_fresh_process([] {
+    for (const char* var : {"CBMA_TELEMETRY", "CBMA_TRACE", "CBMA_PROBE",
+                            "CBMA_METRICS", "CBMA_PROFILE"}) {
+      ::setenv(var, "0", 1);
+    }
+    EXPECT_FALSE(telemetry::enabled());
+    EXPECT_FALSE(telemetry::trace_enabled());
+    EXPECT_EQ(telemetry::trace_path(), "");
+    EXPECT_FALSE(probe::enabled());
+    EXPECT_EQ(probe::dump_path(), "");
+    EXPECT_FALSE(metrics::enabled());
+    EXPECT_EQ(metrics::export_path(), "");
+    EXPECT_FALSE(telemetry::profile_enabled());
+    EXPECT_EQ(telemetry::profile_path(), "");
+    for (const auto& plane : observability_planes()) {
+      EXPECT_FALSE(plane.enabled()) << plane.name;
+    }
+    // With nothing requested, no artifact is owed and none is written.
+    EXPECT_TRUE(write_observability_artifacts());
+  });
 }
 
 TEST(ObservabilityPlanes, MetricsEnvArmsTelemetryWhicheverPlaneIsReadFirst) {
-  // No plane has been read in this process yet: the plane table reads the
-  // telemetry switch before the metrics one, and both must already agree.
-  ::unsetenv("CBMA_TELEMETRY");
-  ::setenv("CBMA_METRICS", "1", 1);
-  const RunRecorder recorder = make_recorder();
-  const std::string first = recorder.json();
-  const std::string second = recorder.json();
-  EXPECT_EQ(first, second);
-  EXPECT_NE(first.find("\"telemetry\":"), std::string::npos);
-  EXPECT_NE(first.find("\"timeseries\":"), std::string::npos);
-  ::unsetenv("CBMA_METRICS");
+  in_fresh_process([] {
+    // No plane has been read in this process yet: the plane table reads
+    // the telemetry switch before the metrics one, and both must already
+    // agree.
+    ::unsetenv("CBMA_TELEMETRY");
+    ::setenv("CBMA_METRICS", "1", 1);
+    const RunRecorder recorder = make_recorder();
+    const std::string first = recorder.json();
+    const std::string second = recorder.json();
+    EXPECT_EQ(first, second);
+    EXPECT_NE(first.find("\"telemetry\":"), std::string::npos);
+    EXPECT_NE(first.find("\"timeseries\":"), std::string::npos);
+  });
 }
 
-class PlaneSections : public ::testing::TestWithParam<std::size_t> {};
+class PlaneSections : public ObservabilityTest,
+                      public ::testing::WithParamInterface<std::size_t> {};
 
 TEST_P(PlaneSections, EnablingOnlyThisPlaneAddsExactlyItsSections) {
   const PlaneCase& c = kCases[GetParam()];

@@ -5,7 +5,7 @@
 // link-quality JSON section, and scan_sweep_anomalies' floor/neighbor
 // rules on synthetic grids.
 //
-// Each TEST runs in its own process (gtest_discover_tests), so enabling
+// Every test starts from the shared observability fixture, so enabling
 // probing here cannot leak into other tests.
 #include "core/probe_session.h"
 
@@ -19,10 +19,13 @@
 
 #include "core/sweep.h"
 #include "core/system.h"
+#include "observability_fixture.h"
 #include "util/json.h"
 
 namespace cbma::core {
 namespace {
+
+class CoreProbe : public ObservabilityTest {};
 
 SystemConfig three_tag_config() {
   SystemConfig config;
@@ -67,7 +70,7 @@ RunDigest run_once() {
   return digest;
 }
 
-TEST(CoreProbe, EnablingProbeChangesNoResultAndDrawsNoRng) {
+TEST_F(CoreProbe, EnablingProbeChangesNoResultAndDrawsNoRng) {
   probe::set_enabled(false);
   probe::reset();
   const auto off = run_once();
@@ -83,7 +86,7 @@ TEST(CoreProbe, EnablingProbeChangesNoResultAndDrawsNoRng) {
   EXPECT_TRUE(off == on);   // ...without perturbing a single result or draw
 }
 
-TEST(CoreProbe, DumpAndManifestRoundTrip) {
+TEST_F(CoreProbe, DumpAndManifestRoundTrip) {
   ProbeSession::enable("core_probe_roundtrip.bin");
   probe::reset();
   CbmaSystem system(three_tag_config(), three_tag_deployment());
@@ -142,7 +145,7 @@ TEST(CoreProbe, DumpAndManifestRoundTrip) {
   std::remove("core_probe_roundtrip.bin.json");
 }
 
-TEST(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
+TEST_F(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
   ProbeSession::enable("core_probe_section.bin");
   probe::reset();
   probe::LinkQualitySample sample;
@@ -180,7 +183,7 @@ TEST(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
   EXPECT_EQ(tags.array[1].at("snr_db_mean").number, 15.0);
 }
 
-TEST(CoreProbe, WatchdogFloorRuleFiresOnBreach) {
+TEST_F(CoreProbe, WatchdogFloorRuleFiresOnBreach) {
   SweepSpec spec;
   spec.name = "wd";
   spec.axes = {Axis::numeric("x", {0.0, 1.0, 2.0, 3.0})};
@@ -201,7 +204,7 @@ TEST(CoreProbe, WatchdogFloorRuleFiresOnBreach) {
   EXPECT_FALSE(warnings[0].detail.empty());
 }
 
-TEST(CoreProbe, WatchdogFloorRuleOrientsForLowerIsBetter) {
+TEST_F(CoreProbe, WatchdogFloorRuleOrientsForLowerIsBetter) {
   SweepSpec spec;
   spec.name = "wd";
   spec.axes = {Axis::numeric("x", {0.0, 1.0})};
@@ -217,7 +220,7 @@ TEST(CoreProbe, WatchdogFloorRuleOrientsForLowerIsBetter) {
   EXPECT_DOUBLE_EQ(warnings[0].value, 0.6);
 }
 
-TEST(CoreProbe, WatchdogNeighborRuleFiresOnDipNotOnSmoothDecay) {
+TEST_F(CoreProbe, WatchdogNeighborRuleFiresOnDipNotOnSmoothDecay) {
   SweepSpec spec;
   spec.name = "wd";
   spec.axes = {Axis::numeric("x", {0.0, 1.0, 2.0, 3.0, 4.0})};
@@ -246,7 +249,7 @@ TEST(CoreProbe, WatchdogNeighborRuleFiresOnDipNotOnSmoothDecay) {
   EXPECT_DOUBLE_EQ(warnings[0].reference, 1.0);
 }
 
-TEST(CoreProbe, WatchdogNeighborRuleWalksEveryAxis) {
+TEST_F(CoreProbe, WatchdogNeighborRuleWalksEveryAxis) {
   // 2×3 grid, collapse at (row 1, col 1): the dip must be caught via its
   // column axis too, and edge points must only use existing neighbors.
   SweepSpec spec;
@@ -265,7 +268,7 @@ TEST(CoreProbe, WatchdogNeighborRuleWalksEveryAxis) {
   EXPECT_EQ(warnings[0].kind, "neighbor");
 }
 
-TEST(CoreProbe, WatchdogDefaultsAreSilent) {
+TEST_F(CoreProbe, WatchdogDefaultsAreSilent) {
   // A rule with neither a floor nor a neighbor tolerance never fires no
   // matter how wild the data.
   SweepSpec spec;

@@ -1,12 +1,13 @@
-// core::ProfilePlane: the export half of the profiler (DESIGN.md §13).
+// core::ProfilePlane: the export half of the span recorder's tree view
+// (DESIGN.md §13).
 // Pins the contracts the tooling relies on: disabled is a strict identity
 // (no "profile" section, no collapsed file, no sinks), the JSON section
 // parses and satisfies the per-node identity incl == excl + child_ns, the
 // top-exclusive table is sorted and bounded, and the collapsed-stack
 // export's line values sum to the tree's total exclusive time.
 //
-// Each TEST runs in its own process (gtest_discover_tests), so flipping
-// the profiler flag here cannot leak into other tests.
+// Every test starts from the shared observability fixture, so flipping
+// the profile switch here cannot leak into other tests.
 #include "core/profile_plane.h"
 
 #include <gtest/gtest.h>
@@ -16,14 +17,15 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 
 #include "core/config.h"
 #include "core/recorder.h"
+#include "observability_fixture.h"
 #include "util/json.h"
 #include "util/parallel.h"
-#include "util/profiler.h"
 #include "util/telemetry.h"
 
 namespace cbma::core {
@@ -31,6 +33,8 @@ namespace {
 
 using telemetry::ScopedSpan;
 using telemetry::Span;
+
+class ProfilePlane : public ObservabilityTest {};
 
 /// A small deterministic tree: net/round → {net/cell_round → rx/process,
 /// net/associate} recorded twice, plus one parallel site.
@@ -48,26 +52,26 @@ void record_fixture() {
           const ScopedSpan rx(Span::kRxProcess);
         },
         2, &stats);
-    if (stats.collected) profiler::record_parallel("net/round", stats);
+    if (stats.collected) telemetry::record_parallel("net/round", stats);
   }
 }
 
 void tear_down() {
-  profiler::reset();
-  profiler::set_enabled(false);
-  profiler::set_export_path("");
+  telemetry::reset();
+  telemetry::set_profile_enabled(false);
+  telemetry::set_profile_path("");
 }
 
-TEST(ProfilePlane, DisabledIsAStrictIdentity) {
-  ASSERT_FALSE(profiler::enabled()) << "profiler must default to off";
-  // Spans with the profiler off must leave no trace anywhere.
+TEST_F(ProfilePlane, DisabledIsAStrictIdentity) {
+  ASSERT_FALSE(telemetry::profile_enabled()) << "profiling must default to off";
+  // Spans with profiling off must leave no trace anywhere.
   {
     const ScopedSpan s(Span::kRxProcess);
   }
-  EXPECT_TRUE(profiler::merged_tree().roots.empty());
-  EXPECT_TRUE(ProfilePlane::top_exclusive(10).empty());
-  EXPECT_TRUE(ProfilePlane::collapsed().empty());
-  EXPECT_TRUE(ProfilePlane::write_collapsed_if_requested());
+  EXPECT_TRUE(telemetry::merged_tree().roots.empty());
+  EXPECT_TRUE(core::ProfilePlane::top_exclusive(10).empty());
+  EXPECT_TRUE(core::ProfilePlane::collapsed().empty());
+  EXPECT_TRUE(core::ProfilePlane::write_collapsed_if_requested());
 
   // And the BENCH document carries no "profile" section.
   SweepSpec spec;
@@ -80,14 +84,14 @@ TEST(ProfilePlane, DisabledIsAStrictIdentity) {
   EXPECT_FALSE(doc.has("profile"));
 }
 
-TEST(ProfilePlane, JsonSectionParsesAndBalances) {
-  ProfilePlane::enable();
-  profiler::reset();
+TEST_F(ProfilePlane, JsonSectionParsesAndBalances) {
+  core::ProfilePlane::enable();
+  telemetry::reset();
   record_fixture();
 
   util::JsonWriter w;
   w.begin_object();
-  ProfilePlane::write_json_section(w);
+  core::ProfilePlane::write_json_section(w);
   w.end_object();
   tear_down();
 
@@ -134,12 +138,12 @@ TEST(ProfilePlane, JsonSectionParsesAndBalances) {
   EXPECT_DOUBLE_EQ(slot_items, 8.0);
 }
 
-TEST(ProfilePlane, TopExclusiveIsSortedAndBounded) {
-  ProfilePlane::enable();
-  profiler::reset();
+TEST_F(ProfilePlane, TopExclusiveIsSortedAndBounded) {
+  core::ProfilePlane::enable();
+  telemetry::reset();
   record_fixture();
-  const auto top2 = ProfilePlane::top_exclusive(2);
-  const auto all = ProfilePlane::top_exclusive(100);
+  const auto top2 = core::ProfilePlane::top_exclusive(2);
+  const auto all = core::ProfilePlane::top_exclusive(100);
   tear_down();
 
   EXPECT_EQ(top2.size(), 2u);
@@ -161,18 +165,18 @@ TEST(ProfilePlane, TopExclusiveIsSortedAndBounded) {
   EXPECT_TRUE(saw_nested);
 }
 
-TEST(ProfilePlane, CollapsedStackSumsToTreeExclusiveTime) {
-  ProfilePlane::enable();
-  profiler::reset();
+TEST_F(ProfilePlane, CollapsedStackSumsToTreeExclusiveTime) {
+  core::ProfilePlane::enable();
+  telemetry::reset();
   record_fixture();
-  const std::string text = ProfilePlane::collapsed();
+  const std::string text = core::ProfilePlane::collapsed();
   std::uint64_t tree_excl = 0;
-  std::function<void(const profiler::MergedNode&)> sum =
-      [&](const profiler::MergedNode& n) {
+  std::function<void(const telemetry::MergedNode&)> sum =
+      [&](const telemetry::MergedNode& n) {
         tree_excl += n.excl_ns();
         for (const auto& c : n.children) sum(c);
       };
-  for (const auto& root : profiler::merged_tree().roots) sum(root);
+  for (const auto& root : telemetry::merged_tree().roots) sum(root);
   tear_down();
 
   ASSERT_FALSE(text.empty());
@@ -195,18 +199,18 @@ TEST(ProfilePlane, CollapsedStackSumsToTreeExclusiveTime) {
   EXPECT_EQ(collapsed_sum, tree_excl);
 }
 
-TEST(ProfilePlane, WriteCollapsedHonoursTheConfiguredPath) {
-  ProfilePlane::enable();
-  profiler::reset();
+TEST_F(ProfilePlane, WriteCollapsedHonoursTheConfiguredPath) {
+  core::ProfilePlane::enable();
+  telemetry::reset();
   record_fixture();
   // No path configured: a successful no-op, no file appears.
-  EXPECT_TRUE(ProfilePlane::write_collapsed_if_requested());
+  EXPECT_TRUE(core::ProfilePlane::write_collapsed_if_requested());
 
   const auto path = ::testing::TempDir() + "cbma_profile_test.collapsed";
   std::remove(path.c_str());
-  profiler::set_export_path(path);
-  EXPECT_TRUE(ProfilePlane::write_collapsed_if_requested());
-  const std::string expected = ProfilePlane::collapsed();
+  telemetry::set_profile_path(path);
+  EXPECT_TRUE(core::ProfilePlane::write_collapsed_if_requested());
+  const std::string expected = core::ProfilePlane::collapsed();
   tear_down();
 
   std::ifstream in(path);
@@ -218,13 +222,59 @@ TEST(ProfilePlane, WriteCollapsedHonoursTheConfiguredPath) {
   std::remove(path.c_str());
 }
 
-TEST(ProfilePlane, EnableWithPathSetsTheExportTarget) {
-  ASSERT_FALSE(profiler::enabled());
-  ProfilePlane::enable("/tmp/cbma_flame.txt");
-  EXPECT_TRUE(profiler::enabled());
-  EXPECT_EQ(profiler::export_path(), "/tmp/cbma_flame.txt");
+TEST_F(ProfilePlane, TreeAndTelemetrySectionsAgreeSpanForSpan) {
+  // Both views on: every span feeds the flat histograms and the tree from
+  // one clock reading in one per-thread sink.
+  telemetry::set_enabled(true);
+  core::ProfilePlane::enable();
+  {
+    const ScopedSpan warm(Span::kBenchIteration);  // the caller's own sink
+  }
+  telemetry::reset();
+  const std::size_t sinks_before = telemetry::sink_count();
+  record_fixture();  // 2 rounds, each a parallel_for on 2 fresh workers
+  EXPECT_EQ(telemetry::sink_count(), sinks_before + 4)
+      << "each recording thread registers exactly one sink";
+
+  SweepSpec spec;
+  spec.name = "profile_plane_test";
+  spec.title = "t";
+  spec.axes.push_back(Axis::numeric("x", {1.0}));
+  const RunRecorder recorder(std::move(spec), SystemConfig{});
+  const auto doc = util::json_parse(recorder.json());
+  const auto& flat = doc.at("telemetry");
+  const auto& prof = doc.at("profile");
+
+  // Sum every tree node per span. Context nodes carry no count and no
+  // time, so the sums cover exactly the spans that ran.
+  std::map<std::string, std::pair<double, double>> tree;  // count, incl_ns
+  std::function<void(const util::JsonValue&)> sum =
+      [&](const util::JsonValue& node) {
+        auto& [count, incl_ns] = tree[node.at("span").string];
+        count += node.at("count").number;
+        incl_ns += node.at("incl_ns").number;
+        for (const auto& c : node.at("children").array) sum(c);
+      };
+  for (const auto& root : prof.at("tree").array) sum(root);
+
+  const auto& spans = flat.at("spans").array;
+  ASSERT_EQ(spans.size(), 4u);  // round, associate, cell_round, rx/process
+  for (const auto& s : spans) {
+    const std::string name = s.at("name").string;
+    ASSERT_EQ(tree.count(name), 1u) << name;
+    EXPECT_EQ(tree[name].first, s.at("count").number) << name;
+    EXPECT_EQ(tree[name].second, s.at("total_ns").number) << name;
+  }
+  EXPECT_EQ(tree.size(), spans.size());
+}
+
+TEST_F(ProfilePlane, EnableWithPathSetsTheExportTarget) {
+  ASSERT_FALSE(telemetry::profile_enabled());
+  core::ProfilePlane::enable("/tmp/cbma_flame.txt");
+  EXPECT_TRUE(telemetry::profile_enabled());
+  EXPECT_EQ(telemetry::profile_path(), "/tmp/cbma_flame.txt");
   tear_down();
-  EXPECT_FALSE(profiler::enabled());
+  EXPECT_FALSE(telemetry::profile_enabled());
 }
 
 }  // namespace

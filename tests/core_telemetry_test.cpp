@@ -10,9 +10,9 @@
 //    percentiles, ≥ 10 named counters, a bounded flight recorder whose
 //    frames carry the causal fields, and a Chrome-trace export that parses.
 //
-// gtest_discover_tests runs each TEST in its own process, so the
-// process-global telemetry registry starts empty per test — the
-// sink_count() == 0 assertions below rely on that.
+// Every test starts from the shared observability fixture. Sinks stay
+// registered for the life of a process, so the sink_count() == 0 test runs
+// its body in a fresh one.
 #include "core/telemetry.h"
 
 #include <gtest/gtest.h>
@@ -27,6 +27,7 @@
 
 #include "core/recorder.h"
 #include "core/system.h"
+#include "observability_fixture.h"
 #include "rx/receiver.h"
 #include "util/json.h"
 #include "util/trace_export.h"
@@ -35,6 +36,8 @@ namespace cbma::core {
 namespace {
 
 constexpr std::size_t kTags = 3;
+
+class Telemetry : public ObservabilityTest {};
 
 CbmaSystem make_system(bool with_impairments = false) {
   SystemConfig cfg;
@@ -86,17 +89,19 @@ RoundDigest run_rounds(const CbmaSystem& sys, std::uint64_t seed,
 
 // --- contract 1: disabled telemetry is a strict identity -------------------
 
-TEST(Telemetry, DisabledRunAllocatesNoSinks) {
-  telemetry::set_enabled(false);
-  const auto sys = make_system(/*with_impairments=*/true);
-  (void)run_rounds(sys, 77, 4);
-  // No ScopedSpan, count() or record_frame() call may have touched the
-  // registry: the off path must never allocate a thread sink.
-  EXPECT_EQ(telemetry::sink_count(), 0u);
-  EXPECT_FALSE(telemetry::enabled());
+TEST_F(Telemetry, DisabledRunAllocatesNoSinks) {
+  in_fresh_process([] {
+    telemetry::set_enabled(false);
+    const auto sys = make_system(/*with_impairments=*/true);
+    (void)run_rounds(sys, 77, 4);
+    // No ScopedSpan, count() or record_frame() call may have touched the
+    // registry: the off path must never allocate a thread sink.
+    EXPECT_EQ(telemetry::sink_count(), 0u);
+    EXPECT_FALSE(telemetry::enabled());
+  });
 }
 
-TEST(Telemetry, EnablingDrawsNoRandomnessAndChangesNoResults) {
+TEST_F(Telemetry, EnablingDrawsNoRandomnessAndChangesNoResults) {
   const auto sys = make_system(/*with_impairments=*/true);
   telemetry::set_enabled(false);
   const auto off = run_rounds(sys, 20190707, 6);
@@ -108,7 +113,7 @@ TEST(Telemetry, EnablingDrawsNoRandomnessAndChangesNoResults) {
   EXPECT_TRUE(off == on);
 }
 
-TEST(Telemetry, RecorderJsonByteIdenticalWhenDisabled) {
+TEST_F(Telemetry, RecorderJsonByteIdenticalWhenDisabled) {
   SweepSpec spec;
   spec.name = "telemetry_identity";
   spec.title = "telemetry identity";
@@ -140,7 +145,7 @@ TEST(Telemetry, RecorderJsonByteIdenticalWhenDisabled) {
 
 // --- contract 2: the enabled path observes the pipeline --------------------
 
-TEST(Telemetry, SnapshotHasOrderedSpansAndNamedCounters) {
+TEST_F(Telemetry, SnapshotHasOrderedSpansAndNamedCounters) {
   constexpr std::size_t kRounds = 10;
   telemetry::set_enabled(true);
   telemetry::reset();
@@ -193,7 +198,7 @@ TEST(Telemetry, SnapshotHasOrderedSpansAndNamedCounters) {
 
   // Flight recorder: bounded, ordered, and carrying the causal fields.
   ASSERT_FALSE(snap.frames.empty());
-  EXPECT_LE(snap.frames.size(), telemetry::flight_recorder_capacity());
+  EXPECT_LE(snap.frames.size(), telemetry::kFlightRecorderCapacity);
   for (std::size_t i = 0; i < snap.frames.size(); ++i) {
     const auto& f = snap.frames[i];
     if (i > 0) {
@@ -211,28 +216,29 @@ TEST(Telemetry, SnapshotHasOrderedSpansAndNamedCounters) {
   telemetry::reset();
 }
 
-TEST(Telemetry, FlightRecorderKeepsOnlyTheLastFrames) {
-  // Capacity applies to sinks created afterwards — set it before the first
-  // instrumented call in this fresh process.
-  telemetry::set_flight_recorder_capacity(8);
+TEST_F(Telemetry, FlightRecorderKeepsOnlyTheLastFrames) {
+  // Offer more frames than the ring holds: 3 tags per round, a few rounds
+  // past capacity.
+  constexpr std::size_t kRounds =
+      telemetry::kFlightRecorderCapacity / kTags + 4;
   telemetry::set_enabled(true);
   telemetry::reset();
   const auto sys = make_system();
-  (void)run_rounds(sys, 7, 12);  // 12 rounds × 3 tags = 36 frames offered
+  (void)run_rounds(sys, 7, kRounds);
   const auto snap = telemetry::snapshot();
   telemetry::set_enabled(false);
 
-  ASSERT_EQ(snap.frames.size(), 8u);
+  ASSERT_EQ(snap.frames.size(), telemetry::kFlightRecorderCapacity);
   // The ring keeps the *latest* frames: seq numbers are the top of the
   // global sequence, contiguous on this single recording thread.
   for (std::size_t i = 1; i < snap.frames.size(); ++i) {
     EXPECT_EQ(snap.frames[i].seq, snap.frames[i - 1].seq + 1);
   }
-  EXPECT_EQ(snap.frames.back().seq, 36u - 1u);
+  EXPECT_EQ(snap.frames.back().seq, kRounds * kTags - 1u);
   telemetry::reset();
 }
 
-TEST(Telemetry, ChromeTraceExportParsesAndCoversSpansAndFrames) {
+TEST_F(Telemetry, ChromeTraceExportParsesAndCoversSpansAndFrames) {
   telemetry::set_enabled(true);
   telemetry::set_trace_enabled(true);
   telemetry::reset();
@@ -279,15 +285,19 @@ TEST(Telemetry, ChromeTraceExportParsesAndCoversSpansAndFrames) {
   telemetry::reset();
 }
 
-TEST(Telemetry, TraceFileIsWrittenEvenWhenTelemetryIsDisabled) {
+TEST_F(Telemetry, TraceFileIsWrittenEvenWhenTelemetryIsDisabled) {
   // Regression: CBMA_TRACE promises a trace file. A run with telemetry
   // disabled (or simply no spans recorded) used to report success without
   // writing anything; the export must instead be a valid, empty document.
+  // CBMA_TRACE is read once per process, so the export runs in a fresh
+  // process that inherits the variable.
   const auto path = ::testing::TempDir() + "cbma_trace_disabled.json";
   std::remove(path.c_str());
   ::setenv("CBMA_TRACE", path.c_str(), 1);
-  telemetry::set_enabled(false);
-  ASSERT_TRUE(Telemetry::write_trace_if_requested());
+  in_fresh_process([] {
+    telemetry::set_enabled(false);
+    ASSERT_TRUE(core::Telemetry::write_trace_if_requested());
+  });
   ::unsetenv("CBMA_TRACE");
 
   std::ifstream in(path);
@@ -302,7 +312,7 @@ TEST(Telemetry, TraceFileIsWrittenEvenWhenTelemetryIsDisabled) {
   std::remove(path.c_str());
 }
 
-TEST(Telemetry, BenchJsonTelemetrySectionMatchesSchema) {
+TEST_F(Telemetry, BenchJsonTelemetrySectionMatchesSchema) {
   telemetry::set_enabled(true);
   telemetry::reset();
   (void)run_rounds(make_system(), 11, 4);

@@ -167,7 +167,6 @@ TEST(Network, MetricsPlaneChangesNoResultsAndAttributesEveryCell) {
 
   core::MetricsPlane::enable();
   metrics::set_export_path("");
-  core::MetricsPlane::set_cadence(1);
   core::MetricsPlane::reset();
   const auto on = on_net.run_round(31);
   const auto snap = metrics::snapshot();

@@ -5,8 +5,8 @@
 // event caps refuse work loudly, and the Prometheus text exposition is
 // well-formed (sanitized names, scope labels, meta gauges, atomic rewrite).
 //
-// Each TEST runs in its own process (gtest_discover_tests), so flipping the
-// enabled flag or the ring capacity here cannot leak into other tests.
+// Every test starts from the shared observability fixture, so what an
+// earlier test recorded cannot leak into the next one.
 #include "util/metrics.h"
 
 #include <gtest/gtest.h>
@@ -16,8 +16,12 @@
 #include <sstream>
 #include <string>
 
+#include "observability_fixture.h"
+
 namespace cbma::metrics {
 namespace {
+
+class UtilMetrics : public ObservabilityTest {};
 
 /// Count non-overlapping occurrences of `needle` in `text`.
 std::size_t occurrences(const std::string& text, const std::string& needle) {
@@ -29,7 +33,7 @@ std::size_t occurrences(const std::string& text, const std::string& needle) {
   return n;
 }
 
-TEST(UtilMetrics, DisabledRecordingIsAStrictNoOp) {
+TEST_F(UtilMetrics, DisabledRecordingIsAStrictNoOp) {
   set_enabled(false);
   push("net.goodput_bps", {}, 1.0, "bps");
   push("net.cell.fer", "cell=3", 0.5);
@@ -46,7 +50,7 @@ TEST(UtilMetrics, DisabledRecordingIsAStrictNoOp) {
   EXPECT_EQ(snap.dropped_events, 0u);
 }
 
-TEST(UtilMetrics, SamplesAreStampedWithTheOpenWindow) {
+TEST_F(UtilMetrics, SamplesAreStampedWithTheOpenWindow) {
   set_enabled(true);
   reset();
   push("net.goodput_bps", {}, 10.0, "bps");
@@ -71,7 +75,7 @@ TEST(UtilMetrics, SamplesAreStampedWithTheOpenWindow) {
   reset();
 }
 
-TEST(UtilMetrics, SameNameDifferentScopeAreDistinctSeries) {
+TEST_F(UtilMetrics, SameNameDifferentScopeAreDistinctSeries) {
   set_enabled(true);
   reset();
   push("net.cell.fer", "cell=0", 0.1);
@@ -91,24 +95,22 @@ TEST(UtilMetrics, SameNameDifferentScopeAreDistinctSeries) {
   reset();
 }
 
-TEST(UtilMetrics, RingOverwritesOldestAndCountsDrops) {
+TEST_F(UtilMetrics, RingOverwritesOldestAndCountsDrops) {
   set_enabled(true);
   reset();
-  set_window_capacity(4);
-  for (int k = 0; k < 7; ++k) {
+  for (std::size_t k = 0; k < kWindowCapacity + 3; ++k) {
     push("ring.test", {}, static_cast<double>(k));
     advance_window();
   }
   const auto snap = snapshot();
-  set_window_capacity(kDefaultWindowCapacity);
   set_enabled(false);
 
   ASSERT_EQ(snap.series.size(), 1u);
   const auto& pts = snap.series[0].points;
-  // Ring depth 4: the first three samples were overwritten (and counted),
-  // the survivors unroll oldest → newest.
-  ASSERT_EQ(pts.size(), 4u);
-  for (std::size_t k = 0; k < 4; ++k) {
+  // Three samples past the ring depth: the first three were overwritten
+  // (and counted), the survivors unroll oldest → newest.
+  ASSERT_EQ(pts.size(), kWindowCapacity);
+  for (std::size_t k = 0; k < kWindowCapacity; ++k) {
     EXPECT_EQ(pts[k].window, 3u + k);
     EXPECT_DOUBLE_EQ(pts[k].value, static_cast<double>(3 + k));
   }
@@ -117,10 +119,9 @@ TEST(UtilMetrics, RingOverwritesOldestAndCountsDrops) {
   reset();
 }
 
-TEST(UtilMetrics, SeriesCapRefusesNewSeriesAndCountsThem) {
+TEST_F(UtilMetrics, SeriesCapRefusesNewSeriesAndCountsThem) {
   set_enabled(true);
   reset();
-  set_window_capacity(1);  // keep the 512 rings tiny
   for (std::size_t k = 0; k < kMaxSeries; ++k) {
     push("series." + std::to_string(k), {}, 1.0);
   }
@@ -130,7 +131,6 @@ TEST(UtilMetrics, SeriesCapRefusesNewSeriesAndCountsThem) {
   // Existing series still accept samples at the cap.
   push("series.0", {}, 2.0);
   const auto snap = snapshot();
-  set_window_capacity(kDefaultWindowCapacity);
   set_enabled(false);
 
   EXPECT_EQ(snap.series.size(), kMaxSeries);
@@ -138,7 +138,7 @@ TEST(UtilMetrics, SeriesCapRefusesNewSeriesAndCountsThem) {
   reset();
 }
 
-TEST(UtilMetrics, EventLogIsBoundedWithStrictlyIncreasingSeq) {
+TEST_F(UtilMetrics, EventLogIsBoundedWithStrictlyIncreasingSeq) {
   set_enabled(true);
   reset();
   for (std::size_t k = 0; k < kMaxEvents + 5; ++k) {
@@ -158,7 +158,7 @@ TEST(UtilMetrics, EventLogIsBoundedWithStrictlyIncreasingSeq) {
   reset();
 }
 
-TEST(UtilMetrics, SeverityNamesMatchTheWireVocabulary) {
+TEST_F(UtilMetrics, SeverityNamesMatchTheWireVocabulary) {
   // cbma_inspect.py and the JSON "events" section speak exactly these.
   EXPECT_STREQ(severity_name(Severity::kInfo), "info");
   EXPECT_STREQ(severity_name(Severity::kWarning), "warning");
@@ -166,7 +166,7 @@ TEST(UtilMetrics, SeverityNamesMatchTheWireVocabulary) {
   EXPECT_STREQ(severity_name(Severity::kCount), "unknown");
 }
 
-TEST(UtilMetrics, ResetClearsDataButKeepsFlagAndPath) {
+TEST_F(UtilMetrics, ResetClearsDataButKeepsFlagAndPath) {
   set_enabled(true);
   reset();
   set_export_path("somewhere.prom");
@@ -184,7 +184,7 @@ TEST(UtilMetrics, ResetClearsDataButKeepsFlagAndPath) {
   set_enabled(false);
 }
 
-TEST(UtilMetrics, PrometheusTextIsWellFormed) {
+TEST_F(UtilMetrics, PrometheusTextIsWellFormed) {
   set_enabled(true);
   reset();
   push("net.cell.goodput_bps", "cell=3", 1000.0, "bps");
@@ -218,7 +218,7 @@ TEST(UtilMetrics, PrometheusTextIsWellFormed) {
   reset();
 }
 
-TEST(UtilMetrics, WritePrometheusLeavesNoTmpFileBehind) {
+TEST_F(UtilMetrics, WritePrometheusLeavesNoTmpFileBehind) {
   set_enabled(true);
   reset();
   push("net.goodput_bps", {}, 42.0, "bps");
@@ -239,7 +239,7 @@ TEST(UtilMetrics, WritePrometheusLeavesNoTmpFileBehind) {
   reset();
 }
 
-TEST(UtilMetrics, WritePrometheusFailsLoudlyOnBadPath) {
+TEST_F(UtilMetrics, WritePrometheusFailsLoudlyOnBadPath) {
   set_enabled(true);
   reset();
   push("a", {}, 1.0);

@@ -3,7 +3,7 @@
 // counters), IQ interleaving, sweep-point labelling via ScopedPoint, and
 // the tap name table the manifest format depends on.
 //
-// Each TEST runs in its own process (gtest_discover_tests), so enabling
+// Every test starts from the shared observability fixture, so enabling
 // probing here cannot leak into other tests.
 #include "util/probe.h"
 
@@ -14,10 +14,14 @@
 #include <string>
 #include <vector>
 
+#include "observability_fixture.h"
+
 namespace cbma::probe {
 namespace {
 
-TEST(UtilProbe, TapNamesAreCompleteAndUnique) {
+class UtilProbe : public ObservabilityTest {};
+
+TEST_F(UtilProbe, TapNamesAreCompleteAndUnique) {
   std::set<std::string> names;
   for (std::size_t i = 0; i < kTapCount; ++i) {
     const std::string n = tap_name(static_cast<Tap>(i));
@@ -31,7 +35,7 @@ TEST(UtilProbe, TapNamesAreCompleteAndUnique) {
   EXPECT_STREQ(tap_name(static_cast<Tap>(200)), "unknown");
 }
 
-TEST(UtilProbe, DisabledRecordingIsANoOp) {
+TEST_F(UtilProbe, DisabledRecordingIsANoOp) {
   set_enabled(false);
   const std::vector<double> samples{1.0, 2.0, 3.0};
   const std::vector<std::complex<double>> iq{{1.0, -1.0}};
@@ -48,7 +52,7 @@ TEST(UtilProbe, DisabledRecordingIsANoOp) {
   EXPECT_EQ(capture.dropped_link, 0u);
 }
 
-TEST(UtilProbe, RecordsCarrySequenceContextAndData) {
+TEST_F(UtilProbe, RecordsCarrySequenceContextAndData) {
   set_enabled(true);
   reset();
   const std::vector<double> a{1.0, 2.0};
@@ -78,7 +82,7 @@ TEST(UtilProbe, RecordsCarrySequenceContextAndData) {
   reset();
 }
 
-TEST(UtilProbe, ComplexRecordsInterleaveReIm) {
+TEST_F(UtilProbe, ComplexRecordsInterleaveReIm) {
   set_enabled(true);
   reset();
   const std::vector<std::complex<double>> iq{{1.0, -2.0}, {3.0, 4.0}};
@@ -97,7 +101,7 @@ TEST(UtilProbe, ComplexRecordsInterleaveReIm) {
   reset();
 }
 
-TEST(UtilProbe, PerTapCapDropsOverflowAndCounts) {
+TEST_F(UtilProbe, PerTapCapDropsOverflowAndCounts) {
   set_enabled(true);
   reset();
   const std::vector<double> sample{1.0};
@@ -114,7 +118,7 @@ TEST(UtilProbe, PerTapCapDropsOverflowAndCounts) {
   reset();
 }
 
-TEST(UtilProbe, OverlongRecordsAreTruncatedNotDropped) {
+TEST_F(UtilProbe, OverlongRecordsAreTruncatedNotDropped) {
   set_enabled(true);
   reset();
   const std::vector<double> big(kMaxSamplesPerRecord + 100, 1.5);
@@ -128,7 +132,7 @@ TEST(UtilProbe, OverlongRecordsAreTruncatedNotDropped) {
   reset();
 }
 
-TEST(UtilProbe, LinkQualityCapDropsOverflow) {
+TEST_F(UtilProbe, LinkQualityCapDropsOverflow) {
   set_enabled(true);
   reset();
   for (std::size_t i = 0; i < kMaxLinkQualitySamples + 5; ++i) {
@@ -142,7 +146,7 @@ TEST(UtilProbe, LinkQualityCapDropsOverflow) {
   reset();
 }
 
-TEST(UtilProbe, ScopedPointLabelsRecordsAndRestores) {
+TEST_F(UtilProbe, ScopedPointLabelsRecordsAndRestores) {
   set_enabled(true);
   reset();
   const std::vector<double> sample{1.0};
@@ -170,7 +174,7 @@ TEST(UtilProbe, ScopedPointLabelsRecordsAndRestores) {
   reset();
 }
 
-TEST(UtilProbe, ResetClearsCaptureAndSequence) {
+TEST_F(UtilProbe, ResetClearsCaptureAndSequence) {
   set_enabled(true);
   reset();
   const std::vector<double> sample{1.0};
@@ -189,7 +193,7 @@ TEST(UtilProbe, ResetClearsCaptureAndSequence) {
   reset();
 }
 
-TEST(UtilProbe, DumpPathIsProgrammable) {
+TEST_F(UtilProbe, DumpPathIsProgrammable) {
   set_dump_path("probe_test_dump.bin");
   EXPECT_EQ(dump_path(), "probe_test_dump.bin");
   set_dump_path("");

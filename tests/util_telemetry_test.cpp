@@ -3,8 +3,8 @@
 // counter arithmetic, name-table completeness/uniqueness, and the
 // flight-recorder ring mechanics via direct record_frame calls.
 //
-// Each TEST runs in its own process (gtest_discover_tests), so enabling
-// telemetry here cannot leak into other tests.
+// Every test starts from the shared observability fixture; the two that
+// count registered sinks run their bodies in a fresh process.
 #include "util/telemetry.h"
 
 #include <gtest/gtest.h>
@@ -15,10 +15,14 @@
 #include <string>
 #include <vector>
 
+#include "observability_fixture.h"
+
 namespace cbma::telemetry {
 namespace {
 
-TEST(UtilTelemetry, SpanAndCounterNamesAreCompleteAndUnique) {
+class UtilTelemetry : public ObservabilityTest {};
+
+TEST_F(UtilTelemetry, SpanAndCounterNamesAreCompleteAndUnique) {
   std::set<std::string> names;
   for (std::size_t i = 0; i < kSpanCount; ++i) {
     const std::string n = span_name(static_cast<Span>(i));
@@ -38,20 +42,22 @@ TEST(UtilTelemetry, SpanAndCounterNamesAreCompleteAndUnique) {
   EXPECT_GE(kCounterCount, 10u);  // the acceptance bar for named counters
 }
 
-TEST(UtilTelemetry, DisabledRecordingIsANoOp) {
-  set_enabled(false);
-  record_span(Span::kRxProcess, 1, 100);
-  add_count(Counter::kRxDetections, 5);
-  record_frame(FrameTrace{});
-  { const ScopedSpan span(Span::kRxDecode); }
-  EXPECT_EQ(sink_count(), 0u);
-  const auto snap = snapshot();
-  EXPECT_TRUE(snap.spans.empty());
-  EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.frames.empty());
+TEST_F(UtilTelemetry, DisabledRecordingIsANoOp) {
+  in_fresh_process([] {
+    set_enabled(false);
+    record_span(Span::kRxProcess, 1, 100);
+    add_count(Counter::kRxDetections, 5);
+    record_frame(FrameTrace{});
+    { const ScopedSpan span(Span::kRxDecode); }
+    EXPECT_EQ(sink_count(), 0u);
+    const auto snap = snapshot();
+    EXPECT_TRUE(snap.spans.empty());
+    EXPECT_TRUE(snap.counters.empty());
+    EXPECT_TRUE(snap.frames.empty());
+  });
 }
 
-TEST(UtilTelemetry, SpanStatisticsAndQuantilesWithinBucketError) {
+TEST_F(UtilTelemetry, SpanStatisticsAndQuantilesWithinBucketError) {
   set_enabled(true);
   reset();
   // 1..1000 ns, shuffled order must not matter for rank statistics.
@@ -81,7 +87,7 @@ TEST(UtilTelemetry, SpanStatisticsAndQuantilesWithinBucketError) {
   reset();
 }
 
-TEST(UtilTelemetry, CountersAccumulateAcrossCalls) {
+TEST_F(UtilTelemetry, CountersAccumulateAcrossCalls) {
   set_enabled(true);
   reset();
   add_count(Counter::kChannelSamples, 100);
@@ -102,11 +108,11 @@ TEST(UtilTelemetry, CountersAccumulateAcrossCalls) {
   reset();
 }
 
-TEST(UtilTelemetry, FrameRingWrapsAndSeqIsGlobal) {
-  set_flight_recorder_capacity(4);
+TEST_F(UtilTelemetry, FrameRingWrapsAndSeqIsGlobal) {
+  constexpr std::size_t kOffered = kFlightRecorderCapacity + 7;
   set_enabled(true);
   reset();
-  for (std::uint32_t k = 0; k < 11; ++k) {
+  for (std::uint32_t k = 0; k < kOffered; ++k) {
     FrameTrace f;
     f.tag_id = k;
     record_frame(f);
@@ -114,9 +120,10 @@ TEST(UtilTelemetry, FrameRingWrapsAndSeqIsGlobal) {
   const auto snap = snapshot();
   set_enabled(false);
 
-  ASSERT_EQ(snap.frames.size(), 4u);
-  // Last four of the eleven, in seq order, seq stamped 0..10 globally.
-  for (std::size_t i = 0; i < 4; ++i) {
+  ASSERT_EQ(snap.frames.size(), kFlightRecorderCapacity);
+  // The last kFlightRecorderCapacity of the offered frames, in seq order,
+  // seq stamped 0..kOffered-1 globally: the first seven were overwritten.
+  for (std::size_t i = 0; i < kFlightRecorderCapacity; ++i) {
     EXPECT_EQ(snap.frames[i].seq, 7u + i);
     EXPECT_EQ(snap.frames[i].tag_id, 7u + i);
     EXPECT_GT(snap.frames[i].ts_ns, 0u);
@@ -124,21 +131,23 @@ TEST(UtilTelemetry, FrameRingWrapsAndSeqIsGlobal) {
   reset();
 }
 
-TEST(UtilTelemetry, ResetClearsDataButKeepsSinksRegistered) {
-  set_enabled(true);
-  reset();
-  record_span(Span::kSweepPoint, 1, 50);
-  add_count(Counter::kSweepPoints, 1);
-  ASSERT_EQ(sink_count(), 1u);
-  reset();
-  const auto snap = snapshot();
-  set_enabled(false);
-  EXPECT_TRUE(snap.spans.empty());
-  EXPECT_TRUE(snap.counters.empty());
-  EXPECT_EQ(sink_count(), 1u);
+TEST_F(UtilTelemetry, ResetClearsDataButKeepsSinksRegistered) {
+  in_fresh_process([] {
+    set_enabled(true);
+    reset();
+    record_span(Span::kSweepPoint, 1, 50);
+    add_count(Counter::kSweepPoints, 1);
+    ASSERT_EQ(sink_count(), 1u);
+    reset();
+    const auto snap = snapshot();
+    set_enabled(false);
+    EXPECT_TRUE(snap.spans.empty());
+    EXPECT_TRUE(snap.counters.empty());
+    EXPECT_EQ(sink_count(), 1u);
+  });
 }
 
-TEST(UtilTelemetry, TraceEventsCapturedOnlyWhenTraceFlagOn) {
+TEST_F(UtilTelemetry, TraceEventsCapturedOnlyWhenTraceFlagOn) {
   set_enabled(true);
   reset();
   record_span(Span::kRxDetect, 10, 5);
@@ -159,7 +168,7 @@ TEST(UtilTelemetry, TraceEventsCapturedOnlyWhenTraceFlagOn) {
 
 // --- histogram bucketing edges (the metrics plane's percentile substrate) --
 
-TEST(UtilTelemetry, HistogramBucketsAreExactBelowEight) {
+TEST_F(UtilTelemetry, HistogramBucketsAreExactBelowEight) {
   // Indices 0–7 hold the exact small values: no quantization at all.
   for (std::uint64_t v = 0; v < 8; ++v) {
     EXPECT_EQ(histogram_bucket_of(v), static_cast<std::size_t>(v));
@@ -171,7 +180,7 @@ TEST(UtilTelemetry, HistogramBucketsAreExactBelowEight) {
   EXPECT_EQ(histogram_bucket_of(10), 9u);
 }
 
-TEST(UtilTelemetry, HistogramBucketsAreMonotoneAndSubBucketTight) {
+TEST_F(UtilTelemetry, HistogramBucketsAreMonotoneAndSubBucketTight) {
   std::size_t prev = 0;
   for (const std::uint64_t v :
        {1ull, 7ull, 8ull, 15ull, 16ull, 100ull, 1000ull, 12345ull,
@@ -189,7 +198,7 @@ TEST(UtilTelemetry, HistogramBucketsAreMonotoneAndSubBucketTight) {
   }
 }
 
-TEST(UtilTelemetry, HistogramSaturatesWithoutOverflowAtUint64Max) {
+TEST_F(UtilTelemetry, HistogramSaturatesWithoutOverflowAtUint64Max) {
   const std::size_t top = histogram_bucket_of(~0ull);
   ASSERT_LT(top, kHistogramBuckets);
   // Every smaller value lands at or below the top bucket, and the top
@@ -199,7 +208,7 @@ TEST(UtilTelemetry, HistogramSaturatesWithoutOverflowAtUint64Max) {
               0.125 * static_cast<double>(~0ull));
 }
 
-TEST(UtilTelemetry, HistogramQuantileOfASingleSampleIsThatSample) {
+TEST_F(UtilTelemetry, HistogramQuantileOfASingleSampleIsThatSample) {
   // One sample: every percentile is that sample's bucket midpoint — p50,
   // p90 and p99 must agree exactly (the window edge the metrics plane hits
   // whenever a span fired once in a window).
@@ -212,7 +221,7 @@ TEST(UtilTelemetry, HistogramQuantileOfASingleSampleIsThatSample) {
   EXPECT_NEAR(mid, 500.0, 0.125 * 500.0);
 }
 
-TEST(UtilTelemetry, HistogramQuantileAtBucketBoundaries) {
+TEST_F(UtilTelemetry, HistogramQuantileAtBucketBoundaries) {
   // Two populations in distinct buckets: the quantile walk must switch
   // buckets exactly at the cumulative-rank boundary. 10 samples at 100 ns
   // and 90 at 10000 ns → p50/p90/p99 sit in the big bucket, p0 in the
@@ -229,7 +238,7 @@ TEST(UtilTelemetry, HistogramQuantileAtBucketBoundaries) {
   EXPECT_DOUBLE_EQ(histogram_quantile(buckets, 100, 0.99, -1.0), hi);
 }
 
-TEST(UtilTelemetry, HistogramQuantileFallsBackOnEmptyOrInconsistentInput) {
+TEST_F(UtilTelemetry, HistogramQuantileFallsBackOnEmptyOrInconsistentInput) {
   std::uint64_t buckets[kHistogramBuckets] = {};
   // Empty histogram: the caller's fallback comes back verbatim.
   EXPECT_DOUBLE_EQ(histogram_quantile(buckets, 0, 0.5, 123.25), 123.25);

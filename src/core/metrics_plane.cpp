@@ -36,7 +36,7 @@ void push_span_window(const char* span, const telemetry::SpanHistogram& cur,
   const std::string base(span);
   metrics::push(base + ".count", {}, static_cast<double>(count));
   metrics::push(base + ".mean_ns", {}, mean_ns, "ns");
-  for (const auto [suffix, q] : {std::pair{".p50_ns", 0.50},
+  for (const auto& [suffix, q] : {std::pair{".p50_ns", 0.50},
                                  std::pair{".p90_ns", 0.90},
                                  std::pair{".p99_ns", 0.99}}) {
     metrics::push(base + suffix, {},

@@ -22,6 +22,36 @@ double Channel::sample_rate_hz() const {
   return config_.chip_rate_hz * static_cast<double>(config_.samples_per_chip);
 }
 
+namespace {
+
+/// Samples per oscillator block (see add_tag_path).
+constexpr std::size_t kBlock = 64;
+
+/// One rotation block of a tag path: out[2j], out[2j+1] += (g·rot[j]) ·
+/// (v[j]·env[j]), with g·rot[j] = (br·tr[j] − bi·ti[j], br·ti[j] + bi·tr[j])
+/// — the operations and order of the std::complex expression
+/// `(g * rot[j]) * (v[j] * env[j])`, one sample per lane. v[j] is wf[j], or with `kInterp` the two-tap blend
+/// wf[j−1]·w_prev + wf[j]·w_cur. No branch on v[j] == 0: adding the ±0 such
+/// a sample yields leaves every accumulator unchanged, because `iq` enters
+/// the tag stage at +0.0 and a round-to-nearest sum of tag terms never
+/// produces −0.0.
+template <bool kInterp>
+void add_block(double* __restrict out, const double* __restrict env,
+               const double* __restrict wf, const double* __restrict tr,
+               const double* __restrict ti, double br, double bi, double w_prev,
+               double w_cur, std::size_t len) {
+  for (std::size_t j = 0; j < len; ++j) {
+    const double gr = br * tr[j] - bi * ti[j];
+    const double gi = br * ti[j] + bi * tr[j];
+    const double v = kInterp ? wf[j - 1] * w_prev + wf[j] * w_cur : wf[j];
+    const double a = v * env[j];
+    out[2 * j] += gr * a;
+    out[2 * j + 1] += gi * a;
+  }
+}
+
+}  // namespace
+
 void Channel::add_tag_path(std::vector<std::complex<double>>& iq,
                            std::span<const double> waveform, double amplitude_scale,
                            double phase, double delay_chips, double freq_offset_hz,
@@ -43,47 +73,64 @@ void Channel::add_tag_path(std::vector<std::complex<double>>& iq,
   const auto first = static_cast<std::size_t>(std::floor(delay_samples));
   const double frac0 = delay_samples - static_cast<double>(first);
   const std::size_t last = std::min(iq.size(), first + n + 2);
+  if (last <= first) return;
+  const bool interp = frac0 != 0.0;
+  const double w_prev = frac0;
+  const double w_cur = 1.0 - frac0;
 
   // The naive oscillator update gain *= rotator is a serial dependency at
   // FP-multiply latency for every sample of the burst. Factor the rotation
-  // as rotator^(B·blk + j) = rot_block^blk · rot_table[j]: the per-sample
-  // multiplications become independent (pipelined), only one multiply per
-  // block stays serial, and absorbed ('0') chips skip the rotation math
-  // entirely.
-  constexpr std::size_t kBlock = 64;
-  std::complex<double> rot_table[kBlock];
+  // as rotator^(B·blk + j) = rot_block^blk · rotator^j: the per-sample
+  // multiplications become independent, and only one multiply per block
+  // stays serial. The rotator^j table is held as re/im arrays so a block's
+  // samples run across SIMD lanes (add_block).
+  double tr[kBlock];
+  double ti[kBlock];
   std::complex<double> r{1.0, 0.0};
-  for (auto& entry : rot_table) {
-    entry = r;
+  for (std::size_t j = 0; j < kBlock; ++j) {
+    tr[j] = r.real();
+    ti[j] = r.imag();
     r *= rotator;
   }
   const std::complex<double> rot_block = r;  // rotator^kBlock
   std::complex<double> gain_block = gain;    // oscillator state at block start
 
-  if (frac0 == 0.0) {
-    for (std::size_t s = first, j = 0; s < last; ++s, ++j) {
-      if (j == kBlock) {
-        gain_block *= rot_block;
-        j = 0;
+  double* const out = reinterpret_cast<double*>(iq.data());
+  const double* const wf = waveform.data();
+  const std::size_t count = last - first;
+  double v[kBlock];
+  for (std::size_t k0 = 0; k0 < count; k0 += kBlock) {
+    if (k0 != 0) gain_block *= rot_block;
+    const std::size_t len = std::min(kBlock, count - k0);
+    const double br = gain_block.real();
+    const double bi = gain_block.imag();
+    double* const o = out + 2 * (first + k0);
+    const double* const env = envelope.data() + first + k0;
+    if (k0 >= static_cast<std::size_t>(interp) && k0 + len <= n) {
+      // Interior block: every tap falls inside the waveform.
+      if (interp) {
+        add_block<true>(o, env, wf + k0, tr, ti, br, bi, w_prev, w_cur, len);
+      } else {
+        add_block<false>(o, env, wf + k0, tr, ti, br, bi, w_prev, w_cur, len);
       }
-      const std::size_t k = s - first;
-      const double v = k < n ? waveform[k] : 0.0;
-      if (v != 0.0) iq[s] += (gain_block * rot_table[j]) * (v * envelope[s]);
+      continue;
     }
-  } else {
-    const double w_prev = frac0;
-    const double w_cur = 1.0 - frac0;
-    for (std::size_t s = first, j = 0; s < last; ++s, ++j) {
-      if (j == kBlock) {
-        gain_block *= rot_block;
-        j = 0;
+    // Edge block (the burst's first block when interpolating, and the
+    // blocks past its end): taps outside the waveform read 0. It runs
+    // through the same block loop rather than a per-sample path: on FMA
+    // targets GCC 12 fuses a lone sample's complex product into vfmaddsub
+    // even under -ffp-contract=off.
+    for (std::size_t j = 0; j < len; ++j) {
+      const std::size_t k = k0 + j;
+      if (interp) {
+        const double prev = (k >= 1 && k - 1 < n) ? wf[k - 1] : 0.0;
+        const double cur = k < n ? wf[k] : 0.0;
+        v[j] = prev * w_prev + cur * w_cur;
+      } else {
+        v[j] = k < n ? wf[k] : 0.0;
       }
-      const std::size_t k = s - first;
-      const double prev = (k >= 1 && k - 1 < n) ? waveform[k - 1] : 0.0;
-      const double cur = k < n ? waveform[k] : 0.0;
-      const double v = prev * w_prev + cur * w_cur;
-      if (v != 0.0) iq[s] += (gain_block * rot_table[j]) * (v * envelope[s]);
     }
+    add_block<false>(o, env, v, tr, ti, br, bi, w_prev, w_cur, len);
   }
 }
 
@@ -121,9 +168,13 @@ void Channel::receive_into(std::span<const TagTransmission> tags,
     // Expand the chip sequence to per-sample 0/1 values once per tag; the
     // line-of-sight path and every multipath echo reuse the expansion.
     scratch.waveform.resize(tag.chips.size() * config_.samples_per_chip);
+    // The level comes from a table, not a select: GCC compiles
+    // `c ? 1.0 : 0.0` to a branch per chip, which random chips mispredict
+    // about half the time.
+    static constexpr double kLevel[2] = {0.0, 1.0};
     double* w = scratch.waveform.data();
     for (const auto c : tag.chips) {
-      const double v = c ? 1.0 : 0.0;
+      const double v = kLevel[c != 0];
       for (std::size_t s = 0; s < config_.samples_per_chip; ++s) *w++ = v;
     }
     impairments_.settle_waveform(scratch.waveform, config_.samples_per_chip);

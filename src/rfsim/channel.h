@@ -89,6 +89,10 @@ class Channel {
                                             Rng& rng) const;
 
  private:
+  /// Adds one path of a tag's per-sample waveform into `iq` (which must
+  /// hold only tag terms summed from +0.0), delayed, rotated by the CFO and
+  /// scaled by the envelope. Tests pin it bit for bit against a per-sample
+  /// reference loop (DESIGN.md §9.2).
   void add_tag_path(std::vector<std::complex<double>>& iq,
                     std::span<const double> waveform, double amplitude_scale,
                     double phase, double delay_chips, double freq_offset_hz,

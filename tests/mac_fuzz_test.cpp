@@ -37,7 +37,9 @@ TEST(PowerControllerFuzz, InvariantsUnderRandomAckSequences) {
       }
       // The budget is monotone and capped at 3n.
       EXPECT_LE(pc.cycles_used(), pc.cycle_cap());
-      if (pc.exhausted()) EXPECT_TRUE(d.exhausted);
+      if (pc.exhausted()) {
+        EXPECT_TRUE(d.exhausted);
+      }
     }
   }
 }

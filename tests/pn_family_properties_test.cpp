@@ -111,7 +111,7 @@ TEST(FamilyComparison, MeanRemovedTemplatesNearOrthogonalWhenAligned) {
 TEST(FamilyComparison, SpreadingGainIsCodeLength) {
   // Autocorrelation peak over chip count = 1 — the processing gain used in
   // every SNR budget of DESIGN.md.
-  for (const auto family :
+  for (const auto& family :
        {make_code_set(CodeFamily::kGold, 4, 31), make_code_set(CodeFamily::kTwoNC, 4, 31)}) {
     for (const auto& code : family) {
       EXPECT_EQ(periodic_cross_correlation(code, code, 0),

@@ -400,11 +400,10 @@ void run_net_multicell_round(benchmark::State& state, ArmedPlane armed) {
   if (armed == ArmedPlane::kMetrics) {
     metrics::set_export_path("");
     core::MetricsPlane::enable();
-    core::MetricsPlane::reset();
   } else if (armed == ArmedPlane::kProfile) {
     telemetry::set_profile_enabled(true);
-    telemetry::reset();
   }
+  if (armed != ArmedPlane::kNone) telemetry::reset();
 
   const auto side = static_cast<std::size_t>(state.range(0));
   net::NetworkConfig cfg;
@@ -427,12 +426,8 @@ void run_net_multicell_round(benchmark::State& state, ArmedPlane armed) {
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
   state.SetItemsProcessed(state.iterations() * cells);
 
-  if (armed == ArmedPlane::kMetrics) {
-    core::MetricsPlane::reset();
-    metrics::set_export_path(metrics_path);
-  } else if (armed == ArmedPlane::kProfile) {
-    telemetry::reset();
-  }
+  if (armed != ArmedPlane::kNone) telemetry::reset();
+  metrics::set_export_path(metrics_path);
   metrics::set_enabled(metrics_was_on);
   telemetry::set_profile_enabled(profile_was_on);
   telemetry::set_enabled(telemetry_was_on);

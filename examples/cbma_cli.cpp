@@ -169,7 +169,8 @@ bool parse(int argc, char** argv, CliOptions& opt) {
 // CBMA_PROFILE=<path> asks for is written with the other artifacts.
 void print_profile_report() {
   if (!telemetry::profile_enabled()) return;
-  const auto rows = core::ProfilePlane::top_exclusive(10);
+  const auto rows =
+      core::ProfilePlane::top_exclusive(telemetry::snapshot().tree, 10);
   Table table({"caller path", "count", "incl ms", "excl ms"});
   for (const auto& row : rows) {
     table.add_row({row.path, std::to_string(row.count),

@@ -1,52 +1,9 @@
 #include "core/metrics_plane.h"
 
-#include <cstdio>
-
 #include "rx/receiver.h"
 #include "util/json.h"
-#include "util/telemetry.h"
 
 namespace cbma::core {
-
-namespace {
-
-/// Sequential-context state: tick()/reset() are only legal while no
-/// telemetry worker is recording, so plain fields suffice.
-struct PlaneState {
-  std::array<std::uint64_t, telemetry::kCounterCount> prev_counters{};
-  std::array<telemetry::SpanHistogram, telemetry::kSpanCount> prev_spans{};
-};
-
-PlaneState& state() {
-  static PlaneState s;
-  return s;
-}
-
-void push_span_window(const char* span, const telemetry::SpanHistogram& cur,
-                      const telemetry::SpanHistogram& prev) {
-  const std::uint64_t count = cur.count - prev.count;
-  if (count == 0) return;
-  std::array<std::uint64_t, telemetry::kHistogramBuckets> delta{};
-  for (std::size_t b = 0; b < delta.size(); ++b) {
-    delta[b] = cur.buckets[b] - prev.buckets[b];
-  }
-  const double mean_ns =
-      static_cast<double>(cur.total_ns - prev.total_ns) /
-      static_cast<double>(count);
-  const std::string base(span);
-  metrics::push(base + ".count", {}, static_cast<double>(count));
-  metrics::push(base + ".mean_ns", {}, mean_ns, "ns");
-  for (const auto& [suffix, q] : {std::pair{".p50_ns", 0.50},
-                                 std::pair{".p90_ns", 0.90},
-                                 std::pair{".p99_ns", 0.99}}) {
-    metrics::push(base + suffix, {},
-                  telemetry::histogram_quantile(delta.data(), count, q,
-                                                mean_ns),
-                  "ns");
-  }
-}
-
-}  // namespace
 
 void MetricsPlane::enable(std::string prometheus_path) {
   metrics::set_enabled(true);
@@ -56,41 +13,11 @@ void MetricsPlane::enable(std::string prometheus_path) {
   telemetry::set_enabled(true);
 }
 
-void MetricsPlane::reset() {
-  metrics::reset();
-  auto& s = state();
-  s.prev_counters = {};
-  s.prev_spans = {};
-}
-
 void MetricsPlane::tick() {
   if (!metrics::enabled()) return;
-  auto& s = state();
-
-  // Telemetry counters: per-window deltas of the merged totals. A counter
-  // appears once it has ever fired, so quiet windows still chart as 0.
-  const auto counters = telemetry::counter_totals();
-  for (std::size_t c = 0; c < counters.size(); ++c) {
-    if (counters[c] == 0) continue;
-    metrics::push(telemetry::counter_name(
-                      static_cast<telemetry::Counter>(c)),
-                  {},
-                  static_cast<double>(counters[c] - s.prev_counters[c]));
-  }
-  s.prev_counters = counters;
-
-  // Span latencies: this window's count/mean/p50/p90/p99 from the
-  // histogram delta since the previous boundary.
-  const auto spans = telemetry::span_histograms();
-  for (std::size_t sp = 0; sp < spans.size(); ++sp) {
-    push_span_window(
-        telemetry::span_name(static_cast<telemetry::Span>(sp)), spans[sp],
-        s.prev_spans[sp]);
-  }
-  s.prev_spans = spans;
-
   metrics::advance_window();
-  write_prometheus_if_requested();
+  const std::string path = metrics::export_path();
+  if (!path.empty()) metrics::write_prometheus(path, telemetry::metric_store());
 }
 
 void MetricsPlane::record_cell(const CellSample& sample) {
@@ -120,20 +47,21 @@ void MetricsPlane::record_cell(const CellSample& sample) {
   }
 }
 
-void MetricsPlane::write_json_section(util::JsonWriter& w) {
-  const metrics::Snapshot snap = metrics::snapshot();
+void MetricsPlane::write_json_section(util::JsonWriter& w,
+                                      const telemetry::Snapshot& snap) {
+  const metrics::Store& store = snap.metrics;
 
   w.key("timeseries").begin_object();
-  w.key("windows").value(snap.windows);
+  w.key("windows").value(store.windows);
   w.key("window_capacity")
       .value(static_cast<std::uint64_t>(metrics::kWindowCapacity));
   w.key("dropped").begin_object();
-  w.key("points").value(snap.dropped_points);
-  w.key("series").value(snap.dropped_series);
-  w.key("events").value(snap.dropped_events);
+  w.key("points").value(store.dropped_points);
+  w.key("series").value(store.dropped_series);
+  w.key("events").value(store.dropped_events);
   w.end_object();
   w.key("series").begin_array();
-  for (const auto& series : snap.series) {
+  for (const auto& series : store.series) {
     w.begin_object();
     w.key("name").value(series.name);
     w.key("scope").value(series.scope);
@@ -152,7 +80,7 @@ void MetricsPlane::write_json_section(util::JsonWriter& w) {
   w.end_object();
 
   w.key("events").begin_array();
-  for (const auto& e : snap.events) {
+  for (const auto& e : store.events) {
     w.begin_object();
     w.key("seq").value(e.seq);
     w.key("window").value(e.window);
@@ -164,13 +92,6 @@ void MetricsPlane::write_json_section(util::JsonWriter& w) {
     w.end_object();
   }
   w.end_array();
-}
-
-bool MetricsPlane::write_prometheus_if_requested() {
-  if (!metrics::enabled()) return true;
-  const std::string path = metrics::export_path();
-  if (path.empty()) return true;
-  return metrics::write_prometheus(path);
 }
 
 }  // namespace cbma::core

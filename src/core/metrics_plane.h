@@ -1,19 +1,18 @@
 // MetricsPlane: the windowing + export half of the metrics plane
-// (DESIGN.md §12). util/metrics owns the bounded storage and the recording
-// entry points (metrics::push / push_event, strict no-ops while the plane
-// is off); this facade owns *when* windows close and *what* the derived
-// series mean:
+// (DESIGN.md §12). util/metrics declares the bounded store and the
+// recording entry points (metrics::push / push_event, strict no-ops while
+// the plane is off), which write into telemetry's one registry; this
+// facade owns *when* windows close and what leaves the process:
 //
 //  - tick() is called once per round from a sequential context (after any
-//    parallel_for has joined) and closes one window:
-//    telemetry counter totals become per-window deltas, span histograms
-//    become per-window count/mean/p50/p90/p99 series (computed from the
-//    histogram *delta*, so each window's percentiles cover only that
-//    window's spans), and the Prometheus snapshot is rewritten if
-//    CBMA_METRICS named a path.
+//    parallel_for has joined) and closes one window with
+//    metrics::advance_window(), which folds telemetry's counter and span
+//    totals in as per-window series; then it rewrites the Prometheus
+//    snapshot if CBMA_METRICS named a path, from the metric store alone.
 //  - record_cell() attributes one cell's round result to scope "cell=<id>"
 //    — goodput, FER, code-slice occupancy, per-outcome decode tallies and
 //    the link-quality rollup.
+//  - write_json_section() emits the "timeseries" + "events" sections.
 //
 // Same identity contract as telemetry/probe: when disabled (CBMA_METRICS
 // unset and no enable() call) every entry point returns before touching
@@ -29,6 +28,7 @@
 
 #include "core/metrics.h"
 #include "util/metrics.h"
+#include "util/telemetry.h"
 
 namespace cbma::util {
 class JsonWriter;
@@ -59,10 +59,6 @@ class MetricsPlane {
   /// metrics::set_enabled(false); telemetry stays on.
   static void enable(std::string prometheus_path = "");
 
-  /// Drop all recorded series/events and the plane's telemetry
-  /// baselines. The enabled flag is unchanged.
-  static void reset();
-
   /// Per-round heartbeat — MUST be called from a sequential context (no
   /// telemetry workers recording). Closes one window per call.
   static void tick();
@@ -71,11 +67,8 @@ class MetricsPlane {
 
   /// Emit the "timeseries" + "events" sections into an open JSON object
   /// (the plane table calls this only when enabled).
-  static void write_json_section(util::JsonWriter& w);
-
-  /// Rewrite the Prometheus snapshot at metrics::export_path(), atomically.
-  /// No-op (true) when disabled or no path is configured.
-  static bool write_prometheus_if_requested();
+  static void write_json_section(util::JsonWriter& w,
+                                 const telemetry::Snapshot& snap);
 };
 
 }  // namespace cbma::core

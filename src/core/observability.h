@@ -3,11 +3,16 @@
 // RunRecorder::json() emits every enabled plane's BENCH_*.json section(s)
 // and finish() writes every plane's requested export file by walking this
 // table, so a plane is wired into the document and the artifacts by one row
-// rather than by hand-written hooks. Each plane's switch lives in its util
-// layer (util/env_switch.h); the table only reads it.
+// rather than by hand-written hooks. Each walk takes one
+// telemetry::snapshot() and hands it to every row. Each plane's switch
+// lives in its util layer (util/env_switch.h); the table only reads it.
+// There is no per-plane reset: telemetry::reset() clears the one store.
 #pragma once
 
 #include <array>
+#include <string>
+
+#include "util/telemetry.h"
 
 namespace cbma::util {
 class JsonWriter;
@@ -19,14 +24,15 @@ struct ObservabilityPlane {
   const char* name;  ///< "telemetry", "probe", "metrics", "profile"
   bool (*enabled)();
   /// Append the plane's section(s) to an open JSON object scope.
-  void (*write_json_section)(util::JsonWriter& w);
-  /// Write the plane's export file if one is requested; true when nothing
-  /// was requested or the write succeeded.
-  bool (*write_artifact_if_requested)();
-  /// Drop everything the plane recorded; switches stay as they are. The
-  /// telemetry and profile rows share one span recorder, so either one
-  /// clears both of its views.
-  void (*reset)();
+  void (*write_json_section)(util::JsonWriter& w,
+                             const telemetry::Snapshot& snap);
+  /// The export file's switch. The telemetry row uses CBMA_TRACE's own,
+  /// so the trace is written with telemetry off; the others use `enabled`.
+  bool (*artifact_enabled)();
+  std::string (*artifact_path)();
+  /// Write the export file; false (with a stderr diagnostic) on failure.
+  bool (*write_artifact)(const std::string& path,
+                         const telemetry::Snapshot& snap);
 };
 
 /// The planes in BENCH_*.json section order: telemetry ("telemetry"),
@@ -34,9 +40,10 @@ struct ObservabilityPlane {
 /// ("profile").
 const std::array<ObservabilityPlane, 4>& observability_planes();
 
-/// Every plane's write_artifact_if_requested in table order — the Chrome
-/// trace, the probe dump + manifest, the Prometheus snapshot and the
-/// collapsed stacks. Stops at, and returns false on, the first failure.
+/// Write every export file whose switch is on and whose path is set — the
+/// Chrome trace, the probe dump + manifest, the Prometheus snapshot and the
+/// collapsed stacks — in table order. Stops at, and returns false on, the
+/// first failure.
 bool write_observability_artifacts();
 
 }  // namespace cbma::core

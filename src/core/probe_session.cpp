@@ -5,10 +5,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <system_error>
 #include <vector>
+
+#include "util/atomic_file.h"
 
 namespace cbma::core {
 
@@ -64,8 +65,9 @@ void write_link_sample(util::JsonWriter& w, const probe::LinkQualitySample& s) {
 
 }  // namespace
 
-void ProbeSession::write_json_section(util::JsonWriter& w) {
-  const auto capture = probe::snapshot();
+void ProbeSession::write_json_section(util::JsonWriter& w,
+                                      const telemetry::Snapshot& snap) {
+  const probe::Capture& capture = snap.probe;
 
   // std::map keys the per-tag aggregates in ascending tag order, which
   // keeps the emitted section deterministic for identical captures.
@@ -104,8 +106,9 @@ void ProbeSession::write_json_section(util::JsonWriter& w) {
   w.end_object();
 }
 
-bool ProbeSession::write_dump(const std::string& path) {
-  const auto capture = probe::snapshot();
+bool ProbeSession::write_dump(const std::string& path,
+                              const telemetry::Snapshot& snap) {
+  const probe::Capture& capture = snap.probe;
 
   const std::filesystem::path target(path);
   if (target.has_parent_path()) {
@@ -134,20 +137,7 @@ bool ProbeSession::write_dump(const std::string& path) {
     for (const double v : r.data) put_f64(blob, v);
   }
 
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot open probe dump '%s' for writing\n",
-                   path.c_str());
-      return false;
-    }
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "error: failed writing probe dump '%s'\n", path.c_str());
-      return false;
-    }
-  }
+  if (!util::write_file_atomically(path, blob, "probe dump")) return false;
 
   util::JsonWriter w;
   w.begin_object();
@@ -181,28 +171,8 @@ bool ProbeSession::write_dump(const std::string& path) {
   w.end_array();
   w.end_object();
 
-  const std::string manifest_path = path + ".json";
-  std::ofstream manifest(manifest_path, std::ios::binary | std::ios::trunc);
-  if (!manifest) {
-    std::fprintf(stderr, "error: cannot open probe manifest '%s' for writing\n",
-                 manifest_path.c_str());
-    return false;
-  }
-  manifest << w.str() << '\n';
-  manifest.flush();
-  if (!manifest) {
-    std::fprintf(stderr, "error: failed writing probe manifest '%s'\n",
-                 manifest_path.c_str());
-    return false;
-  }
-  return true;
-}
-
-bool ProbeSession::write_dump_if_requested() {
-  if (!probe::enabled()) return true;
-  const auto path = probe::dump_path();
-  if (path.empty()) return true;
-  return write_dump(path);
+  return util::write_file_atomically(path + ".json", w.str() + "\n",
+                                     "probe manifest");
 }
 
 }  // namespace cbma::core

@@ -1,5 +1,6 @@
 // core::ProbeSession — the experiment-facing façade over the signal-probe
-// capture in util/probe.h, owning the two exports:
+// capture in util/probe.h (kept in telemetry's one store and read through
+// telemetry::snapshot()), owning the two exports:
 //
 //  * the probe dump: a compact length-prefixed binary file of every tapped
 //    waveform (CBPROBE1 format, below) plus a <path>.json manifest that
@@ -24,6 +25,7 @@
 
 #include "util/json.h"
 #include "util/probe.h"
+#include "util/telemetry.h"
 
 namespace cbma::core {
 
@@ -44,17 +46,14 @@ class ProbeSession {
   /// SNR/EVM/soft-margin/margin-ratio/power/correlation). The caller
   /// decides *whether* to emit (the plane table only does when probing is
   /// enabled, keeping the disabled document byte-identical).
-  static void write_json_section(util::JsonWriter& w);
+  static void write_json_section(util::JsonWriter& w,
+                                 const telemetry::Snapshot& snap);
 
-  /// Write the binary dump to `path` and its manifest to `path`.json,
-  /// creating parent directories. Returns false with a stderr diagnostic
-  /// on I/O failure.
-  static bool write_dump(const std::string& path);
-
-  /// Honor the configured dump path: when probing is enabled and a path is
-  /// set, write the dump there. Returns true when nothing was requested or
-  /// the write succeeded.
-  static bool write_dump_if_requested();
+  /// Write the snapshot's capture as the binary dump at `path` and its
+  /// manifest at `path`.json, each atomically, creating parent
+  /// directories. Returns false with a stderr diagnostic on I/O failure.
+  static bool write_dump(const std::string& path,
+                         const telemetry::Snapshot& snap);
 };
 
 }  // namespace cbma::core

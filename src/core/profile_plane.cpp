@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "util/atomic_file.h"
 #include "util/json.h"
-#include "util/telemetry.h"
 
 namespace cbma::core {
 
@@ -27,10 +25,10 @@ void flatten(const telemetry::MergedNode& node, const std::string& prefix,
   out.push_back(std::move(row));
 }
 
-std::vector<ProfilePlane::Row> flatten_tree() {
-  const telemetry::TreeSnapshot snap = telemetry::merged_tree();
+std::vector<ProfilePlane::Row> flatten_tree(
+    const telemetry::TreeSnapshot& tree) {
   std::vector<ProfilePlane::Row> rows;
-  for (const auto& root : snap.roots) flatten(root, "", rows);
+  for (const auto& root : tree.roots) flatten(root, "", rows);
   return rows;
 }
 
@@ -56,8 +54,9 @@ void ProfilePlane::enable(std::string collapsed_path) {
   }
 }
 
-std::vector<ProfilePlane::Row> ProfilePlane::top_exclusive(std::size_t n) {
-  std::vector<Row> rows = flatten_tree();
+std::vector<ProfilePlane::Row> ProfilePlane::top_exclusive(
+    const telemetry::TreeSnapshot& tree, std::size_t n) {
+  std::vector<Row> rows = flatten_tree(tree);
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
     if (a.excl_ns != b.excl_ns) return a.excl_ns > b.excl_ns;
     return a.path < b.path;
@@ -66,16 +65,16 @@ std::vector<ProfilePlane::Row> ProfilePlane::top_exclusive(std::size_t n) {
   return rows;
 }
 
-void ProfilePlane::write_json_section(util::JsonWriter& w) {
-  const telemetry::TreeSnapshot snap = telemetry::merged_tree();
+void ProfilePlane::write_json_section(util::JsonWriter& w,
+                                      const telemetry::Snapshot& snap) {
   w.key("profile").begin_object();
-  w.key("threads").value(static_cast<std::uint64_t>(snap.threads));
-  w.key("dropped").value(snap.dropped);
+  w.key("threads").value(static_cast<std::uint64_t>(snap.tree.threads));
+  w.key("dropped").value(snap.tree.dropped);
   w.key("tree").begin_array();
-  for (const auto& root : snap.roots) write_node(w, root);
+  for (const auto& root : snap.tree.roots) write_node(w, root);
   w.end_array();
   w.key("parallel").begin_array();
-  for (const auto& site : telemetry::parallel_stats()) {
+  for (const auto& site : snap.parallel) {
     w.begin_object();
     w.key("site").value(site.site);
     w.key("calls").value(site.calls);
@@ -99,8 +98,8 @@ void ProfilePlane::write_json_section(util::JsonWriter& w) {
   w.end_object();
 }
 
-std::string ProfilePlane::collapsed() {
-  std::vector<Row> rows = flatten_tree();
+std::string ProfilePlane::collapsed(const telemetry::TreeSnapshot& tree) {
+  std::vector<Row> rows = flatten_tree(tree);
   // Flamegraph semantics: a frame's own width is its exclusive time, so
   // zero-exclusive rows (pure pass-through parents, context anchors) are
   // implied by their children and add nothing.
@@ -116,13 +115,6 @@ std::string ProfilePlane::collapsed() {
     out += buf;
   }
   return out;
-}
-
-bool ProfilePlane::write_collapsed_if_requested() {
-  if (!telemetry::profile_enabled()) return true;
-  const std::string path = telemetry::profile_path();
-  if (path.empty()) return true;
-  return util::write_file_atomically(path, collapsed(), "profile");
 }
 
 }  // namespace cbma::core

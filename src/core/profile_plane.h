@@ -1,16 +1,16 @@
 // ProfilePlane: the export half of the span recorder's tree view
 // (DESIGN.md §13). util/telemetry records the caller-path tree in its
-// per-thread sinks and merges it; this facade owns what leaves the
-// process:
+// per-thread sinks and merges it into telemetry::snapshot().tree; this
+// facade owns what leaves the process:
 //
 //  - write_json_section() emits the "profile" section of BENCH_*.json —
 //    the attribution tree (count / inclusive / exclusive / same-thread
 //    child time per caller path) plus the parallel_for worker-utilization
 //    reports ("sweep/run", "net/round") with per-slot busy time, item
 //    counts and the imbalance ratio.
-//  - write_collapsed_if_requested() writes the Brendan Gregg
-//    collapsed-stack flamegraph file ("a;b;c <exclusive_ns>" lines) to
-//    the CBMA_PROFILE path.
+//  - collapsed() renders the Brendan Gregg collapsed-stack flamegraph
+//    document ("a;b;c <exclusive_ns>" lines) the plane table writes to the
+//    CBMA_PROFILE path.
 //  - top_exclusive() flattens the tree into the top-N exclusive-time rows
 //    cbma_cli --profile prints.
 //
@@ -26,6 +26,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "util/telemetry.h"
 
 namespace cbma::util {
 class JsonWriter;
@@ -49,22 +51,20 @@ class ProfilePlane {
     std::uint64_t excl_ns = 0;
   };
 
-  /// The top `n` rows by exclusive time (descending; ties break on the
-  /// path string so the order is deterministic). Sequential-only.
-  static std::vector<Row> top_exclusive(std::size_t n);
+  /// The top `n` rows of `tree` by exclusive time (descending; ties break
+  /// on the path string so the order is deterministic).
+  static std::vector<Row> top_exclusive(const telemetry::TreeSnapshot& tree,
+                                        std::size_t n);
 
   /// Emit the "profile" section into an open JSON object
   /// (the plane table calls this only when enabled).
-  static void write_json_section(util::JsonWriter& w);
+  static void write_json_section(util::JsonWriter& w,
+                                 const telemetry::Snapshot& snap);
 
-  /// The collapsed-stack flamegraph document: one "frame;frame value"
-  /// line per caller path with non-zero exclusive time, sorted by path.
-  /// Values are exclusive nanoseconds.
-  static std::string collapsed();
-
-  /// Write collapsed() to telemetry::profile_path(), if one is configured.
-  /// No-op (true) when disabled or no path is set.
-  static bool write_collapsed_if_requested();
+  /// The collapsed-stack flamegraph document of `tree`: one
+  /// "frame;frame value" line per caller path with non-zero exclusive
+  /// time, sorted by path. Values are exclusive nanoseconds.
+  static std::string collapsed(const telemetry::TreeSnapshot& tree);
 };
 
 }  // namespace cbma::core

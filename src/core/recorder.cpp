@@ -183,8 +183,9 @@ std::string RunRecorder::json() const {
   // the default document stays byte-identical (DESIGN.md §7). Timings are
   // wall-clock and therefore not deterministic; counts and tree shapes
   // are. None enters the config fingerprint above.
+  const telemetry::Snapshot snap = telemetry::snapshot();
   for (const auto& plane : observability_planes()) {
-    if (plane.enabled()) plane.write_json_section(w);
+    if (plane.enabled()) plane.write_json_section(w, snap);
   }
   // "watchdog" rides along when probing is enabled or a rule actually
   // fired — a silent watchdog on a default run leaves the document

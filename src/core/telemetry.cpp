@@ -1,12 +1,11 @@
 #include "core/telemetry.h"
 
 #include "rx/receiver.h"
-#include "util/trace_export.h"
 
 namespace cbma::core {
 
-void Telemetry::write_json_section(util::JsonWriter& w) {
-  const auto snap = telemetry::snapshot();
+void Telemetry::write_json_section(util::JsonWriter& w,
+                                   const telemetry::Snapshot& snap) {
   w.key("telemetry").begin_object();
   w.key("threads").value(static_cast<std::uint64_t>(snap.threads));
 
@@ -52,20 +51,6 @@ void Telemetry::write_json_section(util::JsonWriter& w) {
   w.end_array();
 
   w.end_object();
-}
-
-bool Telemetry::write_trace(const std::string& path) {
-  const auto snap = telemetry::snapshot();
-  return util::write_chrome_trace(path, snap.events, snap.frames);
-}
-
-bool Telemetry::write_trace_if_requested() {
-  const auto path = telemetry::trace_path();
-  if (path.empty()) return true;
-  // CBMA_TRACE was set, so a file is owed even when telemetry is disabled
-  // or the run recorded no spans: the export is a valid (possibly empty)
-  // trace document, not a silently missing one.
-  return write_trace(path);
 }
 
 }  // namespace cbma::core

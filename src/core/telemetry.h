@@ -1,17 +1,15 @@
 // core::Telemetry — the experiment-facing façade over the lock-free
 // telemetry machinery in util/telemetry.h. The util layer owns the hot
-// path (spans, counters, flight recorder); this layer owns the exports:
-// the "telemetry" section RunRecorder embeds in BENCH_*.json and the
-// Chrome/Perfetto trace file a sweep run can drop for timeline inspection.
-// It also speaks the upper layers' vocabulary (rx::DecodeOutcome labels in
-// the flight-recorder export), which the util layer deliberately cannot.
+// path (spans, counters, flight recorder) and the Chrome/Perfetto trace
+// export (util/trace_export.h); this layer owns the "telemetry" section
+// RunRecorder embeds in BENCH_*.json, which speaks the upper layers'
+// vocabulary (rx::DecodeOutcome labels in the flight-recorder export) that
+// the util layer deliberately cannot.
 //
 // The switches live in util/telemetry.h (telemetry::enabled() and the
 // CBMA_TRACE path); the plane table (core/observability.h) decides when
-// these exports run. See DESIGN.md §7.
+// the section and the trace are written. See DESIGN.md §7.
 #pragma once
-
-#include <string>
 
 #include "util/json.h"
 #include "util/telemetry.h"
@@ -26,17 +24,8 @@ class Telemetry {
   /// human-readable DecodeOutcome labels. The caller decides *whether* to
   /// emit (RunRecorder only does when telemetry is enabled, keeping the
   /// disabled document byte-identical).
-  static void write_json_section(util::JsonWriter& w);
-
-  /// Write a Chrome trace_event file from the current capture; returns
-  /// false with a stderr diagnostic on I/O failure. With trace capture off
-  /// this still exports flight-recorder instants (spans need CBMA_TRACE).
-  static bool write_trace(const std::string& path);
-
-  /// Honor CBMA_TRACE: when it names a path, write the trace there, even
-  /// with telemetry disabled. Returns true when nothing was requested or
-  /// the write succeeded.
-  static bool write_trace_if_requested();
+  static void write_json_section(util::JsonWriter& w,
+                                 const telemetry::Snapshot& snap);
 };
 
 }  // namespace cbma::core

@@ -1,5 +1,6 @@
-// Whole-file replacement for the observability exports a reader may poll
-// (the Prometheus snapshot, the collapsed-stack profile): the text goes to
+// Whole-file replacement, the one write path of every observability export
+// (the Chrome trace, the probe dump and manifest, the Prometheus snapshot a
+// reader may poll, the collapsed-stack profile): the text goes to
 // `<path>.tmp` and is renamed over `path`, so a reader sees either the old
 // file or the new one, never a torn write.
 #pragma once

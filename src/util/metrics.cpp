@@ -1,45 +1,16 @@
 #include "util/metrics.h"
 
-#include <algorithm>
-#include <array>
 #include <cstdio>
-#include <map>
-#include <mutex>
 #include <utility>
 
 #include "util/atomic_file.h"
 #include "util/env_switch.h"
 
+// push, push_event and advance_window write into telemetry's one registry,
+// so they live with it in util/telemetry.cpp.
+
 namespace cbma::metrics {
 namespace {
-
-struct Series {
-  std::string unit;
-  std::array<SeriesPoint, kWindowCapacity> ring{};
-  std::size_t next = 0;
-  std::size_t filled = 0;
-};
-
-/// One mutex-guarded store for the process (window-cadence writes, not a
-/// hot path). Keyed by (name, scope) so the same metric fans out across
-/// cells without colliding with its global rollup.
-class Registry {
- public:
-  static Registry& instance() {
-    static Registry r;
-    return r;
-  }
-
-  std::mutex mu;
-  std::map<std::pair<std::string, std::string>, Series> series;
-  std::vector<Event> events;
-  std::uint64_t window = 0;   ///< current (open) window index
-  std::uint64_t closed = 0;   ///< windows closed so far
-  std::uint64_t event_seq = 0;
-  std::uint64_t dropped_points = 0;
-  std::uint64_t dropped_series = 0;
-  std::uint64_t dropped_events = 0;
-};
 
 util::EnvSwitch& metrics_switch() {
   static util::EnvSwitch s("CBMA_METRICS");
@@ -109,108 +80,7 @@ void set_export_path(std::string path) {
   metrics_switch().set_path(std::move(path));
 }
 
-void push(std::string_view name, std::string_view scope, double value,
-          std::string_view unit) {
-  if (!enabled()) return;
-  auto& r = Registry::instance();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  auto key = std::make_pair(std::string(name), std::string(scope));
-  auto it = r.series.find(key);
-  if (it == r.series.end()) {
-    if (r.series.size() >= kMaxSeries) {
-      ++r.dropped_series;
-      return;
-    }
-    it = r.series.emplace(std::move(key), Series{}).first;
-    it->second.unit = std::string(unit);
-  }
-  Series& s = it->second;
-  if (s.filled == kWindowCapacity) ++r.dropped_points;  // overwrites the oldest
-  s.ring[s.next] = {r.window, value};
-  s.next = (s.next + 1) % kWindowCapacity;
-  s.filled = std::min(s.filled + 1, kWindowCapacity);
-}
-
-void push_event(Severity severity, std::string_view type,
-                std::string_view scope, double value, std::string_view detail) {
-  if (!enabled()) return;
-  auto& r = Registry::instance();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  if (r.events.size() >= kMaxEvents) {
-    ++r.dropped_events;
-    return;
-  }
-  Event e;
-  e.seq = r.event_seq++;
-  e.window = r.window;
-  e.severity = severity;
-  e.type = std::string(type);
-  e.scope = std::string(scope);
-  e.value = value;
-  e.detail = std::string(detail);
-  r.events.push_back(std::move(e));
-}
-
-std::uint64_t advance_window() {
-  if (!enabled()) return 0;
-  auto& r = Registry::instance();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  ++r.closed;
-  return ++r.window;
-}
-
-std::uint64_t current_window() {
-  auto& r = Registry::instance();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  return r.window;
-}
-
-Snapshot snapshot() {
-  Snapshot out;
-  auto& r = Registry::instance();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  out.windows = r.closed;
-  out.dropped_points = r.dropped_points;
-  out.dropped_series = r.dropped_series;
-  out.dropped_events = r.dropped_events;
-  out.series.reserve(r.series.size());
-  for (const auto& [key, s] : r.series) {
-    SeriesSnapshot snap;
-    snap.name = key.first;
-    snap.scope = key.second;
-    snap.unit = s.unit;
-    snap.points.reserve(s.filled);
-    const std::size_t start =
-        s.filled == kWindowCapacity ? s.next : 0;  // oldest slot
-    for (std::size_t k = 0; k < s.filled; ++k) {
-      snap.points.push_back(s.ring[(start + k) % kWindowCapacity]);
-    }
-    out.series.push_back(std::move(snap));
-  }
-  out.events = r.events;
-  return out;
-}
-
-void reset() {
-  auto& r = Registry::instance();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  r.series.clear();
-  r.events.clear();
-  r.window = 0;
-  r.closed = 0;
-  r.event_seq = 0;
-  r.dropped_points = 0;
-  r.dropped_series = 0;
-  r.dropped_events = 0;
-}
-
-std::size_t series_count() {
-  auto& r = Registry::instance();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  return r.series.size();
-}
-
-std::string prometheus_text(const Snapshot& snap) {
+std::string prometheus_text(const Store& snap) {
   std::string out;
   out += "# CBMA metrics-plane exposition (DESIGN.md \xC2\xA7"
          "12); rewritten atomically per window.\n";
@@ -262,9 +132,8 @@ std::string prometheus_text(const Snapshot& snap) {
   return out;
 }
 
-bool write_prometheus(const std::string& path) {
-  return util::write_file_atomically(path, prometheus_text(snapshot()),
-                                     "metrics");
+bool write_prometheus(const std::string& path, const Store& store) {
+  return util::write_file_atomically(path, prometheus_text(store), "metrics");
 }
 
 }  // namespace cbma::metrics

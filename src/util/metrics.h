@@ -1,6 +1,6 @@
 // Bounded time-series store + structured event log: the windowed substrate
-// of the metrics plane (core::MetricsPlane owns window closing and the
-// exports). Numeric samples land in fixed-capacity per-series rings keyed
+// of the metrics plane (core::MetricsPlane decides when a window closes
+// and owns the exports). Numeric samples land in fixed-capacity per-series rings keyed
 // by (name, scope) — scope "" is the global rollup, "cell=<id>" attributes
 // a sample to one cell of the net:: layer — and typed events (severity,
 // type, scope, value, detail) land in one bounded log with a drop counter.
@@ -16,10 +16,13 @@
 // BENCH_*.json stays byte-identical. Enable with CBMA_METRICS=<path>
 // (the Prometheus exposition target) or set_enabled(true).
 //
-// Like util/probe, recording goes through one mutex-guarded registry:
-// samples arrive at window cadence (per round / per sweep point), not per
-// chip, so a single ordered store is the right tool. See DESIGN.md §12 for
-// the full metrics-plane contract.
+// The store lives in telemetry's one registry (util/telemetry.cpp, which
+// implements push, push_event and advance_window): like the probe capture,
+// every write takes its mutex, since samples arrive at window cadence (per
+// round / per sweep point), not per chip. telemetry::snapshot().metrics
+// copies it and telemetry::reset() clears it, together with the window
+// baselines advance_window() subtracts. See DESIGN.md §12 for the full
+// metrics-plane contract.
 #pragma once
 
 #include <cstddef>
@@ -66,7 +69,8 @@ struct Event {
   std::string detail;
 };
 
-struct Snapshot {
+/// The store's contents as telemetry::snapshot() copies them.
+struct Store {
   std::uint64_t windows = 0;  ///< windows closed so far (advance_window calls)
   std::vector<SeriesSnapshot> series;  ///< sorted by (name, scope)
   std::vector<Event> events;           ///< seq order
@@ -95,37 +99,26 @@ void push(std::string_view name, std::string_view scope, double value,
 void push_event(Severity severity, std::string_view type,
                 std::string_view scope, double value, std::string_view detail);
 
-/// Close the current window: samples pushed afterwards land in the next
-/// one. Returns the new current window index.
+/// Close the current window. First telemetry's counter totals become
+/// per-window deltas and its span histograms per-window
+/// count/mean/p50/p90/p99 series (from the histogram *delta*, so each
+/// window's percentiles cover only that window's spans), all stamped with
+/// the closing window; samples pushed afterwards land in the next one.
+/// Returns the new current window index. Call only while no telemetry
+/// worker is recording.
 std::uint64_t advance_window();
-std::uint64_t current_window();
-
-// --- aggregation -----------------------------------------------------------
-
-/// Copy of everything recorded so far. Safe to call concurrently with
-/// recording (single registry lock), though exports normally run after the
-/// workers joined.
-Snapshot snapshot();
-
-/// Drop every series, event, drop counter and the window index. The
-/// enabled flag and export path are unchanged.
-void reset();
-
-/// Live series count — 0 proves the off path never stored anything (the
-/// metrics-off identity test asserts this).
-std::size_t series_count();
 
 // --- Prometheus text exposition --------------------------------------------
 
-/// Render a snapshot as Prometheus text exposition format: one gauge per
+/// Render a store as Prometheus text exposition format: one gauge per
 /// series carrying its latest value, scope rendered as a label
 /// ("cell=3" → {cell="3"}), names sanitized to the metric charset with a
 /// "cbma_" prefix, plus meta gauges (windows, series/event totals, drops).
-std::string prometheus_text(const Snapshot& snap);
+std::string prometheus_text(const Store& store);
 
-/// Atomically rewrite `path` with prometheus_text(snapshot()): write to
+/// Atomically rewrite `path` with prometheus_text(store): write to
 /// "<path>.tmp", then rename over the target, so a live scraper never sees
 /// a torn file. Returns false with a stderr diagnostic on I/O failure.
-bool write_prometheus(const std::string& path);
+bool write_prometheus(const std::string& path, const Store& store);
 
 }  // namespace cbma::metrics

@@ -11,12 +11,15 @@
 // all) — every bench table and BENCH_*.json stays byte-identical. Enable
 // with CBMA_PROBE=<dump-path> or core::ProbeSession::enable().
 //
-// Unlike telemetry's lock-free per-thread sinks, capture goes through one
-// mutex-guarded registry: a probe run is a debugging instrument recording
-// kilobyte-scale waveforms at bounded depth, not a hot-path counter, and a
-// single ordered store is what the dump reader wants. The bounds make a
-// runaway sweep degrade to "first N records per tap" instead of exhausting
-// memory. See DESIGN.md §8 for the full signal-probe contract.
+// The capture lives in telemetry's one registry (util/telemetry.cpp, which
+// implements the record_* entry points): every record is appended under
+// its mutex, not into a lock-free per-thread sink, because a probe run is a
+// debugging instrument recording kilobyte-scale waveforms at bounded
+// depth, not a hot-path counter, and a single ordered store is what the
+// dump reader wants. telemetry::snapshot().probe copies it and
+// telemetry::reset() clears it. The bounds make a runaway sweep degrade to
+// "first N records per tap" instead of exhausting memory. See DESIGN.md §8
+// for the full signal-probe contract.
 #pragma once
 
 #include <complex>
@@ -107,10 +110,7 @@ class ScopedPoint {
   std::uint64_t previous_ = 0;
 };
 
-/// The point label record_* currently stamps on this thread (0 = none).
-std::uint64_t current_point();
-
-// --- aggregation -----------------------------------------------------------
+// --- what telemetry::snapshot() copies ------------------------------------
 
 struct Capture {
   std::vector<TapRecord> taps;           ///< capture (seq) order
@@ -118,18 +118,5 @@ struct Capture {
   std::size_t dropped_taps = 0;          ///< records lost to kMaxRecordsPerTap
   std::size_t dropped_link = 0;          ///< rows lost to kMaxLinkQualitySamples
 };
-
-/// Copy of everything captured so far. Safe to call concurrently with
-/// recording (single registry lock), though exports normally run after the
-/// workers joined.
-Capture snapshot();
-
-/// Drop every captured record and reset the sequence counter. The enabled
-/// flag and dump path are unchanged.
-void reset();
-
-/// Captured tap records so far — 0 proves the off path never stored
-/// anything (the probe-off identity test asserts this).
-std::size_t tap_count();
 
 }  // namespace cbma::probe

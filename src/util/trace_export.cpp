@@ -1,9 +1,8 @@
 #include "util/trace_export.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 
+#include "util/atomic_file.h"
 #include "util/json.h"
 
 namespace cbma::util {
@@ -70,19 +69,8 @@ std::string chrome_trace_json(std::span<const telemetry::TraceEvent> events,
 bool write_chrome_trace(const std::string& path,
                         std::span<const telemetry::TraceEvent> events,
                         std::span<const telemetry::FrameTrace> frames) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot open trace file %s for writing\n",
-                 path.c_str());
-    return false;
-  }
-  out << chrome_trace_json(events, frames) << '\n';
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: failed writing trace file %s\n", path.c_str());
-    return false;
-  }
-  return true;
+  return write_file_atomically(path, chrome_trace_json(events, frames) + "\n",
+                               "trace");
 }
 
 }  // namespace cbma::util

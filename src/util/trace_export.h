@@ -19,8 +19,8 @@ namespace cbma::util {
 std::string chrome_trace_json(std::span<const telemetry::TraceEvent> events,
                               std::span<const telemetry::FrameTrace> frames);
 
-/// Write chrome_trace_json to `path`; returns false (with a stderr
-/// diagnostic) when the file cannot be written.
+/// Write chrome_trace_json to `path` atomically (util/atomic_file.h);
+/// returns false (with a stderr diagnostic) when it cannot be written.
 bool write_chrome_trace(const std::string& path,
                         std::span<const telemetry::TraceEvent> events,
                         std::span<const telemetry::FrameTrace> frames);

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <string>
 
+#include "core/observability.h"
 #include "observability_fixture.h"
 #include "rx/link_quality.h"
 #include "rx/receiver.h"
@@ -30,7 +31,7 @@ namespace {
 class MetricsPlane : public ObservabilityTest {};
 
 /// Find one series in a snapshot by (name, scope); nullptr when absent.
-const metrics::SeriesSnapshot* find_series(const metrics::Snapshot& snap,
+const metrics::SeriesSnapshot* find_series(const metrics::Store& snap,
                                            const std::string& name,
                                            const std::string& scope) {
   for (const auto& s : snap.series) {
@@ -44,7 +45,6 @@ const metrics::SeriesSnapshot* find_series(const metrics::Snapshot& snap,
 void enable_in_memory() {
   core::MetricsPlane::enable();
   metrics::set_export_path("");
-  core::MetricsPlane::reset();
   telemetry::reset();
 }
 
@@ -52,7 +52,7 @@ void tear_down() {
   metrics::set_enabled(false);
   telemetry::set_enabled(false);
   metrics::set_export_path("");
-  core::MetricsPlane::reset();
+  telemetry::reset();
 }
 
 TEST_F(MetricsPlane, DisabledEntryPointsAreNoOps) {
@@ -65,8 +65,8 @@ TEST_F(MetricsPlane, DisabledEntryPointsAreNoOps) {
   metrics::push("net.goodput_bps", {}, 1.0);
   metrics::push_event(metrics::Severity::kInfo, "roam", {}, 0.0, {});
   core::MetricsPlane::tick();
-  EXPECT_TRUE(core::MetricsPlane::write_prometheus_if_requested());
-  EXPECT_EQ(metrics::series_count(), 0u);
+  EXPECT_TRUE(core::write_observability_artifacts());
+  EXPECT_TRUE(telemetry::snapshot().metrics.series.empty());
   // An off plane must never have armed telemetry as a side effect.
   EXPECT_FALSE(telemetry::enabled());
 }
@@ -89,7 +89,7 @@ TEST_F(MetricsPlane, TickClosesOneWindowPerCall) {
     core::MetricsPlane::tick();
   }
   metrics::push("net.goodput_bps", {}, 3.0, "bps");
-  const auto snap = metrics::snapshot();
+  const auto snap = telemetry::snapshot().metrics;
   tear_down();
 
   // Three ticks closed three windows; the fourth sample is in the open one.
@@ -109,7 +109,7 @@ TEST_F(MetricsPlane, CounterSeriesCarryPerWindowDeltas) {
   telemetry::add_count(telemetry::Counter::kChannelSamples, 3);
   core::MetricsPlane::tick();
   core::MetricsPlane::tick();  // quiet window: the counter still charts, as 0
-  const auto snap = metrics::snapshot();
+  const auto snap = telemetry::snapshot().metrics;
   tear_down();
 
   const auto* s = find_series(snap, "channel.samples", "");
@@ -135,7 +135,7 @@ TEST_F(MetricsPlane, SpanSeriesCarryPerWindowPercentiles) {
     telemetry::record_span(telemetry::Span::kRxDecode, k, 1000);
   }
   core::MetricsPlane::tick();
-  const auto snap = metrics::snapshot();
+  const auto snap = telemetry::snapshot().metrics;
   tear_down();
 
   const auto* count = find_series(snap, "rx/decode.count", "");
@@ -190,7 +190,7 @@ TEST_F(MetricsPlane, RecordCellAttributesSeriesToTheCellScope) {
   core::MetricsPlane::CellSample quiet;
   quiet.cell_id = 4;
   core::MetricsPlane::record_cell(quiet);
-  const auto snap = metrics::snapshot();
+  const auto snap = telemetry::snapshot().metrics;
   tear_down();
 
   const auto* goodput = find_series(snap, "net.cell.goodput_bps", "cell=3");
@@ -228,7 +228,7 @@ TEST_F(MetricsPlane, JsonSectionParsesAndMatchesTheSchema) {
   core::MetricsPlane::tick();
   util::JsonWriter w;
   w.begin_object();
-  core::MetricsPlane::write_json_section(w);
+  core::MetricsPlane::write_json_section(w, telemetry::snapshot());
   w.end_object();
   tear_down();
 
@@ -270,7 +270,7 @@ TEST_F(MetricsPlane, PrometheusExportHonoursTheConfiguredPath) {
   enable_in_memory();
   metrics::push("net.goodput_bps", {}, 7.0, "bps");
   // No path configured: a successful no-op, no file appears.
-  EXPECT_TRUE(core::MetricsPlane::write_prometheus_if_requested());
+  EXPECT_TRUE(core::write_observability_artifacts());
 
   const auto path = ::testing::TempDir() + "cbma_plane_export.prom";
   std::remove(path.c_str());
@@ -293,19 +293,48 @@ TEST_F(MetricsPlane, ResetClearsSeriesEventsAndTelemetryBaselines) {
   telemetry::add_count(telemetry::Counter::kChannelSamples, 5);
   core::MetricsPlane::tick();
   metrics::push_event(metrics::Severity::kInfo, "roam", {}, 0.0, {});
-  ASSERT_GT(metrics::series_count(), 0u);
+  ASSERT_FALSE(telemetry::snapshot().metrics.series.empty());
 
-  core::MetricsPlane::reset();
-  EXPECT_EQ(metrics::series_count(), 0u);
-  EXPECT_TRUE(metrics::snapshot().events.empty());
-  // Baselines were re-zeroed too: the next window reports the full total
-  // again, not the delta since the pre-reset sample.
+  telemetry::reset();
+  const auto cleared = telemetry::snapshot().metrics;
+  EXPECT_TRUE(cleared.series.empty());
+  EXPECT_TRUE(cleared.events.empty());
+  EXPECT_EQ(cleared.windows, 0u);
+  // The one reset zeroed the counters and the baselines together: the next
+  // window reports what was counted since, not a delta against the
+  // pre-reset total.
+  telemetry::add_count(telemetry::Counter::kChannelSamples, 2);
   core::MetricsPlane::tick();
-  const auto snap = metrics::snapshot();
+  const auto snap = telemetry::snapshot().metrics;
   tear_down();
   const auto* s = find_series(snap, "channel.samples", "");
   ASSERT_NE(s, nullptr);
-  EXPECT_DOUBLE_EQ(s->points.back().value, 5.0);
+  ASSERT_EQ(s->points.size(), 1u);
+  EXPECT_DOUBLE_EQ(s->points.back().value, 2.0);
+}
+
+TEST_F(MetricsPlane, WindowAfterResetCountsFromZero) {
+  // Regression: a reset used to clear telemetry's totals but not the
+  // plane's window baselines, so the next window's delta wrapped around
+  // (1 - 3 as uint64 = 1.8e19).
+  enable_in_memory();
+  for (int w = 0; w < 3; ++w) {
+    telemetry::count(telemetry::Counter::kNetRoundsRun);
+    { const telemetry::ScopedSpan round(telemetry::Span::kNetRound); }
+    core::MetricsPlane::tick();
+  }
+  telemetry::reset();
+  telemetry::count(telemetry::Counter::kNetRoundsRun);
+  { const telemetry::ScopedSpan round(telemetry::Span::kNetRound); }
+  core::MetricsPlane::tick();
+  const auto snap = telemetry::snapshot().metrics;
+  tear_down();
+
+  for (const char* name : {"net.rounds", "net/round.count"}) {
+    const auto* s = find_series(snap, name, "");
+    ASSERT_NE(s, nullptr) << name;
+    EXPECT_DOUBLE_EQ(s->points.back().value, 1.0) << name;
+  }
 }
 
 }  // namespace

@@ -168,11 +168,11 @@ TEST_P(PlaneSections, EnablingOnlyThisPlaneAddsExactlyItsSections) {
   }
 
   // Switching the plane off again restores the all-off document, however
-  // much the plane recorded meanwhile; reset drops what it recorded.
+  // much the plane recorded meanwhile; the one reset drops what it recorded.
   c.set_enabled(false);
   EXPECT_FALSE(plane.enabled());
   EXPECT_EQ(recorder.json(), off);
-  plane.reset();
+  telemetry::reset();
   EXPECT_EQ(recorder.json(), off);
 }
 

@@ -72,15 +72,16 @@ RunDigest run_once() {
 
 TEST_F(CoreProbe, EnablingProbeChangesNoResultAndDrawsNoRng) {
   probe::set_enabled(false);
-  probe::reset();
+  telemetry::reset();
   const auto off = run_once();
-  EXPECT_EQ(probe::tap_count(), 0u);  // the off path stored nothing
+  // The off path stored nothing.
+  EXPECT_TRUE(telemetry::snapshot().probe.taps.empty());
 
   ProbeSession::enable("core_probe_identity.bin");
   const auto on = run_once();
-  const auto captured = probe::tap_count();
+  const auto captured = telemetry::snapshot().probe.taps.size();
   probe::set_enabled(false);
-  probe::reset();
+  telemetry::reset();
 
   EXPECT_GT(captured, 0u);  // the probed run really recorded
   EXPECT_TRUE(off == on);   // ...without perturbing a single result or draw
@@ -88,15 +89,16 @@ TEST_F(CoreProbe, EnablingProbeChangesNoResultAndDrawsNoRng) {
 
 TEST_F(CoreProbe, DumpAndManifestRoundTrip) {
   ProbeSession::enable("core_probe_roundtrip.bin");
-  probe::reset();
+  telemetry::reset();
   CbmaSystem system(three_tag_config(), three_tag_deployment());
   Rng rng(7);
   const auto report = system.transmit(TransmitOptions{}, rng);
   ASSERT_FALSE(report.link_quality.empty());
-  const auto capture = probe::snapshot();
-  ASSERT_TRUE(ProbeSession::write_dump("core_probe_roundtrip.bin"));
+  const auto snap = telemetry::snapshot();
+  const auto& capture = snap.probe;
+  ASSERT_TRUE(ProbeSession::write_dump("core_probe_roundtrip.bin", snap));
   probe::set_enabled(false);
-  probe::reset();
+  telemetry::reset();
 
   // Binary: magic + at least one record.
   std::ifstream dump("core_probe_roundtrip.bin", std::ios::binary);
@@ -147,7 +149,7 @@ TEST_F(CoreProbe, DumpAndManifestRoundTrip) {
 
 TEST_F(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
   ProbeSession::enable("core_probe_section.bin");
-  probe::reset();
+  telemetry::reset();
   probe::LinkQualitySample sample;
   sample.tag = 1;
   sample.detected = true;
@@ -163,10 +165,10 @@ TEST_F(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
 
   util::JsonWriter w;
   w.begin_object();
-  ProbeSession::write_json_section(w);
+  ProbeSession::write_json_section(w, telemetry::snapshot());
   w.end_object();
   probe::set_enabled(false);
-  probe::reset();
+  telemetry::reset();
 
   const auto doc = util::json_parse(w.str());
   const auto& lq = doc.at("link_quality");

@@ -11,8 +11,8 @@
 //    frames carry the causal fields, and a Chrome-trace export that parses.
 //
 // Every test starts from the shared observability fixture. Sinks stay
-// registered for the life of a process, so the sink_count() == 0 test runs
-// its body in a fresh one.
+// with the registry for the life of a process, so the sink_count() == 0
+// test runs its body in a fresh one.
 #include "core/telemetry.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/observability.h"
 #include "core/recorder.h"
 #include "core/system.h"
 #include "observability_fixture.h"
@@ -295,8 +296,11 @@ TEST_F(Telemetry, TraceFileIsWrittenEvenWhenTelemetryIsDisabled) {
   std::remove(path.c_str());
   ::setenv("CBMA_TRACE", path.c_str(), 1);
   in_fresh_process([] {
+    // The fixture switched every plane off, but CBMA_TRACE's path stays
+    // set; the trace follows its own switch, not telemetry's.
+    telemetry::set_trace_enabled(true);
     telemetry::set_enabled(false);
-    ASSERT_TRUE(core::Telemetry::write_trace_if_requested());
+    ASSERT_TRUE(core::write_observability_artifacts());
   });
   ::unsetenv("CBMA_TRACE");
 

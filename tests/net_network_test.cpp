@@ -167,9 +167,9 @@ TEST(Network, MetricsPlaneChangesNoResultsAndAttributesEveryCell) {
 
   core::MetricsPlane::enable();
   metrics::set_export_path("");
-  core::MetricsPlane::reset();
+  telemetry::reset();
   const auto on = on_net.run_round(31);
-  const auto snap = metrics::snapshot();
+  const auto snap = telemetry::snapshot().metrics;
   metrics::set_enabled(false);
   telemetry::set_enabled(false);
 
@@ -216,9 +216,9 @@ TEST(Network, MetricsPlaneEmitsCodeSliceOverflowEvents) {
   network.add_tag({-3.5, 0.0});
   core::MetricsPlane::enable();
   metrics::set_export_path("");
-  core::MetricsPlane::reset();
+  telemetry::reset();
   const auto result = network.run_round(5);
-  const auto snap = metrics::snapshot();
+  const auto snap = telemetry::snapshot().metrics;
   metrics::set_enabled(false);
   telemetry::set_enabled(false);
 
@@ -242,9 +242,9 @@ TEST(Network, MetricsPlaneEmitsRoamEvents) {
   network.move_tag(0, {1.0, 0.5});  // squarely in gateway 1's bay
   core::MetricsPlane::enable();
   metrics::set_export_path("");
-  core::MetricsPlane::reset();
+  telemetry::reset();
   ASSERT_EQ(network.roam(), 1u);
-  const auto snap = metrics::snapshot();
+  const auto snap = telemetry::snapshot().metrics;
   metrics::set_enabled(false);
   telemetry::set_enabled(false);
 

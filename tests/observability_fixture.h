@@ -1,12 +1,12 @@
 // The starting state every observability suite shares: each plane switched
-// off, each settable export path cleared and each store emptied, before and
-// after every test. ctest runs one test per process, but the suites must
+// off, each settable export path cleared and the one store emptied, before
+// and after every test. ctest runs one test per process, but the suites must
 // also pass with every test in one process (CI runs the binary unfiltered),
 // so no test may lean on what an earlier one left behind.
 //
 // Two things the fixture cannot undo: a switch reads its environment
-// variable once per process, and a thread sink stays registered for the
-// life of the process. A test that needs either fresh — a first read of
+// variable once per process, and a sink, once allocated, stays with the
+// registry for the life of the process (recycled, never freed). A test that needs either fresh — a first read of
 // the environment, or a registry no thread has touched — runs its body in
 // a fresh copy of the test binary with in_fresh_process().
 #pragma once
@@ -15,14 +15,13 @@
 
 #include <cstdlib>
 
-#include "core/metrics_plane.h"
 #include "util/metrics.h"
 #include "util/probe.h"
 #include "util/telemetry.h"
 
 namespace cbma {
 
-/// Every plane off, every settable path cleared, every store reset.
+/// Every plane off, every settable path cleared, the store reset.
 inline void quiesce_observability() {
   telemetry::set_enabled(false);
   telemetry::set_trace_enabled(false);
@@ -33,8 +32,6 @@ inline void quiesce_observability() {
   metrics::set_enabled(false);
   metrics::set_export_path("");
   telemetry::reset();
-  probe::reset();
-  core::MetricsPlane::reset();
 }
 
 class ObservabilityTest : public ::testing::Test {

@@ -14,6 +14,7 @@
 #include "rfsim/channel.h"
 #include "util/probe.h"
 #include "util/rng.h"
+#include "util/telemetry.h"
 
 namespace cbma::rx {
 namespace {
@@ -392,11 +393,11 @@ TEST(UserDetector, ReachWindowMatchesWholeWindow) {
       Profiles want_profiles;
       const auto want =
           whole_window_detect(cfg, codes, wre, wim, coarse, want_profiles);
-      probe::reset();
+      telemetry::reset();
       UserDetector::Scratch scratch;
       expect_same_users(det.detect(DetectionInput{wre, wim, coarse}, scratch),
                         want, where);
-      const auto capture = probe::snapshot();
+      const auto capture = telemetry::snapshot().probe;
       Profiles got_profiles(codes.size());
       for (const auto& rec : capture.taps) {
         if (rec.tap == probe::Tap::kCorrelationProfile) {
@@ -411,7 +412,7 @@ TEST(UserDetector, ReachWindowMatchesWholeWindow) {
     }
   }
   probe::set_enabled(false);
-  probe::reset();
+  telemetry::reset();
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 // event caps refuse work loudly, and the Prometheus text exposition is
 // well-formed (sanitized names, scope labels, meta gauges, atomic rewrite).
 //
-// Every test starts from the shared observability fixture, so what an
-// earlier test recorded cannot leak into the next one.
+// The store is read back through telemetry::snapshot().metrics and cleared
+// by telemetry::reset(), the one store's snapshot and reset. Every test
+// starts from the shared observability fixture, so what an earlier test
+// recorded cannot leak into the next one.
 #include "util/metrics.h"
 
 #include <gtest/gtest.h>
@@ -17,11 +19,15 @@
 #include <string>
 
 #include "observability_fixture.h"
+#include "util/telemetry.h"
 
 namespace cbma::metrics {
 namespace {
 
 class UtilMetrics : public ObservabilityTest {};
+
+Store snapshot() { return telemetry::snapshot().metrics; }
+void reset() { telemetry::reset(); }
 
 /// Count non-overlapping occurrences of `needle` in `text`.
 std::size_t occurrences(const std::string& text, const std::string& needle) {
@@ -40,7 +46,6 @@ TEST_F(UtilMetrics, DisabledRecordingIsAStrictNoOp) {
   push_event(Severity::kWarning, "watchdog", {}, 2.0, "detail");
   EXPECT_EQ(advance_window(), 0u);
   // Nothing was stored, no window moved, no drop was even counted.
-  EXPECT_EQ(series_count(), 0u);
   const auto snap = snapshot();
   EXPECT_EQ(snap.windows, 0u);
   EXPECT_TRUE(snap.series.empty());
@@ -54,7 +59,6 @@ TEST_F(UtilMetrics, SamplesAreStampedWithTheOpenWindow) {
   set_enabled(true);
   reset();
   push("net.goodput_bps", {}, 10.0, "bps");
-  EXPECT_EQ(current_window(), 0u);
   EXPECT_EQ(advance_window(), 1u);
   push("net.goodput_bps", {}, 20.0, "ignored-late-unit");
   const auto snap = snapshot();
@@ -125,7 +129,7 @@ TEST_F(UtilMetrics, SeriesCapRefusesNewSeriesAndCountsThem) {
   for (std::size_t k = 0; k < kMaxSeries; ++k) {
     push("series." + std::to_string(k), {}, 1.0);
   }
-  ASSERT_EQ(series_count(), kMaxSeries);
+  ASSERT_EQ(snapshot().series.size(), kMaxSeries);
   push("series.overflow", {}, 1.0);
   push("series.overflow2", {}, 1.0);
   // Existing series still accept samples at the cap.
@@ -174,8 +178,8 @@ TEST_F(UtilMetrics, ResetClearsDataButKeepsFlagAndPath) {
   push_event(Severity::kError, "watchdog", {}, 1.0, "d");
   advance_window();
   reset();
-  EXPECT_EQ(series_count(), 0u);
   const auto snap = snapshot();
+  EXPECT_TRUE(snap.series.empty());
   EXPECT_EQ(snap.windows, 0u);
   EXPECT_TRUE(snap.events.empty());
   EXPECT_TRUE(enabled());
@@ -224,8 +228,9 @@ TEST_F(UtilMetrics, WritePrometheusLeavesNoTmpFileBehind) {
   push("net.goodput_bps", {}, 42.0, "bps");
   const auto path = ::testing::TempDir() + "cbma_metrics_test.prom";
   std::remove(path.c_str());
-  ASSERT_TRUE(write_prometheus(path));
-  const auto expected = prometheus_text(snapshot());
+  const Store store = snapshot();
+  ASSERT_TRUE(write_prometheus(path, store));
+  const auto expected = prometheus_text(store);
   set_enabled(false);
 
   std::ifstream in(path);
@@ -243,7 +248,7 @@ TEST_F(UtilMetrics, WritePrometheusFailsLoudlyOnBadPath) {
   set_enabled(true);
   reset();
   push("a", {}, 1.0);
-  EXPECT_FALSE(write_prometheus("/nonexistent-dir/metrics.prom"));
+  EXPECT_FALSE(write_prometheus("/nonexistent-dir/metrics.prom", snapshot()));
   set_enabled(false);
   reset();
 }

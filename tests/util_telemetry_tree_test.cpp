@@ -49,7 +49,7 @@ TEST_F(Profiler, OffPathRegistersNoSinks) {
     const ScopedSpan inner(Span::kRxDetect);
   }).join();
   EXPECT_EQ(sink_count(), before);
-  EXPECT_TRUE(merged_tree().roots.empty());
+  EXPECT_TRUE(snapshot().tree.roots.empty());
 }
 
 TEST_F(Profiler, BuildsCallerPathTree) {
@@ -66,7 +66,7 @@ TEST_F(Profiler, BuildsCallerPathTree) {
     const ScopedSpan detect(Span::kRxDetect);
   }
 
-  const TreeSnapshot snap = merged_tree();
+  const TreeSnapshot snap = snapshot().tree;
   EXPECT_EQ(snap.dropped, 0u);
   EXPECT_EQ(snap.threads, 1u);
   const MergedNode* process = child(snap.roots, Span::kRxProcess);
@@ -90,7 +90,7 @@ TEST_F(Profiler, ChildTimeFoldsIntoParentExclusive) {
     const ScopedSpan outer(Span::kRxProcess);
     const ScopedSpan inner(Span::kRxDetect);
   }
-  const TreeSnapshot snap = merged_tree();
+  const TreeSnapshot snap = snapshot().tree;
   const MergedNode* outer = child(snap.roots, Span::kRxProcess);
   ASSERT_NE(outer, nullptr);
   const MergedNode* inner = child(outer->children, Span::kRxDetect);
@@ -106,7 +106,7 @@ TEST_F(Profiler, SameSpanReentryAccumulatesOneNode) {
   for (int i = 0; i < 5; ++i) {
     const ScopedSpan s(Span::kRxFrameSync);
   }
-  const TreeSnapshot snap = merged_tree();
+  const TreeSnapshot snap = snapshot().tree;
   ASSERT_EQ(snap.roots.size(), 1u);
   EXPECT_EQ(snap.roots[0].count, 5u);
   EXPECT_TRUE(snap.roots[0].children.empty());
@@ -123,7 +123,7 @@ TEST_F(Profiler, PoolExhaustionDropsNotCrashes) {
     descend(depth + 1);
   };
   descend(0);
-  const TreeSnapshot snap = merged_tree();
+  const TreeSnapshot snap = snapshot().tree;
   EXPECT_EQ(snap.dropped, kNodeCapacity);
   std::size_t nodes = 0;
   std::function<void(const MergedNode&)> count = [&](const MergedNode& n) {
@@ -137,8 +137,8 @@ TEST_F(Profiler, PoolExhaustionDropsNotCrashes) {
   {
     const ScopedSpan s(Span::kRxDecode);
   }
-  EXPECT_NE(child(merged_tree().roots, Span::kRxDecode), nullptr);
-  EXPECT_EQ(merged_tree().dropped, 0u);
+  EXPECT_NE(child(snapshot().tree.roots, Span::kRxDecode), nullptr);
+  EXPECT_EQ(snapshot().tree.dropped, 0u);
 }
 
 TEST_F(Profiler, WorkerSubtreesMergeUnderLaunchingSpan) {
@@ -155,7 +155,7 @@ TEST_F(Profiler, WorkerSubtreesMergeUnderLaunchingSpan) {
         4, &stats);
     EXPECT_TRUE(stats.collected);
   }
-  const TreeSnapshot snap = merged_tree();
+  const TreeSnapshot snap = snapshot().tree;
   // Workers replayed the caller's [net/round] path as context, so the
   // merged tree has one root and the worker spans hang beneath it.
   const MergedNode* round = child(snap.roots, Span::kNetRound);
@@ -170,6 +170,46 @@ TEST_F(Profiler, WorkerSubtreesMergeUnderLaunchingSpan) {
   // Context replicas contribute no time, so the root's exclusive time is
   // still exact (no negative-underflow from cross-thread folding).
   for (const auto& root : snap.roots) check_identity(root);
+}
+
+TEST_F(Profiler, ExitedWorkersHandTheirSinksToTheNextOnes) {
+  // Every parallel_for starts fresh worker threads. Each hands its sink
+  // back when it exits, so the sinks stay bounded by the peak number of
+  // concurrently recording threads, and what the exited threads recorded
+  // still merges.
+  constexpr std::size_t kCalls = 1000;
+  constexpr std::size_t kWorkers = 4;
+  set_enabled(true);
+  set_profile_enabled(true);
+  std::size_t grown = 0;
+  {
+    const ScopedSpan round(Span::kNetRound);  // the caller's own sink
+    const std::size_t before = sink_count();
+    for (std::size_t call = 0; call < kCalls; ++call) {
+      util::parallel_for(
+          kWorkers,
+          [](std::size_t) { const ScopedSpan cell(Span::kNetCellRound); },
+          kWorkers);
+    }
+    grown = sink_count() - before;
+  }
+  const Snapshot snap = snapshot();
+  set_enabled(false);
+
+  EXPECT_LE(grown, kWorkers);
+  const std::uint64_t cells = kCalls * kWorkers;
+  std::uint64_t flat_cells = 0;
+  for (const auto& s : snap.spans) {
+    if (s.id == Span::kNetCellRound) flat_cells = s.count;
+  }
+  EXPECT_EQ(flat_cells, cells);
+  const MergedNode* round = child(snap.tree.roots, Span::kNetRound);
+  ASSERT_NE(round, nullptr);
+  EXPECT_EQ(round->count, 1u);
+  const MergedNode* cell = child(round->children, Span::kNetCellRound);
+  ASSERT_NE(cell, nullptr);
+  EXPECT_EQ(cell->count, cells);
+  EXPECT_EQ(snap.tree.dropped, 0u);
 }
 
 TEST_F(Profiler, TreeShapeAndCountsStableAcrossWorkerCounts) {
@@ -205,7 +245,7 @@ TEST_F(Profiler, TreeShapeAndCountsStableAcrossWorkerCounts) {
           shape.paths.push_back(path);
           for (const auto& c : n.children) dfs(c, path + ";");
         };
-    for (const auto& root : merged_tree().roots) dfs(root, "");
+    for (const auto& root : snapshot().tree.roots) dfs(root, "");
     return shape;
   };
   const Shape serial = run(1);
@@ -223,7 +263,7 @@ TEST_F(Profiler, RecordParallelAggregatesPerSite) {
   record_parallel("test/site", stats);
   record_parallel("test/site", stats);
 
-  const auto sites = parallel_stats();
+  const auto sites = snapshot().parallel;
   ASSERT_EQ(sites.size(), 1u);
   EXPECT_EQ(sites[0].site, "test/site");
   EXPECT_EQ(sites[0].calls, 2u);
@@ -240,7 +280,7 @@ TEST_F(Profiler, RecordParallelIgnoresUncollectedStats) {
   util::ParallelStats stats;  // collected == false
   stats.items = 99;
   record_parallel("test/ghost", stats);
-  EXPECT_TRUE(parallel_stats().empty());
+  EXPECT_TRUE(snapshot().parallel.empty());
 }
 
 TEST_F(Profiler, ResetClearsTreeAndSites) {
@@ -251,12 +291,12 @@ TEST_F(Profiler, ResetClearsTreeAndSites) {
   util::ParallelStats stats;
   util::parallel_for(4, [](std::size_t) {}, 2, &stats);
   record_parallel("test/reset", stats);
-  ASSERT_FALSE(merged_tree().roots.empty());
-  ASSERT_FALSE(parallel_stats().empty());
+  ASSERT_FALSE(snapshot().tree.roots.empty());
+  ASSERT_FALSE(snapshot().parallel.empty());
   reset();
-  EXPECT_TRUE(merged_tree().roots.empty());
-  EXPECT_TRUE(parallel_stats().empty());
-  EXPECT_EQ(merged_tree().dropped, 0u);
+  EXPECT_TRUE(snapshot().tree.roots.empty());
+  EXPECT_TRUE(snapshot().parallel.empty());
+  EXPECT_EQ(snapshot().tree.dropped, 0u);
 }
 
 }  // namespace

@@ -166,6 +166,29 @@ TEST_F(UtilTelemetry, TraceEventsCapturedOnlyWhenTraceFlagOn) {
   reset();
 }
 
+TEST_F(UtilTelemetry, TraceCapturePastTheSinkCapIsCountedNotKept) {
+  set_enabled(true);
+  set_trace_enabled(true);
+  reset();
+  for (std::size_t i = 0; i < kMaxTraceEventsPerSink + 3; ++i) {
+    record_span(Span::kRxDetect, i, 5);
+  }
+  set_trace_enabled(false);
+  const auto snap = snapshot();
+  set_enabled(false);
+
+  // The histogram keeps every occurrence; the timeline keeps the first
+  // kMaxTraceEventsPerSink and the counter names the rest.
+  EXPECT_EQ(snap.events.size(), kMaxTraceEventsPerSink);
+  ASSERT_EQ(snap.spans.size(), 1u);
+  EXPECT_EQ(snap.spans[0].count, kMaxTraceEventsPerSink + 3);
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].id, Counter::kTraceEventsDropped);
+  EXPECT_EQ(snap.counters[0].name, "trace.events_dropped");
+  EXPECT_EQ(snap.counters[0].value, 3u);
+  reset();
+}
+
 // --- histogram bucketing edges (the metrics plane's percentile substrate) --
 
 TEST_F(UtilTelemetry, HistogramBucketsAreExactBelowEight) {

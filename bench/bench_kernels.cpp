@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/metrics_plane.h"
 #include "core/system.h"
 #include "net/network.h"
 #include "phy/spreader.h"
@@ -399,7 +398,7 @@ void run_net_multicell_round(benchmark::State& state, ArmedPlane armed) {
   const std::string metrics_path = metrics::export_path();
   if (armed == ArmedPlane::kMetrics) {
     metrics::set_export_path("");
-    core::MetricsPlane::enable();
+    metrics::set_enabled(true);
   } else if (armed == ArmedPlane::kProfile) {
     telemetry::set_profile_enabled(true);
   }

@@ -15,7 +15,6 @@
 #include <string>
 
 #include "common.h"
-#include "core/metrics_plane.h"
 #include "core/system.h"
 #include "mac/arq.h"
 #include "mac/throughput.h"
@@ -232,7 +231,7 @@ int main() {
   }
 
   // CBMA_METRICS=<path>: a short *sequential* timeline pass (the sweep
-  // above runs parallel, which the plane's tick() contract forbids) —
+  // above runs parallel, which advance_window()'s contract forbids) —
   // per-window PRR and decode-outcome series under "cond=duty<d>/ppm<p>"
   // scopes, across the dropout axis at the drift extremes.
   if (metrics::enabled()) {
@@ -272,7 +271,7 @@ int main() {
                     rx::to_string(static_cast<rx::DecodeOutcome>(o)),
                 scope, static_cast<double>(stats.outcomes[o]));
           }
-          core::MetricsPlane::tick();
+          metrics::advance_window();
         }
         ++condition;
       }

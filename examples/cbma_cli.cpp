@@ -20,12 +20,11 @@
 #include <string>
 
 #include "core/observability.h"
-#include "core/probe_session.h"
-#include "core/profile_plane.h"
 #include "core/system.h"
 #include "mac/throughput.h"
 #include "net/network.h"
 #include "util/parallel.h"
+#include "util/probe.h"
 #include "util/table.h"
 #include "util/telemetry.h"
 #include "util/units.h"
@@ -170,7 +169,7 @@ bool parse(int argc, char** argv, CliOptions& opt) {
 void print_profile_report() {
   if (!telemetry::profile_enabled()) return;
   const auto rows =
-      core::ProfilePlane::top_exclusive(telemetry::snapshot().tree, 10);
+      core::top_exclusive(telemetry::snapshot().tree, 10);
   Table table({"caller path", "count", "incl ms", "excl ms"});
   for (const auto& row : rows) {
     table.add_row({row.path, std::to_string(row.count),
@@ -257,7 +256,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--tags and --packets must be positive\n");
     return 1;
   }
-  if (opt.profile) core::ProfilePlane::enable();
+  if (opt.profile) telemetry::set_profile_enabled(true);
   if (opt.cells > 0) {
     try {
       return run_multicell(opt);
@@ -269,7 +268,10 @@ int main(int argc, char** argv) {
 
   // --probe is the programmatic CBMA_PROBE; without it probing stays as the
   // environment set it (off by default: strict identity).
-  if (!opt.probe.empty()) core::ProbeSession::enable(opt.probe);
+  if (!opt.probe.empty()) {
+    probe::set_dump_path(opt.probe);
+    probe::set_enabled(true);
+  }
 
   core::SystemConfig config;
   config.max_tags = opt.tags;

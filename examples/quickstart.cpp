@@ -5,8 +5,8 @@
 #include <string>
 
 #include "core/observability.h"
-#include "core/probe_session.h"
 #include "core/system.h"
+#include "util/probe.h"
 
 using namespace cbma;
 
@@ -77,7 +77,8 @@ int main() {
   //    collided round, and dump the per-stage taps (excitation envelope,
   //    composite IQ, sync energy, correlation profiles, soft bits) plus the
   //    per-tag link-quality rows. Inspect with tools/cbma_inspect.py probe.
-  core::ProbeSession::enable("quickstart_probe.bin");
+  probe::set_dump_path("quickstart_probe.bin");
+  probe::set_enabled(true);
   const auto probed = system.transmit(options, rng);
   std::printf("\nsignal probes (see quickstart_probe.bin.json):\n");
   for (std::size_t i = 0; i < probed.link_quality.size(); ++i) {

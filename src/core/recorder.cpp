@@ -3,10 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 
 #include "core/observability.h"
+#include "util/atomic_file.h"
 #include "util/expect.h"
 #include "util/json.h"
 #include "util/metrics.h"
@@ -92,7 +92,7 @@ std::size_t RunRecorder::run_watchdog(const std::vector<WatchdogRule>& rules) {
   return warnings_.size();
 }
 
-std::string RunRecorder::json() const {
+std::string RunRecorder::json(const telemetry::Snapshot& snap) const {
   util::JsonWriter w;
   w.begin_object();
   w.key("schema_version").value(kBenchJsonSchemaVersion);
@@ -183,7 +183,6 @@ std::string RunRecorder::json() const {
   // the default document stays byte-identical (DESIGN.md §7). Timings are
   // wall-clock and therefore not deterministic; counts and tree shapes
   // are. None enters the config fingerprint above.
-  const telemetry::Snapshot snap = telemetry::snapshot();
   for (const auto& plane : observability_planes()) {
     if (plane.enabled()) plane.write_json_section(w, snap);
   }
@@ -227,20 +226,14 @@ int RunRecorder::finish() const {
       path = std::string(dir) + "/" + path;
     }
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
+  // One snapshot serves the document and the requested observability
+  // files: CBMA_TRACE, CBMA_PROBE, CBMA_METRICS and CBMA_PROFILE each name
+  // their own path.
+  const telemetry::Snapshot snap = telemetry::snapshot();
+  if (!util::write_file_atomically(path, json(snap) + '\n', "recorder")) {
     return 1;
   }
-  out << json() << '\n';
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: failed writing %s\n", path.c_str());
-    return 1;
-  }
-  // The requested observability files land next to the JSON: CBMA_TRACE,
-  // CBMA_PROBE, CBMA_METRICS and CBMA_PROFILE each name their own path.
-  return write_observability_artifacts() ? 0 : 1;
+  return write_observability_artifacts(snap) ? 0 : 1;
 }
 
 }  // namespace cbma::core

@@ -14,6 +14,7 @@
 #include "core/config.h"
 #include "core/sweep.h"
 #include "util/table.h"
+#include "util/telemetry.h"
 
 namespace cbma::core {
 
@@ -68,13 +69,16 @@ class RunRecorder {
     return warnings_;
   }
 
-  /// The complete schema-versioned document. Deterministic: identical
-  /// recorded results serialize to identical bytes (no timestamps, no
-  /// thread counts), which the cross-thread golden test relies on.
-  std::string json() const;
+  /// The complete schema-versioned document, its observability sections
+  /// read from `snap`. Deterministic: identical recorded results serialize
+  /// to identical bytes (no timestamps, no thread counts), which the
+  /// cross-thread golden test relies on.
+  std::string json(
+      const telemetry::Snapshot& snap = telemetry::snapshot()) const;
 
   /// Write BENCH_<spec.name>.json into $CBMA_BENCH_DIR (or the working
-  /// directory) and return the exit code for main(): 0 on success.
+  /// directory), then the requested observability files, all from one
+  /// snapshot; return the exit code for main(): 0 on success.
   int finish() const;
 
  private:

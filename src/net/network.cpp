@@ -4,9 +4,9 @@
 #include <cmath>
 #include <utility>
 
-#include "core/metrics_plane.h"
 #include "rx/receiver.h"
 #include "util/expect.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/telemetry.h"
 #include "util/units.h"
@@ -294,21 +294,18 @@ NetworkRoundResult Network::run_round(std::uint64_t seed,
 }
 
 void Network::publish_round(const NetworkRoundResult& result) {
-  using core::MetricsPlane;
   for (const auto& cell : result.cells) {
-    MetricsPlane::CellSample sample;
-    sample.cell_id = cell.gateway_id;
-    sample.goodput_bps = cell.goodput_bps;
-    sample.frame_error_rate = cell.stats.frame_error_rate();
-    sample.tags_served = cell.tags_served;
-    sample.tags_total = cell.tags_total;
-    sample.sent = cell.stats.total_sent();
-    sample.acked = cell.stats.total_acked();
-    sample.outcomes = cell.stats.outcomes;
-    sample.quality = cell.stats.quality;
-    MetricsPlane::record_cell(sample);
-
     const std::string scope = "cell=" + std::to_string(cell.gateway_id);
+    metrics::push("net.cell.goodput_bps", scope, cell.goodput_bps, "bps");
+    metrics::push("net.cell.fer", scope, cell.stats.frame_error_rate());
+    metrics::push("net.cell.tags_served", scope,
+                  static_cast<double>(cell.tags_served));
+    metrics::push("net.cell.tags_total", scope,
+                  static_cast<double>(cell.tags_total));
+    metrics::push("net.cell.sent", scope,
+                  static_cast<double>(cell.stats.total_sent()));
+    metrics::push("net.cell.acked", scope,
+                  static_cast<double>(cell.stats.total_acked()));
     if (cell.tags_total > cell.tags_served) {
       // More members than the cell's code-slice can serve: the capacity
       // shortfall the paper's reuse scheduler exists to avoid.
@@ -319,13 +316,21 @@ void Network::publish_round(const NetworkRoundResult& result) {
               std::to_string(cell.tags_served) + " served slots");
     }
     for (std::size_t o = 0; o < cell.stats.outcomes.size(); ++o) {
+      if (cell.stats.outcomes[o] == 0) continue;
+      const auto count = static_cast<double>(cell.stats.outcomes[o]);
       const auto outcome = static_cast<rx::DecodeOutcome>(o);
-      if (outcome == rx::DecodeOutcome::kOk || cell.stats.outcomes[o] == 0) {
-        continue;
-      }
-      metrics::push_event(
-          metrics::Severity::kInfo, "decode_failure", scope,
-          static_cast<double>(cell.stats.outcomes[o]), rx::to_string(outcome));
+      metrics::push(std::string("rx.outcome.") + rx::to_string(outcome), scope,
+                    count);
+      if (outcome == rx::DecodeOutcome::kOk) continue;
+      metrics::push_event(metrics::Severity::kInfo, "decode_failure", scope,
+                          count, rx::to_string(outcome));
+    }
+    const auto& quality = cell.stats.quality;
+    if (quality.frames > 0) {
+      metrics::push("link.snr_db", scope, quality.snr_db_mean(), "dB");
+      metrics::push("link.evm", scope, quality.evm_mean());
+      metrics::push("link.soft_margin", scope, quality.soft_margin_mean());
+      metrics::push("link.margin_ratio", scope, quality.margin_ratio_mean());
     }
   }
   metrics::push("net.goodput_bps", {}, result.aggregate_goodput_bps, "bps");
@@ -334,7 +339,7 @@ void Network::publish_round(const NetworkRoundResult& result) {
                 static_cast<double>(result.tags_served));
   metrics::push("net.tags_total", {}, static_cast<double>(result.tags_total));
   metrics::push("net.roamed", {}, static_cast<double>(result.roamed));
-  MetricsPlane::tick();
+  metrics::advance_window();
 }
 
 }  // namespace cbma::net

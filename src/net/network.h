@@ -126,7 +126,7 @@ class Network {
   /// Metrics-plane attribution for one finished round (strict no-op when
   /// the plane is off): per-cell samples under scope "cell=<id>", global
   /// rollup series, code-slice-overflow / decode-failure events, then one
-  /// plane tick. Runs sequentially after the parallel cell pass joined.
+  /// window close. Runs sequentially after the parallel cell pass joined.
   void publish_round(const NetworkRoundResult& result);
 
   NetworkConfig config_;

@@ -1,8 +1,8 @@
-// Whole-file replacement, the one write path of every observability export
-// (the Chrome trace, the probe dump and manifest, the Prometheus snapshot a
-// reader may poll, the collapsed-stack profile): the text goes to
-// `<path>.tmp` and is renamed over `path`, so a reader sees either the old
-// file or the new one, never a torn write.
+// Whole-file replacement, the one write path of every run artifact (the
+// BENCH_*.json document, the Chrome trace, the probe dump and manifest, the
+// Prometheus snapshot a reader may poll, the collapsed-stack profile): the
+// text goes to `<path>.tmp` and is renamed over `path`, so a reader sees
+// either the old file or the new one, never a torn write.
 #pragma once
 
 #include <string>

@@ -1,21 +1,15 @@
 #include "util/metrics.h"
 
 #include <cstdio>
-#include <utility>
 
 #include "util/atomic_file.h"
-#include "util/env_switch.h"
 
-// push, push_event and advance_window write into telemetry's one registry,
-// so they live with it in util/telemetry.cpp.
+// The switch, push, push_event and advance_window live with telemetry's one
+// registry in util/telemetry.cpp: the store is in it, and turning metrics on
+// arms telemetry there.
 
 namespace cbma::metrics {
 namespace {
-
-util::EnvSwitch& metrics_switch() {
-  static util::EnvSwitch s("CBMA_METRICS");
-  return s;
-}
 
 /// Prometheus metric charset: [a-zA-Z0-9_]; everything else (dots, slashes)
 /// becomes '_'. A leading digit gets an extra '_' (the "cbma_" prefix
@@ -70,14 +64,6 @@ const char* severity_name(Severity s) {
     case Severity::kCount: break;
   }
   return "unknown";
-}
-
-bool enabled() { return metrics_switch().on(); }
-void set_enabled(bool on) { metrics_switch().set_on(on); }
-
-std::string export_path() { return metrics_switch().path(); }
-void set_export_path(std::string path) {
-  metrics_switch().set_path(std::move(path));
 }
 
 std::string prometheus_text(const Store& snap) {

@@ -1,12 +1,13 @@
-// Bounded time-series store + structured event log: the windowed substrate
-// of the metrics plane (core::MetricsPlane decides when a window closes
-// and owns the exports). Numeric samples land in fixed-capacity per-series rings keyed
-// by (name, scope) — scope "" is the global rollup, "cell=<id>" attributes
-// a sample to one cell of the net:: layer — and typed events (severity,
-// type, scope, value, detail) land in one bounded log with a drop counter.
-// Memory is bounded by construction: at most kMaxSeries rings of
-// kWindowCapacity points each plus kMaxEvents log entries; overflow
-// increments a drop counter instead of growing.
+// Bounded time-series store + structured event log: the metrics plane
+// (DESIGN.md §12). Its caller closes a window with advance_window(), which
+// also rewrites the Prometheus file; the plane table (core/observability.h)
+// writes the JSON sections. Numeric samples land in fixed-capacity
+// per-series rings keyed by (name, scope) — scope "" is the global rollup,
+// "cell=<id>" attributes a sample to one cell of the net:: layer — and
+// typed events (severity, type, scope, value, detail) land in one bounded
+// log with a drop counter. Memory is bounded by construction: at most
+// kMaxSeries rings of kWindowCapacity points each plus kMaxEvents log
+// entries; overflow increments a drop counter instead of growing.
 //
 // The contract mirrors telemetry/probe exactly: **disabled metrics are a
 // strict identity**. When enabled() is false (the default), push(),
@@ -14,15 +15,16 @@
 // storage is allocated, no clock is read, and no RNG is ever drawn (the
 // store never draws randomness at all) — every bench table and
 // BENCH_*.json stays byte-identical. Enable with CBMA_METRICS=<path>
-// (the Prometheus exposition target) or set_enabled(true).
+// (the Prometheus exposition target) or set_enabled(true); either one arms
+// telemetry too, since the counter and span series sample it.
 //
 // The store lives in telemetry's one registry (util/telemetry.cpp, which
-// implements push, push_event and advance_window): like the probe capture,
-// every write takes its mutex, since samples arrive at window cadence (per
-// round / per sweep point), not per chip. telemetry::snapshot().metrics
-// copies it and telemetry::reset() clears it, together with the window
-// baselines advance_window() subtracts. See DESIGN.md §12 for the full
-// metrics-plane contract.
+// implements the switch, push, push_event and advance_window): like the
+// probe capture, every write takes its mutex, since samples arrive at
+// window cadence (per round / per sweep point), not per chip.
+// telemetry::snapshot().metrics copies it and telemetry::reset() clears
+// it, together with the window baselines advance_window() subtracts. See
+// DESIGN.md §12 for the full metrics-plane contract.
 #pragma once
 
 #include <cstddef>
@@ -82,7 +84,8 @@ struct Store {
 // --- master switch ---------------------------------------------------------
 
 /// The CBMA_METRICS switch (util/env_switch.h): the value is the Prometheus
-/// exposition path ("" = no file export).
+/// exposition path ("" = no file export). set_enabled(true) arms telemetry
+/// too, as CBMA_METRICS does; set_enabled(false) leaves telemetry on.
 bool enabled();
 void set_enabled(bool on);
 std::string export_path();
@@ -104,8 +107,9 @@ void push_event(Severity severity, std::string_view type,
 /// count/mean/p50/p90/p99 series (from the histogram *delta*, so each
 /// window's percentiles cover only that window's spans), all stamped with
 /// the closing window; samples pushed afterwards land in the next one.
-/// Returns the new current window index. Call only while no telemetry
-/// worker is recording.
+/// Then, when export_path() is set, the Prometheus file is rewritten from
+/// the store. Returns the new current window index. Call once per round
+/// from a sequential context: no telemetry worker may be recording.
 std::uint64_t advance_window();
 
 // --- Prometheus text exposition --------------------------------------------

@@ -1,6 +1,6 @@
 // Signal-probe capture: bounded per-stage waveform taps and per-tag
 // link-quality samples, recorded by the pipeline and exported as a binary
-// dump + JSON manifest (core::ProbeSession owns the file format). The
+// dump + JSON manifest (core/observability.h owns the file format). The
 // logic-analyzer counterpart of util/telemetry.h — telemetry answers *how
 // long* each stage took, the probe answers *what the signal looked like*.
 //
@@ -9,7 +9,7 @@
 // returns before touching anything, no storage is allocated, no clock is
 // read, and no RNG is ever drawn (the probe never draws randomness at
 // all) — every bench table and BENCH_*.json stays byte-identical. Enable
-// with CBMA_PROBE=<dump-path> or core::ProbeSession::enable().
+// with CBMA_PROBE=<dump-path>, or set_dump_path() and set_enabled(true).
 //
 // The capture lives in telemetry's one registry (util/telemetry.cpp, which
 // implements the record_* entry points): every record is appended under
@@ -82,7 +82,7 @@ struct LinkQualitySample {
 // --- master switch ---------------------------------------------------------
 
 /// The CBMA_PROBE switch (util/env_switch.h): the value is where
-/// core::ProbeSession writes the binary dump.
+/// the plane table (core/observability.h) writes the binary dump.
 bool enabled();
 void set_enabled(bool on);
 std::string dump_path();

@@ -232,8 +232,14 @@ ThreadSink& sink() {
 
 util::EnvSwitch& telemetry_switch() {
   // The metrics plane samples these counters and spans, so CBMA_METRICS
-  // turns telemetry on from the first read, whichever plane is read first.
+  // turns telemetry on from the first read, whichever plane is read first;
+  // metrics::set_enabled(true) arms it by the same rule.
   static util::EnvSwitch s("CBMA_TELEMETRY", "CBMA_METRICS");
+  return s;
+}
+
+util::EnvSwitch& metrics_switch() {
+  static util::EnvSwitch s("CBMA_METRICS");
   return s;
 }
 
@@ -645,12 +651,6 @@ Snapshot snapshot() {
   return out;
 }
 
-metrics::Store metric_store() {
-  auto& reg = Registry::instance();
-  const std::lock_guard<std::mutex> lock(reg.mu);
-  return copy_metrics(reg.metrics);
-}
-
 void record_parallel(const char* site, const util::ParallelStats& stats) {
   if (!profile_enabled() || !stats.collected) return;
   auto& reg = Registry::instance();
@@ -774,6 +774,18 @@ ScopedPoint::~ScopedPoint() {
 
 namespace cbma::metrics {
 
+bool enabled() { return telemetry::metrics_switch().on(); }
+void set_enabled(bool on) {
+  telemetry::metrics_switch().set_on(on);
+  // Turning metrics off leaves telemetry on.
+  if (on) telemetry::set_enabled(true);
+}
+
+std::string export_path() { return telemetry::metrics_switch().path(); }
+void set_export_path(std::string path) {
+  telemetry::metrics_switch().set_path(std::move(path));
+}
+
 void push(std::string_view name, std::string_view scope, double value,
           std::string_view unit) {
   if (!enabled()) return;
@@ -805,8 +817,9 @@ void push_event(Severity severity, std::string_view type,
 
 std::uint64_t advance_window() {
   if (!enabled()) return 0;
+  const std::string path = export_path();
   auto& reg = telemetry::Registry::instance();
-  const std::lock_guard<std::mutex> lock(reg.mu);
+  std::unique_lock<std::mutex> lock(reg.mu);
   auto& m = reg.metrics;
 
   // Counters: per-window deltas of the merged totals. A counter appears
@@ -827,7 +840,13 @@ std::uint64_t advance_window() {
         m.prev_spans[sp]);
   }
   m.prev_spans = spans;
-  return ++m.window;
+  const std::uint64_t window = ++m.window;
+  if (path.empty()) return window;
+  // The Prometheus file is rewritten from a copy, outside the lock.
+  const Store exported = telemetry::copy_metrics(m);
+  lock.unlock();
+  write_prometheus(path, exported);
+  return window;
 }
 
 }  // namespace cbma::metrics

@@ -178,13 +178,15 @@ bool enabled();
 void set_enabled(bool on);
 
 /// The CBMA_TRACE switch: per-event trace capture (needs enabled() too);
-/// trace_path() is where core::Telemetry writes the Chrome trace.
+/// trace_path() is where the plane table (core/observability.h) writes the
+/// Chrome trace.
 bool trace_enabled();
 void set_trace_enabled(bool on);
 std::string trace_path();
 
 /// The CBMA_PROFILE switch: the caller-path tree. profile_path() is where
-/// core::ProfilePlane writes the collapsed-stack flamegraph file.
+/// the plane table (core/observability.h) writes the collapsed-stack
+/// flamegraph file.
 bool profile_enabled();
 void set_profile_enabled(bool on);
 std::string profile_path();
@@ -361,10 +363,6 @@ struct Snapshot {
 /// race span recording — call after workers joined (SweepRunner::run
 /// returns ⇒ safe).
 Snapshot snapshot();
-
-/// snapshot().metrics alone: what the metrics plane's per-window Prometheus
-/// rewrite reads, so a tick never copies a probe capture or merges a tree.
-metrics::Store metric_store();
 
 // --- lifecycle -------------------------------------------------------------
 

@@ -1,16 +1,17 @@
-// core::MetricsPlane: the windowing + export half of the metrics plane
-// (DESIGN.md §12). Pins the two contracts the benches rely on:
+// The metrics plane's windowing and exports (DESIGN.md §12):
+// metrics::advance_window() and the plane table's "metrics" row. Pins the
+// two contracts the benches rely on:
 //
 // 1. Disabled is a strict identity — every entry point returns before
 //    touching storage, and the plane never arms telemetry while off.
 // 2. The enabled path derives correct *windowed* series: telemetry counter
 //    totals become per-window deltas, span histograms become per-window
-//    percentiles (not cumulative ones), cell samples land under their
-//    "cell=<id>" scope, and the JSON/Prometheus exports are well-formed.
+//    percentiles (not cumulative ones), and the JSON/Prometheus exports are
+//    well-formed. Per-cell attribution is net::Network's, tested there.
 //
 // Every test starts from the shared observability fixture, so flipping the
 // metrics/telemetry flags here cannot leak into other tests.
-#include "core/metrics_plane.h"
+#include "util/metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -19,10 +20,7 @@
 
 #include "core/observability.h"
 #include "observability_fixture.h"
-#include "rx/link_quality.h"
-#include "rx/receiver.h"
 #include "util/json.h"
-#include "util/metrics.h"
 #include "util/telemetry.h"
 
 namespace cbma::core {
@@ -43,7 +41,7 @@ const metrics::SeriesSnapshot* find_series(const metrics::Store& snap,
 /// Bring the plane up for an in-memory test: no Prometheus file, clean
 /// store and baselines.
 void enable_in_memory() {
-  core::MetricsPlane::enable();
+  metrics::set_enabled(true);
   metrics::set_export_path("");
   telemetry::reset();
 }
@@ -58,13 +56,9 @@ void tear_down() {
 TEST_F(MetricsPlane, DisabledEntryPointsAreNoOps) {
   metrics::set_enabled(false);
   EXPECT_FALSE(metrics::enabled());
-  core::MetricsPlane::CellSample sample;
-  sample.cell_id = 1;
-  sample.goodput_bps = 1e4;
-  core::MetricsPlane::record_cell(sample);
   metrics::push("net.goodput_bps", {}, 1.0);
   metrics::push_event(metrics::Severity::kInfo, "roam", {}, 0.0, {});
-  core::MetricsPlane::tick();
+  metrics::advance_window();
   EXPECT_TRUE(core::write_observability_artifacts());
   EXPECT_TRUE(telemetry::snapshot().metrics.series.empty());
   // An off plane must never have armed telemetry as a side effect.
@@ -74,11 +68,15 @@ TEST_F(MetricsPlane, DisabledEntryPointsAreNoOps) {
 TEST_F(MetricsPlane, EnableArmsTelemetryAndSetsTheExpositionPath) {
   ASSERT_FALSE(telemetry::enabled());
   const auto path = ::testing::TempDir() + "cbma_plane_test.prom";
-  core::MetricsPlane::enable(path);
+  metrics::set_enabled(true);
+  metrics::set_export_path(path);
   EXPECT_TRUE(metrics::enabled());
   // The counter/span series need a source: going live arms telemetry.
   EXPECT_TRUE(telemetry::enabled());
   EXPECT_EQ(metrics::export_path(), path);
+  // Turning metrics off leaves telemetry as the switch left it: on.
+  metrics::set_enabled(false);
+  EXPECT_TRUE(telemetry::enabled());
   tear_down();
 }
 
@@ -86,13 +84,13 @@ TEST_F(MetricsPlane, TickClosesOneWindowPerCall) {
   enable_in_memory();
   for (int r = 0; r < 3; ++r) {
     metrics::push("net.goodput_bps", {}, static_cast<double>(r), "bps");
-    core::MetricsPlane::tick();
+    metrics::advance_window();
   }
   metrics::push("net.goodput_bps", {}, 3.0, "bps");
   const auto snap = telemetry::snapshot().metrics;
   tear_down();
 
-  // Three ticks closed three windows; the fourth sample is in the open one.
+  // Three closes made three windows; the fourth sample is in the open one.
   EXPECT_EQ(snap.windows, 3u);
   const auto* s = find_series(snap, "net.goodput_bps", "");
   ASSERT_NE(s, nullptr);
@@ -105,10 +103,10 @@ TEST_F(MetricsPlane, TickClosesOneWindowPerCall) {
 TEST_F(MetricsPlane, CounterSeriesCarryPerWindowDeltas) {
   enable_in_memory();
   telemetry::add_count(telemetry::Counter::kChannelSamples, 5);
-  core::MetricsPlane::tick();
+  metrics::advance_window();
   telemetry::add_count(telemetry::Counter::kChannelSamples, 3);
-  core::MetricsPlane::tick();
-  core::MetricsPlane::tick();  // quiet window: the counter still charts, as 0
+  metrics::advance_window();
+  metrics::advance_window();  // quiet window: the counter still charts, as 0
   const auto snap = telemetry::snapshot().metrics;
   tear_down();
 
@@ -130,11 +128,11 @@ TEST_F(MetricsPlane, SpanSeriesCarryPerWindowPercentiles) {
   for (int k = 0; k < 100; ++k) {
     telemetry::record_span(telemetry::Span::kRxDecode, k, 100);
   }
-  core::MetricsPlane::tick();
+  metrics::advance_window();
   for (int k = 0; k < 100; ++k) {
     telemetry::record_span(telemetry::Span::kRxDecode, k, 1000);
   }
-  core::MetricsPlane::tick();
+  metrics::advance_window();
   const auto snap = telemetry::snapshot().metrics;
   tear_down();
 
@@ -160,75 +158,18 @@ TEST_F(MetricsPlane, SpanSeriesCarryPerWindowPercentiles) {
   EXPECT_EQ(find_series(snap, "transmit/total.count", ""), nullptr);
 }
 
-TEST_F(MetricsPlane, RecordCellAttributesSeriesToTheCellScope) {
-  enable_in_memory();
-  core::MetricsPlane::CellSample s;
-  s.cell_id = 3;
-  s.goodput_bps = 1.0e4;
-  s.frame_error_rate = 0.25;
-  s.tags_served = 2;
-  s.tags_total = 4;
-  s.sent = 8;
-  s.acked = 6;
-  s.outcomes[static_cast<std::size_t>(rx::DecodeOutcome::kOk)] = 6;
-  s.outcomes[static_cast<std::size_t>(rx::DecodeOutcome::kBadCrc)] = 2;
-  rx::LinkQualityReport q;
-  q.valid = true;
-  q.snr_db = 10.0;
-  q.evm = 0.1;
-  q.soft_margin = 0.8;
-  q.margin_ratio = 3.0;
-  q.power_norm = 0.5;
-  q.correlation = 0.9;
-  s.quality.add(q);
-  q.snr_db = 14.0;
-  s.quality.add(q);
-  core::MetricsPlane::record_cell(s);
-
-  // A cell with no decodes and no quality reports: the outcome and link
-  // series must simply not appear for its scope.
-  core::MetricsPlane::CellSample quiet;
-  quiet.cell_id = 4;
-  core::MetricsPlane::record_cell(quiet);
-  const auto snap = telemetry::snapshot().metrics;
-  tear_down();
-
-  const auto* goodput = find_series(snap, "net.cell.goodput_bps", "cell=3");
-  ASSERT_NE(goodput, nullptr);
-  EXPECT_DOUBLE_EQ(goodput->points.back().value, 1.0e4);
-  EXPECT_EQ(goodput->unit, "bps");
-  const auto* fer = find_series(snap, "net.cell.fer", "cell=3");
-  ASSERT_NE(fer, nullptr);
-  EXPECT_DOUBLE_EQ(fer->points.back().value, 0.25);
-  // Decode outcomes chart under the human-readable rx labels, nonzero only.
-  const auto* ok = find_series(snap, "rx.outcome.ok", "cell=3");
-  ASSERT_NE(ok, nullptr);
-  EXPECT_DOUBLE_EQ(ok->points.back().value, 6.0);
-  const auto* bad = find_series(snap, "rx.outcome.bad-crc", "cell=3");
-  ASSERT_NE(bad, nullptr);
-  EXPECT_DOUBLE_EQ(bad->points.back().value, 2.0);
-  EXPECT_EQ(find_series(snap, "rx.outcome.truncated", "cell=3"), nullptr);
-  // Link quality rolls up as the mean over the cell's valid reports.
-  const auto* snr = find_series(snap, "link.snr_db", "cell=3");
-  ASSERT_NE(snr, nullptr);
-  EXPECT_DOUBLE_EQ(snr->points.back().value, 12.0);
-  EXPECT_EQ(snr->unit, "dB");
-  // The quiet cell still charts its round counters, but nothing else.
-  EXPECT_NE(find_series(snap, "net.cell.goodput_bps", "cell=4"), nullptr);
-  EXPECT_EQ(find_series(snap, "link.snr_db", "cell=4"), nullptr);
-  EXPECT_EQ(find_series(snap, "rx.outcome.ok", "cell=4"), nullptr);
-}
-
 TEST_F(MetricsPlane, JsonSectionParsesAndMatchesTheSchema) {
   enable_in_memory();
   metrics::push("net.goodput_bps", {}, 100.0, "bps");
   metrics::push("net.cell.fer", "cell=1", 0.5);
   metrics::push_event(metrics::Severity::kWarning, "code_slice_overflow",
                       "cell=1", 1.0, "3 members for 2 served slots");
-  core::MetricsPlane::tick();
+  metrics::advance_window();
+  const ObservabilityPlane& plane = observability_planes()[2];
+  ASSERT_STREQ(plane.name, "metrics");
   util::JsonWriter w;
   w.begin_object();
-  core::MetricsPlane::write_json_section(w, telemetry::snapshot());
+  plane.write_json_section(w, telemetry::snapshot());
   w.end_object();
   tear_down();
 
@@ -275,8 +216,8 @@ TEST_F(MetricsPlane, PrometheusExportHonoursTheConfiguredPath) {
   const auto path = ::testing::TempDir() + "cbma_plane_export.prom";
   std::remove(path.c_str());
   metrics::set_export_path(path);
-  // tick() itself rewrites the snapshot at every window boundary.
-  core::MetricsPlane::tick();
+  // advance_window() itself rewrites the snapshot at every window boundary.
+  metrics::advance_window();
   tear_down();
 
   std::ifstream in(path);
@@ -291,7 +232,7 @@ TEST_F(MetricsPlane, PrometheusExportHonoursTheConfiguredPath) {
 TEST_F(MetricsPlane, ResetClearsSeriesEventsAndTelemetryBaselines) {
   enable_in_memory();
   telemetry::add_count(telemetry::Counter::kChannelSamples, 5);
-  core::MetricsPlane::tick();
+  metrics::advance_window();
   metrics::push_event(metrics::Severity::kInfo, "roam", {}, 0.0, {});
   ASSERT_FALSE(telemetry::snapshot().metrics.series.empty());
 
@@ -304,7 +245,7 @@ TEST_F(MetricsPlane, ResetClearsSeriesEventsAndTelemetryBaselines) {
   // window reports what was counted since, not a delta against the
   // pre-reset total.
   telemetry::add_count(telemetry::Counter::kChannelSamples, 2);
-  core::MetricsPlane::tick();
+  metrics::advance_window();
   const auto snap = telemetry::snapshot().metrics;
   tear_down();
   const auto* s = find_series(snap, "channel.samples", "");
@@ -321,12 +262,12 @@ TEST_F(MetricsPlane, WindowAfterResetCountsFromZero) {
   for (int w = 0; w < 3; ++w) {
     telemetry::count(telemetry::Counter::kNetRoundsRun);
     { const telemetry::ScopedSpan round(telemetry::Span::kNetRound); }
-    core::MetricsPlane::tick();
+    metrics::advance_window();
   }
   telemetry::reset();
   telemetry::count(telemetry::Counter::kNetRoundsRun);
   { const telemetry::ScopedSpan round(telemetry::Span::kNetRound); }
-  core::MetricsPlane::tick();
+  metrics::advance_window();
   const auto snap = telemetry::snapshot().metrics;
   tear_down();
 

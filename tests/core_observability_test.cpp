@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/metrics_plane.h"
 #include "core/recorder.h"
 #include "core/system.h"
 #include "observability_fixture.h"
@@ -33,7 +32,7 @@ namespace {
 /// it off means turning both off.
 void set_metrics(bool on) {
   if (on) {
-    MetricsPlane::enable();
+    metrics::set_enabled(true);
   } else {
     metrics::set_enabled(false);
     telemetry::set_enabled(false);

@@ -1,4 +1,4 @@
-// core::ProbeSession + sweep watchdog coverage: the strict-identity
+// Probe plane + sweep watchdog coverage: the strict-identity
 // contract (enabling the probe must not change any decode result or RNG
 // draw), the CBPROBE1 dump + manifest round trip (parsed back with
 // util::json_parse and cross-checked against the binary), the
@@ -7,7 +7,7 @@
 //
 // Every test starts from the shared observability fixture, so enabling
 // probing here cannot leak into other tests.
-#include "core/probe_session.h"
+#include "core/observability.h"
 
 #include <gtest/gtest.h>
 
@@ -77,7 +77,8 @@ TEST_F(CoreProbe, EnablingProbeChangesNoResultAndDrawsNoRng) {
   // The off path stored nothing.
   EXPECT_TRUE(telemetry::snapshot().probe.taps.empty());
 
-  ProbeSession::enable("core_probe_identity.bin");
+  probe::set_dump_path("core_probe_identity.bin");
+  probe::set_enabled(true);
   const auto on = run_once();
   const auto captured = telemetry::snapshot().probe.taps.size();
   probe::set_enabled(false);
@@ -88,7 +89,8 @@ TEST_F(CoreProbe, EnablingProbeChangesNoResultAndDrawsNoRng) {
 }
 
 TEST_F(CoreProbe, DumpAndManifestRoundTrip) {
-  ProbeSession::enable("core_probe_roundtrip.bin");
+  probe::set_dump_path("core_probe_roundtrip.bin");
+  probe::set_enabled(true);
   telemetry::reset();
   CbmaSystem system(three_tag_config(), three_tag_deployment());
   Rng rng(7);
@@ -96,7 +98,7 @@ TEST_F(CoreProbe, DumpAndManifestRoundTrip) {
   ASSERT_FALSE(report.link_quality.empty());
   const auto snap = telemetry::snapshot();
   const auto& capture = snap.probe;
-  ASSERT_TRUE(ProbeSession::write_dump("core_probe_roundtrip.bin", snap));
+  ASSERT_TRUE(write_probe_dump("core_probe_roundtrip.bin", snap));
   probe::set_enabled(false);
   telemetry::reset();
 
@@ -148,7 +150,8 @@ TEST_F(CoreProbe, DumpAndManifestRoundTrip) {
 }
 
 TEST_F(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
-  ProbeSession::enable("core_probe_section.bin");
+  probe::set_dump_path("core_probe_section.bin");
+  probe::set_enabled(true);
   telemetry::reset();
   probe::LinkQualitySample sample;
   sample.tag = 1;
@@ -163,9 +166,11 @@ TEST_F(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
   sample.snr_db = 5.0;
   probe::record_link_quality(sample);
 
+  const ObservabilityPlane& plane = observability_planes()[1];
+  ASSERT_STREQ(plane.name, "probe");
   util::JsonWriter w;
   w.begin_object();
-  ProbeSession::write_json_section(w, telemetry::snapshot());
+  plane.write_json_section(w, telemetry::snapshot());
   w.end_object();
   probe::set_enabled(false);
   telemetry::reset();

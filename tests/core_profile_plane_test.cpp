@@ -1,5 +1,5 @@
-// core::ProfilePlane: the export half of the span recorder's tree view
-// (DESIGN.md §13).
+// The profile plane: the export half of the span recorder's tree view
+// (DESIGN.md §13), written by core/observability.
 // Pins the contracts the tooling relies on: disabled is a strict identity
 // (no "profile" section, no collapsed file, no sinks), the JSON section
 // parses and satisfies the per-node identity incl == excl + child_ns, the
@@ -8,7 +8,7 @@
 //
 // Every test starts from the shared observability fixture, so flipping
 // the profile switch here cannot leak into other tests.
-#include "core/profile_plane.h"
+#include "core/observability.h"
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include <string>
 
 #include "core/config.h"
-#include "core/observability.h"
 #include "core/recorder.h"
 #include "observability_fixture.h"
 #include "util/json.h"
@@ -71,8 +70,8 @@ TEST_F(ProfilePlane, DisabledIsAStrictIdentity) {
   }
   const auto tree = telemetry::snapshot().tree;
   EXPECT_TRUE(tree.roots.empty());
-  EXPECT_TRUE(core::ProfilePlane::top_exclusive(tree, 10).empty());
-  EXPECT_TRUE(core::ProfilePlane::collapsed(tree).empty());
+  EXPECT_TRUE(core::top_exclusive(tree, 10).empty());
+  EXPECT_TRUE(core::collapsed(tree).empty());
   EXPECT_TRUE(core::write_observability_artifacts());
 
   // And the BENCH document carries no "profile" section.
@@ -87,13 +86,15 @@ TEST_F(ProfilePlane, DisabledIsAStrictIdentity) {
 }
 
 TEST_F(ProfilePlane, JsonSectionParsesAndBalances) {
-  core::ProfilePlane::enable();
+  telemetry::set_profile_enabled(true);
   telemetry::reset();
   record_fixture();
 
+  const ObservabilityPlane& plane = observability_planes()[3];
+  ASSERT_STREQ(plane.name, "profile");
   util::JsonWriter w;
   w.begin_object();
-  core::ProfilePlane::write_json_section(w, telemetry::snapshot());
+  plane.write_json_section(w, telemetry::snapshot());
   w.end_object();
   tear_down();
 
@@ -141,12 +142,12 @@ TEST_F(ProfilePlane, JsonSectionParsesAndBalances) {
 }
 
 TEST_F(ProfilePlane, TopExclusiveIsSortedAndBounded) {
-  core::ProfilePlane::enable();
+  telemetry::set_profile_enabled(true);
   telemetry::reset();
   record_fixture();
   const auto tree = telemetry::snapshot().tree;
-  const auto top2 = core::ProfilePlane::top_exclusive(tree, 2);
-  const auto all = core::ProfilePlane::top_exclusive(tree, 100);
+  const auto top2 = core::top_exclusive(tree, 2);
+  const auto all = core::top_exclusive(tree, 100);
   tear_down();
 
   EXPECT_EQ(top2.size(), 2u);
@@ -169,11 +170,11 @@ TEST_F(ProfilePlane, TopExclusiveIsSortedAndBounded) {
 }
 
 TEST_F(ProfilePlane, CollapsedStackSumsToTreeExclusiveTime) {
-  core::ProfilePlane::enable();
+  telemetry::set_profile_enabled(true);
   telemetry::reset();
   record_fixture();
   const auto tree = telemetry::snapshot().tree;
-  const std::string text = core::ProfilePlane::collapsed(tree);
+  const std::string text = core::collapsed(tree);
   std::uint64_t tree_excl = 0;
   std::function<void(const telemetry::MergedNode&)> sum =
       [&](const telemetry::MergedNode& n) {
@@ -204,7 +205,7 @@ TEST_F(ProfilePlane, CollapsedStackSumsToTreeExclusiveTime) {
 }
 
 TEST_F(ProfilePlane, WriteCollapsedHonoursTheConfiguredPath) {
-  core::ProfilePlane::enable();
+  telemetry::set_profile_enabled(true);
   telemetry::reset();
   record_fixture();
   // No path configured: a successful no-op, no file appears.
@@ -215,7 +216,7 @@ TEST_F(ProfilePlane, WriteCollapsedHonoursTheConfiguredPath) {
   telemetry::set_profile_path(path);
   EXPECT_TRUE(core::write_observability_artifacts());
   const std::string expected =
-      core::ProfilePlane::collapsed(telemetry::snapshot().tree);
+      core::collapsed(telemetry::snapshot().tree);
   tear_down();
 
   std::ifstream in(path);
@@ -231,7 +232,7 @@ TEST_F(ProfilePlane, TreeAndTelemetrySectionsAgreeSpanForSpan) {
   // Both views on: every span feeds the flat histograms and the tree from
   // one clock reading in one per-thread sink.
   telemetry::set_enabled(true);
-  core::ProfilePlane::enable();
+  telemetry::set_profile_enabled(true);
   {
     const ScopedSpan warm(Span::kBenchIteration);  // the caller's own sink
   }
@@ -273,15 +274,6 @@ TEST_F(ProfilePlane, TreeAndTelemetrySectionsAgreeSpanForSpan) {
     EXPECT_EQ(tree[name].second, s.at("total_ns").number) << name;
   }
   EXPECT_EQ(tree.size(), spans.size());
-}
-
-TEST_F(ProfilePlane, EnableWithPathSetsTheExportTarget) {
-  ASSERT_FALSE(telemetry::profile_enabled());
-  core::ProfilePlane::enable("/tmp/cbma_flame.txt");
-  EXPECT_TRUE(telemetry::profile_enabled());
-  EXPECT_EQ(telemetry::profile_path(), "/tmp/cbma_flame.txt");
-  tear_down();
-  EXPECT_FALSE(telemetry::profile_enabled());
 }
 
 }  // namespace

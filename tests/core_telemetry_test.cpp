@@ -1,4 +1,4 @@
-// core::Telemetry / telemetry: the observability layer's two contracts.
+// The telemetry plane: the observability layer's two contracts.
 //
 // 1. Disabled telemetry is a strict identity (DESIGN.md §7): an instrumented
 //    pipeline run with telemetry compiled in but off performs zero
@@ -13,7 +13,7 @@
 // Every test starts from the shared observability fixture. Sinks stay
 // with the registry for the life of a process, so the sink_count() == 0
 // test runs its body in a fresh one.
-#include "core/telemetry.h"
+#include "core/observability.h"
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 #include <sstream>
 #include <vector>
 
-#include "core/observability.h"
 #include "core/recorder.h"
 #include "core/system.h"
 #include "observability_fixture.h"

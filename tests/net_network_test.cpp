@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/metrics_plane.h"
+#include "rx/receiver.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
@@ -165,7 +165,7 @@ TEST(Network, MetricsPlaneChangesNoResultsAndAttributesEveryCell) {
   metrics::set_enabled(false);
   const auto off = off_net.run_round(31);
 
-  core::MetricsPlane::enable();
+  metrics::set_enabled(true);
   metrics::set_export_path("");
   telemetry::reset();
   const auto on = on_net.run_round(31);
@@ -208,13 +208,92 @@ TEST(Network, MetricsPlaneChangesNoResultsAndAttributesEveryCell) {
   EXPECT_EQ(last_value("net.tags_total", ""), 8.0);
 }
 
+TEST(Network, MetricsAttributeEachCellsSeriesToItsGatewayScope) {
+  auto network = Network::grid(small_config(), 12.0, 4.0, 2, 1);
+  // Both tags in gateway 0's bay: gateway 1's cell runs with no members.
+  network.add_tag({-3.0, 0.5});
+  network.add_tag({-2.5, -0.5});
+  metrics::set_enabled(true);
+  metrics::set_export_path("");
+  telemetry::reset();
+  const auto result = network.run_round(9);
+  const auto snap = telemetry::snapshot().metrics;
+  metrics::set_enabled(false);
+  telemetry::set_enabled(false);
+
+  auto find = [&](const std::string& name, const std::string& scope) {
+    const metrics::SeriesSnapshot* found = nullptr;
+    for (const auto& s : snap.series) {
+      if (s.name == name && s.scope == scope) found = &s;
+    }
+    return found;
+  };
+  auto expect_last = [&](const std::string& name, const std::string& scope,
+                         double value) {
+    const auto* s = find(name, scope);
+    ASSERT_NE(s, nullptr) << name << " " << scope;
+    ASSERT_EQ(s->points.size(), 1u) << name << " " << scope;
+    EXPECT_EQ(s->points.back().value, value) << name << " " << scope;
+  };
+
+  ASSERT_EQ(result.cells.size(), 2u);
+  const auto& busy = result.cells[0];
+  ASSERT_EQ(busy.tags_total, 2u);
+  ASSERT_GT(busy.stats.quality.frames, 0u);
+  std::size_t zero_outcomes = 0, charted_outcomes = 0;
+  for (const auto& cell : result.cells) {
+    const std::string scope = "cell=" + std::to_string(cell.gateway_id);
+    expect_last("net.cell.goodput_bps", scope, cell.goodput_bps);
+    EXPECT_EQ(find("net.cell.goodput_bps", scope)->unit, "bps");
+    expect_last("net.cell.fer", scope, cell.stats.frame_error_rate());
+    expect_last("net.cell.tags_served", scope,
+                static_cast<double>(cell.tags_served));
+    expect_last("net.cell.tags_total", scope,
+                static_cast<double>(cell.tags_total));
+    expect_last("net.cell.sent", scope,
+                static_cast<double>(cell.stats.total_sent()));
+    expect_last("net.cell.acked", scope,
+                static_cast<double>(cell.stats.total_acked()));
+    // Decode outcomes chart under the rx labels, non-zero counts only.
+    for (std::size_t o = 0; o < cell.stats.outcomes.size(); ++o) {
+      const std::string name =
+          std::string("rx.outcome.") +
+          rx::to_string(static_cast<rx::DecodeOutcome>(o));
+      if (cell.stats.outcomes[o] == 0) {
+        ++zero_outcomes;
+        EXPECT_EQ(find(name, scope), nullptr) << name << " " << scope;
+      } else {
+        ++charted_outcomes;
+        expect_last(name, scope, static_cast<double>(cell.stats.outcomes[o]));
+      }
+    }
+    // Link quality rolls up as the mean over the cell's valid reports; a
+    // cell without any charts no link series.
+    const auto& q = cell.stats.quality;
+    if (q.frames == 0) {
+      EXPECT_EQ(find("link.snr_db", scope), nullptr) << scope;
+      continue;
+    }
+    expect_last("link.snr_db", scope, q.snr_db_mean());
+    EXPECT_EQ(find("link.snr_db", scope)->unit, "dB");
+    expect_last("link.evm", scope, q.evm_mean());
+    expect_last("link.soft_margin", scope, q.soft_margin_mean());
+    expect_last("link.margin_ratio", scope, q.margin_ratio_mean());
+  }
+  EXPECT_GT(charted_outcomes, 0u);
+  // The memberless cell still charts its round counters, and nothing else.
+  EXPECT_EQ(result.cells[1].tags_total, 0u);
+  EXPECT_EQ(result.cells[1].stats.quality.frames, 0u);
+  EXPECT_GT(zero_outcomes, 0u);  // the "no series" branch really ran
+}
+
 TEST(Network, MetricsPlaneEmitsCodeSliceOverflowEvents) {
   auto network = Network::grid(small_config(), 12.0, 4.0, 2, 1);
   // Three tags crowd gateway 0's bay; its slice holds max_tags = 2 codes.
   network.add_tag({-3.0, 0.5});
   network.add_tag({-2.5, -0.5});
   network.add_tag({-3.5, 0.0});
-  core::MetricsPlane::enable();
+  metrics::set_enabled(true);
   metrics::set_export_path("");
   telemetry::reset();
   const auto result = network.run_round(5);
@@ -240,7 +319,7 @@ TEST(Network, MetricsPlaneEmitsRoamEvents) {
   network.associate();
   ASSERT_EQ(network.association()[0], 0u);
   network.move_tag(0, {1.0, 0.5});  // squarely in gateway 1's bay
-  core::MetricsPlane::enable();
+  metrics::set_enabled(true);
   metrics::set_export_path("");
   telemetry::reset();
   ASSERT_EQ(network.roam(), 1u);

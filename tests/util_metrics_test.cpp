@@ -1,5 +1,5 @@
 // util/metrics unit coverage: the bounded time-series store under the
-// metrics plane (DESIGN.md §12). Pins the contracts core::MetricsPlane and
+// metrics plane (DESIGN.md §12). Pins the contracts the window close and
 // the exporters build on — the disabled path stores nothing, rings
 // overwrite oldest-first and count drops instead of growing, the series and
 // event caps refuse work loudly, and the Prometheus text exposition is

@@ -55,7 +55,10 @@ enabled run must stay within its plane's budget of the twin —
 METRICS_OVERHEAD_TOLERANCE (+2 %, DESIGN.md §12) and
 PROFILE_OVERHEAD_TOLERANCE (+2 %, DESIGN.md §13), the
 strict-identity-when-off contract's enabled-side budgets. Pairs are matched
-within one run, so machine speed cancels out.
+within one run, so machine speed cancels out; run it with
+--benchmark_repetitions and --benchmark_enable_random_interleaving, and each
+row counts its fastest repetition, so no row is judged by the slow start of
+a run.
 """
 import json
 import statistics
@@ -80,7 +83,8 @@ def fail(msg: str) -> None:
 
 
 def counter_by_name(doc: dict, counter: str, positive: bool = True) -> dict:
-    """benchmark name -> `counter` value from a google-benchmark JSON doc."""
+    """benchmark name -> smallest `counter` value over the row's repetitions
+    in a google-benchmark JSON doc (its fastest one, for a cost counter)."""
     out = {}
     for bench in doc.get("benchmarks", []):
         # Skip aggregate rows (mean/median/stddev of --benchmark_repetitions).
@@ -89,7 +93,7 @@ def counter_by_name(doc: dict, counter: str, positive: bool = True) -> dict:
         name = bench.get("name")
         value = bench.get(counter)
         if name and isinstance(value, (int, float)) and (value > 0 or not positive):
-            out[name] = float(value)
+            out[name] = min(out.get(name, float(value)), float(value))
     return out
 
 

@@ -377,32 +377,26 @@ void detect_peaks_grid(benchmark::internal::Benchmark* b) {
 }
 BENCHMARK(BM_DetectPeaksNaive)->Apply(detect_peaks_grid);
 
-/// Which observability plane a network-round benchmark arms, in memory
-/// only: no Prometheus or collapsed-stack file, so an armed figure measures
-/// recording, not filesystem I/O.
-enum class ArmedPlane { kNone, kMetrics, kProfile };
-
 /// One multi-cell network round on an Arg(0) x Arg(0) gateway grid with 4
 /// tags per cell: association/roaming, per-cell CBMA MAC (one packet per
 /// cell round to isolate the network layer's overhead around the
 /// per-packet pipeline), inter-cell leakage summation. Runs the cells on
 /// one worker so the figure is a stable single-thread cost; ns_per_round
 /// is per *cell* round. The plain run is the entry tools/perf_baseline.json
-/// gates; check_perf_regression.py --twin-overhead holds each armed run to
-/// +2% of it. Every switch an armed run touches is restored afterwards
-/// (enabling the metrics plane also arms telemetry).
-void run_net_multicell_round(benchmark::State& state, ArmedPlane armed) {
+/// gates; check_perf_regression.py --twin-overhead holds the armed run to
+/// +2% of it. `armed` turns the metrics plane on in memory only (no
+/// Prometheus file, so the figure measures recording, not filesystem I/O),
+/// which arms the span recorder and so both its views. Every switch the
+/// armed run touches is restored afterwards.
+void run_net_multicell_round(benchmark::State& state, bool armed) {
   const bool telemetry_was_on = telemetry::enabled();
   const bool metrics_was_on = metrics::enabled();
-  const bool profile_was_on = telemetry::profile_enabled();
   const std::string metrics_path = metrics::export_path();
-  if (armed == ArmedPlane::kMetrics) {
+  if (armed) {
     metrics::set_export_path("");
     metrics::set_enabled(true);
-  } else if (armed == ArmedPlane::kProfile) {
-    telemetry::set_profile_enabled(true);
+    telemetry::reset();
   }
-  if (armed != ArmedPlane::kNone) telemetry::reset();
 
   const auto side = static_cast<std::size_t>(state.range(0));
   net::NetworkConfig cfg;
@@ -425,25 +419,20 @@ void run_net_multicell_round(benchmark::State& state, ArmedPlane armed) {
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
   state.SetItemsProcessed(state.iterations() * cells);
 
-  if (armed != ArmedPlane::kNone) telemetry::reset();
+  if (armed) telemetry::reset();
   metrics::set_export_path(metrics_path);
   metrics::set_enabled(metrics_was_on);
-  telemetry::set_profile_enabled(profile_was_on);
   telemetry::set_enabled(telemetry_was_on);
 }
 
 void BM_NetMulticellRound(benchmark::State& state) {
-  run_net_multicell_round(state, ArmedPlane::kNone);
+  run_net_multicell_round(state, /*armed=*/false);
 }
 void BM_NetMulticellRoundMetrics(benchmark::State& state) {
-  run_net_multicell_round(state, ArmedPlane::kMetrics);
-}
-void BM_NetMulticellRoundProfile(benchmark::State& state) {
-  run_net_multicell_round(state, ArmedPlane::kProfile);
+  run_net_multicell_round(state, /*armed=*/true);
 }
 BENCHMARK(BM_NetMulticellRound)->Arg(2);
 BENCHMARK(BM_NetMulticellRoundMetrics)->Arg(2);
-BENCHMARK(BM_NetMulticellRoundProfile)->Arg(2);
 
 }  // namespace
 

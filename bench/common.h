@@ -58,9 +58,6 @@ inline std::uint64_t point_seed(std::size_t point_index) {
   return util::point_seed(base_seed(), point_index);
 }
 
-/// Thin alias: the deterministic sweep runner now lives in util/parallel.h.
-using util::parallel_for;
-
 /// Build this bench's SweepSpec with the shared trial/seed plumbing wired
 /// in. `trials_per_point` is what the bench actually runs per point (pass
 /// bench::trials(fallback)); axes may be empty for single-point benches.

@@ -163,11 +163,12 @@ bool parse(int argc, char** argv, CliOptions& opt) {
   return true;
 }
 
-// With --profile: where did the time go — top-10 caller paths by exclusive
-// time out of the span recorder's attribution tree. The flamegraph file that
+// Whenever the span recorder is on (--profile, or any variable that arms
+// it): where did the time go — top-10 caller paths by exclusive time out of
+// the recorder's attribution tree. The flamegraph file that
 // CBMA_PROFILE=<path> asks for is written with the other artifacts.
 void print_profile_report() {
-  if (!telemetry::profile_enabled()) return;
+  if (!telemetry::enabled()) return;
   const auto rows =
       core::top_exclusive(telemetry::snapshot().tree, 10);
   Table table({"caller path", "count", "incl ms", "excl ms"});
@@ -256,7 +257,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--tags and --packets must be positive\n");
     return 1;
   }
-  if (opt.profile) telemetry::set_profile_enabled(true);
+  if (opt.profile) telemetry::set_enabled(true);
   if (opt.cells > 0) {
     try {
       return run_multicell(opt);

@@ -314,20 +314,20 @@ bool write_collapsed(const std::string& path,
 const std::array<ObservabilityPlane, 4>& observability_planes() {
   static const std::array<ObservabilityPlane, 4> planes{{
       {"telemetry", telemetry::enabled, write_telemetry_section,
-       telemetry::trace_enabled, telemetry::trace_path, write_trace},
-      {"probe", probe::enabled, write_link_quality_section, probe::enabled,
-       probe::dump_path, write_probe_dump},
+       telemetry::trace_path, write_trace},
+      {"probe", probe::enabled, write_link_quality_section, probe::dump_path,
+       write_probe_dump},
       {"metrics", metrics::enabled, write_timeseries_section,
-       metrics::enabled, metrics::export_path, write_prometheus},
-      {"profile", telemetry::profile_enabled, write_profile_section,
-       telemetry::profile_enabled, telemetry::profile_path, write_collapsed},
+       metrics::export_path, write_prometheus},
+      {"profile", telemetry::enabled, write_profile_section,
+       telemetry::profile_path, write_collapsed},
   }};
   return planes;
 }
 
 bool write_observability_artifacts(const telemetry::Snapshot& snap) {
   for (const auto& plane : observability_planes()) {
-    if (!plane.artifact_enabled()) continue;
+    if (!plane.enabled()) continue;
     const std::string path = plane.artifact_path();
     if (!path.empty() && !plane.write_artifact(path, snap)) return false;
   }

@@ -9,8 +9,10 @@
 // "timeseries"/"events" and the Prometheus file, "profile" and the
 // collapsed stacks. Each walk reads one telemetry::snapshot() and hands it
 // to every row. Each plane's switch lives in its util layer
-// (util/env_switch.h); the table only reads it. There is no per-plane
-// reset: telemetry::reset() clears the one store.
+// (util/env_switch.h); the table only reads it. The telemetry and profile
+// rows are the span recorder's two views and share its one switch. A row
+// writes its export file when it is enabled and its path is set. There is
+// no per-plane reset: telemetry::reset() clears the one store.
 #pragma once
 
 #include <array>
@@ -33,9 +35,7 @@ struct ObservabilityPlane {
   /// Append the plane's section(s) to an open JSON object scope.
   void (*write_json_section)(util::JsonWriter& w,
                              const telemetry::Snapshot& snap);
-  /// The export file's switch. The telemetry row uses CBMA_TRACE's own,
-  /// so the trace is written with telemetry off; the others use `enabled`.
-  bool (*artifact_enabled)();
+  /// Where the export file goes; empty means no file is owed.
   std::string (*artifact_path)();
   /// Write the export file; false (with a stderr diagnostic) on failure.
   bool (*write_artifact)(const std::string& path,
@@ -47,7 +47,7 @@ struct ObservabilityPlane {
 /// ("profile").
 const std::array<ObservabilityPlane, 4>& observability_planes();
 
-/// Write every export file whose switch is on and whose path is set — the
+/// Write every export file whose plane is enabled and whose path is set — the
 /// Chrome trace, the probe dump + manifest, the Prometheus snapshot and the
 /// collapsed stacks — in table order, all from `snap`. Stops at, and
 /// returns false on, the first failure.

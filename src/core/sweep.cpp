@@ -94,10 +94,10 @@ void SweepRunner::run(const std::function<void(const SweepPoint&)>& body,
         body(SweepPoint(spec_, flat));
       },
       workers, &stats);
-  // Worker-utilization report for the tree view (collected only while
-  // profiling is on; the pool has joined, so this is the sequential
+  // Worker-utilization report for the tree view (collected only while the
+  // recorder is on; the pool has joined, so this is the sequential
   // context).
-  if (stats.collected) telemetry::record_parallel("sweep/run", stats);
+  telemetry::record_parallel("sweep/run", stats);
 }
 
 std::vector<WatchdogWarning> scan_sweep_anomalies(

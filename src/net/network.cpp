@@ -270,9 +270,9 @@ NetworkRoundResult Network::run_round(std::uint64_t seed,
             config_.scheme, config_.packets_per_round, config_.fsa, rng);
       },
       max_workers, &stats);
-  // Worker utilization of the cell pass (profiling only; the pool joined,
+  // Worker utilization of the cell pass (recorder on only; the pool joined,
   // so this runs in the sequential context record_parallel requires).
-  if (stats.collected) telemetry::record_parallel("net/round", stats);
+  telemetry::record_parallel("net/round", stats);
 
   // 5. Aggregate: network goodput and Jain fairness over every tag
   //    (unserved tags score zero — fairness sees the capacity shortfall).

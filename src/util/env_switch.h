@@ -3,18 +3,19 @@
 // once from one environment variable when the switch is constructed. Every
 // CBMA_* observability variable follows the same rule: unset, empty or "0"
 // means off with no path; any other value means on, and the value is the
-// plane's export path. A switch may name a second variable that turns it on
-// by the same rule but never sets its path. set_on()/set_path() override the
-// environment at any time after that first read.
+// plane's export path. A switch may name further variables that turn it on
+// by the same rule but never set its path (the span recorder's switch is
+// armed by every export path that reads it). set_on()/set_path() override
+// the environment at any time after that first read.
 //
-// on() is one relaxed load, so ScopedSpan's off path (telemetry::enabled()
-// and telemetry::profile_enabled()) stays two relaxed loads. Each plane owns its
-// switch as a function-local static, which makes the first read lazy and
-// thread-safe.
+// on() is one relaxed load, so ScopedSpan's off path (telemetry::enabled())
+// stays one relaxed load. Each plane owns its switch as a function-local
+// static, which makes the first read lazy and thread-safe.
 #pragma once
 
 #include <atomic>
 #include <cstdlib>
+#include <initializer_list>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -23,14 +24,15 @@ namespace cbma::util {
 
 class EnvSwitch {
  public:
-  /// `also_on_by`: an optional second variable that also turns the switch
-  /// on (never setting its path).
-  explicit EnvSwitch(const char* env_var, const char* also_on_by = nullptr) {
+  /// `also_on_by`: further variables that also turn the switch on (never
+  /// setting its path).
+  explicit EnvSwitch(const char* env_var,
+                     std::initializer_list<const char*> also_on_by = {}) {
     const char* e = std::getenv(env_var);
-    const bool on = is_on(e);
-    const bool also = also_on_by != nullptr && is_on(std::getenv(also_on_by));
-    on_.store(on || also, std::memory_order_relaxed);
+    bool on = is_on(e);
     if (on) path_ = e;
+    for (const char* other : also_on_by) on = on || is_on(std::getenv(other));
+    on_.store(on, std::memory_order_relaxed);
   }
 
   bool on() const { return on_.load(std::memory_order_relaxed); }

@@ -6,13 +6,13 @@
 //
 // parallel_for is templated on the callable (no std::function wrapper, so
 // the hot sweep path pays no type-erasure allocation) and doubles as the
-// worker-utilization probe of the span recorder's tree view: pass a
-// ParallelStats* and, when profiling is on (telemetry::profile_enabled(),
-// DESIGN.md §13), each worker's busy time and item count are measured and
-// the caller's span path is replayed on every worker so their subtrees
-// nest under the launching span. With profiling off the stats stay
-// uncollected and the loop is the same strict identity as before — no
-// clock reads, no allocations beyond the pool.
+// worker-utilization probe of the span recorder's tree view: whenever the
+// recorder is on (telemetry::enabled(), DESIGN.md §13) the caller's span
+// path is replayed on every worker so their subtrees nest under the
+// launching span, and a passed ParallelStats* gets each worker's busy time
+// and item count. With the recorder off the stats stay uncollected and the
+// loop is the same strict identity as before — no clock reads, no
+// allocations beyond the pool.
 #pragma once
 
 #include <algorithm>
@@ -38,8 +38,8 @@ inline std::uint64_t point_seed(std::uint64_t base_seed, std::size_t point_index
   return x;
 }
 
-/// One parallel_for's worker-utilization report. Collected only when
-/// profiling is on (collected == true); item counts and the worker count
+/// One parallel_for's worker-utilization report. Collected only when the
+/// recorder is on (collected == true); item counts and the worker count
 /// are deterministic for a given (n, max_workers), busy/wall times are
 /// wall-clock. Publish it with telemetry::record_parallel(site, stats)
 /// after the loop returns.
@@ -47,7 +47,7 @@ struct ParallelStats {
   std::size_t items = 0;    ///< n — indices the loop covered
   std::size_t workers = 0;  ///< pool size actually used (min(max_workers, n))
   std::uint64_t wall_ns = 0;  ///< spawn-to-join wall time of the region
-  bool collected = false;     ///< true iff profiling measured this run
+  bool collected = false;     ///< true iff the recorder measured this run
   std::vector<std::uint64_t> worker_busy_ns;  ///< per-slot time inside f
   std::vector<std::uint64_t> worker_items;    ///< per-slot indices executed
 
@@ -86,11 +86,11 @@ void parallel_for(std::size_t n, F&& f, std::size_t max_workers = 0,
     max_workers = std::max(1u, std::thread::hardware_concurrency());
   }
   const std::size_t workers = std::min<std::size_t>(max_workers, n);
-  const bool profiled = telemetry::profile_enabled();
-  const bool collect = profiled && stats != nullptr;
+  const bool recording = telemetry::enabled();
+  const bool collect = recording && stats != nullptr;
   if (stats != nullptr) {
     // Plain stack stores either way; the vectors are touched (and the
-    // clock read) only when profiling asked for the measurement.
+    // clock read) only when the recorder asked for the measurement.
     stats->items = n;
     stats->workers = workers;
     stats->wall_ns = 0;
@@ -119,7 +119,7 @@ void parallel_for(std::size_t n, F&& f, std::size_t max_workers = 0,
   // structural context, and the worker subtrees merge under the span that
   // launched them (net/round → net/cell_round → ...).
   const std::vector<telemetry::Span> caller_path =
-      profiled ? telemetry::current_path() : std::vector<telemetry::Span>{};
+      recording ? telemetry::current_path() : std::vector<telemetry::Span>{};
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
@@ -129,7 +129,7 @@ void parallel_for(std::size_t n, F&& f, std::size_t max_workers = 0,
   const std::uint64_t begin_ns = collect ? monotonic_ns() : 0;
   for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&, w] {
-      if (profiled) telemetry::enter_context(caller_path);
+      if (recording) telemetry::enter_context(caller_path);
       std::uint64_t busy_ns = 0;
       std::uint64_t items = 0;
       while (true) {
@@ -154,7 +154,7 @@ void parallel_for(std::size_t n, F&& f, std::size_t max_workers = 0,
         stats->worker_busy_ns[w] = busy_ns;
         stats->worker_items[w] = items;
       }
-      if (profiled) telemetry::exit_context(caller_path.size());
+      if (recording) telemetry::exit_context(caller_path.size());
     });
   }
   for (auto& t : pool) t.join();

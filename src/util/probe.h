@@ -54,7 +54,7 @@ inline constexpr std::size_t kMaxLinkQualitySamples = 4096;
 /// interleaves re/im pairs (`data.size() / 2` samples).
 struct TapRecord {
   Tap tap = Tap::kExcitationEnvelope;
-  std::uint64_t seq = 0;      ///< global capture order
+  std::uint64_t seq = 0;      ///< export order: by point, then capture order
   std::uint64_t point = 0;    ///< sweep point (ScopedPoint), 0 outside sweeps
   std::uint32_t context = 0;  ///< tag/code index; 0 for window-level taps
   bool complex_iq = false;
@@ -113,8 +113,8 @@ class ScopedPoint {
 // --- what telemetry::snapshot() copies ------------------------------------
 
 struct Capture {
-  std::vector<TapRecord> taps;           ///< capture (seq) order
-  std::vector<LinkQualitySample> link;   ///< capture (seq) order
+  std::vector<TapRecord> taps;           ///< seq order (point, then capture)
+  std::vector<LinkQualitySample> link;   ///< seq order (point, then capture)
   std::size_t dropped_taps = 0;          ///< records lost to kMaxRecordsPerTap
   std::size_t dropped_link = 0;          ///< rows lost to kMaxLinkQualitySamples
 };

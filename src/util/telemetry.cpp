@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string_view>
+#include <tuple>
 #include <utility>
 
 #include "util/env_switch.h"
@@ -231,10 +232,11 @@ ThreadSink& sink() {
 }
 
 util::EnvSwitch& telemetry_switch() {
-  // The metrics plane samples these counters and spans, so CBMA_METRICS
-  // turns telemetry on from the first read, whichever plane is read first;
-  // metrics::set_enabled(true) arms it by the same rule.
-  static util::EnvSwitch s("CBMA_TELEMETRY", "CBMA_METRICS");
+  // Every export path reads the recorder, so each one turns it on from the
+  // first read, whichever plane is read first; metrics::set_enabled(true)
+  // and set_trace_enabled(true) arm it by the same rule.
+  static util::EnvSwitch s("CBMA_TELEMETRY",
+                           {"CBMA_TRACE", "CBMA_METRICS", "CBMA_PROFILE"});
   return s;
 }
 
@@ -248,6 +250,8 @@ util::EnvSwitch& trace_switch() {
   return s;
 }
 
+/// Holds CBMA_PROFILE's export path; the variable's on/off half arms the
+/// recorder through telemetry_switch().
 util::EnvSwitch& profile_switch() {
   static util::EnvSwitch s("CBMA_PROFILE");
   return s;
@@ -434,6 +438,24 @@ void push_span_window(MetricStore& m, const char* span,
   }
 }
 
+/// The probe capture in point order: sweep workers append records in
+/// whatever order they interleave, but each point runs on one worker, so
+/// renumbering seq in (point, capture order) across taps and link rows and
+/// sorting by it makes the export independent of the scheduling.
+probe::Capture ordered_capture(probe::Capture c) {
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t*>> order;
+  for (auto& r : c.taps) order.emplace_back(r.point, r.seq, &r.seq);
+  for (auto& r : c.link) order.emplace_back(r.point, r.seq, &r.seq);
+  std::sort(order.begin(), order.end());
+  for (std::size_t k = 0; k < order.size(); ++k) *std::get<2>(order[k]) = k;
+  const auto by_seq = [](const auto& a, const auto& b) {
+    return a.seq < b.seq;
+  };
+  std::sort(c.taps.begin(), c.taps.end(), by_seq);
+  std::sort(c.link.begin(), c.link.end(), by_seq);
+  return c;
+}
+
 metrics::Store copy_metrics(const MetricStore& m) {
   metrics::Store out;
   out.windows = m.window;
@@ -526,12 +548,12 @@ bool enabled() { return telemetry_switch().on(); }
 void set_enabled(bool on) { telemetry_switch().set_on(on); }
 
 bool trace_enabled() { return trace_switch().on(); }
-void set_trace_enabled(bool on) { trace_switch().set_on(on); }
+void set_trace_enabled(bool on) {
+  trace_switch().set_on(on);
+  if (on) set_enabled(true);
+}
 
 std::string trace_path() { return trace_switch().path(); }
-
-bool profile_enabled() { return profile_switch().on(); }
-void set_profile_enabled(bool on) { profile_switch().set_on(on); }
 
 std::string profile_path() { return profile_switch().path(); }
 void set_profile_path(std::string path) {
@@ -560,11 +582,10 @@ void record_frame(FrameTrace frame) {
 
 void enter_span(Span s) { push(sink(), s, /*context=*/false); }
 
-void exit_span(Span s, std::uint64_t start_ns, std::uint64_t dur_ns,
-               std::uint8_t views) {
+void exit_span(Span s, std::uint64_t start_ns, std::uint64_t dur_ns) {
   auto& sk = sink();
-  if ((views & kSpanFlat) != 0) record_flat(sk, s, start_ns, dur_ns);
-  if ((views & kSpanTree) != 0) pop(sk, dur_ns, /*context=*/false);
+  record_flat(sk, s, start_ns, dur_ns);
+  pop(sk, dur_ns, /*context=*/false);
 }
 
 std::vector<Span> current_path() {
@@ -646,13 +667,13 @@ Snapshot snapshot() {
 
   out.parallel.reserve(reg.sites.size());
   for (const auto& [site, stats] : reg.sites) out.parallel.push_back(stats);
-  out.probe = reg.probe.capture;
+  out.probe = ordered_capture(reg.probe.capture);
   out.metrics = copy_metrics(reg.metrics);
   return out;
 }
 
 void record_parallel(const char* site, const util::ParallelStats& stats) {
-  if (!profile_enabled() || !stats.collected) return;
+  if (!enabled() || !stats.collected) return;
   auto& reg = Registry::instance();
   const std::lock_guard<std::mutex> lock(reg.mu);
   auto& acc = reg.sites[site];

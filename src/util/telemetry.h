@@ -5,19 +5,20 @@
 // store (util/metrics.h). One registry owns all of it, one reset() clears
 // all of it and one snapshot() copies all of it.
 //
-// Two switches arm the span recorder. CBMA_TELEMETRY (or set_enabled) keeps
-// the flat view: per-span duration histograms, counters and the flight
-// recorder, plus per-event Chrome/Perfetto capture with CBMA_TRACE=<path>
-// on top. CBMA_PROFILE=<path> (or set_profile_enabled) keeps the tree view:
-// for every distinct path of nested spans, how often it ran, its inclusive
-// wall time and how much of that was spent in same-thread child spans, so
-// exclusive = inclusive - child_ns holds exactly per node. Each ScopedSpan
-// reads the clock once and feeds whichever views are on from the same
-// duration, so the two views agree span for span (DESIGN.md §7, §13).
+// One switch arms the span recorder: CBMA_TELEMETRY (or set_enabled), and
+// every export path that reads the recorder arms it too — CBMA_TRACE,
+// CBMA_METRICS and CBMA_PROFILE, by the same rule. When it is on, each
+// ScopedSpan reads the clock once and feeds both views from that one
+// duration, so they agree span for span (DESIGN.md §7, §13). The flat view
+// keeps per-span duration histograms, counters and the flight recorder,
+// plus per-event Chrome/Perfetto capture while CBMA_TRACE is on. The tree
+// view keeps, for every distinct path of nested spans, how often it ran,
+// its inclusive wall time and how much of that was spent in same-thread
+// child spans, so exclusive = inclusive - child_ns holds exactly per node.
 //
 // The contract that makes this safe to compile into every hot path:
-// **a disabled recorder is a strict identity**. With both switches off
-// (the default), ScopedSpan never reads the clock, count() and
+// **a disabled recorder is a strict identity**. With the switch off (the
+// default), ScopedSpan never reads the clock, count() and
 // record_frame() return immediately, no thread sink is ever allocated, and
 // no RNG is touched (the recorder never draws randomness at all) — so
 // every existing bench table and BENCH_*.json stays byte-identical, the
@@ -173,22 +174,21 @@ inline constexpr std::size_t kNodeCapacity = 512;
 
 // --- master switches -------------------------------------------------------
 
-/// The CBMA_TELEMETRY switch (util/env_switch.h): the flat view.
+/// The span recorder's switch (util/env_switch.h): CBMA_TELEMETRY, or any
+/// of CBMA_TRACE, CBMA_METRICS and CBMA_PROFILE.
 bool enabled();
 void set_enabled(bool on);
 
-/// The CBMA_TRACE switch: per-event trace capture (needs enabled() too);
-/// trace_path() is where the plane table (core/observability.h) writes the
-/// Chrome trace.
+/// The CBMA_TRACE switch: per-event trace capture while the recorder is on
+/// (set_trace_enabled(true) arms the recorder too; turning the trace off
+/// leaves it on). trace_path() is where the plane table
+/// (core/observability.h) writes the Chrome trace.
 bool trace_enabled();
 void set_trace_enabled(bool on);
 std::string trace_path();
 
-/// The CBMA_PROFILE switch: the caller-path tree. profile_path() is where
-/// the plane table (core/observability.h) writes the collapsed-stack
-/// flamegraph file.
-bool profile_enabled();
-void set_profile_enabled(bool on);
+/// The CBMA_PROFILE export path: where the plane table writes the
+/// collapsed-stack flamegraph file of the tree view.
 std::string profile_path();
 void set_profile_path(std::string path);
 
@@ -202,48 +202,38 @@ inline void count(Counter c, std::uint64_t n = 1) {
   if (enabled()) add_count(c, n);
 }
 
-/// Span entry for the tree view: descend into (or create) the child node
-/// for `s` under the calling thread's current node.
+/// Span entry: descend into (or create) the tree's child node for `s`
+/// under the calling thread's current node.
 void enter_span(Span s);
 
-/// The views a span feeds, sampled once at entry.
-inline constexpr std::uint8_t kSpanFlat = 1u << 0;  ///< telemetry histograms
-inline constexpr std::uint8_t kSpanTree = 1u << 1;  ///< caller-path tree
+/// Span exit: fold `dur_ns` into the span's histogram (and the trace
+/// capture when it is on), credit it to the current tree node and its
+/// parent's child_ns, and pop to the parent.
+void exit_span(Span s, std::uint64_t start_ns, std::uint64_t dur_ns);
 
-/// Span exit: with kSpanFlat set, fold `dur_ns` into the span's histogram
-/// (and the trace capture when it is on); with kSpanTree set, credit it to
-/// the current tree node and its parent's child_ns, and pop to the parent.
-void exit_span(Span s, std::uint64_t start_ns, std::uint64_t dur_ns,
-               std::uint8_t views);
-
-/// RAII span timer: reads the clock only when telemetry or profiling is
-/// enabled at construction, records on destruction. The off path costs two
-/// relaxed atomic loads and nothing else — no clock read, no allocation.
-/// The views are sampled once at entry, so a mid-span flip cannot
-/// unbalance the tree's stack.
+/// RAII span timer: reads the clock only when the recorder is on at
+/// construction, records on destruction. The off path costs one relaxed
+/// atomic load and nothing else — no clock read, no allocation. The switch
+/// is sampled once at entry, so a mid-span flip cannot unbalance the tree's
+/// stack.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(Span s) : span_(s) {
-    const bool flat = enabled();
-    const bool tree = profile_enabled();
-    if (flat || tree) {
-      views_ = static_cast<std::uint8_t>((flat ? kSpanFlat : 0u) |
-                                         (tree ? kSpanTree : 0u));
-      if (tree) enter_span(s);
+  explicit ScopedSpan(Span s) : span_(s), active_(enabled()) {
+    if (active_) {
+      enter_span(s);
       start_ns_ = util::monotonic_ns();
     }
   }
   ~ScopedSpan() {
-    if (views_ == 0) return;
-    exit_span(span_, start_ns_, util::monotonic_ns() - start_ns_, views_);
+    if (active_) exit_span(span_, start_ns_, util::monotonic_ns() - start_ns_);
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
   Span span_;
+  bool active_;
   std::uint64_t start_ns_ = 0;
-  std::uint8_t views_ = 0;
 };
 
 // --- parallel_for context propagation --------------------------------------
@@ -286,9 +276,9 @@ double histogram_quantile(const std::uint64_t* buckets, std::uint64_t count,
 
 // --- parallel_for worker-utilization reports -------------------------------
 
-/// Publish one parallel_for's stats under `site`. No-op unless profiling
-/// is on and the stats were actually collected. Call from the sequential
-/// context after the pool joined (how SweepRunner::run and
+/// Publish one parallel_for's stats under `site`. No-op unless the
+/// recorder is on and the stats were actually collected. Call from the
+/// sequential context after the pool joined (how SweepRunner::run and
 /// net::Network::run_round use it).
 void record_parallel(const char* site, const util::ParallelStats& stats);
 

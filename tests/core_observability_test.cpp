@@ -4,13 +4,17 @@
 // One parameterised test per plane pins the document contract: enabling
 // only that plane adds exactly its sections to RunRecorder::json() after a
 // real instrumented run, and switching it off again restores the all-off
-// document byte for byte. The environment tests need each switch's first
-// read, so their bodies run in a fresh process.
+// document byte for byte. The telemetry and profile rows share the span
+// recorder's one switch, so either one adds both their sections. The
+// environment tests need each switch's first read, so their bodies run in
+// a fresh process.
 #include "core/observability.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iterator>
 #include <set>
 #include <string>
@@ -27,9 +31,9 @@
 namespace cbma::core {
 namespace {
 
-/// Enabling the metrics plane arms telemetry (its counter and span series
-/// sample it), so its run carries the "telemetry" section too and turning
-/// it off means turning both off.
+/// Enabling the metrics plane arms the span recorder (its counter and span
+/// series sample it), so its run carries the recorder's "telemetry" and
+/// "profile" sections too and turning it off means turning both off.
 void set_metrics(bool on) {
   if (on) {
     metrics::set_enabled(true);
@@ -46,10 +50,10 @@ struct PlaneCase {
 };
 
 const PlaneCase kCases[] = {
-    {"telemetry", telemetry::set_enabled, {"telemetry"}},
+    {"telemetry", telemetry::set_enabled, {"telemetry", "profile"}},
     {"probe", probe::set_enabled, {"link_quality", "watchdog"}},
-    {"metrics", set_metrics, {"telemetry", "timeseries", "events"}},
-    {"profile", telemetry::set_profile_enabled, {"profile"}},
+    {"metrics", set_metrics, {"telemetry", "timeseries", "events", "profile"}},
+    {"profile", telemetry::set_enabled, {"telemetry", "profile"}},
 };
 
 RunRecorder make_recorder() {
@@ -78,6 +82,11 @@ void run_pipeline() {
   for (int round = 0; round < 2; ++round) {
     (void)system.transmit(TransmitOptions{}, rng);
   }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 std::set<std::string> top_level_keys(const std::string& json) {
@@ -109,7 +118,6 @@ TEST(ObservabilityPlanes, ZeroInTheEnvironmentTurnsEveryPlaneOff) {
     EXPECT_EQ(probe::dump_path(), "");
     EXPECT_FALSE(metrics::enabled());
     EXPECT_EQ(metrics::export_path(), "");
-    EXPECT_FALSE(telemetry::profile_enabled());
     EXPECT_EQ(telemetry::profile_path(), "");
     for (const auto& plane : observability_planes()) {
       EXPECT_FALSE(plane.enabled()) << plane.name;
@@ -132,6 +140,56 @@ TEST(ObservabilityPlanes, MetricsEnvArmsTelemetryWhicheverPlaneIsReadFirst) {
     EXPECT_EQ(first, second);
     EXPECT_NE(first.find("\"telemetry\":"), std::string::npos);
     EXPECT_NE(first.find("\"timeseries\":"), std::string::npos);
+  });
+}
+
+TEST(ObservabilityPlanes, ProfileEnvAloneArmsTheRecorderAndWritesBothViews) {
+  in_fresh_process([] {
+    const std::string path = ::testing::TempDir() + "cbma_profile_env.txt";
+    std::remove(path.c_str());
+    for (const char* var :
+         {"CBMA_TELEMETRY", "CBMA_TRACE", "CBMA_PROBE", "CBMA_METRICS"}) {
+      ::unsetenv(var);
+    }
+    ::setenv("CBMA_PROFILE", path.c_str(), 1);
+    EXPECT_TRUE(telemetry::enabled());
+    EXPECT_FALSE(telemetry::trace_enabled());
+    EXPECT_FALSE(metrics::enabled());
+    run_pipeline();
+    const auto keys = top_level_keys(make_recorder().json());
+    EXPECT_EQ(keys.count("telemetry"), 1u);
+    EXPECT_EQ(keys.count("profile"), 1u);
+    EXPECT_EQ(keys.count("timeseries"), 0u);
+
+    ASSERT_TRUE(write_observability_artifacts());
+    const std::string text = read_file(path);
+    EXPECT_EQ(text, collapsed(telemetry::snapshot().tree));
+    EXPECT_NE(text.find("transmit/total"), std::string::npos);
+    std::remove(path.c_str());
+  });
+}
+
+TEST(ObservabilityPlanes, TraceEnvAloneArmsTheRecorderAndWritesEvents) {
+  in_fresh_process([] {
+    const std::string path = ::testing::TempDir() + "cbma_trace_env.json";
+    std::remove(path.c_str());
+    for (const char* var :
+         {"CBMA_TELEMETRY", "CBMA_PROBE", "CBMA_METRICS", "CBMA_PROFILE"}) {
+      ::unsetenv(var);
+    }
+    ::setenv("CBMA_TRACE", path.c_str(), 1);
+    EXPECT_TRUE(telemetry::enabled());
+    EXPECT_TRUE(telemetry::trace_enabled());
+    run_pipeline();
+
+    ASSERT_TRUE(write_observability_artifacts());
+    const auto doc = util::json_parse(read_file(path));
+    const auto& events = doc.at("traceEvents");
+    ASSERT_TRUE(events.is_array());
+    std::size_t slices = 0;
+    for (const auto& e : events.array) slices += e.at("ph").string == "X";
+    EXPECT_GT(slices, 0u) << "the trace holds no span events";
+    std::remove(path.c_str());
   });
 }
 

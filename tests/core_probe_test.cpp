@@ -2,8 +2,9 @@
 // contract (enabling the probe must not change any decode result or RNG
 // draw), the CBPROBE1 dump + manifest round trip (parsed back with
 // util::json_parse and cross-checked against the binary), the
-// link-quality JSON section, and scan_sweep_anomalies' floor/neighbor
-// rules on synthetic grids.
+// link-quality JSON section, exports that do not depend on how sweep
+// workers interleave, and scan_sweep_anomalies' floor/neighbor rules on
+// synthetic grids.
 //
 // Every test starts from the shared observability fixture, so enabling
 // probing here cannot leak into other tests.
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -188,6 +190,59 @@ TEST_F(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
   EXPECT_EQ(tags.array[1].at("frames").number, 2.0);
   EXPECT_EQ(tags.array[1].at("decoded").number, 1.0);
   EXPECT_EQ(tags.array[1].at("snr_db_mean").number, 15.0);
+}
+
+/// A probed sweep's exports: the link_quality section, the dump and the
+/// manifest, as bytes.
+struct ProbeExport {
+  std::string section;
+  std::string dump;
+  std::string manifest;
+};
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Eight sweep points, one probed transmission each, on `workers` threads.
+ProbeExport probed_sweep(std::size_t workers) {
+  telemetry::reset();
+  SweepSpec spec;
+  spec.name = "probe_order";
+  spec.base_seed = 31;
+  spec.axes.push_back(Axis::numeric("x", {0, 1, 2, 3, 4, 5, 6, 7}));
+  SweepRunner(spec).run(
+      [](const SweepPoint& point) {
+        const CbmaSystem system(three_tag_config(), three_tag_deployment());
+        Rng rng(point.seed());
+        (void)system.transmit(TransmitOptions{}, rng);
+      },
+      workers);
+  const auto snap = telemetry::snapshot();
+  util::JsonWriter w;
+  w.begin_object();
+  observability_planes()[1].write_json_section(w, snap);
+  w.end_object();
+  const std::string path = ::testing::TempDir() + "core_probe_order.bin";
+  EXPECT_TRUE(write_probe_dump(path, snap));
+  ProbeExport out{w.str(), read_bytes(path), read_bytes(path + ".json")};
+  std::remove(path.c_str());
+  std::remove((path + ".json").c_str());
+  return out;
+}
+
+TEST_F(CoreProbe, SweepExportsDoNotDependOnTheWorkerCount) {
+  // Workers append records in whatever order they interleave; the export
+  // orders them by point, and each point runs on one worker.
+  probe::set_enabled(true);
+  const ProbeExport serial = probed_sweep(1);
+  const ProbeExport parallel = probed_sweep(4);
+  EXPECT_NE(serial.manifest.find("\"point\":7"), std::string::npos);
+  EXPECT_EQ(serial.section, parallel.section);
+  // Megabyte-scale: compare without printing them on failure.
+  EXPECT_TRUE(serial.dump == parallel.dump) << "the dumps differ";
+  EXPECT_TRUE(serial.manifest == parallel.manifest) << "the manifests differ";
 }
 
 TEST_F(CoreProbe, WatchdogFloorRuleFiresOnBreach) {

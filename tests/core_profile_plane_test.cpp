@@ -7,7 +7,7 @@
 // export's line values sum to the tree's total exclusive time.
 //
 // Every test starts from the shared observability fixture, so flipping
-// the profile switch here cannot leak into other tests.
+// the recorder switch here cannot leak into other tests.
 #include "core/observability.h"
 
 #include <gtest/gtest.h>
@@ -58,13 +58,13 @@ void record_fixture() {
 
 void tear_down() {
   telemetry::reset();
-  telemetry::set_profile_enabled(false);
+  telemetry::set_enabled(false);
   telemetry::set_profile_path("");
 }
 
 TEST_F(ProfilePlane, DisabledIsAStrictIdentity) {
-  ASSERT_FALSE(telemetry::profile_enabled()) << "profiling must default to off";
-  // Spans with profiling off must leave no trace anywhere.
+  ASSERT_FALSE(telemetry::enabled()) << "the recorder must default to off";
+  // Spans with the recorder off must leave no trace anywhere.
   {
     const ScopedSpan s(Span::kRxProcess);
   }
@@ -86,7 +86,7 @@ TEST_F(ProfilePlane, DisabledIsAStrictIdentity) {
 }
 
 TEST_F(ProfilePlane, JsonSectionParsesAndBalances) {
-  telemetry::set_profile_enabled(true);
+  telemetry::set_enabled(true);
   telemetry::reset();
   record_fixture();
 
@@ -142,7 +142,7 @@ TEST_F(ProfilePlane, JsonSectionParsesAndBalances) {
 }
 
 TEST_F(ProfilePlane, TopExclusiveIsSortedAndBounded) {
-  telemetry::set_profile_enabled(true);
+  telemetry::set_enabled(true);
   telemetry::reset();
   record_fixture();
   const auto tree = telemetry::snapshot().tree;
@@ -170,7 +170,7 @@ TEST_F(ProfilePlane, TopExclusiveIsSortedAndBounded) {
 }
 
 TEST_F(ProfilePlane, CollapsedStackSumsToTreeExclusiveTime) {
-  telemetry::set_profile_enabled(true);
+  telemetry::set_enabled(true);
   telemetry::reset();
   record_fixture();
   const auto tree = telemetry::snapshot().tree;
@@ -205,7 +205,7 @@ TEST_F(ProfilePlane, CollapsedStackSumsToTreeExclusiveTime) {
 }
 
 TEST_F(ProfilePlane, WriteCollapsedHonoursTheConfiguredPath) {
-  telemetry::set_profile_enabled(true);
+  telemetry::set_enabled(true);
   telemetry::reset();
   record_fixture();
   // No path configured: a successful no-op, no file appears.
@@ -229,10 +229,9 @@ TEST_F(ProfilePlane, WriteCollapsedHonoursTheConfiguredPath) {
 }
 
 TEST_F(ProfilePlane, TreeAndTelemetrySectionsAgreeSpanForSpan) {
-  // Both views on: every span feeds the flat histograms and the tree from
+  // The recorder on: every span feeds the flat histograms and the tree from
   // one clock reading in one per-thread sink.
   telemetry::set_enabled(true);
-  telemetry::set_profile_enabled(true);
   {
     const ScopedSpan warm(Span::kBenchIteration);  // the caller's own sink
   }

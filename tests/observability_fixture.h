@@ -25,7 +25,6 @@ namespace cbma {
 inline void quiesce_observability() {
   telemetry::set_enabled(false);
   telemetry::set_trace_enabled(false);
-  telemetry::set_profile_enabled(false);
   telemetry::set_profile_path("");
   probe::set_enabled(false);
   probe::set_dump_path("");

@@ -70,21 +70,29 @@ TEST(EnvSwitch, AnOffSwitchCanBeTurnedOnWithAPathLater) {
 
 TEST(EnvSwitch, SecondVariableTurnsItOnWithoutAPath) {
   constexpr const char* kAlso = "CBMA_TEST_ENV_SWITCH_ALSO";
+  constexpr const char* kThird = "CBMA_TEST_ENV_SWITCH_THIRD";
   ::unsetenv(kVar);
+  ::unsetenv(kAlso);
+  ::setenv(kThird, "other.bin", 1);
+  // Any listed variable turns the switch on, wherever it stands in the list.
+  EnvSwitch on_by_third(kVar, {kAlso, kThird});
+  EXPECT_TRUE(on_by_third.on());
+  EXPECT_EQ(on_by_third.path(), "");
   ::setenv(kAlso, "other.bin", 1);
-  EnvSwitch on_by_second(kVar, kAlso);
-  EXPECT_TRUE(on_by_second.on());
-  EXPECT_EQ(on_by_second.path(), "");
-  // The second variable follows the same rule: "0" leaves the switch off.
+  ::unsetenv(kThird);
+  EXPECT_TRUE(EnvSwitch(kVar, {kAlso, kThird}).on());
+  // The listed variables follow the same rule: "0" leaves the switch off.
   ::setenv(kAlso, "0", 1);
-  EXPECT_FALSE(EnvSwitch(kVar, kAlso).on());
+  ::setenv(kThird, "0", 1);
+  EXPECT_FALSE(EnvSwitch(kVar, {kAlso, kThird}).on());
   // The first variable still sets the path.
   ::setenv(kVar, "own.bin", 1);
-  EnvSwitch own(kVar, kAlso);
+  EnvSwitch own(kVar, {kAlso, kThird});
   EXPECT_TRUE(own.on());
   EXPECT_EQ(own.path(), "own.bin");
   ::unsetenv(kVar);
   ::unsetenv(kAlso);
+  ::unsetenv(kThird);
 }
 
 }  // namespace

@@ -120,10 +120,10 @@ TEST(ParallelFor, MaxWorkersOneIsSequential) {
 }
 
 TEST(ParallelFor, StatsUntouchedWhenProfilerOff) {
-  // Strict identity: with profiling off the stats shape is filled but
+  // Strict identity: with the recorder off the stats shape is filled but
   // nothing is measured — no clock reads, no per-worker vectors.
-  ASSERT_FALSE(telemetry::profile_enabled())
-      << "test assumes profiling-off default";
+  ASSERT_FALSE(telemetry::enabled())
+      << "test assumes the recorder-off default";
   ParallelStats stats;
   stats.wall_ns = 123;  // stale garbage the call must clear
   parallel_for(16, [](std::size_t) {}, 4, &stats);

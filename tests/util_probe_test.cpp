@@ -163,27 +163,36 @@ TEST_F(UtilProbe, LinkQualityCapDropsOverflow) {
 TEST_F(UtilProbe, ScopedPointLabelsRecordsAndRestores) {
   set_enabled(true);
   reset();
-  const std::vector<double> sample{1.0};
-  record_tap(Tap::kSyncEnergy, 0, sample);  // outside any sweep: point 0
+  // Record k carries the sample value k, so each label can be checked
+  // whatever order the export puts the records in.
+  const auto record = [](double k) {
+    const std::vector<double> sample{k};
+    record_tap(Tap::kSyncEnergy, 0, sample);
+  };
+  record(0);  // outside any sweep: point 0
   {
     const ScopedPoint outer(3);
-    record_tap(Tap::kSyncEnergy, 0, sample);
+    record(1);
     {
       const ScopedPoint inner(9);
-      record_tap(Tap::kSyncEnergy, 0, sample);
+      record(2);
     }
-    record_tap(Tap::kSyncEnergy, 0, sample);
+    record(3);
   }
-  record_tap(Tap::kSyncEnergy, 0, sample);
+  record(4);
   const auto capture = snapshot();
   set_enabled(false);
 
   ASSERT_EQ(capture.taps.size(), 5u);
-  EXPECT_EQ(capture.taps[0].point, 0u);
-  EXPECT_EQ(capture.taps[1].point, 3u);
-  EXPECT_EQ(capture.taps[2].point, 9u);
-  EXPECT_EQ(capture.taps[3].point, 3u);  // inner scope restored the label
-  EXPECT_EQ(capture.taps[4].point, 0u);  // and so did the outer one
+  std::vector<std::uint64_t> point_of(5);
+  for (const auto& r : capture.taps) {
+    point_of[static_cast<std::size_t>(r.data.at(0))] = r.point;
+  }
+  EXPECT_EQ(point_of[0], 0u);
+  EXPECT_EQ(point_of[1], 3u);
+  EXPECT_EQ(point_of[2], 9u);
+  EXPECT_EQ(point_of[3], 3u);  // inner scope restored the label
+  EXPECT_EQ(point_of[4], 0u);  // and so did the outer one
   reset();
 }
 

@@ -43,7 +43,7 @@ void check_identity(const MergedNode& node) {
 TEST_F(Profiler, OffPathRegistersNoSinks) {
   const std::size_t before = sink_count();
   // A fresh thread is the clean probe: its thread_local sink pointer is
-  // null, and with profiling off ScopedSpan must never allocate one.
+  // null, and with the recorder off ScopedSpan must never allocate one.
   std::thread([] {
     const ScopedSpan outer(Span::kRxProcess);
     const ScopedSpan inner(Span::kRxDetect);
@@ -53,7 +53,7 @@ TEST_F(Profiler, OffPathRegistersNoSinks) {
 }
 
 TEST_F(Profiler, BuildsCallerPathTree) {
-  set_profile_enabled(true);
+  set_enabled(true);
   for (int i = 0; i < 3; ++i) {
     const ScopedSpan process(Span::kRxProcess);
     {
@@ -85,7 +85,7 @@ TEST_F(Profiler, BuildsCallerPathTree) {
 }
 
 TEST_F(Profiler, ChildTimeFoldsIntoParentExclusive) {
-  set_profile_enabled(true);
+  set_enabled(true);
   {
     const ScopedSpan outer(Span::kRxProcess);
     const ScopedSpan inner(Span::kRxDetect);
@@ -102,7 +102,7 @@ TEST_F(Profiler, ChildTimeFoldsIntoParentExclusive) {
 }
 
 TEST_F(Profiler, SameSpanReentryAccumulatesOneNode) {
-  set_profile_enabled(true);
+  set_enabled(true);
   for (int i = 0; i < 5; ++i) {
     const ScopedSpan s(Span::kRxFrameSync);
   }
@@ -112,8 +112,44 @@ TEST_F(Profiler, SameSpanReentryAccumulatesOneNode) {
   EXPECT_TRUE(snap.roots[0].children.empty());
 }
 
+TEST_F(Profiler, MidSpanSwitchFlipKeepsTheTreeBalanced) {
+  // A span samples the switch once, at entry: one that began off pops
+  // nothing after the switch came on, and one that began on still records
+  // and pops after it went off.
+  set_enabled(true);
+  {
+    const ScopedSpan outer(Span::kRxProcess);
+    set_enabled(false);
+    {
+      const ScopedSpan skipped(Span::kRxDetect);
+      set_enabled(true);
+    }
+    {
+      const ScopedSpan inner(Span::kRxDecode);  // still under outer
+    }
+    set_enabled(false);
+  }
+  set_enabled(true);
+  {
+    const ScopedSpan after(Span::kRxFrameSync);  // a root again
+  }
+  const TreeSnapshot snap = snapshot().tree;
+  EXPECT_EQ(snap.dropped, 0u);
+  ASSERT_EQ(snap.roots.size(), 2u);
+  const MergedNode* outer = child(snap.roots, Span::kRxProcess);
+  ASSERT_NE(outer, nullptr);
+  EXPECT_EQ(outer->count, 1u);
+  ASSERT_EQ(outer->children.size(), 1u);
+  EXPECT_EQ(outer->children[0].span, Span::kRxDecode);
+  EXPECT_EQ(outer->child_ns, outer->children[0].incl_ns);
+  const MergedNode* after = child(snap.roots, Span::kRxFrameSync);
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->count, 1u);
+  EXPECT_TRUE(current_path().empty());
+}
+
 TEST_F(Profiler, PoolExhaustionDropsNotCrashes) {
-  set_profile_enabled(true);
+  set_enabled(true);
   // Alternating spans at ever-deeper nesting create one node per level;
   // past kNodeCapacity every deeper span must be counted as dropped and
   // the tree must stay at capacity.
@@ -142,7 +178,7 @@ TEST_F(Profiler, PoolExhaustionDropsNotCrashes) {
 }
 
 TEST_F(Profiler, WorkerSubtreesMergeUnderLaunchingSpan) {
-  set_profile_enabled(true);
+  set_enabled(true);
   {
     const ScopedSpan round(Span::kNetRound);
     util::ParallelStats stats;
@@ -180,7 +216,6 @@ TEST_F(Profiler, ExitedWorkersHandTheirSinksToTheNextOnes) {
   constexpr std::size_t kCalls = 1000;
   constexpr std::size_t kWorkers = 4;
   set_enabled(true);
-  set_profile_enabled(true);
   std::size_t grown = 0;
   {
     const ScopedSpan round(Span::kNetRound);  // the caller's own sink
@@ -217,7 +252,7 @@ TEST_F(Profiler, TreeShapeAndCountsStableAcrossWorkerCounts) {
   struct Shape {
     std::vector<std::string> paths;  // "span count" per node, DFS order
   };
-  set_profile_enabled(true);
+  set_enabled(true);
   const auto run = [](std::size_t workers) {
     reset();
     {
@@ -256,7 +291,7 @@ TEST_F(Profiler, TreeShapeAndCountsStableAcrossWorkerCounts) {
 }
 
 TEST_F(Profiler, RecordParallelAggregatesPerSite) {
-  set_profile_enabled(true);
+  set_enabled(true);
   util::ParallelStats stats;
   util::parallel_for(6, [](std::size_t) {}, 3, &stats);
   ASSERT_TRUE(stats.collected);
@@ -276,7 +311,7 @@ TEST_F(Profiler, RecordParallelAggregatesPerSite) {
 }
 
 TEST_F(Profiler, RecordParallelIgnoresUncollectedStats) {
-  set_profile_enabled(true);
+  set_enabled(true);
   util::ParallelStats stats;  // collected == false
   stats.items = 99;
   record_parallel("test/ghost", stats);
@@ -284,7 +319,7 @@ TEST_F(Profiler, RecordParallelIgnoresUncollectedStats) {
 }
 
 TEST_F(Profiler, ResetClearsTreeAndSites) {
-  set_profile_enabled(true);
+  set_enabled(true);
   {
     const ScopedSpan s(Span::kRxProcess);
   }

@@ -15,7 +15,7 @@ Usage:
 One section per observability plane. The first four read the BENCH_*.json
 document a plane-enabled bench run wrote; `probe` reads the binary dump.
 
-  telemetry     CBMA_TELEMETRY's "telemetry" section: spans with ordered
+  telemetry     the span recorder's "telemetry" section: spans with ordered
                 percentiles, >= 10 layer.event counters, a flight recorder
                 with strictly increasing seq. --trace also parses the
                 CBMA_TRACE Chrome trace and requires traceEvents.
@@ -26,10 +26,10 @@ document a plane-enabled bench run wrote; `probe` reads the binary dump.
                 indices monotone and at most the closed-window count, events
                 with strictly increasing seq and a known severity.
                 --prom-check parses the Prometheus exposition instead.
-  profile       CBMA_PROFILE's "profile" section: a tree at least two levels
-                deep, incl_ns == excl_ns + child_ns at every node, child_ns
-                never above the children's inclusive sum, sequential roots
-                whose exclusive times sum to their inclusive time, and
+  profile       the span recorder's "profile" section: a tree at least two
+                levels deep, incl_ns == excl_ns + child_ns at every node,
+                child_ns never above the children's inclusive sum, sequential
+                roots whose exclusive times sum to their inclusive time, and
                 parallel sites whose worker slots sum to their totals.
                 --collapsed cross-checks the flamegraph file against it.
   probe         the CBPROBE1 dump: re-walks the binary from its own framing

@@ -48,13 +48,12 @@ gate requires the value to be byte-identical across all stream lengths —
 a ring that grows with the 10x stream means per-sample state is being
 retained (DESIGN.md §10).
 
-`--twin-overhead` checks the observability planes' cost ceilings instead
-of the baseline: every BM_<X>Metrics row and every BM_<X>Profile row is
-paired with its plane-off twin BM_<X> on the ns_per_round counter, and the
-enabled run must stay within its plane's budget of the twin —
-METRICS_OVERHEAD_TOLERANCE (+2 %, DESIGN.md §12) and
-PROFILE_OVERHEAD_TOLERANCE (+2 %, DESIGN.md §13), the
-strict-identity-when-off contract's enabled-side budgets. Pairs are matched
+`--twin-overhead` checks the observability cost ceiling instead of the
+baseline: every BM_<X>Metrics row (the metrics plane on, which arms the
+span recorder and both its views) is paired with its plane-off twin BM_<X>
+on the ns_per_round counter, and the enabled run must stay within
+METRICS_OVERHEAD_TOLERANCE (+2 %, DESIGN.md §12, §13) of the twin — the
+strict-identity-when-off contract's enabled-side budget. Pairs are matched
 within one run, so machine speed cancels out; run it with
 --benchmark_repetitions and --benchmark_enable_random_interleaving, and each
 row counts its fastest repetition, so no row is judged by the slow start of
@@ -68,13 +67,9 @@ DEFAULT_TOLERANCE = 0.30
 
 GATED_COUNTERS = ("ns_per_packet", "ns_per_sample", "ns_per_round")
 
-# --twin-overhead: a metrics-enabled round may cost at most this much more
-# than its metrics-off twin (+2% ns_per_round) ...
+# --twin-overhead: a metrics-enabled round (span recorder on, both views)
+# may cost at most this much more than its plane-off twin (+2% ns_per_round).
 METRICS_OVERHEAD_TOLERANCE = 0.02
-
-# ... and a profiler-enabled round the same budget over its profiler-off
-# twin.
-PROFILE_OVERHEAD_TOLERANCE = 0.02
 
 
 def fail(msg: str) -> None:
@@ -160,43 +155,43 @@ def check_ring_flat(current_path: str) -> None:
           f"{next(iter(distinct)):.0f} bytes resident in every run")
 
 
-def check_twin_overhead(rounds: dict, current_path: str, suffix: str,
-                        tolerance: float, label: str) -> bool:
-    """Pair BM_<X><suffix> rows with their plain BM_<X> twins on
-    ns_per_round and enforce the enabled-side cost budget; False when a
-    pair is over budget."""
+def check_twin_overhead(current_path: str) -> None:
+    """Pair BM_<X>Metrics rows with their plain BM_<X> twins on
+    ns_per_round and enforce the enabled-side cost budget."""
+    rounds = counter_by_name(load(current_path), "ns_per_round")
+    tolerance = METRICS_OVERHEAD_TOLERANCE
     pairs = []
     for name, ns_on in sorted(rounds.items()):
         base, sep, rest = name.partition("/")
-        if not base.endswith(suffix):
+        if not base.endswith("Metrics"):
             continue
-        twin = base[:-len(suffix)] + sep + rest
+        twin = base[:-len("Metrics")] + sep + rest
         if twin not in rounds:
             print(f"check_perf_regression: note: '{name}' has no "
-                  f"{label}-off twin '{twin}' in this run — skipped")
+                  f"plane-off twin '{twin}' in this run — skipped")
             continue
         pairs.append((twin, name, rounds[twin], ns_on))
     if not pairs:
-        fail(f"{current_path} has no paired BM_<X>/BM_<X>{suffix} "
+        fail(f"{current_path} has no paired BM_<X>/BM_<X>Metrics "
              "ns_per_round rows — run bench_kernels with "
              "--benchmark_filter=BM_NetMulticellRound")
     failures = []
     for twin, name, ns_off, ns_on in pairs:
         ratio = ns_on / ns_off
         verdict = "ok" if ratio <= 1.0 + tolerance else "OVER BUDGET"
-        print(f"check_perf_regression: {label}-overhead: {twin} "
+        print(f"check_perf_regression: overhead: {twin} "
               f"{ns_off:.0f} ns -> {name} {ns_on:.0f} ns "
               f"({ratio:.3f}x): {verdict}")
         if ratio > 1.0 + tolerance:
             failures.append((name, ratio))
     for name, ratio in failures:
         print(f"check_perf_regression: FAIL: {name} costs {ratio:.3f}x its "
-              f"{label}-off twin (> {1.0 + tolerance:.2f}x allowed)",
+              f"plane-off twin (> {1.0 + tolerance:.2f}x allowed)",
               file=sys.stderr)
-    if not failures:
-        print(f"check_perf_regression: {label} overhead within "
-              f"{tolerance:.0%} on {len(pairs)} pair(s)")
-    return not failures
+    if failures:
+        sys.exit(1)
+    print(f"check_perf_regression: overhead within "
+          f"{tolerance:.0%} on {len(pairs)} pair(s)")
 
 
 def main() -> None:
@@ -206,14 +201,7 @@ def main() -> None:
         if len(args) != 1:
             fail("usage: check_perf_regression.py <BENCH_kernels.json> "
                  "--twin-overhead")
-        rounds = counter_by_name(load(args[0]), "ns_per_round")
-        # Both planes are judged before failing, so one run reports both.
-        ok = [check_twin_overhead(rounds, args[0], suffix, tolerance, label)
-              for suffix, tolerance, label in (
-                  ("Metrics", METRICS_OVERHEAD_TOLERANCE, "metrics"),
-                  ("Profile", PROFILE_OVERHEAD_TOLERANCE, "profile"))]
-        if not all(ok):
-            sys.exit(1)
+        check_twin_overhead(args[0])
         return
     if "--ring-flat" in args:
         args = [a for a in args if a != "--ring-flat"]

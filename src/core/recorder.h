@@ -65,10 +65,6 @@ class RunRecorder {
   /// recorded all rule-referenced metrics.
   std::size_t run_watchdog(const std::vector<WatchdogRule>& rules);
 
-  const std::vector<WatchdogWarning>& watchdog_warnings() const {
-    return warnings_;
-  }
-
   /// The complete schema-versioned document, its observability sections
   /// read from `snap`. Deterministic: identical recorded results serialize
   /// to identical bytes (no timestamps, no thread counts), which the

@@ -1,10 +1,8 @@
 #include "core/sweep.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <thread>
 
 #include "util/expect.h"
 #include "util/probe.h"
@@ -72,17 +70,11 @@ void SweepRunner::run(const std::function<void(const SweepPoint&)>& body,
                       std::size_t workers) const {
   const std::size_t n = spec_.point_count();
   const telemetry::ScopedSpan span_run(telemetry::Span::kSweepRun);
-  if (telemetry::enabled()) {
-    // Mirror parallel_for's pool sizing so sweep.workers reports the
-    // threads actually launched (utilization = Σ sweep/point ÷
-    // (sweep/run × workers) is then meaningful).
-    const std::size_t max_workers =
-        workers != 0 ? workers
-                     : std::max(1u, std::thread::hardware_concurrency());
-    telemetry::count(telemetry::Counter::kSweepWorkers,
-                     std::min<std::size_t>(max_workers, n));
-  }
-  util::ParallelStats stats;
+  // The threads parallel_for launches, counted before the loop so a metrics
+  // window sees them with the run (utilization = Σ sweep/point ÷
+  // (sweep/run × workers)).
+  telemetry::count(telemetry::Counter::kSweepWorkers,
+                   util::worker_count(n, workers));
   util::parallel_for(
       n,
       [&](std::size_t flat) {
@@ -93,11 +85,7 @@ void SweepRunner::run(const std::function<void(const SweepPoint&)>& body,
         const probe::ScopedPoint probe_point(flat + 1);
         body(SweepPoint(spec_, flat));
       },
-      workers, &stats);
-  // Worker-utilization report for the tree view (collected only while the
-  // recorder is on; the pool has joined, so this is the sequential
-  // context).
-  telemetry::record_parallel("sweep/run", stats);
+      workers, "sweep/run");
 }
 
 std::vector<WatchdogWarning> scan_sweep_anomalies(

@@ -258,7 +258,6 @@ NetworkRoundResult Network::run_round(std::uint64_t seed,
   // 4. Per-cell MAC rounds — each cell owns its result slot and a seed
   //    derived from its id, so results are worker-count independent.
   result.cells.resize(n_cells);
-  util::ParallelStats stats;
   util::parallel_for(
       n_cells,
       [&](std::size_t c) {
@@ -269,10 +268,7 @@ NetworkRoundResult Network::run_round(std::uint64_t seed,
         result.cells[c] = cells_[c].run_round(
             config_.scheme, config_.packets_per_round, config_.fsa, rng);
       },
-      max_workers, &stats);
-  // Worker utilization of the cell pass (recorder on only; the pool joined,
-  // so this runs in the sequential context record_parallel requires).
-  telemetry::record_parallel("net/round", stats);
+      max_workers, "net/round");
 
   // 5. Aggregate: network goodput and Jain fairness over every tag
   //    (unserved tags score zero — fairness sees the capacity shortfall).

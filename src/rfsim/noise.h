@@ -14,8 +14,6 @@ class AwgnSource {
   /// variance of Q).
   explicit AwgnSource(double noise_power_w);
 
-  double noise_power() const { return power_; }
-
   /// One complex noise sample.
   std::complex<double> sample(Rng& rng) const;
 

@@ -18,29 +18,30 @@ namespace {
 // frames (same policy and promotion rule as the historical batch walk).
 constexpr int kMaxSyncAttempts = 4;
 
+/// The telemetry counter that tallies `outcome`.
+constexpr telemetry::Counter outcome_counter(DecodeOutcome outcome) {
+  return static_cast<telemetry::Counter>(
+      static_cast<int>(telemetry::Counter::kRxOutcomeOk) +
+      static_cast<int>(outcome));
+}
+static_assert(
+    outcome_counter(DecodeOutcome::kNoFrameSync) ==
+            telemetry::Counter::kRxOutcomeNoFrameSync &&
+        outcome_counter(DecodeOutcome::kNotDetected) ==
+            telemetry::Counter::kRxOutcomeNotDetected &&
+        outcome_counter(DecodeOutcome::kTruncated) ==
+            telemetry::Counter::kRxOutcomeTruncated &&
+        outcome_counter(DecodeOutcome::kBadCrc) ==
+            telemetry::Counter::kRxOutcomeBadCrc &&
+        outcome_counter(DecodeOutcome::kIdMismatch) ==
+            telemetry::Counter::kRxOutcomeIdMismatch,
+    "the kRxOutcome* counters follow DecodeOutcome's order");
+
 /// Per-report DecodeOutcome tallies into the telemetry counters — one call
 /// per group code, so the counters mirror RxReport::outcome_count exactly.
 void count_outcomes(const RxReport& report) {
-  using telemetry::Counter;
   for (const auto& r : report.results) {
-    switch (r.outcome) {
-      case DecodeOutcome::kOk: telemetry::count(Counter::kRxOutcomeOk); break;
-      case DecodeOutcome::kNoFrameSync:
-        telemetry::count(Counter::kRxOutcomeNoFrameSync);
-        break;
-      case DecodeOutcome::kNotDetected:
-        telemetry::count(Counter::kRxOutcomeNotDetected);
-        break;
-      case DecodeOutcome::kTruncated:
-        telemetry::count(Counter::kRxOutcomeTruncated);
-        break;
-      case DecodeOutcome::kBadCrc:
-        telemetry::count(Counter::kRxOutcomeBadCrc);
-        break;
-      case DecodeOutcome::kIdMismatch:
-        telemetry::count(Counter::kRxOutcomeIdMismatch);
-        break;
-    }
+    telemetry::count(outcome_counter(r.outcome));
   }
 }
 

@@ -54,8 +54,9 @@ inline constexpr std::size_t kMaxLinkQualitySamples = 4096;
 /// interleaves re/im pairs (`data.size() / 2` samples).
 struct TapRecord {
   Tap tap = Tap::kExcitationEnvelope;
-  std::uint64_t seq = 0;      ///< export order: by point, then capture order
+  std::uint64_t seq = 0;      ///< export order: point, item, capture order
   std::uint64_t point = 0;    ///< sweep point (ScopedPoint), 0 outside sweeps
+  std::uint64_t item = 0;     ///< innermost parallel_for item; sort key only
   std::uint32_t context = 0;  ///< tag/code index; 0 for window-level taps
   bool complex_iq = false;
   std::vector<double> data;
@@ -68,6 +69,7 @@ struct TapRecord {
 struct LinkQualitySample {
   std::uint64_t seq = 0;
   std::uint64_t point = 0;
+  std::uint64_t item = 0;  ///< as TapRecord::item; not exported
   std::uint32_t tag = 0;
   bool detected = false;
   bool decoded = false;
@@ -113,8 +115,8 @@ class ScopedPoint {
 // --- what telemetry::snapshot() copies ------------------------------------
 
 struct Capture {
-  std::vector<TapRecord> taps;           ///< seq order (point, then capture)
-  std::vector<LinkQualitySample> link;   ///< seq order (point, then capture)
+  std::vector<TapRecord> taps;           ///< seq order
+  std::vector<LinkQualitySample> link;   ///< seq order
   std::size_t dropped_taps = 0;          ///< records lost to kMaxRecordsPerTap
   std::size_t dropped_link = 0;          ///< rows lost to kMaxLinkQualitySamples
 };

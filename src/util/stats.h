@@ -44,7 +44,6 @@ class EmpiricalCdf {
 
   double median() const { return quantile(0.5); }
   std::size_t size() const { return sorted_.size(); }
-  const std::vector<double>& sorted_samples() const { return sorted_; }
 
   /// Evenly spaced (value, cumulative probability) pairs, suitable for
   /// printing a CDF curve like the paper's Fig. 10.

@@ -208,6 +208,12 @@ struct Registry {
 
 thread_local ThreadSink* t_sink = nullptr;
 
+/// The probe labels stamped on the calling thread's records: the sweep
+/// point (probe::ScopedPoint) and the innermost parallel_for item
+/// (ScopedContext).
+thread_local std::uint64_t t_point = 0;
+thread_local std::uint64_t t_item = 0;
+
 /// Hands the thread's sink back to the registry when the thread exits.
 /// Only sink()'s slow path touches it, so the recording paths read the
 /// plain pointer above and never pay a thread_local destructor guard.
@@ -438,16 +444,20 @@ void push_span_window(MetricStore& m, const char* span,
   }
 }
 
-/// The probe capture in point order: sweep workers append records in
-/// whatever order they interleave, but each point runs on one worker, so
-/// renumbering seq in (point, capture order) across taps and link rows and
-/// sorting by it makes the export independent of the scheduling.
+/// The probe capture in a scheduling-independent order: workers append
+/// records in whatever order they interleave, but each (point, innermost
+/// parallel_for item) runs on one thread, so renumbering seq in (point,
+/// item, capture order) across taps and link rows and sorting by it makes
+/// the export independent of the worker counts — nested cell workers
+/// included.
 probe::Capture ordered_capture(probe::Capture c) {
-  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t*>> order;
-  for (auto& r : c.taps) order.emplace_back(r.point, r.seq, &r.seq);
-  for (auto& r : c.link) order.emplace_back(r.point, r.seq, &r.seq);
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                         std::uint64_t*>>
+      order;
+  for (auto& r : c.taps) order.emplace_back(r.point, r.item, r.seq, &r.seq);
+  for (auto& r : c.link) order.emplace_back(r.point, r.item, r.seq, &r.seq);
   std::sort(order.begin(), order.end());
-  for (std::size_t k = 0; k < order.size(); ++k) *std::get<2>(order[k]) = k;
+  for (std::size_t k = 0; k < order.size(); ++k) *std::get<3>(order[k]) = k;
   const auto by_seq = [](const auto& a, const auto& b) {
     return a.seq < b.seq;
   };
@@ -588,24 +598,27 @@ void exit_span(Span s, std::uint64_t start_ns, std::uint64_t dur_ns) {
   pop(sk, dur_ns, /*context=*/false);
 }
 
-std::vector<Span> current_path() {
-  std::vector<Span> path;
-  if (t_sink == nullptr) return path;
-  for (std::int32_t i = t_sink->current; i >= 0; i = t_sink->node(i).parent) {
-    path.push_back(t_sink->node(i).span);
+WorkerContext WorkerContext::capture(bool with_path) {
+  WorkerContext ctx{{}, t_point, t_item};
+  if (with_path && enabled() && t_sink != nullptr) {
+    for (std::int32_t i = t_sink->current; i >= 0; i = t_sink->node(i).parent) {
+      ctx.path.insert(ctx.path.begin(), t_sink->node(i).span);
+    }
   }
-  std::reverse(path.begin(), path.end());
-  return path;
+  return ctx;
 }
 
-void enter_context(const std::vector<Span>& path) {
-  auto& sk = sink();
-  for (const Span s : path) push(sk, s, /*context=*/true);
+ScopedContext::ScopedContext(const WorkerContext& ctx, std::uint64_t item)
+    : depth_(ctx.path.size()),
+      point_(std::exchange(t_point, ctx.point)),
+      item_(std::exchange(t_item, item)) {
+  for (const Span s : ctx.path) push(sink(), s, /*context=*/true);
 }
 
-void exit_context(std::size_t depth) {
-  if (t_sink == nullptr) return;
-  for (std::size_t d = 0; d < depth; ++d) pop(*t_sink, 0, /*context=*/true);
+ScopedContext::~ScopedContext() {
+  for (std::size_t d = 0; d < depth_; ++d) pop(*t_sink, 0, /*context=*/true);
+  t_point = point_;
+  t_item = item_;
 }
 
 Snapshot snapshot() {
@@ -673,7 +686,6 @@ Snapshot snapshot() {
 }
 
 void record_parallel(const char* site, const util::ParallelStats& stats) {
-  if (!enabled() || !stats.collected) return;
   auto& reg = Registry::instance();
   const std::lock_guard<std::mutex> lock(reg.mu);
   auto& acc = reg.sites[site];
@@ -681,16 +693,25 @@ void record_parallel(const char* site, const util::ParallelStats& stats) {
   ++acc.calls;
   acc.items += stats.items;
   acc.wall_ns += stats.wall_ns;
-  if (acc.worker_busy_ns.size() < stats.worker_busy_ns.size()) {
-    acc.worker_busy_ns.resize(stats.worker_busy_ns.size(), 0);
-    acc.worker_items.resize(stats.worker_items.size(), 0);
+  const std::size_t slots = stats.worker_busy_ns.size();
+  if (acc.worker_busy_ns.size() < slots) {
+    acc.worker_busy_ns.resize(slots, 0);
+    acc.worker_items.resize(slots, 0);
   }
-  for (std::size_t w = 0; w < stats.worker_busy_ns.size(); ++w) {
-    acc.busy_ns += stats.worker_busy_ns[w];
+  std::uint64_t busy_ns = 0;
+  std::uint64_t max_busy_ns = 0;
+  for (std::size_t w = 0; w < slots; ++w) {
+    busy_ns += stats.worker_busy_ns[w];
+    max_busy_ns = std::max(max_busy_ns, stats.worker_busy_ns[w]);
     acc.worker_busy_ns[w] += stats.worker_busy_ns[w];
     acc.worker_items[w] += stats.worker_items[w];
   }
-  acc.worst_imbalance = std::max(acc.worst_imbalance, stats.imbalance());
+  acc.busy_ns += busy_ns;
+  if (busy_ns > 0) {  // max ÷ mean busy time; 1.0 is perfectly balanced
+    acc.worst_imbalance = std::max(
+        acc.worst_imbalance, static_cast<double>(max_busy_ns * slots) /
+                                 static_cast<double>(busy_ns));
+  }
 }
 
 void reset() {
@@ -720,50 +741,42 @@ std::size_t sink_count() {
 namespace cbma::probe {
 namespace {
 
-thread_local std::uint64_t t_point = 0;
+using telemetry::t_item;
+using telemetry::t_point;
 
-void store_tap(TapRecord record) {
+/// Append one tap record, labelled with the calling thread's point and
+/// item, unless its tap is at kMaxRecordsPerTap.
+void store_tap(Tap t, std::uint32_t context, bool complex_iq,
+               std::vector<double> data) {
   auto& reg = telemetry::Registry::instance();
   const std::lock_guard<std::mutex> lock(reg.mu);
   auto& p = reg.probe;
-  auto& stored = p.per_tap[static_cast<std::size_t>(record.tap)];
+  auto& stored = p.per_tap[static_cast<std::size_t>(t)];
   if (stored >= kMaxRecordsPerTap) {
     ++p.capture.dropped_taps;
     return;
   }
   ++stored;
-  record.seq = p.next_seq++;
-  p.capture.taps.push_back(std::move(record));
+  p.capture.taps.push_back({t, p.next_seq++, t_point, t_item, context,
+                            complex_iq, std::move(data)});
 }
 
 }  // namespace
 
 void record_tap(Tap t, std::uint32_t context, std::span<const double> samples) {
   if (!enabled()) return;
-  TapRecord record;
-  record.tap = t;
-  record.point = t_point;
-  record.context = context;
   const std::size_t n = std::min(samples.size(), kMaxSamplesPerRecord);
-  record.data.assign(samples.begin(), samples.begin() + n);
-  store_tap(std::move(record));
+  store_tap(t, context, false, {samples.begin(), samples.begin() + n});
 }
 
 void record_tap_iq(Tap t, std::uint32_t context,
                    std::span<const std::complex<double>> iq) {
   if (!enabled()) return;
-  TapRecord record;
-  record.tap = t;
-  record.point = t_point;
-  record.context = context;
-  record.complex_iq = true;
+  // The standard lays std::complex<double> out as double[2] (re, im) and
+  // allows this access ([complex.numbers]).
+  const auto* re_im = reinterpret_cast<const double*>(iq.data());
   const std::size_t n = std::min(iq.size(), kMaxSamplesPerRecord);
-  record.data.reserve(2 * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    record.data.push_back(iq[i].real());
-    record.data.push_back(iq[i].imag());
-  }
-  store_tap(std::move(record));
+  store_tap(t, context, true, {re_im, re_im + 2 * n});
 }
 
 void record_link_quality(const LinkQualitySample& sample) {
@@ -778,13 +791,11 @@ void record_link_quality(const LinkQualitySample& sample) {
   LinkQualitySample& stored = p.capture.link.emplace_back(sample);
   stored.seq = p.next_seq++;
   stored.point = t_point;
+  stored.item = t_item;
 }
 
 ScopedPoint::ScopedPoint(std::uint64_t point) : active_(enabled()) {
-  if (active_) {
-    previous_ = t_point;
-    t_point = point;
-  }
+  if (active_) previous_ = std::exchange(t_point, point);
 }
 
 ScopedPoint::~ScopedPoint() {

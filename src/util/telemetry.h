@@ -32,10 +32,13 @@
 // registry mutex on first use and hands it back when it exits; the next
 // new thread records into it, so the recorded data stays aggregatable and
 // the sink count is bounded by the peak number of concurrently recording
-// threads. Workers launched by util::parallel_for replay the caller's span
-// path as zero-cost "context" nodes, so their subtrees merge under the span
-// that launched them. Probe records and metric samples are written under
-// the same registry mutex: they arrive per window, not per chip.
+// threads. Workers launched by util::parallel_for adopt the caller's
+// WorkerContext: its span path as zero-cost "context" nodes, so their
+// subtrees merge under the span that launched them, and its probe labels,
+// so their records file under the caller's sweep point. parallel_for also
+// publishes its own worker-utilization report when given a site. Probe
+// records and metric samples are written under the same registry mutex:
+// they arrive per window, not per chip.
 // snapshot() merges all sinks and must run while no worker is recording —
 // in practice after parallel_for joined, which is how SweepRunner and the
 // benches use it. Durations are histogrammed (log₂ buckets, 4 linear
@@ -236,19 +239,40 @@ class ScopedSpan {
   std::uint64_t start_ns_ = 0;
 };
 
-// --- parallel_for context propagation --------------------------------------
+// --- parallel_for worker context ------------------------------------------
 
-/// The calling thread's current span path in the tree, outermost first.
-/// parallel_for captures this before spawning workers.
-std::vector<Span> current_path();
+/// What a parallel_for worker takes on from the thread that launched it:
+/// the caller's span path (replayed as structural "context" nodes, so the
+/// worker's subtree merges under the launching span) and its probe labels —
+/// the sweep point (probe::ScopedPoint) and the index of the innermost
+/// parallel_for item, which orders a point's records across nested cell
+/// workers (DESIGN.md §8). parallel_for captures it once on the caller,
+/// and only while the recorder or the probe is on.
+struct WorkerContext {
+  std::vector<Span> path;   ///< outermost first; empty unless recording
+  std::uint64_t point = 0;  ///< probe sweep point
+  std::uint64_t item = 0;   ///< innermost parallel_for item
 
-/// Replay `path` on the calling (worker) thread as structural "context"
-/// nodes: they anchor the worker's subtree under the launching span but
-/// record no count and no time of their own.
-void enter_context(const std::vector<Span>& path);
+  /// The calling thread's context; `with_path` = false leaves the path out
+  /// (the inline path already runs inside it).
+  static WorkerContext capture(bool with_path = true);
+};
 
-/// Pop `depth` context levels pushed by enter_context.
-void exit_context(std::size_t depth);
+/// RAII: runs one parallel_for item in `ctx` — its path pushed on top of
+/// the thread's own, its point and `item` as the probe labels — and
+/// restores the thread's own on destruction, so a throw unwinds it too.
+class ScopedContext {
+ public:
+  ScopedContext(const WorkerContext& ctx, std::uint64_t item);
+  ~ScopedContext();
+  ScopedContext(const ScopedContext&) = delete;
+  ScopedContext& operator=(const ScopedContext&) = delete;
+
+ private:
+  std::size_t depth_;
+  std::uint64_t point_;  ///< the thread's own labels, restored on exit
+  std::uint64_t item_;
+};
 
 // --- duration histogram ----------------------------------------------------
 // The log₂-octave / 4-linear-sub-bucket histogram every span duration lands
@@ -276,10 +300,9 @@ double histogram_quantile(const std::uint64_t* buckets, std::uint64_t count,
 
 // --- parallel_for worker-utilization reports -------------------------------
 
-/// Publish one parallel_for's stats under `site`. No-op unless the
-/// recorder is on and the stats were actually collected. Call from the
-/// sequential context after the pool joined (how SweepRunner::run and
-/// net::Network::run_round use it).
+/// Fold one parallel_for's measurement into the report of `site`.
+/// parallel_for calls it after its workers joined, when it was given a site
+/// and the recorder was on.
 void record_parallel(const char* site, const util::ParallelStats& stats);
 
 // --- the one snapshot ------------------------------------------------------
@@ -321,8 +344,8 @@ struct TreeSnapshot {
   std::uint64_t dropped = 0;      ///< spans lost to pool exhaustion
 };
 
-/// Per-site aggregate of every ParallelStats report published under one
-/// label ("sweep/run", "net/round"): call/item/wall totals plus per-pool-
+/// Per-site aggregate of every parallel_for run under one site name
+/// ("sweep/run", "net/round"): call/item/wall totals plus per-pool-
 /// slot busy time and item counts summed across calls.
 struct ParallelSiteStats {
   std::string site;

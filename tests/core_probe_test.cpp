@@ -2,8 +2,8 @@
 // contract (enabling the probe must not change any decode result or RNG
 // draw), the CBPROBE1 dump + manifest round trip (parsed back with
 // util::json_parse and cross-checked against the binary), the
-// link-quality JSON section, exports that do not depend on how sweep
-// workers interleave, and scan_sweep_anomalies' floor/neighbor rules on
+// link-quality JSON section, exports that do not depend on how sweep and
+// nested cell workers interleave, and scan_sweep_anomalies' floor/neighbor rules on
 // synthetic grids.
 //
 // Every test starts from the shared observability fixture, so enabling
@@ -21,6 +21,7 @@
 
 #include "core/sweep.h"
 #include "core/system.h"
+#include "net/network.h"
 #include "observability_fixture.h"
 #include "util/json.h"
 
@@ -193,11 +194,13 @@ TEST_F(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
 }
 
 /// A probed sweep's exports: the link_quality section, the dump and the
-/// manifest, as bytes.
+/// manifest, as bytes, plus how many records each sweep point holds.
 struct ProbeExport {
   std::string section;
   std::string dump;
   std::string manifest;
+  std::vector<std::size_t> per_point;  ///< index 0 = outside any sweep
+  std::size_t dropped = 0;
 };
 
 std::string read_bytes(const std::string& path) {
@@ -205,20 +208,31 @@ std::string read_bytes(const std::string& path) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-/// Eight sweep points, one probed transmission each, on `workers` threads.
-ProbeExport probed_sweep(std::size_t workers) {
+/// Eight sweep points on `sweep_workers` threads, each running one probed
+/// round of a two-cell network with its cells on `cell_workers` threads.
+/// Small enough that no capture cap binds.
+ProbeExport probed_network_sweep(std::size_t sweep_workers,
+                                 std::size_t cell_workers) {
+  constexpr std::size_t kPoints = 8;
   telemetry::reset();
   SweepSpec spec;
   spec.name = "probe_order";
   spec.base_seed = 31;
   spec.axes.push_back(Axis::numeric("x", {0, 1, 2, 3, 4, 5, 6, 7}));
   SweepRunner(spec).run(
-      [](const SweepPoint& point) {
-        const CbmaSystem system(three_tag_config(), three_tag_deployment());
+      [&](const SweepPoint& point) {
+        net::NetworkConfig config;
+        config.cell.code_family = pn::CodeFamily::kGold;
+        config.cell.code_min_length = 31;
+        config.cell.max_tags = 2;
+        config.cell.tx_power_dbm = 30.0;
+        config.packets_per_round = 2;
+        auto network = net::Network::grid(config, 8.0, 4.0, 2, 1);
         Rng rng(point.seed());
-        (void)system.transmit(TransmitOptions{}, rng);
+        network.place_random_tags(4, rng);
+        (void)network.run_round(point.seed(), cell_workers);
       },
-      workers);
+      sweep_workers);
   const auto snap = telemetry::snapshot();
   util::JsonWriter w;
   w.begin_object();
@@ -226,23 +240,38 @@ ProbeExport probed_sweep(std::size_t workers) {
   w.end_object();
   const std::string path = ::testing::TempDir() + "core_probe_order.bin";
   EXPECT_TRUE(write_probe_dump(path, snap));
-  ProbeExport out{w.str(), read_bytes(path), read_bytes(path + ".json")};
+  ProbeExport out{w.str(), read_bytes(path), read_bytes(path + ".json"),
+                  std::vector<std::size_t>(kPoints + 1, 0),
+                  snap.probe.dropped_taps + snap.probe.dropped_link};
+  for (const auto& r : snap.probe.taps) ++out.per_point.at(r.point);
+  for (const auto& r : snap.probe.link) ++out.per_point.at(r.point);
   std::remove(path.c_str());
   std::remove((path + ".json").c_str());
   return out;
 }
 
 TEST_F(CoreProbe, SweepExportsDoNotDependOnTheWorkerCount) {
-  // Workers append records in whatever order they interleave; the export
-  // orders them by point, and each point runs on one worker.
+  // Sweep workers and the cell workers nested in them append records in
+  // whatever order they interleave; every worker carries its caller's
+  // sweep point, and the export orders records by (point, innermost
+  // parallel_for item), each of which runs on one thread. On one thread
+  // every record carries its body's point by construction, so identical
+  // exports prove the workers label theirs alike.
   probe::set_enabled(true);
-  const ProbeExport serial = probed_sweep(1);
-  const ProbeExport parallel = probed_sweep(4);
-  EXPECT_NE(serial.manifest.find("\"point\":7"), std::string::npos);
-  EXPECT_EQ(serial.section, parallel.section);
-  // Megabyte-scale: compare without printing them on failure.
-  EXPECT_TRUE(serial.dump == parallel.dump) << "the dumps differ";
-  EXPECT_TRUE(serial.manifest == parallel.manifest) << "the manifests differ";
+  const ProbeExport serial = probed_network_sweep(1, 1);
+  ASSERT_EQ(serial.dropped, 0u) << "a capture cap bound; shrink the network";
+  EXPECT_EQ(serial.per_point[0], 0u) << "records outside any sweep point";
+  for (std::size_t p = 1; p < serial.per_point.size(); ++p) {
+    EXPECT_GT(serial.per_point[p], 0u) << "point " << p;
+  }
+  for (int run = 0; run < 3; ++run) {
+    const ProbeExport parallel = probed_network_sweep(4, 4);
+    EXPECT_EQ(serial.per_point, parallel.per_point) << "run " << run;
+    EXPECT_EQ(serial.section, parallel.section) << "run " << run;
+    // Megabyte-scale: compare without printing them on failure.
+    EXPECT_TRUE(serial.dump == parallel.dump) << "run " << run;
+    EXPECT_TRUE(serial.manifest == parallel.manifest) << "run " << run;
+  }
 }
 
 TEST_F(CoreProbe, WatchdogFloorRuleFiresOnBreach) {

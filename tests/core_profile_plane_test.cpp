@@ -44,15 +44,13 @@ void record_fixture() {
     {
       const ScopedSpan assoc(Span::kNetAssociate);
     }
-    util::ParallelStats stats;
     util::parallel_for(
         4,
         [](std::size_t) {
           const ScopedSpan cell(Span::kNetCellRound);
           const ScopedSpan rx(Span::kRxProcess);
         },
-        2, &stats);
-    if (stats.collected) telemetry::record_parallel("net/round", stats);
+        2, "net/round");
   }
 }
 

@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/telemetry.h"
 
 namespace cbma::util {
 namespace {
@@ -117,23 +116,6 @@ TEST(ParallelFor, MaxWorkersOneIsSequential) {
       1);
   ASSERT_EQ(order.size(), 8u);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ParallelFor, StatsUntouchedWhenProfilerOff) {
-  // Strict identity: with the recorder off the stats shape is filled but
-  // nothing is measured — no clock reads, no per-worker vectors.
-  ASSERT_FALSE(telemetry::enabled())
-      << "test assumes the recorder-off default";
-  ParallelStats stats;
-  stats.wall_ns = 123;  // stale garbage the call must clear
-  parallel_for(16, [](std::size_t) {}, 4, &stats);
-  EXPECT_FALSE(stats.collected);
-  EXPECT_EQ(stats.items, 16u);
-  EXPECT_EQ(stats.workers, 4u);
-  EXPECT_EQ(stats.wall_ns, 0u);
-  EXPECT_TRUE(stats.worker_busy_ns.empty());
-  EXPECT_TRUE(stats.worker_items.empty());
-  EXPECT_DOUBLE_EQ(stats.imbalance(), 1.0);
 }
 
 }  // namespace

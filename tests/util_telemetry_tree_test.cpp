@@ -3,8 +3,10 @@
 // off path allocates nothing, caller paths build a tree with the exact
 // per-node identity incl == excl + child_ns, the fixed node pool drops
 // (never allocates) on exhaustion, parallel_for workers merge under the
-// launching span via context replay, and tree shape + item counts are
-// deterministic across worker counts even though the times are wall-clock.
+// launching span via context replay and publish their site's report, a
+// throw leaves the caller's context as it was, and tree shape + item counts
+// are deterministic across worker counts even though the times are
+// wall-clock.
 // Every test starts from the shared observability fixture.
 #include "util/telemetry.h"
 
@@ -13,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -145,7 +148,7 @@ TEST_F(Profiler, MidSpanSwitchFlipKeepsTheTreeBalanced) {
   const MergedNode* after = child(snap.roots, Span::kRxFrameSync);
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->count, 1u);
-  EXPECT_TRUE(current_path().empty());
+  EXPECT_TRUE(WorkerContext::capture().path.empty());
 }
 
 TEST_F(Profiler, PoolExhaustionDropsNotCrashes) {
@@ -181,17 +184,19 @@ TEST_F(Profiler, WorkerSubtreesMergeUnderLaunchingSpan) {
   set_enabled(true);
   {
     const ScopedSpan round(Span::kNetRound);
-    util::ParallelStats stats;
     util::parallel_for(
         8,
         [](std::size_t) {
           const ScopedSpan cell(Span::kNetCellRound);
           const ScopedSpan rx(Span::kRxProcess);
         },
-        4, &stats);
-    EXPECT_TRUE(stats.collected);
+        4, "test/cells");
   }
-  const TreeSnapshot snap = snapshot().tree;
+  const Snapshot full = snapshot();
+  ASSERT_EQ(full.parallel.size(), 1u);
+  EXPECT_EQ(full.parallel[0].site, "test/cells");
+  EXPECT_EQ(full.parallel[0].items, 8u);
+  const TreeSnapshot& snap = full.tree;
   // Workers replayed the caller's [net/round] path as context, so the
   // merged tree has one root and the worker spans hang beneath it.
   const MergedNode* round = child(snap.roots, Span::kNetRound);
@@ -257,20 +262,21 @@ TEST_F(Profiler, TreeShapeAndCountsStableAcrossWorkerCounts) {
     reset();
     {
       const ScopedSpan round(Span::kNetRound);
-      util::ParallelStats stats;
       util::parallel_for(
           12,
           [](std::size_t) {
             const ScopedSpan cell(Span::kNetCellRound);
           },
-          workers, &stats);
-      EXPECT_TRUE(stats.collected);
-      EXPECT_EQ(stats.items, 12u);
+          workers, "test/shape");
+    }
+    const auto sites = snapshot().parallel;
+    EXPECT_EQ(sites.size(), 1u);
+    if (!sites.empty()) {
+      EXPECT_EQ(sites[0].items, 12u);
+      EXPECT_EQ(sites[0].worker_items.size(), workers);
       std::uint64_t items = 0;
-      for (const std::uint64_t n : stats.worker_items) items += n;
-      if (workers > 1) {
-        EXPECT_EQ(items, 12u);  // every index executed exactly once
-      }
+      for (const std::uint64_t n : sites[0].worker_items) items += n;
+      EXPECT_EQ(items, 12u);  // every index executed exactly once
     }
     Shape shape;
     std::function<void(const MergedNode&, const std::string&)> dfs =
@@ -292,11 +298,8 @@ TEST_F(Profiler, TreeShapeAndCountsStableAcrossWorkerCounts) {
 
 TEST_F(Profiler, RecordParallelAggregatesPerSite) {
   set_enabled(true);
-  util::ParallelStats stats;
-  util::parallel_for(6, [](std::size_t) {}, 3, &stats);
-  ASSERT_TRUE(stats.collected);
-  record_parallel("test/site", stats);
-  record_parallel("test/site", stats);
+  util::parallel_for(6, [](std::size_t) {}, 3, "test/site");
+  util::parallel_for(6, [](std::size_t) {}, 3, "test/site");
 
   const auto sites = snapshot().parallel;
   ASSERT_EQ(sites.size(), 1u);
@@ -310,12 +313,48 @@ TEST_F(Profiler, RecordParallelAggregatesPerSite) {
   EXPECT_GE(sites[0].worst_imbalance, 1.0);
 }
 
-TEST_F(Profiler, RecordParallelIgnoresUncollectedStats) {
-  set_enabled(true);
-  util::ParallelStats stats;  // collected == false
-  stats.items = 99;
-  record_parallel("test/ghost", stats);
+TEST_F(Profiler, SitedCallPublishesNothingWhenOff) {
+  // Strict identity: with the recorder off a sited loop measures nothing,
+  // publishes no report and takes no sink, inline or on a pool.
+  const std::size_t before = sink_count();
+  util::parallel_for(16, [](std::size_t) {}, 4, "test/off");
+  util::parallel_for(16, [](std::size_t) {}, 1, "test/off");
   EXPECT_TRUE(snapshot().parallel.empty());
+  EXPECT_EQ(sink_count(), before);
+}
+
+TEST_F(Profiler, NestedThrowLeavesTheCallersContextAsItWas) {
+  // A throw deep inside nested loops unwinds every adopted context: the
+  // calling thread keeps its span path, its sweep point and its item, on
+  // the pool path and the inline path alike.
+  set_enabled(true);
+  probe::set_enabled(true);
+  const ScopedSpan round(Span::kNetRound);
+  const probe::ScopedPoint point(5);
+  const WorkerContext before = WorkerContext::capture();
+  ASSERT_EQ(before.path, std::vector<Span>{Span::kNetRound});
+  ASSERT_EQ(before.point, 5u);
+  for (const std::size_t workers : {1u, 4u}) {
+    EXPECT_THROW(util::parallel_for(
+                     4,
+                     [&](std::size_t) {
+                       const ScopedSpan cell(Span::kNetCellRound);
+                       util::parallel_for(
+                           3,
+                           [](std::size_t j) {
+                             const ScopedSpan rx(Span::kRxProcess);
+                             if (j == 1) throw std::runtime_error("nested");
+                           },
+                           workers, "test/inner");
+                     },
+                     workers, "test/outer"),
+                 std::runtime_error);
+    const WorkerContext after = WorkerContext::capture();
+    EXPECT_EQ(after.path, before.path) << workers << " workers";
+    EXPECT_EQ(after.point, before.point) << workers << " workers";
+    EXPECT_EQ(after.item, before.item) << workers << " workers";
+  }
+  EXPECT_TRUE(snapshot().parallel.empty()) << "a failed loop publishes";
 }
 
 TEST_F(Profiler, ResetClearsTreeAndSites) {
@@ -323,9 +362,7 @@ TEST_F(Profiler, ResetClearsTreeAndSites) {
   {
     const ScopedSpan s(Span::kRxProcess);
   }
-  util::ParallelStats stats;
-  util::parallel_for(4, [](std::size_t) {}, 2, &stats);
-  record_parallel("test/reset", stats);
+  util::parallel_for(4, [](std::size_t) {}, 2, "test/reset");
   ASSERT_FALSE(snapshot().tree.roots.empty());
   ASSERT_FALSE(snapshot().parallel.empty());
   reset();

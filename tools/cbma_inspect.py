@@ -35,7 +35,9 @@ document a plane-enabled bench run wrote; `probe` reads the binary dump.
   probe         the CBPROBE1 dump: re-walks the binary from its own framing
                 and cross-checks every record against <DUMP>.json.
 
---check fails when the section is missing. Exits non-zero on the first
+--check fails when the section is missing. The telemetry and profile rules
+apply to whatever was recorded; a run that executed no pipeline stage passes
+with exactly the all-empty sections. Exits non-zero on the first
 failure so CI fails loudly. Stdlib only; check_bench_json.py reuses the
 section validators below for any section a document carries.
 """
@@ -77,10 +79,19 @@ FRAME_KEYS = ("seq", "ts_ns", "tag", "code_length", "correlation", "margin",
               "impairment_gates")
 
 
+# What the recorder writes for a run that executed no pipeline stage
+# (fig5_signal_strength): honest, and the only empty sections accepted.
+EMPTY_TELEMETRY = {"threads": 0, "spans": [], "counters": {},
+                   "flight_recorder": []}
+EMPTY_PROFILE = {"threads": 0, "dropped": 0, "tree": [], "parallel": []}
+
+
 def check_telemetry(name: str, doc: dict) -> None:
     tel = doc["telemetry"]
     require_keys(f"{name}: telemetry", tel,
                  ("threads", "spans", "counters", "flight_recorder"))
+    if tel == EMPTY_TELEMETRY:
+        return
     if not isinstance(tel["threads"], int) or tel["threads"] < 1:
         fail(f"{name}: telemetry.threads {tel['threads']!r} is not a "
              "positive integer")
@@ -367,6 +378,8 @@ def check_profile(name: str, doc: dict) -> None:
     prof = doc["profile"]
     require_keys(f"{name}: profile", prof,
                  ("threads", "dropped", "tree", "parallel"))
+    if prof == EMPTY_PROFILE:
+        return
     if not isinstance(prof["threads"], int) or prof["threads"] < 1:
         fail(f"{name}: profile.threads {prof['threads']!r} is not a "
              "positive integer")

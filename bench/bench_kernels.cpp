@@ -78,6 +78,34 @@ void BM_SlidingComplexPeak(benchmark::State& state) {
 }
 BENCHMARK(BM_SlidingComplexPeak)->Arg(64)->Arg(256);
 
+/// Chips of a 112-bit frame at L=32.
+constexpr std::size_t kSynthesisChips = 3584;
+
+/// One seeded random chip sequence per tag (storage for the transmissions
+/// synthesis_tags builds).
+std::vector<std::vector<std::uint8_t>> synthesis_chips(std::size_t tags) {
+  Rng rng(12);
+  std::vector<std::vector<std::uint8_t>> chips(tags);
+  for (auto& c : chips) {
+    c.resize(kSynthesisChips);
+    for (auto& chip : c) chip = rng.bernoulli(0.5) ? 1 : 0;
+  }
+  return chips;
+}
+
+/// The tags' transmissions, each at its own fractional delay, so every tag
+/// path takes the two-tap interpolation a real asynchronous round takes.
+std::vector<rfsim::TagTransmission> synthesis_tags(
+    const std::vector<std::vector<std::uint8_t>>& chips) {
+  std::vector<rfsim::TagTransmission> txs(chips.size());
+  for (std::size_t k = 0; k < txs.size(); ++k) {
+    txs[k].chips = chips[k];
+    txs[k].amplitude = 1e-6;
+    txs[k].delay_chips = 8.0 + 0.37 * static_cast<double>(k + 1);
+  }
+  return txs;
+}
+
 void BM_ChannelSynthesis(benchmark::State& state) {
   Rng rng(2);
   rfsim::ChannelConfig cc;
@@ -85,17 +113,13 @@ void BM_ChannelSynthesis(benchmark::State& state) {
   cc.chip_rate_hz = 32e6;
   cc.noise_power_w = 1e-9;
   const rfsim::Channel channel(cc);
-  const std::vector<std::uint8_t> chips(3584, 1);  // a 112-bit frame at L=32
-  std::vector<rfsim::TagTransmission> txs(static_cast<std::size_t>(state.range(0)));
-  for (auto& tx : txs) {
-    tx.chips = chips;
-    tx.amplitude = 1e-6;
-    tx.delay_chips = 8.0;
-  }
+  const auto chips = synthesis_chips(static_cast<std::size_t>(state.range(0)));
+  const auto txs = synthesis_tags(chips);
   for (auto _ : state) {
     benchmark::DoNotOptimize(channel.receive(txs, rng));
   }
-  finish_rate(state, static_cast<std::int64_t>(chips.size()) * state.range(0));
+  finish_rate(state,
+              static_cast<std::int64_t>(kSynthesisChips) * state.range(0));
 }
 BENCHMARK(BM_ChannelSynthesis)->Arg(2)->Arg(10);
 
@@ -108,13 +132,8 @@ void BM_ChannelSynthesisScratch(benchmark::State& state) {
   cc.chip_rate_hz = 32e6;
   cc.noise_power_w = 1e-9;
   const rfsim::Channel channel(cc);
-  const std::vector<std::uint8_t> chips(3584, 1);
-  std::vector<rfsim::TagTransmission> txs(static_cast<std::size_t>(state.range(0)));
-  for (auto& tx : txs) {
-    tx.chips = chips;
-    tx.amplitude = 1e-6;
-    tx.delay_chips = 8.0;
-  }
+  const auto chips = synthesis_chips(static_cast<std::size_t>(state.range(0)));
+  const auto txs = synthesis_tags(chips);
   const rfsim::ContinuousTone tone;
   rfsim::ChannelScratch scratch;
   std::vector<std::complex<double>> iq;
@@ -122,7 +141,8 @@ void BM_ChannelSynthesisScratch(benchmark::State& state) {
     channel.receive_into(txs, tone, {}, rng, scratch, iq);
     benchmark::DoNotOptimize(iq.data());
   }
-  finish_rate(state, static_cast<std::int64_t>(chips.size()) * state.range(0));
+  finish_rate(state,
+              static_cast<std::int64_t>(kSynthesisChips) * state.range(0));
 }
 BENCHMARK(BM_ChannelSynthesisScratch)->Arg(2)->Arg(10);
 

@@ -264,13 +264,7 @@ int main() {
               sent_w > 0 ? static_cast<double>(stats.total_acked()) /
                                static_cast<double>(sent_w)
                          : 0.0);
-          for (std::size_t o = 0; o < stats.outcomes.size(); ++o) {
-            if (stats.outcomes[o] == 0) continue;
-            metrics::push(
-                std::string("rx.outcome.") +
-                    rx::to_string(static_cast<rx::DecodeOutcome>(o)),
-                scope, static_cast<double>(stats.outcomes[o]));
-          }
+          core::publish_outcomes(stats, scope);
           metrics::advance_window();
         }
         ++condition;

@@ -1,6 +1,8 @@
 #include "core/metrics.h"
 
 #include "util/expect.h"
+#include "util/metrics.h"
+#include "util/telemetry.h"
 
 namespace cbma::core {
 
@@ -56,6 +58,15 @@ double RoundStats::frame_error_rate() const {
   const std::size_t n = total_sent();
   if (n == 0) return 0.0;
   return 1.0 - static_cast<double>(total_acked()) / static_cast<double>(n);
+}
+
+void publish_outcomes(const RoundStats& stats, std::string_view scope) {
+  for (std::size_t o = 0; o < stats.outcomes.size(); ++o) {
+    if (stats.outcomes[o] == 0) continue;
+    metrics::push(telemetry::counter_name(
+                      rx::outcome_counter(static_cast<rx::DecodeOutcome>(o))),
+                  scope, static_cast<double>(stats.outcomes[o]));
+  }
 }
 
 }  // namespace cbma::core

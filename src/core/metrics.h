@@ -4,17 +4,14 @@
 
 #include <array>
 #include <cstddef>
+#include <string_view>
 #include <vector>
 
-#include "rx/link_quality.h"
+#include "rx/receiver.h"
+#include "util/link_quality.h"
 #include "util/stats.h"
 
 namespace cbma::core {
-
-/// Number of rx::DecodeOutcome states (kOk .. kIdMismatch). RoundStats
-/// tallies by index so core/ needs no switch over the rx enum; keep in
-/// sync with rx/receiver.h (core_metrics_test statically cross-checks).
-inline constexpr std::size_t kDecodeOutcomeCount = 6;
 
 /// Outcome of a batch of collided packets for one tag group.
 struct RoundStats {
@@ -27,15 +24,20 @@ struct RoundStats {
   RunningStats correlation_margin;
   /// Per-outcome packet tally indexed by rx::DecodeOutcome — the decode
   /// failure taxonomy the metrics plane turns into per-cell series.
-  std::array<std::size_t, kDecodeOutcomeCount> outcomes{};
-  /// Signal-quality rollup over the batch's decoded frames (empty unless
-  /// the probe or metrics plane asked the receiver for quality reports).
-  rx::LinkQualityRollup quality;
+  std::array<std::size_t, rx::kDecodeOutcomeCount> outcomes{};
+  /// Signal-quality rollup over the batch's valid link-quality reports
+  /// (empty unless the probe or metrics plane asked the receiver for them).
+  util::LinkQualityRollup quality;
 
   explicit RoundStats(std::size_t group_size = 0);
 
   void record(std::size_t slot, bool acked_ok);
   void record_margin(double margin) { correlation_margin.add(margin); }
+  /// Roll up one link-quality report; an invalid one (no soft values)
+  /// adds nothing.
+  void record_quality(const rx::LinkQualityReport& q) {
+    if (q.valid) quality.add(q);
+  }
   /// Tally one packet's decode outcome (index = rx::DecodeOutcome value;
   /// out-of-range indices are ignored rather than asserted so a future
   /// outcome state degrades to "uncounted", not a crash).
@@ -52,5 +54,10 @@ struct RoundStats {
   /// the paper's error-rate definition (§IV).
   double frame_error_rate() const;
 };
+
+/// Pushes each non-zero outcome tally of `stats` as a metrics point under
+/// `scope`, named by the outcome's telemetry counter ("rx.outcome.bad_crc"),
+/// so a per-scope series joins the global one of the same name.
+void publish_outcomes(const RoundStats& stats, std::string_view scope);
 
 }  // namespace cbma::core

@@ -78,55 +78,37 @@ bool write_trace(const std::string& path, const telemetry::Snapshot& snap) {
 
 // --- probe: the "link_quality" section and the CBPROBE1 dump ---------------
 
-/// Per-tag aggregate of the captured link-quality rows.
-struct TagAggregate {
-  std::size_t frames = 0;
-  std::size_t decoded = 0;
-  double snr_db = 0.0;
-  double evm = 0.0;
-  double soft_margin = 0.0;
-  double margin_ratio = 0.0;
-  double power_norm = 0.0;
-  double correlation = 0.0;
-};
-
-/// Sample/drop totals plus per-tag aggregates (frames, decoded, mean
-/// SNR/EVM/soft-margin/margin-ratio/power/correlation).
+/// Sample/drop totals plus per-tag aggregates (frames, decoded, and the
+/// mean of every link-quality field).
 void write_link_quality_section(util::JsonWriter& w,
                                 const telemetry::Snapshot& snap) {
   const probe::Capture& capture = snap.probe;
 
-  // std::map keys the per-tag aggregates in ascending tag order, which
-  // keeps the emitted section deterministic for identical captures.
-  std::map<std::uint32_t, TagAggregate> tags;
+  // std::map keys the per-tag rollups (and decoded counts) in ascending tag
+  // order, which keeps the emitted section deterministic for identical
+  // captures.
+  std::map<std::uint32_t, std::pair<util::LinkQualityRollup, std::uint64_t>>
+      tags;
   for (const auto& s : capture.link) {
-    auto& agg = tags[s.tag];
-    ++agg.frames;
-    agg.decoded += s.decoded ? 1 : 0;
-    agg.snr_db += s.snr_db;
-    agg.evm += s.evm;
-    agg.soft_margin += s.soft_margin;
-    agg.margin_ratio += s.margin_ratio;
-    agg.power_norm += s.power_norm;
-    agg.correlation += s.correlation;
+    auto& [rollup, decoded] = tags[s.tag];
+    rollup.add(s);
+    decoded += s.decoded ? 1 : 0;
   }
 
   w.key("link_quality").begin_object();
   w.key("samples").value(static_cast<std::uint64_t>(capture.link.size()));
   w.key("dropped").value(static_cast<std::uint64_t>(capture.dropped_link));
   w.key("tags").begin_array();
-  for (const auto& [tag, agg] : tags) {
-    const auto n = static_cast<double>(agg.frames);
+  for (const auto& [tag, entry] : tags) {
+    const auto& [rollup, decoded] = entry;
     w.begin_object();
     w.key("tag").value(static_cast<std::uint64_t>(tag));
-    w.key("frames").value(static_cast<std::uint64_t>(agg.frames));
-    w.key("decoded").value(static_cast<std::uint64_t>(agg.decoded));
-    w.key("snr_db_mean").value(agg.snr_db / n);
-    w.key("evm_mean").value(agg.evm / n);
-    w.key("soft_margin_mean").value(agg.soft_margin / n);
-    w.key("margin_ratio_mean").value(agg.margin_ratio / n);
-    w.key("power_norm_mean").value(agg.power_norm / n);
-    w.key("correlation_mean").value(agg.correlation / n);
+    w.key("frames").value(static_cast<std::uint64_t>(rollup.frames));
+    w.key("decoded").value(decoded);
+    const util::LinkQuality mean = rollup.mean();
+    for (const auto& [name, field] : util::kLinkQualityFields) {
+      w.key(std::string(name) + "_mean").value(mean.*field);
+    }
     w.end_object();
   }
   w.end_array();
@@ -165,14 +147,11 @@ void write_link_sample(util::JsonWriter& w, const probe::LinkQualitySample& s) {
   w.key("seq").value(s.seq);
   w.key("point").value(s.point);
   w.key("tag").value(static_cast<std::uint64_t>(s.tag));
-  w.key("detected").value(s.detected);
+  w.key("detected").value(true);  // a row is a detected tag's valid report
   w.key("decoded").value(s.decoded);
-  w.key("snr_db").value(s.snr_db);
-  w.key("evm").value(s.evm);
-  w.key("soft_margin").value(s.soft_margin);
-  w.key("margin_ratio").value(s.margin_ratio);
-  w.key("power_norm").value(s.power_norm);
-  w.key("correlation").value(s.correlation);
+  for (const auto& [name, field] : util::kLinkQualityFields) {
+    w.key(name).value(s.*field);
+  }
   w.end_object();
 }
 

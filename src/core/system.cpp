@@ -349,7 +349,7 @@ RoundStats CbmaSystem::run_packets(std::size_t n_packets, Rng& rng) const {
         // The receiver fills link_quality only while the probe or metrics
         // plane asked for it; empty means nothing to roll up.
         if (slot < report.link_quality.size()) {
-          stats.quality.add(report.link_quality[slot]);
+          stats.record_quality(report.link_quality[slot]);
         }
       }
     }

@@ -311,22 +311,23 @@ void Network::publish_round(const NetworkRoundResult& result) {
           std::to_string(cell.tags_total) + " members for " +
               std::to_string(cell.tags_served) + " served slots");
     }
+    core::publish_outcomes(cell.stats, scope);
     for (std::size_t o = 0; o < cell.stats.outcomes.size(); ++o) {
-      if (cell.stats.outcomes[o] == 0) continue;
-      const auto count = static_cast<double>(cell.stats.outcomes[o]);
       const auto outcome = static_cast<rx::DecodeOutcome>(o);
-      metrics::push(std::string("rx.outcome.") + rx::to_string(outcome), scope,
-                    count);
-      if (outcome == rx::DecodeOutcome::kOk) continue;
+      if (cell.stats.outcomes[o] == 0 || outcome == rx::DecodeOutcome::kOk) {
+        continue;
+      }
       metrics::push_event(metrics::Severity::kInfo, "decode_failure", scope,
-                          count, rx::to_string(outcome));
+                          static_cast<double>(cell.stats.outcomes[o]),
+                          rx::to_string(outcome));
     }
     const auto& quality = cell.stats.quality;
     if (quality.frames > 0) {
-      metrics::push("link.snr_db", scope, quality.snr_db_mean(), "dB");
-      metrics::push("link.evm", scope, quality.evm_mean());
-      metrics::push("link.soft_margin", scope, quality.soft_margin_mean());
-      metrics::push("link.margin_ratio", scope, quality.margin_ratio_mean());
+      const auto mean = quality.mean();
+      metrics::push("link.snr_db", scope, mean.snr_db, "dB");
+      metrics::push("link.evm", scope, mean.evm);
+      metrics::push("link.soft_margin", scope, mean.soft_margin);
+      metrics::push("link.margin_ratio", scope, mean.margin_ratio);
     }
   }
   metrics::push("net.goodput_bps", {}, result.aggregate_goodput_bps, "bps");

@@ -42,48 +42,4 @@ LinkQualityReport compute_link_quality(std::span<const double> soft,
   return report;
 }
 
-void LinkQualityRollup::add(const LinkQualityReport& report) {
-  if (!report.valid) return;
-  ++frames;
-  snr_db_sum += report.snr_db;
-  evm_sum += report.evm;
-  soft_margin_sum += report.soft_margin;
-  margin_ratio_sum += report.margin_ratio;
-  power_norm_sum += report.power_norm;
-  correlation_sum += report.correlation;
-}
-
-void LinkQualityRollup::merge(const LinkQualityRollup& other) {
-  frames += other.frames;
-  snr_db_sum += other.snr_db_sum;
-  evm_sum += other.evm_sum;
-  soft_margin_sum += other.soft_margin_sum;
-  margin_ratio_sum += other.margin_ratio_sum;
-  power_norm_sum += other.power_norm_sum;
-  correlation_sum += other.correlation_sum;
-}
-
-namespace {
-double mean_over(double sum, std::size_t n) {
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
-}
-}  // namespace
-
-double LinkQualityRollup::snr_db_mean() const {
-  return mean_over(snr_db_sum, frames);
-}
-double LinkQualityRollup::evm_mean() const { return mean_over(evm_sum, frames); }
-double LinkQualityRollup::soft_margin_mean() const {
-  return mean_over(soft_margin_sum, frames);
-}
-double LinkQualityRollup::margin_ratio_mean() const {
-  return mean_over(margin_ratio_sum, frames);
-}
-double LinkQualityRollup::power_norm_mean() const {
-  return mean_over(power_norm_sum, frames);
-}
-double LinkQualityRollup::correlation_mean() const {
-  return mean_over(correlation_sum, frames);
-}
-
 }  // namespace cbma::rx

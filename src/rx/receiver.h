@@ -15,6 +15,7 @@
 #include "rx/frame_sync.h"
 #include "rx/link_quality.h"
 #include "rx/user_detect.h"
+#include "util/telemetry.h"
 
 namespace cbma::rx {
 
@@ -44,8 +45,34 @@ enum class DecodeOutcome {
   kIdMismatch,   ///< CRC passed but the in-frame id names another tag's code
 };
 
+/// How many DecodeOutcome states there are (per-outcome tallies index by
+/// the enum's value).
+inline constexpr std::size_t kDecodeOutcomeCount =
+    static_cast<std::size_t>(DecodeOutcome::kIdMismatch) + 1;
+
 /// Stable diagnostic label ("ok", "no-frame-sync", ...).
 const char* to_string(DecodeOutcome outcome);
+
+/// The telemetry counter that tallies `outcome`; its counter_name
+/// ("rx.outcome.bad_crc", ...) is the one name every plane files the
+/// outcome under.
+constexpr telemetry::Counter outcome_counter(DecodeOutcome outcome) {
+  return static_cast<telemetry::Counter>(
+      static_cast<int>(telemetry::Counter::kRxOutcomeOk) +
+      static_cast<int>(outcome));
+}
+static_assert(
+    outcome_counter(DecodeOutcome::kNoFrameSync) ==
+            telemetry::Counter::kRxOutcomeNoFrameSync &&
+        outcome_counter(DecodeOutcome::kNotDetected) ==
+            telemetry::Counter::kRxOutcomeNotDetected &&
+        outcome_counter(DecodeOutcome::kTruncated) ==
+            telemetry::Counter::kRxOutcomeTruncated &&
+        outcome_counter(DecodeOutcome::kBadCrc) ==
+            telemetry::Counter::kRxOutcomeBadCrc &&
+        outcome_counter(DecodeOutcome::kIdMismatch) ==
+            telemetry::Counter::kRxOutcomeIdMismatch,
+    "the kRxOutcome* counters follow DecodeOutcome's order");
 
 struct TagDecodeResult {
   std::size_t tag_index = 0;

@@ -18,25 +18,6 @@ namespace {
 // frames (same policy and promotion rule as the historical batch walk).
 constexpr int kMaxSyncAttempts = 4;
 
-/// The telemetry counter that tallies `outcome`.
-constexpr telemetry::Counter outcome_counter(DecodeOutcome outcome) {
-  return static_cast<telemetry::Counter>(
-      static_cast<int>(telemetry::Counter::kRxOutcomeOk) +
-      static_cast<int>(outcome));
-}
-static_assert(
-    outcome_counter(DecodeOutcome::kNoFrameSync) ==
-            telemetry::Counter::kRxOutcomeNoFrameSync &&
-        outcome_counter(DecodeOutcome::kNotDetected) ==
-            telemetry::Counter::kRxOutcomeNotDetected &&
-        outcome_counter(DecodeOutcome::kTruncated) ==
-            telemetry::Counter::kRxOutcomeTruncated &&
-        outcome_counter(DecodeOutcome::kBadCrc) ==
-            telemetry::Counter::kRxOutcomeBadCrc &&
-        outcome_counter(DecodeOutcome::kIdMismatch) ==
-            telemetry::Counter::kRxOutcomeIdMismatch,
-    "the kRxOutcome* counters follow DecodeOutcome's order");
-
 /// Per-report DecodeOutcome tallies into the telemetry counters — one call
 /// per group code, so the counters mirror RxReport::outcome_count exactly.
 void count_outcomes(const RxReport& report) {
@@ -176,28 +157,15 @@ void StreamingReceiver::run_attempt() {
   const std::span<const double> im = win_im_;
   const auto coarse = static_cast<std::size_t>(trigger_ - win_begin);
 
-  // Signal-probe captures (strict no-ops when probing is off): the energy
-  // envelope of this attempt's window, plus the window RMS every
-  // link-quality power_norm is anchored on. The metrics plane also wants
-  // link quality, but without the envelope tap — its RMS is computed
-  // lazily below, only for windows that actually produce detections, so
-  // the metrics-on hot path stays within its overhead budget.
+  // Signal-probe capture (a strict no-op when probing is off): the energy
+  // envelope of this attempt's window.
   const bool probing = probe::enabled();
-  const bool want_quality = probing || metrics::enabled();
-  double window_rms = 0.0;
-  bool rms_ready = false;
   if (probing) {
     win_mag_.resize(win_re_.size());
-    double sum2 = 0.0;
     for (std::size_t i = 0; i < win_mag_.size(); ++i) {
       win_mag_[i] = std::sqrt(re[i] * re[i] + im[i] * im[i]);
-      sum2 += win_mag_[i] * win_mag_[i];
     }
     probe::record_tap(probe::Tap::kSyncEnergy, 0, win_mag_);
-    window_rms = win_mag_.empty()
-                     ? 0.0
-                     : std::sqrt(sum2 / static_cast<double>(win_mag_.size()));
-    rms_ready = true;
   }
 
   const auto detections = [&] {
@@ -206,6 +174,19 @@ void StreamingReceiver::run_attempt() {
                                        detect_scratch_);
   }();
   telemetry::count(telemetry::Counter::kRxDetections, detections.size());
+
+  // Link quality, for the probe and the metrics plane alike: every report's
+  // power_norm is anchored on one window RMS, √(Σ(re²+im²)/n), computed
+  // only for a window that produced detections.
+  const bool want_quality = probing || metrics::enabled();
+  double window_rms = 0.0;
+  if (want_quality && !detections.empty()) {
+    double sum2 = 0.0;
+    for (std::size_t i = 0; i < re.size(); ++i) {
+      sum2 += re[i] * re[i] + im[i] * im[i];
+    }
+    window_rms = std::sqrt(sum2 / static_cast<double>(re.size()));
+  }
 
   RxReport candidate;
   candidate.frame_start = static_cast<std::size_t>(trigger_);
@@ -237,18 +218,6 @@ void StreamingReceiver::run_attempt() {
                         static_cast<std::uint32_t>(d.tag_index), decoded.soft);
     }
     if (want_quality) {
-      if (!rms_ready) {
-        // Metrics-only path: one allocation-free |window|² pass, deferred
-        // to the first detection of the attempt.
-        double sum2 = 0.0;
-        for (std::size_t i = 0; i < re.size(); ++i) {
-          sum2 += re[i] * re[i] + im[i] * im[i];
-        }
-        window_rms = re.empty()
-                         ? 0.0
-                         : std::sqrt(sum2 / static_cast<double>(re.size()));
-        rms_ready = true;
-      }
       candidate.link_quality[d.tag_index] = compute_link_quality(
           decoded.soft, d.correlation, d.runner_up, window_rms);
     }
@@ -291,23 +260,15 @@ void StreamingReceiver::run_attempt() {
 
 void StreamingReceiver::emit_segment(std::uint64_t rearm_pos) {
   if (telemetry::enabled()) count_outcomes(report_);
-  // Record the *winning* candidate's link quality (rows therefore always
+  // Record the *winning* candidate's valid reports (rows therefore always
   // match the report the caller sees, which cbma_inspect.py cross-checks).
-  if (probe::enabled() && !report_.link_quality.empty()) {
-    for (std::size_t i = 0; i < report_.results.size(); ++i) {
-      const auto& r = report_.results[i];
-      if (!r.detected) continue;
+  if (probe::enabled()) {
+    for (std::size_t i = 0; i < report_.link_quality.size(); ++i) {
       const auto& q = report_.link_quality[i];
-      probe::LinkQualitySample sample;
+      if (!q.valid) continue;
+      probe::LinkQualitySample sample{q};
       sample.tag = static_cast<std::uint32_t>(i);
-      sample.detected = true;
-      sample.decoded = r.crc_ok;
-      sample.snr_db = q.snr_db;
-      sample.evm = q.evm;
-      sample.soft_margin = q.soft_margin;
-      sample.margin_ratio = q.margin_ratio;
-      sample.power_norm = q.power_norm;
-      sample.correlation = q.correlation;
+      sample.decoded = report_.results[i].crc_ok;
       probe::record_link_quality(sample);
     }
   }

@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "util/link_quality.h"
+
 namespace cbma::probe {
 
 /// Every tapped stage of the pipeline, in signal-flow order. Names
@@ -62,23 +64,14 @@ struct TapRecord {
   std::vector<double> data;
 };
 
-/// One per-tag link-quality row, recorded by rx::Receiver per processed
-/// window. Field semantics are defined by rx::LinkQualityReport (the util
-/// layer deliberately does not depend on rx); this mirror struct is what
-/// the registry stores and the dump exports.
-struct LinkQualitySample {
+/// One per-tag link-quality row: a detected tag's valid
+/// rx::LinkQualityReport from a processed window, labelled for the dump.
+struct LinkQualitySample : util::LinkQuality {
   std::uint64_t seq = 0;
   std::uint64_t point = 0;
   std::uint64_t item = 0;  ///< as TapRecord::item; not exported
   std::uint32_t tag = 0;
-  bool detected = false;
   bool decoded = false;
-  double snr_db = 0.0;
-  double evm = 0.0;
-  double soft_margin = 0.0;
-  double margin_ratio = 0.0;
-  double power_norm = 0.0;
-  double correlation = 0.0;
 };
 
 // --- master switch ---------------------------------------------------------

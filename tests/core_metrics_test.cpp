@@ -9,13 +9,6 @@
 namespace cbma::core {
 namespace {
 
-// core/metrics.h mirrors the rx outcome arity instead of including the
-// receiver header; this is the compile-time tripwire that keeps the two in
-// lockstep if rx::DecodeOutcome ever grows a state.
-static_assert(kDecodeOutcomeCount ==
-                  static_cast<std::size_t>(rx::DecodeOutcome::kIdMismatch) + 1,
-              "kDecodeOutcomeCount out of sync with rx::DecodeOutcome");
-
 TEST(RoundStats, StartsEmpty) {
   const RoundStats s(3);
   EXPECT_EQ(s.total_sent(), 0u);
@@ -85,8 +78,8 @@ TEST(RoundStats, RecordOutcomeTalliesAndIgnoresOutOfRange) {
   s.record_outcome(static_cast<std::size_t>(rx::DecodeOutcome::kBadCrc));
   // Out-of-range indices are dropped, not asserted: the tally is advisory
   // observability state, never control flow.
-  s.record_outcome(kDecodeOutcomeCount);
-  s.record_outcome(kDecodeOutcomeCount + 7);
+  s.record_outcome(rx::kDecodeOutcomeCount);
+  s.record_outcome(rx::kDecodeOutcomeCount + 7);
   EXPECT_EQ(s.outcomes[static_cast<std::size_t>(rx::DecodeOutcome::kOk)], 2u);
   EXPECT_EQ(s.outcomes[static_cast<std::size_t>(rx::DecodeOutcome::kBadCrc)],
             1u);
@@ -108,23 +101,24 @@ TEST(RoundStats, MergeSumsOutcomesAndLinkQuality) {
   q.margin_ratio = 2.0;
   q.power_norm = 0.25;
   q.correlation = 0.8;
-  a.quality.add(q);
+  a.record_quality(q);
   q.snr_db = 6.0;
-  b.quality.add(q);
+  b.record_quality(q);
   // An invalid report contributes nothing to either side.
   rx::LinkQualityReport invalid;
   invalid.snr_db = 1e9;
-  b.quality.add(invalid);
+  b.record_quality(invalid);
 
   a.merge(b);
   EXPECT_EQ(a.outcomes[0], 2u);
   EXPECT_EQ(a.outcomes[1], 1u);
   EXPECT_EQ(a.quality.frames, 2u);
-  EXPECT_DOUBLE_EQ(a.quality.snr_db_sum, 18.0);
-  EXPECT_DOUBLE_EQ(a.quality.snr_db_mean(), 9.0);
-  EXPECT_DOUBLE_EQ(a.quality.evm_mean(), 0.2);
+  EXPECT_DOUBLE_EQ(a.quality.sum.snr_db, 18.0);
+  EXPECT_DOUBLE_EQ(a.quality.mean().snr_db, 9.0);
+  EXPECT_DOUBLE_EQ(a.quality.mean().evm, 0.2);
+  EXPECT_DOUBLE_EQ(a.quality.mean().correlation, 0.8);
   // Means are defined (0) over zero frames — the no-decodes round.
-  EXPECT_DOUBLE_EQ(RoundStats(1).quality.snr_db_mean(), 0.0);
+  EXPECT_EQ(RoundStats(1).quality.mean(), util::LinkQuality{});
 }
 
 }  // namespace

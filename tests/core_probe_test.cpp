@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -158,7 +159,6 @@ TEST_F(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
   telemetry::reset();
   probe::LinkQualitySample sample;
   sample.tag = 1;
-  sample.detected = true;
   sample.decoded = true;
   sample.snr_db = 10.0;
   probe::record_link_quality(sample);
@@ -191,6 +191,81 @@ TEST_F(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
   EXPECT_EQ(tags.array[1].at("frames").number, 2.0);
   EXPECT_EQ(tags.array[1].at("decoded").number, 1.0);
   EXPECT_EQ(tags.array[1].at("snr_db_mean").number, 15.0);
+}
+
+/// Every link-quality report of 24 seeded transmissions with the given
+/// planes on, plus the probe rows they produced.
+struct PlaneRun {
+  std::vector<rx::LinkQualityReport> reports;
+  std::vector<probe::LinkQualitySample> rows;
+};
+
+PlaneRun link_quality_with(bool probe_on, bool metrics_on) {
+  quiesce_observability();
+  probe::set_enabled(probe_on);
+  metrics::set_enabled(metrics_on);
+  CbmaSystem system(three_tag_config(), three_tag_deployment());
+  Rng rng(41);
+  PlaneRun run;
+  for (int round = 0; round < 24; ++round) {
+    const auto report = system.transmit(TransmitOptions{}, rng);
+    run.reports.insert(run.reports.end(), report.link_quality.begin(),
+                       report.link_quality.end());
+  }
+  run.rows = telemetry::snapshot().probe.link;
+  quiesce_observability();
+  return run;
+}
+
+/// The reports' fields as raw bits, so -0.0 against 0.0 or a NaN would
+/// differ too.
+std::vector<std::uint64_t> bits_of(
+    const std::vector<rx::LinkQualityReport>& reports) {
+  std::vector<std::uint64_t> out;
+  for (const auto& q : reports) {
+    out.push_back(q.valid ? 1 : 0);
+    for (const auto& [name, field] : util::kLinkQualityFields) {
+      out.push_back(std::bit_cast<std::uint64_t>(q.*field));
+    }
+  }
+  return out;
+}
+
+TEST_F(CoreProbe, LinkQualityDoesNotDependOnWhichPlaneAskedForIt) {
+  const PlaneRun probe_only = link_quality_with(true, false);
+  const PlaneRun metrics_only = link_quality_with(false, true);
+  const PlaneRun both = link_quality_with(true, true);
+
+  ASSERT_EQ(probe_only.reports.size(), 24u * 3u);
+  EXPECT_EQ(bits_of(probe_only.reports), bits_of(metrics_only.reports));
+  EXPECT_EQ(bits_of(probe_only.reports), bits_of(both.reports));
+
+  // One row per valid report, carrying that report's numbers.
+  std::vector<rx::LinkQualityReport> valid;
+  for (const auto& q : probe_only.reports) {
+    if (q.valid) valid.push_back(q);
+  }
+  ASSERT_FALSE(valid.empty());
+  ASSERT_EQ(probe_only.rows.size(), valid.size());
+  for (std::size_t i = 0; i < valid.size(); ++i) {
+    EXPECT_EQ(static_cast<const util::LinkQuality&>(probe_only.rows[i]),
+              static_cast<const util::LinkQuality&>(valid[i]))
+        << "row " << i;
+  }
+  EXPECT_TRUE(metrics_only.rows.empty());
+
+  // The rollup counts the same valid reports the rows hold, in row order.
+  quiesce_observability();
+  probe::set_enabled(true);
+  CbmaSystem system(three_tag_config(), three_tag_deployment());
+  Rng rng(41);
+  const RoundStats stats = system.run_packets(24, rng);
+  util::LinkQualityRollup from_rows;
+  for (const auto& row : telemetry::snapshot().probe.link) from_rows.add(row);
+  quiesce_observability();
+  EXPECT_EQ(from_rows.frames, valid.size());
+  EXPECT_EQ(stats.quality.frames, from_rows.frames);
+  EXPECT_EQ(stats.quality.sum, from_rows.sum);
 }
 
 /// A probed sweep's exports: the link_quality section, the dump and the

@@ -254,17 +254,19 @@ TEST(Network, MetricsAttributeEachCellsSeriesToItsGatewayScope) {
                 static_cast<double>(cell.stats.total_sent()));
     expect_last("net.cell.acked", scope,
                 static_cast<double>(cell.stats.total_acked()));
-    // Decode outcomes chart under the rx labels, non-zero counts only.
+    // Decode outcomes chart under their counters' names, non-zero counts
+    // only.
     for (std::size_t o = 0; o < cell.stats.outcomes.size(); ++o) {
-      const std::string name =
-          std::string("rx.outcome.") +
-          rx::to_string(static_cast<rx::DecodeOutcome>(o));
+      const std::string name = telemetry::counter_name(
+          rx::outcome_counter(static_cast<rx::DecodeOutcome>(o)));
       if (cell.stats.outcomes[o] == 0) {
         ++zero_outcomes;
         EXPECT_EQ(find(name, scope), nullptr) << name << " " << scope;
       } else {
         ++charted_outcomes;
         expect_last(name, scope, static_cast<double>(cell.stats.outcomes[o]));
+        // A per-cell series joins the global one of the same name.
+        EXPECT_NE(find(name, ""), nullptr) << name;
       }
     }
     // Link quality rolls up as the mean over the cell's valid reports; a
@@ -274,11 +276,12 @@ TEST(Network, MetricsAttributeEachCellsSeriesToItsGatewayScope) {
       EXPECT_EQ(find("link.snr_db", scope), nullptr) << scope;
       continue;
     }
-    expect_last("link.snr_db", scope, q.snr_db_mean());
+    const auto mean = q.mean();
+    expect_last("link.snr_db", scope, mean.snr_db);
     EXPECT_EQ(find("link.snr_db", scope)->unit, "dB");
-    expect_last("link.evm", scope, q.evm_mean());
-    expect_last("link.soft_margin", scope, q.soft_margin_mean());
-    expect_last("link.margin_ratio", scope, q.margin_ratio_mean());
+    expect_last("link.evm", scope, mean.evm);
+    expect_last("link.soft_margin", scope, mean.soft_margin);
+    expect_last("link.margin_ratio", scope, mean.margin_ratio);
   }
   EXPECT_GT(charted_outcomes, 0u);
   // The memberless cell still charts its round counters, and nothing else.

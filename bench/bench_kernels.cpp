@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: spreading,
 // sliding complex correlation, channel synthesis, frame decode, and the
-// full end-to-end collided round through both transmit() overloads (a
-// fresh TransmitScratch per packet, and one scratch reused across packets).
+// full end-to-end collided round over one TransmitScratch reused across
+// packets.
 // These bound the simulator's packets/second and document where the cycles
 // go.
 //
@@ -206,26 +206,6 @@ void BM_DecodeFrame(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DecodeFrame);
-
-/// Per-packet-allocating entry point: transmit(options, rng) builds a fresh
-/// TransmitScratch each packet. Kept as the before/after reference for the
-/// batched path — the allocation cost is the point here.
-void BM_EndToEndRound(benchmark::State& state) {
-  core::SystemConfig cfg;
-  cfg.max_tags = static_cast<std::size_t>(state.range(0));
-  auto dep = rfsim::Deployment::paper_frame();
-  for (int k = 0; k < state.range(0); ++k) {
-    dep.add_tag({0.1 * k, 0.6});
-  }
-  const core::CbmaSystem sys(cfg, dep);
-  Rng rng(4);
-  const core::TransmitOptions options;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sys.transmit(options, rng));
-  }
-  finish_rate(state, state.range(0));
-}
-BENCHMARK(BM_EndToEndRound)->Arg(2)->Arg(5)->Arg(10);
 
 /// The batched pipeline: transmit(options, rng, scratch) with one scratch
 /// reused across packets — what run_packets and the experiment sweeps run.

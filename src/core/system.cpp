@@ -42,6 +42,15 @@ std::uint8_t impairment_gate_bits(const rfsim::ImpairmentConfig& c) {
   return bits;
 }
 
+/// The calling thread's transmit buffers, shared by every system that
+/// thread transmits for (DESIGN.md §4.7). They live until the thread exits
+/// and hold its largest window. Nothing a transmit calls transmits again,
+/// so the scratch is never in use twice at once.
+TransmitScratch& thread_scratch() {
+  thread_local TransmitScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 CbmaSystem::CbmaSystem(SystemConfig config, rfsim::Deployment population)
@@ -201,8 +210,7 @@ double CbmaSystem::predicted_power_dbm(std::size_t pop_index) const {
 }
 
 rx::RxReport CbmaSystem::transmit(const TransmitOptions& options, Rng& rng) const {
-  TransmitScratch scratch;
-  return transmit(options, rng, scratch);
+  return transmit(options, rng, thread_scratch());
 }
 
 rx::RxReport CbmaSystem::transmit(const TransmitOptions& options, Rng& rng,
@@ -299,11 +307,13 @@ rx::RxReport CbmaSystem::transmit(const TransmitOptions& options, Rng& rng,
   channel_->receive_into(scratch.txs, *excitation_, scratch.interferers, rng,
                          scratch.channel, scratch.iq);
   // The streaming session is the receiver's per-packet state; process()
-  // feeds it the round's window whole (DESIGN.md §10).
-  if (!scratch.rx_session ||
-      &scratch.rx_session->receiver() != receiver_.get()) {
+  // feeds it the round's window whole (DESIGN.md §10). It is bound on every
+  // packet: the scratch may have served another system since, and an
+  // address check could match a new receiver built where a freed one was.
+  if (!scratch.rx_session) {
     scratch.rx_session = std::make_unique<rx::StreamingReceiver>(*receiver_);
   }
+  scratch.rx_session->bind(*receiver_);
   auto report = scratch.rx_session->process(scratch.iq);
 
   if (telemetry::enabled()) {
@@ -336,7 +346,7 @@ rx::RxReport CbmaSystem::transmit(const TransmitOptions& options, Rng& rng,
 
 RoundStats CbmaSystem::run_packets(std::size_t n_packets, Rng& rng) const {
   RoundStats stats(group_.size());
-  TransmitScratch scratch;
+  TransmitScratch& scratch = thread_scratch();
   const TransmitOptions options;
   for (std::size_t p = 0; p < n_packets; ++p) {
     const auto report = transmit(options, rng, scratch);

@@ -57,8 +57,9 @@ struct TransmitOptions {
 
 /// Reusable buffers for the whole transmit pipeline — chip expansion,
 /// channel synthesis and the receiver's split-window stages. Sized on the
-/// first packet of a group and reused, so a batched sweep runs the entire
-/// per-packet path with zero steady-state allocation.
+/// largest window seen and reused, so a batched sweep keeps every window
+/// buffer warm (DESIGN.md §4.7). One scratch may serve any number of
+/// systems, one transmit at a time.
 struct TransmitScratch {
   std::vector<std::vector<std::uint8_t>> chip_seqs;  ///< per-slot spread frames
   std::vector<std::uint8_t> frame_bits;              ///< framing intermediate
@@ -69,9 +70,9 @@ struct TransmitScratch {
   rfsim::ChannelScratch channel;
   std::vector<std::complex<double>> iq;
   /// Persistent streaming Rx session (DESIGN.md §10) — the receiver-side
-  /// scratch state. Lazily bound to the system's receiver
-  /// on first transmit and rebound if the scratch moves between systems;
-  /// its rings and window buffers stay warm across packets.
+  /// scratch state. Made on the first transmit and bound to the
+  /// transmitting system's receiver on every packet; its rings and window
+  /// buffers stay warm across packets and systems.
   std::unique_ptr<rx::StreamingReceiver> rx_session;
 };
 
@@ -122,17 +123,19 @@ class CbmaSystem {
   /// This is the single transmit entry point. (The pre-TransmitOptions
   /// transmit_round_* shims served their deprecation release and are gone;
   /// the RNG draw order they pinned is contractual on this function — see
-  /// the draw-order comment in system.cpp and the determinism test.)
+  /// the draw-order comment in system.cpp and the determinism test.) Its
+  /// buffers are the calling thread's TransmitScratch, which every system
+  /// transmitting on that thread shares.
   rx::RxReport transmit(const TransmitOptions& options, Rng& rng) const;
 
-  /// transmit() with caller-owned scratch — the zero-allocation batched
-  /// path. Reusing one TransmitScratch across packets keeps every buffer of
-  /// the pipeline (chips, window, split re/im, residuals) warm.
+  /// transmit() with caller-owned scratch. Reusing one TransmitScratch
+  /// across packets keeps every buffer of the pipeline (chips, window,
+  /// split re/im, residuals) warm.
   rx::RxReport transmit(const TransmitOptions& options, Rng& rng,
                         TransmitScratch& scratch) const;
 
   /// `n_packets` collided transmissions with random payloads, batched over
-  /// one TransmitScratch so the sweep allocates only on the first packet.
+  /// the calling thread's TransmitScratch.
   RoundStats run_packets(std::size_t n_packets, Rng& rng) const;
 
   /// Algorithm 1: rounds of `packets_per_round` packets, stepping the

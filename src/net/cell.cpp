@@ -27,6 +27,9 @@ mac::CbmaRate rate_for(const core::SystemConfig& cfg, std::size_t n_tags,
 
 }  // namespace
 
+Cell::Cell(std::size_t gateway_id)
+    : gateway_id_(gateway_id), metrics_scope_("cell=" + std::to_string(gateway_id)) {}
+
 void Cell::set_members(std::vector<std::size_t> members) {
   if (members == members_) return;
   members_ = std::move(members);

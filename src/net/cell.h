@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/system.h"
@@ -46,9 +47,11 @@ struct CellRoundResult {
 
 class Cell {
  public:
-  explicit Cell(std::size_t gateway_id) : gateway_id_(gateway_id) {}
+  explicit Cell(std::size_t gateway_id);
 
   std::size_t gateway_id() const { return gateway_id_; }
+  /// The metrics-plane scope ("cell=<id>") of this cell's series.
+  const std::string& metrics_scope() const { return metrics_scope_; }
   const std::vector<std::size_t>& members() const { return members_; }
 
   /// Replace the member list (ascending network-global tag ids). A changed
@@ -81,6 +84,7 @@ class Cell {
 
  private:
   std::size_t gateway_id_;
+  std::string metrics_scope_;
   std::vector<std::size_t> members_;
   std::size_t served_ = 0;
   bool dirty_ = true;

@@ -290,8 +290,9 @@ NetworkRoundResult Network::run_round(std::uint64_t seed,
 }
 
 void Network::publish_round(const NetworkRoundResult& result) {
-  for (const auto& cell : result.cells) {
-    const std::string scope = "cell=" + std::to_string(cell.gateway_id);
+  for (std::size_t c = 0; c < result.cells.size(); ++c) {
+    const auto& cell = result.cells[c];
+    const std::string& scope = cells_[c].metrics_scope();
     metrics::push("net.cell.goodput_bps", scope, cell.goodput_bps, "bps");
     metrics::push("net.cell.fer", scope, cell.stats.frame_error_rate());
     metrics::push("net.cell.tags_served", scope,

@@ -51,8 +51,11 @@ std::vector<std::size_t> FrameSynchronizer::detect_all(std::span<const double> m
   return out;
 }
 
-FrameSynchronizer::Stream::Stream(const FrameSynchronizer& sync)
-    : sync_(&sync), ratio_(units::from_db(sync.config().threshold_db)) {
+FrameSynchronizer::Stream::Stream(const FrameSynchronizer& sync) { bind(sync); }
+
+void FrameSynchronizer::Stream::bind(const FrameSynchronizer& sync) {
+  sync_ = &sync;
+  ratio_ = units::from_db(sync.config().threshold_db);
   reset();
 }
 

@@ -54,6 +54,10 @@ class FrameSynchronizer {
 
     explicit Stream(const FrameSynchronizer& sync);
 
+    /// Follow `sync` from now on (its window, head and threshold) and
+    /// reset(); the prefix ring keeps its capacity.
+    void bind(const FrameSynchronizer& sync);
+
     /// Consume one envelope sample P(t) = √(I²+Q²). Rebases are keyed to
     /// the push count, never to chunking: the closing total stays stored at
     /// the boundary and the next interval counts from zero.
@@ -97,7 +101,7 @@ class FrameSynchronizer {
     std::size_t bytes() const { return prefix_.bytes(); }
 
    private:
-    const FrameSynchronizer* sync_;
+    const FrameSynchronizer* sync_ = nullptr;
     util::RingBuffer<double> prefix_;  ///< Σ m² since the last rebase
     double acc_ = 0.0;                 ///< running prefix at position()
     double ratio_ = 0.0;               ///< linear threshold, from_db(P_th)

@@ -30,6 +30,11 @@ void count_outcomes(const RxReport& report) {
 
 StreamingReceiver::StreamingReceiver(const Receiver& receiver, ReportSink sink)
     : receiver_(&receiver), sink_(std::move(sink)), sync_stream_(receiver.sync_) {
+  bind(receiver);
+}
+
+void StreamingReceiver::bind(const Receiver& receiver) {
+  receiver_ = &receiver;
   const auto& cfg = receiver.config();
   const std::size_t spc = cfg.samples_per_chip;
   const auto spcd = static_cast<double>(spc);
@@ -63,15 +68,19 @@ StreamingReceiver::StreamingReceiver(const Receiver& receiver, ReportSink sink)
   back_margin_ = back + group_span + spc;
   keep_behind_ = back_margin_ + 64;
 
-  start_segment(0);
+  sync_stream_.bind(receiver.sync_);
+  reset();
 }
 
 void StreamingReceiver::start_segment(std::uint64_t rearm_pos) {
+  // A fresh report on the results storage of one that was never emitted
+  // (a reset or bind before any trigger), so back-to-back resets allocate
+  // once.
+  auto results = std::move(report_.results);
   report_ = RxReport{};
-  report_.results.resize(receiver_->group_size());
-  for (std::size_t i = 0; i < report_.results.size(); ++i) {
-    report_.results[i].tag_index = i;
-  }
+  results.assign(receiver_->group_size(), TagDecodeResult{});
+  for (std::size_t i = 0; i < results.size(); ++i) results[i].tag_index = i;
+  report_.results = std::move(results);
   attempt_ = 0;
   collecting_ = false;
   sync_stream_.rearm(rearm_pos);

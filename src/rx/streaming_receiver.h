@@ -33,10 +33,16 @@ class StreamingReceiver {
   using ReportSink = std::function<void(RxReport)>;
 
   /// The receiver supplies the group codes, templates and decoders; the
-  /// session owns all mutable state. `receiver` must outlive the session.
+  /// session owns all mutable state. The bound receiver must outlive every
+  /// call that uses it.
   explicit StreamingReceiver(const Receiver& receiver, ReportSink sink = {});
 
-  const Receiver& receiver() const { return *receiver_; }
+  /// Serve `receiver` from now on: take its window geometry and frame
+  /// synchronizer, then reset(). Rings and window buffers keep their
+  /// capacity, so one session can serve receivers in turn without
+  /// re-growing (core::CbmaSystem binds its per-thread session on every
+  /// packet).
+  void bind(const Receiver& receiver);
 
   /// Consume one chunk of complex-baseband samples. Emits zero or more
   /// reports (a report completes as soon as its lookahead window is full —
@@ -50,8 +56,9 @@ class StreamingReceiver {
   /// Feeding may continue afterwards; positions keep counting.
   void flush();
 
-  /// Fresh session at stream position 0. Buffers keep their high-water
-  /// capacity, so a reused session allocates nothing in steady state.
+  /// Fresh session at stream position 0. Rings and window buffers keep
+  /// their high-water capacity, so a reused session does not re-grow them;
+  /// each report still allocates its own vectors.
   void reset();
 
   /// The batch entry: reset, feed the whole buffer, flush, and return the
@@ -80,7 +87,7 @@ class StreamingReceiver {
   const Receiver* receiver_;
   ReportSink sink_;
 
-  // Window geometry, derived once from the receiver config.
+  // Window geometry, derived by bind() from the receiver config.
   std::size_t back_margin_ = 0;  ///< window start margin before a trigger
   std::size_t need_ahead_ = 0;   ///< lookahead required after a trigger
   std::size_t keep_behind_ = 0;  ///< sample-ring retention behind the cursor

@@ -78,8 +78,8 @@ class UserDetector {
  public:
   /// Reusable successive-cancellation buffers (the residual copy of the
   /// detector's reach and its per-chip folded sums); sized once per reach
-  /// and reused across packets — detect() is allocation-free in steady
-  /// state.
+  /// and reused across packets, so in steady state detect() allocates only
+  /// its result and its taken-code mask.
   struct Scratch {
     std::vector<double> residual_re;
     std::vector<double> residual_im;
@@ -101,8 +101,8 @@ class UserDetector {
   /// thresholds, offsets relative to the whole window. Copies and folds
   /// only the reach around the trigger that the search windows and the
   /// template can touch (DESIGN.md §10); the result equals a whole-window
-  /// search bit for bit. The zero-allocation hot path: `scratch` is
-  /// caller-owned and reused across packets.
+  /// search bit for bit. `scratch` is caller-owned and reused across
+  /// packets.
   std::vector<DetectedUser> detect(const DetectionInput& input,
                                    Scratch& scratch) const;
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 namespace cbma::core {
@@ -236,6 +237,72 @@ TEST(TransmitDeterminism, OptionValidation) {
   const std::vector<double> delays{-1.0, 0.0, 0.0};
   negative_delay.delay_chips = delays;
   EXPECT_THROW(sys.transmit(negative_delay, rng), std::invalid_argument);
+}
+
+/// What one thread's calls produced, in call order.
+struct CallRecord {
+  std::vector<RoundStats> stats;
+  std::vector<rx::RxReport> reports;
+};
+
+/// A Gold-64 cell and a 2-tag 2NC system share the thread's scratch in
+/// turn: run_packets on each, a transmit that throws after its chips were
+/// spread, then valid scratch-less transmits on both.
+CallRecord run_mixed_calls() {
+  SystemConfig gold_cfg = fast_config(8);
+  gold_cfg.code_family = pn::CodeFamily::kGold;
+  gold_cfg.code_family_size = 64;
+  gold_cfg.code_offset = 8;
+  const CbmaSystem gold(gold_cfg, deployment(8));
+  const CbmaSystem twonc(fast_config(2), deployment(2));
+
+  CallRecord out;
+  Rng rng_gold(21);
+  Rng rng_twonc(22);
+  out.stats.push_back(gold.run_packets(2, rng_gold));
+  out.stats.push_back(twonc.run_packets(3, rng_twonc));
+  TransmitOptions negative_delay;
+  const std::vector<double> delays{0.5, -1.0};
+  negative_delay.delay_chips = delays;
+  Rng rng_bad(23);
+  EXPECT_THROW(twonc.transmit(negative_delay, rng_bad), std::invalid_argument);
+  out.reports.push_back(twonc.transmit({}, rng_twonc));
+  out.reports.push_back(gold.transmit({}, rng_gold));
+  out.stats.push_back(gold.run_packets(2, rng_gold));
+  return out;
+}
+
+// run_packets and the scratch-less transmit draw their buffers from the
+// calling thread's scratch, which every system on that thread shares.
+// Nothing that ran on the thread before (another system's geometry, a
+// transmit that threw) may reach the results: the same calls made on a
+// fresh thread, whose scratch is cold, give the same stats and reports.
+TEST(TransmitDeterminism, ThreadScratchCarriesNoHistory) {
+  const CallRecord warm = run_mixed_calls();
+  CallRecord again = run_mixed_calls();  // now on a warm scratch
+  CallRecord cold;
+  std::thread([&cold] { cold = run_mixed_calls(); }).join();
+
+  for (const CallRecord* other : {&again, &cold}) {
+    ASSERT_EQ(other->stats.size(), warm.stats.size());
+    for (std::size_t i = 0; i < warm.stats.size(); ++i) {
+      const auto& a = warm.stats[i];
+      const auto& b = other->stats[i];
+      EXPECT_EQ(a.sent, b.sent) << "call " << i;
+      EXPECT_EQ(a.acked, b.acked) << "call " << i;
+      EXPECT_EQ(a.outcomes, b.outcomes) << "call " << i;
+      EXPECT_EQ(a.correlation_margin.count(), b.correlation_margin.count());
+      EXPECT_EQ(a.correlation_margin.mean(), b.correlation_margin.mean());
+      EXPECT_EQ(a.correlation_margin.variance(), b.correlation_margin.variance());
+    }
+    ASSERT_EQ(other->reports.size(), warm.reports.size());
+    for (std::size_t i = 0; i < warm.reports.size(); ++i) {
+      EXPECT_EQ(warm.reports[i], other->reports[i]) << "report " << i;
+    }
+  }
+  // Every call decoded something, so the comparison has teeth.
+  for (const auto& stats : warm.stats) EXPECT_GT(stats.total_acked(), 0u);
+  for (const auto& report : warm.reports) EXPECT_GT(report.decoded_count(), 0u);
 }
 
 }  // namespace

@@ -265,6 +265,70 @@ TEST(StreamingReceiver, ContinuousStreamDecodesEveryRoundAtFlatMemory) {
             kRounds * unit.size() * sizeof(std::complex<double>) / 4);
 }
 
+// Every report a sink-less session emits for `iq` fed in 4096-sample
+// chunks and flushed.
+std::vector<RxReport> stream_reports(StreamingReceiver& session,
+                                     std::span<const std::complex<double>> iq) {
+  feed_chunked(session, iq, 4096);
+  session.flush();
+  std::vector<RxReport> out;
+  for (RxReport r; session.take_report(r);) out.push_back(std::move(r));
+  return out;
+}
+
+// One session rebound between two receivers whose geometry differs (group
+// size, detection reach, payload lookahead, sync window and head)
+// reports exactly what a fresh session on each receiver reports, and keeps
+// its ring capacity across every bind.
+TEST(StreamingReceiver, BindTakesTheNewGeometryAndKeepsCapacity) {
+  const auto wide_codes = group_codes(4);
+  const Receiver wide(rx_config(), wide_codes);
+  ReceiverConfig tight_cfg = rx_config();
+  tight_cfg.max_payload_bytes = 4;
+  tight_cfg.detect.search_back_chips = 4.0;
+  tight_cfg.sync.window = 64;
+  tight_cfg.sync.head_average = 8;  // fires 8 samples later on a frame edge
+  const auto tight_codes = group_codes(2);
+  const Receiver tight(tight_cfg, tight_codes);
+
+  // Two rounds a short gap apart: the tight lookahead finalizes each round
+  // on its own, the wide one reaches from the first round into the second.
+  cbma::Rng rng(18);
+  std::vector<std::complex<double>> iq;
+  for (const std::size_t tag : {0, 1}) {
+    const auto round =
+        make_window(wide_codes, {{tag, 1.0, 0.3, {0x3C, 0x5A, static_cast<std::uint8_t>(tag)}},
+                                 {tag + 2, 0.7, 0.9, {0x77}}},
+                    rng, 1e-4);
+    std::vector<std::complex<double>> gap(1500, {0.0, 0.0});
+    rfsim::AwgnSource(1e-4).add_to(gap, rng);
+    iq.insert(iq.end(), round.begin(), round.end());
+    iq.insert(iq.end(), gap.begin(), gap.end());
+  }
+
+  StreamingReceiver fresh_wide(wide);
+  StreamingReceiver fresh_tight(tight);
+  const auto want_wide = stream_reports(fresh_wide, iq);
+  const auto want_tight = stream_reports(fresh_tight, iq);
+  ASSERT_FALSE(want_wide.empty());
+  ASSERT_FALSE(want_tight.empty());
+  ASSERT_NE(want_wide, want_tight);
+
+  StreamingReceiver session(tight);
+  std::size_t ring = session.ring_bytes();
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    for (const Receiver* rx : {&wide, &tight}) {
+      session.bind(*rx);
+      EXPECT_EQ(session.samples_consumed(), 0u);
+      EXPECT_EQ(session.ring_bytes(), ring) << "bind released ring capacity";
+      EXPECT_EQ(stream_reports(session, iq), rx == &wide ? want_wide : want_tight)
+          << "cycle " << cycle << (rx == &wide ? " wide" : " tight");
+      EXPECT_GE(session.ring_bytes(), ring);
+      ring = session.ring_bytes();
+    }
+  }
+}
+
 // Chunk invariance across frame-sync rebases: a continuous stream crossing
 // three FrameSynchronizer::Stream rebase boundaries yields the same report
 // sequence at every chunk size, because the rebase is keyed to absolute

@@ -11,6 +11,9 @@
 // --benchmark_out=... to redirect it.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -377,28 +380,10 @@ void detect_peaks_grid(benchmark::internal::Benchmark* b) {
 }
 BENCHMARK(BM_DetectPeaksNaive)->Apply(detect_peaks_grid);
 
-/// One multi-cell network round on an Arg(0) x Arg(0) gateway grid with 4
-/// tags per cell: association/roaming, per-cell CBMA MAC (one packet per
-/// cell round to isolate the network layer's overhead around the
-/// per-packet pipeline), inter-cell leakage summation. Runs the cells on
-/// one worker so the figure is a stable single-thread cost; ns_per_round
-/// is per *cell* round. The plain run is the entry tools/perf_baseline.json
-/// gates; check_perf_regression.py --twin-overhead holds the armed run to
-/// +2% of it. `armed` turns the metrics plane on in memory only (no
-/// Prometheus file, so the figure measures recording, not filesystem I/O),
-/// which arms the span recorder and so both its views. Every switch the
-/// armed run touches is restored afterwards.
-void run_net_multicell_round(benchmark::State& state, bool armed) {
-  const bool telemetry_was_on = telemetry::enabled();
-  const bool metrics_was_on = metrics::enabled();
-  const std::string metrics_path = metrics::export_path();
-  if (armed) {
-    metrics::set_export_path("");
-    metrics::set_enabled(true);
-    telemetry::reset();
-  }
-
-  const auto side = static_cast<std::size_t>(state.range(0));
+/// The multi-cell floor the round row and the overhead gate share: a
+/// side x side gateway grid with 4 tags per cell, after one warm-up round
+/// that builds every cell.
+net::Network multicell_network(std::size_t side) {
   net::NetworkConfig cfg;
   cfg.cell.code_family = pn::CodeFamily::kGold;
   cfg.cell.max_tags = 4;
@@ -409,7 +394,18 @@ void run_net_multicell_round(benchmark::State& state, bool armed) {
                                     4.0 * static_cast<double>(side), side, side);
   Rng rng(6);
   network.place_random_tags(side * side * 4, rng);
-  network.run_round(7, /*max_workers=*/1);  // warm-up: builds every cell
+  network.run_round(7, /*max_workers=*/1);
+  return network;
+}
+
+/// One multi-cell network round on an Arg(0) x Arg(0) gateway grid:
+/// association/roaming, per-cell CBMA MAC (one packet per cell round to
+/// isolate the network layer's overhead around the per-packet pipeline),
+/// inter-cell leakage summation. Runs the cells on one worker so the figure
+/// is a stable single-thread cost; ns_per_round is per *cell* round.
+void BM_NetMulticellRound(benchmark::State& state) {
+  const auto side = static_cast<std::size_t>(state.range(0));
+  auto network = multicell_network(side);
   for (auto _ : state) {
     benchmark::DoNotOptimize(network.run_round(7, /*max_workers=*/1));
   }
@@ -418,31 +414,77 @@ void run_net_multicell_round(benchmark::State& state, bool armed) {
       static_cast<double>(cells) * 1e-9,
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
   state.SetItemsProcessed(state.iterations() * cells);
-
-  if (armed) telemetry::reset();
-  metrics::set_export_path(metrics_path);
-  metrics::set_enabled(metrics_was_on);
-  telemetry::set_enabled(telemetry_was_on);
-}
-
-void BM_NetMulticellRound(benchmark::State& state) {
-  run_net_multicell_round(state, /*armed=*/false);
-}
-void BM_NetMulticellRoundMetrics(benchmark::State& state) {
-  run_net_multicell_round(state, /*armed=*/true);
 }
 BENCHMARK(BM_NetMulticellRound)->Arg(2);
-BENCHMARK(BM_NetMulticellRoundMetrics)->Arg(2);
+
+// --- observability overhead gate (DESIGN.md §12, §13) -----------------------
+//
+// `bench_kernels --twin-overhead`: the armed metrics plane (in memory, no
+// Prometheus file, so it measures recording, not filesystem I/O; it arms the
+// span recorder and both its views) may cost at most +2 % over a plane-off
+// round. Armed and off blocks of rounds on the BM_NetMulticellRound/2 floor
+// alternate in one process, the order flipped every pair, so a host that
+// drifts between a fast and a slow state slows both halves of a pair alike.
+
+constexpr int kOverheadPairs = 200;
+constexpr int kOverheadBlockRounds = 10;
+constexpr double kOverheadBudget = 1.02;
+
+/// Prints the median armed/off block ratio with a sign-test 95 % interval
+/// (order statistics n/2 ± 1.96·√n/2) and returns 1 when the median is over
+/// budget.
+int twin_overhead() {
+  auto network = multicell_network(2);
+  const auto block_ns = [&](bool armed) {
+    if (armed) {
+      metrics::set_export_path("");
+      metrics::set_enabled(true);
+      telemetry::reset();
+    } else {
+      metrics::set_enabled(false);
+      telemetry::set_enabled(false);
+    }
+    // Untimed: after the reset, the armed round rebuilds series and nodes.
+    network.run_round(7, /*max_workers=*/1);
+    const std::uint64_t begin = util::monotonic_ns();
+    for (int r = 0; r < kOverheadBlockRounds; ++r) {
+      benchmark::DoNotOptimize(network.run_round(7, /*max_workers=*/1));
+    }
+    return static_cast<double>(util::monotonic_ns() - begin);
+  };
+  std::vector<double> ratios;
+  for (int p = 0; p < kOverheadPairs; ++p) {
+    const bool armed_first = p % 2 == 0;
+    const double first = block_ns(armed_first);
+    const double second = block_ns(!armed_first);
+    ratios.push_back(armed_first ? first / second : second / first);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const std::size_t n = ratios.size();
+  const double median = (ratios[(n - 1) / 2] + ratios[n / 2]) / 2.0;
+  // Sign-test interval: the j-th ratio from either end, j = n/2 − 1.96·√n/2.
+  const auto j = static_cast<std::size_t>(
+      std::floor(n / 2.0 - 1.96 * std::sqrt(static_cast<double>(n)) / 2.0));
+  const bool ok = median <= kOverheadBudget;
+  std::printf(
+      "twin-overhead: armed/off median %.4f (95%% CI %.4f-%.4f) over %zu "
+      "pairs of %d-round blocks: %s (budget %.2f)\n",
+      median, ratios[j - 1], ratios[n - j], n, kOverheadBlockRounds,
+      ok ? "ok" : "OVER BUDGET", kOverheadBudget);
+  return ok ? 0 : 1;
+}
 
 }  // namespace
 
 // Custom main: always emit machine-readable results alongside the console
 // table by defaulting --benchmark_out to BENCH_kernels.json (an explicit
 // --benchmark_out on the command line wins). Every other google-benchmark
-// flag passes through untouched.
+// flag passes through untouched. --twin-overhead runs the overhead gate
+// instead of the benchmarks.
 int main(int argc, char** argv) {
   bool has_out_flag = false;
   for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--twin-overhead") return twin_overhead();
     if (std::string(argv[i]).rfind("--benchmark_out", 0) == 0) has_out_flag = true;
   }
   std::vector<char*> args(argv, argv + argc);

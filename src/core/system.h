@@ -105,7 +105,6 @@ class CbmaSystem {
   /// predicted_power_dbm stays the *theoretical* Eq. 1 value (the node
   /// selector plans with theory, as §V-C describes).
   void set_obstacles(rfsim::ObstacleMap obstacles);
-  const rfsim::ObstacleMap& obstacles() const { return obstacles_; }
 
   // --- link queries ---
   /// Received backscatter power of population tag i at its current
@@ -149,10 +148,6 @@ class CbmaSystem {
   double noise_power_w() const { return noise_power_w_; }
   const std::vector<pn::PnCode>& group_codes() const { return codes_; }
   const rx::Receiver& receiver() const { return *receiver_; }
-  /// The fault-injection stages this cell runs under (config().impairments
-  /// applied; all-off by default). The channel owns its own copy for the
-  /// synthesis-side stages; this one drives the tag-side perturbations.
-  const rfsim::ImpairmentSuite& impairments() const { return impairments_; }
 
  private:
   double tag_amplitude(std::size_t pop_index) const;

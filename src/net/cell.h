@@ -49,7 +49,6 @@ class Cell {
  public:
   explicit Cell(std::size_t gateway_id);
 
-  std::size_t gateway_id() const { return gateway_id_; }
   /// The metrics-plane scope ("cell=<id>") of this cell's series.
   const std::string& metrics_scope() const { return metrics_scope_; }
   const std::vector<std::size_t>& members() const { return members_; }

@@ -116,7 +116,6 @@ class Network {
   std::size_t cell_count() const { return gateways_.size(); }
   const Cell& cell(std::size_t i) const { return cells_[i]; }
   std::size_t colors_used() const { return colors_used_; }
-  const CodeReuseScheduler& scheduler() const { return scheduler_; }
   const rfsim::LinkBudget& link_budget() const { return budget_; }
 
  private:

@@ -71,8 +71,6 @@ class CarrierLeakageInterferer final : public Interferer {
   /// A carrier is always on — the leakage occupies every sample.
   double occupancy() const override { return 1.0; }
 
-  double power_w() const { return power_w_; }
-
   /// Render a run of leakage tones in one pass over the window. Phases are
   /// drawn and tones added to each sample in run order, so `iq` and `rng`
   /// end bit-identical to calling add_to() on each tone in turn (add_to() is

@@ -18,8 +18,9 @@ FrameSynchronizer::FrameSynchronizer(FrameSyncConfig config) : config_(config) {
 }
 
 // Both batch entries are one Stream walk that scans once per `window`
-// pushes: scan() releases everything behind the cursor (also before `begin`),
-// so the ring stays about two windows long, and a hit still ends the walk.
+// pushes and then releases everything one window behind the cursor (also
+// before `begin`), so the ring stays about two windows long, and a hit
+// still ends the walk.
 std::optional<std::size_t> FrameSynchronizer::detect(std::span<const double> magnitude,
                                                      std::size_t begin) const {
   Stream stream(*this);
@@ -30,6 +31,7 @@ std::optional<std::size_t> FrameSynchronizer::detect(std::span<const double> mag
     stream.push_n(n, [m](std::size_t k) { return m[k]; });
     i += n;
     if (const auto hit = stream.scan()) return hit;
+    stream.release(stream.cursor() - config_.window);
   }
   return std::nullopt;
 }
@@ -47,6 +49,7 @@ std::vector<std::size_t> FrameSynchronizer::detect_all(std::span<const double> m
       out.push_back(static_cast<std::size_t>(*hit));
       stream.rearm(*hit + std::max<std::size_t>(1, refractory));
     }
+    stream.release(stream.cursor() - config_.window);
   }
   return out;
 }
@@ -71,29 +74,40 @@ void FrameSynchronizer::Stream::rearm(std::uint64_t begin) {
   cursor_ = begin + sync_->config().window;
 }
 
-double FrameSynchronizer::Stream::average(std::uint64_t lo, std::uint64_t hi) const {
-  // b is the last rebase boundary before hi. A window reaching back to it
-  // spans two intervals, bridged by the closing total stored at b.
+// Inline, so scan() keeps its three window sums free of calls.
+inline double FrameSynchronizer::Stream::mean(std::uint64_t lo, std::uint64_t hi) const {
+  // b is the last rebase boundary before hi. A span reaching back to it
+  // covers the interval that closes there, bridged by the closing total
+  // stored at b, and so on for every earlier boundary down to lo (a window
+  // of at most one interval, as scan() reads, crosses at most one).
   const std::uint64_t b = (hi - 1) & ~(kRebaseInterval - 1);
-  const double bridge = b >= lo ? prefix_[b] : 0.0;
+  double bridge = b >= lo ? prefix_[b] : 0.0;
+  for (std::uint64_t c = b; c >= lo + kRebaseInterval;) {
+    c -= kRebaseInterval;
+    bridge += prefix_[c];
+  }
   return ((prefix_[hi] - prefix_[lo]) + bridge) / static_cast<double>(hi - lo);
+}
+
+double FrameSynchronizer::Stream::average(std::uint64_t lo, std::uint64_t hi) const {
+  CBMA_REQUIRE(lo >= prefix_.begin() && lo < hi && hi <= pushed_,
+               "average span is not retained");
+  return mean(lo, hi);
 }
 
 std::optional<std::uint64_t> FrameSynchronizer::Stream::scan() {
   const std::size_t w = sync_->config().window;
   const std::size_t h = sync_->config().head_average;
   const double floor = sync_->config().min_baseline;
-  prefix_.release(cursor_ - w);  // also after a rearm() past position()
   // Trailing baseline over [s-w, s); the "current" level is the minimum of
   // the two consecutive head windows [s, s+h) and [s+h, s+2h) — a real
   // frame keeps the power up, an isolated spike cannot.
   while (cursor_ + 2 * h <= pushed_) {
-    const double base_avg = std::max(average(cursor_ - w, cursor_), floor);
-    const double head1 = average(cursor_, cursor_ + h);
-    const double head2 = average(cursor_ + h, cursor_ + 2 * h);
+    const double base_avg = std::max(mean(cursor_ - w, cursor_), floor);
+    const double head1 = mean(cursor_, cursor_ + h);
+    const double head2 = mean(cursor_ + h, cursor_ + 2 * h);
     if (std::min(head1, head2) > ratio_ * base_avg) return cursor_;
     ++cursor_;
-    prefix_.release(cursor_ - w);
   }
   return std::nullopt;
 }

@@ -82,25 +82,33 @@ class FrameSynchronizer {
     }
     /// Advance the comparator; returns the trigger position if it fired
     /// before running out of lookahead (2×head_average samples past the
-    /// cursor). The cursor stays on the trigger until rearm().
+    /// cursor). The cursor stays on the trigger until rearm(). It reads
+    /// from cursor() − window on and releases nothing; the owner does.
     std::optional<std::uint64_t> scan();
     /// Restart the walk at `begin` (absolute stream position): the next
     /// trigger is the first s >= begin + window where the comparator fires.
     void rearm(std::uint64_t begin);
-    /// Mean power over [lo, hi) ⊆ [cursor() − window, position()], at most
-    /// kRebaseInterval long: within (n + 4)·u·E/n of exact, n = hi − lo,
-    /// u = 2⁻⁵³, E the energy from the start of lo's interval to hi.
+    /// Mean power over [lo, hi), any span the prefix still holds (lo at or
+    /// above the last release() floor, hi <= position(); else it throws):
+    /// within (n + k + 4)·u·E/n of exact, n = hi − lo, k the rebase
+    /// boundaries in [lo, hi), u = 2⁻⁵³, E the energy from the start of lo's
+    /// interval to hi.
     double average(std::uint64_t lo, std::uint64_t hi) const;
+    /// Drop the prefix before stream position `floor` (monotonic); scan()
+    /// needs cursor() − window retained, and average() its own lo.
+    void release(std::uint64_t floor) { prefix_.release(floor); }
     /// Samples pushed so far (absolute stream position of the next sample).
     std::uint64_t position() const { return pushed_; }
-    /// The comparator cursor — nothing before cursor − window is ever read
-    /// again, which bounds what callers must retain.
+    /// The comparator cursor — scan() never reads before cursor − window
+    /// again, which bounds what a walk must retain.
     std::uint64_t cursor() const { return cursor_; }
     /// Back to position 0 with an empty prefix (capacity is kept).
     void reset();
     std::size_t bytes() const { return prefix_.bytes(); }
 
    private:
+    double mean(std::uint64_t lo, std::uint64_t hi) const;  ///< unchecked average()
+
     const FrameSynchronizer* sync_ = nullptr;
     util::RingBuffer<double> prefix_;  ///< Σ m² since the last rebase
     double acc_ = 0.0;                 ///< running prefix at position()

@@ -66,7 +66,9 @@ void StreamingReceiver::bind(const Receiver& receiver) {
   // from-zero buffer lands inside the copied window (offsets translate 1:1
   // and the results stay bit-identical).
   back_margin_ = back + group_span + spc;
-  keep_behind_ = back_margin_ + 64;
+  // One floor for all three rings: the window's back margin for the sample
+  // rings and power_norm's prefix read, the baseline window for scan().
+  keep_behind_ = std::max(back_margin_, cfg.sync.window) + 64;
 
   sync_stream_.bind(receiver.sync_);
   reset();
@@ -185,17 +187,14 @@ void StreamingReceiver::run_attempt() {
   telemetry::count(telemetry::Counter::kRxDetections, detections.size());
 
   // Link quality, for the probe and the metrics plane alike: every report's
-  // power_norm is anchored on one window RMS, √(Σ(re²+im²)/n), computed
-  // only for a window that produced detections.
+  // power_norm is anchored on one window RMS, the root of the window's mean
+  // power, read from the frame synchronizer's prefix of m² (the energy
+  // detector has already summed it) for a window that produced detections.
   const bool want_quality = probing || metrics::enabled();
-  double window_rms = 0.0;
-  if (want_quality && !detections.empty()) {
-    double sum2 = 0.0;
-    for (std::size_t i = 0; i < re.size(); ++i) {
-      sum2 += re[i] * re[i] + im[i] * im[i];
-    }
-    window_rms = std::sqrt(sum2 / static_cast<double>(re.size()));
-  }
+  const double window_rms =
+      want_quality && !detections.empty()
+          ? std::sqrt(sync_stream_.average(win_begin, win_end))
+          : 0.0;
 
   RxReport candidate;
   candidate.frame_start = static_cast<std::size_t>(trigger_);
@@ -296,6 +295,7 @@ void StreamingReceiver::release_rings() {
       anchor > keep_behind_ ? anchor - keep_behind_ : 0;
   ring_re_.release(floor);
   ring_im_.release(floor);
+  sync_stream_.release(floor);
 }
 
 RxReport StreamingReceiver::process(std::span<const std::complex<double>> iq) {

@@ -90,7 +90,7 @@ class StreamingReceiver {
   // Window geometry, derived by bind() from the receiver config.
   std::size_t back_margin_ = 0;  ///< window start margin before a trigger
   std::size_t need_ahead_ = 0;   ///< lookahead required after a trigger
-  std::size_t keep_behind_ = 0;  ///< sample-ring retention behind the cursor
+  std::size_t keep_behind_ = 0;  ///< retention of all three rings behind the cursor
 
   util::RingBuffer<double> ring_re_;
   util::RingBuffer<double> ring_im_;

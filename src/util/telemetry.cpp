@@ -157,7 +157,17 @@ struct ProbeStore {
 /// plus the merged telemetry totals at the last window close, which the
 /// next close subtracts.
 struct MetricStore {
-  std::map<std::pair<std::string, std::string>, Series> series;
+  /// Orders (name, scope) keys and finds one by a pair of string_views, so
+  /// a push builds the key strings only when it inserts a new series.
+  struct KeyLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      using View = std::pair<std::string_view, std::string_view>;
+      return View(a.first, a.second) < View(b.first, b.second);
+    }
+  };
+  std::map<std::pair<std::string, std::string>, Series, KeyLess> series;
   std::vector<metrics::Event> events;
   std::uint64_t window = 0;  ///< open window index = windows closed so far
   std::uint64_t event_seq = 0;
@@ -404,14 +414,14 @@ std::array<std::uint64_t, kCounterCount> counter_totals(const Registry& reg) {
 
 void push_point(MetricStore& m, std::string_view name, std::string_view scope,
                 double value, std::string_view unit = {}) {
-  auto key = std::make_pair(std::string(name), std::string(scope));
-  auto it = m.series.find(key);
+  auto it = m.series.find(std::pair{name, scope});
   if (it == m.series.end()) {
     if (m.series.size() >= metrics::kMaxSeries) {
       ++m.dropped_series;
       return;
     }
-    it = m.series.emplace(std::move(key), Series{}).first;
+    it = m.series.emplace(std::pair{std::string(name), std::string(scope)},
+                          Series{}).first;
     it->second.unit = std::string(unit);
   }
   Series& s = it->second;
@@ -421,10 +431,24 @@ void push_point(MetricStore& m, std::string_view name, std::string_view scope,
   s.filled = std::min(s.filled + 1, s.ring.size());
 }
 
+/// Every span's five window series (count, mean, p50, p90, p99), named once.
+const std::array<std::string, 5>& span_window_names(Span span) {
+  static const auto table = [] {
+    std::array<std::array<std::string, 5>, kSpanCount> t;
+    for (std::size_t sp = 0; sp < kSpanCount; ++sp) {
+      const std::string base = span_name(static_cast<Span>(sp));
+      t[sp] = {base + ".count", base + ".mean_ns", base + ".p50_ns",
+               base + ".p90_ns", base + ".p99_ns"};
+    }
+    return t;
+  }();
+  return table[static_cast<std::size_t>(span)];
+}
+
 /// One span's window: count/mean/p50/p90/p99 of the histogram delta since
 /// the previous close, so each window's percentiles cover only its spans.
-void push_span_window(MetricStore& m, const char* span,
-                      const SpanHistogram& cur, const SpanHistogram& prev) {
+void push_span_window(MetricStore& m, Span span, const SpanHistogram& cur,
+                      const SpanHistogram& prev) {
   const std::uint64_t count = cur.count - prev.count;
   if (count == 0) return;
   std::array<std::uint64_t, kHistogramBuckets> delta{};
@@ -433,14 +457,14 @@ void push_span_window(MetricStore& m, const char* span,
   }
   const double mean_ns = static_cast<double>(cur.total_ns - prev.total_ns) /
                          static_cast<double>(count);
-  const std::string base(span);
-  push_point(m, base + ".count", {}, static_cast<double>(count));
-  push_point(m, base + ".mean_ns", {}, mean_ns, "ns");
-  for (const auto& [suffix, q] : {std::pair{".p50_ns", 0.50},
-                                 std::pair{".p90_ns", 0.90},
-                                 std::pair{".p99_ns", 0.99}}) {
-    push_point(m, base + suffix, {},
-               histogram_quantile(delta.data(), count, q, mean_ns), "ns");
+  const auto& name = span_window_names(span);
+  push_point(m, name[0], {}, static_cast<double>(count));
+  push_point(m, name[1], {}, mean_ns, "ns");
+  constexpr std::array<double, 3> kQuantiles = {0.50, 0.90, 0.99};
+  for (std::size_t k = 0; k < kQuantiles.size(); ++k) {
+    push_point(m, name[2 + k], {},
+               histogram_quantile(delta.data(), count, kQuantiles[k], mean_ns),
+               "ns");
   }
 }
 
@@ -867,9 +891,8 @@ std::uint64_t advance_window() {
 
   const auto spans = telemetry::span_totals(reg);
   for (std::size_t sp = 0; sp < spans.size(); ++sp) {
-    telemetry::push_span_window(
-        m, telemetry::span_name(static_cast<telemetry::Span>(sp)), spans[sp],
-        m.prev_spans[sp]);
+    telemetry::push_span_window(m, static_cast<telemetry::Span>(sp),
+                                spans[sp], m.prev_spans[sp]);
   }
   m.prev_spans = spans;
   const std::uint64_t window = ++m.window;

@@ -18,7 +18,9 @@
 
 #include "phy/tag.h"
 #include "rfsim/channel.h"
+#include "observability_fixture.h"
 #include "rx/frame_sync.h"
+#include "util/probe.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
 
@@ -368,6 +370,91 @@ TEST(StreamingReceiver, ReportsAreChunkInvariantAcrossRebases) {
     }
     EXPECT_EQ(seen, whole) << "chunk_samples=" << chunk;
   }
+}
+
+// power_norm is the detector's mean |soft| over the window RMS, and the
+// receiver reads that RMS from the frame synchronizer's prefix of m². It
+// must equal a direct √(Σ(re²+im²)/n) over the same window within 1e-12 for
+// the default geometry, for a back margin wider than the sync window
+// (group_window_chips 48) and for a window that crosses two rebase
+// boundaries, and chunking must change no report. The window starts
+// back_margin before the trigger and, with the default lookahead, ends at
+// the buffer's end;
+// its probed envelope pins the start. A prefix slot released too early and
+// overwritten shows as a wrong power_norm.
+TEST(StreamingReceiver, PowerNormReadsTheSynchronizerPower) {
+  constexpr std::uint64_t kInterval = FrameSynchronizer::Stream::kRebaseInterval;
+  struct Case {
+    double group_window_chips;
+    std::size_t payload_bytes;
+    std::size_t lead;  ///< noise samples ahead of the frame
+  };
+  for (const auto& [group_chips, payload_bytes, lead] :
+       {Case{2.0, 3, 0}, Case{48.0, 3, 0}, Case{2.0, 100, kInterval - 2000}}) {
+    ReceiverConfig cfg = rx_config();
+    cfg.detect.group_window_chips = group_chips;
+    const auto codes = group_codes(2);
+    const Receiver rx(cfg, codes);
+    cbma::Rng rng(31);
+    const std::vector<std::uint8_t> payload(payload_bytes, 0xA5);
+    std::vector<std::complex<double>> iq(lead, {0.0, 0.0});
+    rfsim::AwgnSource(1e-4).add_to(iq, rng);
+    const auto frame = make_window(codes, {{0, 1.0, 0.3, payload}}, rng, 1e-4);
+    iq.insert(iq.end(), frame.begin(), frame.end());
+    const std::string label = "group " + std::to_string(group_chips) +
+                              ", payload " + std::to_string(payload_bytes);
+
+    quiesce_observability();
+    probe::set_enabled(true);
+    RxReport whole;
+    for (const std::size_t chunk : {iq.size(), std::size_t{97}, std::size_t{1}}) {
+      telemetry::reset();
+      StreamingReceiver session(rx);
+      const RxReport report = process_chunked(session, iq, chunk);
+      if (chunk != iq.size()) {
+        EXPECT_EQ(report, whole) << label << ", chunk " << chunk;
+        continue;
+      }
+      whole = report;
+      ASSERT_EQ(report.decoded_count(), 1u) << label;
+      ASSERT_TRUE(report.link_quality.at(0).valid) << label;
+
+      // The last attempt decoded the frame (noise may fire earlier ones):
+      // its envelope tap, then tag 0's soft values.
+      std::map<probe::Tap, std::vector<std::vector<double>>> taps;
+      for (auto& r : telemetry::snapshot().probe.taps) {
+        taps[r.tap].push_back(std::move(r.data));
+      }
+      ASSERT_FALSE(taps[probe::Tap::kSyncEnergy].empty()) << label;
+      ASSERT_FALSE(taps[probe::Tap::kSoftBits].empty()) << label;
+      const auto& envelope = taps[probe::Tap::kSyncEnergy].back();
+      const auto& soft = taps[probe::Tap::kSoftBits].back();
+      const auto back = static_cast<std::size_t>(
+          (cfg.detect.search_back_chips + group_chips + 1.0) * kSpc);
+      const std::size_t begin = *report.frame_start - back;
+      const std::size_t n = iq.size() - begin;
+      ASSERT_EQ(envelope.size(), std::min(n, probe::kMaxSamplesPerRecord)) << label;
+      const auto& first = iq[begin];
+      ASSERT_EQ(envelope[0], std::sqrt(first.real() * first.real() +
+                                       first.imag() * first.imag()))
+          << label;
+      if (lead > 0) {
+        EXPECT_LT(begin, kInterval) << label;
+        EXPECT_GT(iq.size(), 2 * kInterval) << label;
+      }
+
+      double power = 0.0;
+      for (std::size_t i = begin; i < iq.size(); ++i) {
+        power += iq[i].real() * iq[i].real() + iq[i].imag() * iq[i].imag();
+      }
+      double mean_soft = 0.0;
+      for (const double v : soft) mean_soft += std::abs(v);
+      mean_soft /= static_cast<double>(soft.size());
+      const double want = mean_soft / std::sqrt(power / static_cast<double>(n));
+      EXPECT_NEAR(report.link_quality[0].power_norm, want, 1e-12 * want) << label;
+    }
+  }
+  quiesce_observability();
 }
 
 // FrameSynchronizer::Stream fires at exactly the positions the batch

@@ -5,7 +5,6 @@ Usage:
   check_perf_regression.py <BENCH_kernels.json>... <baseline.json> [--tolerance F]
   check_perf_regression.py <BENCH_kernels.json>... <baseline.json> --update
   check_perf_regression.py <BENCH_kernels.json> --ring-flat
-  check_perf_regression.py <BENCH_kernels.json> --twin-overhead
 
 Gates every bench_kernels row on same-run ratios, so the gate judges the
 code, not the host. A row's cost is its ns_per_packet, ns_per_sample or
@@ -47,17 +46,6 @@ rx_ring_bytes counter (resident ring footprint after the run), and the
 gate requires the value to be byte-identical across all stream lengths —
 a ring that grows with the 10x stream means per-sample state is being
 retained (DESIGN.md §10).
-
-`--twin-overhead` checks the observability cost ceiling instead of the
-baseline: every BM_<X>Metrics row (the metrics plane on, which arms the
-span recorder and both its views) is paired with its plane-off twin BM_<X>
-on the ns_per_round counter, and the enabled run must stay within
-METRICS_OVERHEAD_TOLERANCE (+2 %, DESIGN.md §12, §13) of the twin — the
-strict-identity-when-off contract's enabled-side budget. Pairs are matched
-within one run, so machine speed cancels out; run it with
---benchmark_repetitions and --benchmark_enable_random_interleaving, and each
-row counts its fastest repetition, so no row is judged by the slow start of
-a run.
 """
 import json
 import statistics
@@ -67,19 +55,15 @@ DEFAULT_TOLERANCE = 0.30
 
 GATED_COUNTERS = ("ns_per_packet", "ns_per_sample", "ns_per_round")
 
-# --twin-overhead: a metrics-enabled round (span recorder on, both views)
-# may cost at most this much more than its plane-off twin (+2% ns_per_round).
-METRICS_OVERHEAD_TOLERANCE = 0.02
-
 
 def fail(msg: str) -> None:
     print(f"check_perf_regression: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
 
 
-def counter_by_name(doc: dict, counter: str, positive: bool = True) -> dict:
-    """benchmark name -> smallest `counter` value over the row's repetitions
-    in a google-benchmark JSON doc (its fastest one, for a cost counter)."""
+def counter_by_name(doc: dict, counter: str) -> dict:
+    """benchmark name -> smallest positive `counter` value over the row's
+    repetitions in a google-benchmark JSON doc."""
     out = {}
     for bench in doc.get("benchmarks", []):
         # Skip aggregate rows (mean/median/stddev of --benchmark_repetitions).
@@ -87,7 +71,7 @@ def counter_by_name(doc: dict, counter: str, positive: bool = True) -> dict:
             continue
         name = bench.get("name")
         value = bench.get(counter)
-        if name and isinstance(value, (int, float)) and (value > 0 or not positive):
+        if name and isinstance(value, (int, float)) and value > 0:
             out[name] = min(out.get(name, float(value)), float(value))
     return out
 
@@ -155,54 +139,8 @@ def check_ring_flat(current_path: str) -> None:
           f"{next(iter(distinct)):.0f} bytes resident in every run")
 
 
-def check_twin_overhead(current_path: str) -> None:
-    """Pair BM_<X>Metrics rows with their plain BM_<X> twins on
-    ns_per_round and enforce the enabled-side cost budget."""
-    rounds = counter_by_name(load(current_path), "ns_per_round")
-    tolerance = METRICS_OVERHEAD_TOLERANCE
-    pairs = []
-    for name, ns_on in sorted(rounds.items()):
-        base, sep, rest = name.partition("/")
-        if not base.endswith("Metrics"):
-            continue
-        twin = base[:-len("Metrics")] + sep + rest
-        if twin not in rounds:
-            print(f"check_perf_regression: note: '{name}' has no "
-                  f"plane-off twin '{twin}' in this run — skipped")
-            continue
-        pairs.append((twin, name, rounds[twin], ns_on))
-    if not pairs:
-        fail(f"{current_path} has no paired BM_<X>/BM_<X>Metrics "
-             "ns_per_round rows — run bench_kernels with "
-             "--benchmark_filter=BM_NetMulticellRound")
-    failures = []
-    for twin, name, ns_off, ns_on in pairs:
-        ratio = ns_on / ns_off
-        verdict = "ok" if ratio <= 1.0 + tolerance else "OVER BUDGET"
-        print(f"check_perf_regression: overhead: {twin} "
-              f"{ns_off:.0f} ns -> {name} {ns_on:.0f} ns "
-              f"({ratio:.3f}x): {verdict}")
-        if ratio > 1.0 + tolerance:
-            failures.append((name, ratio))
-    for name, ratio in failures:
-        print(f"check_perf_regression: FAIL: {name} costs {ratio:.3f}x its "
-              f"plane-off twin (> {1.0 + tolerance:.2f}x allowed)",
-              file=sys.stderr)
-    if failures:
-        sys.exit(1)
-    print(f"check_perf_regression: overhead within "
-          f"{tolerance:.0%} on {len(pairs)} pair(s)")
-
-
 def main() -> None:
     args = sys.argv[1:]
-    if "--twin-overhead" in args:
-        args = [a for a in args if a != "--twin-overhead"]
-        if len(args) != 1:
-            fail("usage: check_perf_regression.py <BENCH_kernels.json> "
-                 "--twin-overhead")
-        check_twin_overhead(args[0])
-        return
     if "--ring-flat" in args:
         args = [a for a in args if a != "--ring-flat"]
         if len(args) != 1:

@@ -1,9 +1,10 @@
-// Micro-benchmarks (google-benchmark) of the hot kernels: spreading,
-// sliding complex correlation, channel synthesis, frame decode, and the
-// full end-to-end collided round over one TransmitScratch reused across
-// packets.
-// These bound the simulator's packets/second and document where the cycles
-// go.
+// Micro-benchmarks (google-benchmark) of the hot kernels: spreading, Gold
+// family construction, channel synthesis, AWGN, leakage tones, frame
+// decode, the full end-to-end collided round over one TransmitScratch
+// reused across packets, the streaming receiver, the detector's folded
+// peak search and one multi-cell network round. Each row times work no
+// other row times; together they bound the simulator's packets/second and
+// document where the cycles go.
 //
 // Besides the console table, the run writes BENCH_kernels.json (google
 // benchmark's JSON schema) next to the working directory so tooling and CI
@@ -31,20 +32,15 @@ namespace {
 
 using namespace cbma;
 
-/// Attach a "ns_per_packet" counter: wall nanoseconds per processed item,
-/// the figure DESIGN.md §4.7 quotes (items = packets for the end-to-end
-/// benches, chips/lags for the kernels).
-void set_rate_counters(benchmark::State& state, std::int64_t items_per_iter) {
-  state.counters["ns_per_packet"] = benchmark::Counter(
-      static_cast<double>(items_per_iter) * 1e-9,
-      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
-}
-
 /// Shared epilogue for the rate-counted benches: items-processed bookkeeping
-/// plus the ns_per_packet counter (previously copy-pasted per bench).
+/// plus an "ns_per_packet" counter, the wall nanoseconds per iteration
+/// DESIGN.md §4.7 quotes (one packet for the end-to-end benches, one kernel
+/// call for the others).
 void finish_rate(benchmark::State& state, std::int64_t items_per_iter) {
   state.SetItemsProcessed(state.iterations() * items_per_iter);
-  set_rate_counters(state, 1);
+  state.counters["ns_per_packet"] = benchmark::Counter(
+      1e-9, benchmark::Counter::kIsIterationInvariantRate |
+                benchmark::Counter::kInvert);
 }
 
 void BM_Spread(benchmark::State& state) {
@@ -66,20 +62,6 @@ void BM_GoldFamilyConstruction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GoldFamilyConstruction);
-
-void BM_SlidingComplexPeak(benchmark::State& state) {
-  Rng rng(1);
-  const auto code = pn::make_code_set(pn::CodeFamily::kTwoNC, 10, 20)[0];
-  const auto tmpl = pn::mean_removed_template(code, 4);
-  std::vector<std::complex<double>> signal(8192);
-  for (auto& s : signal) s = {rng.gaussian(), rng.gaussian()};
-  const auto lags = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pn::sliding_complex_peak(signal, tmpl, 0, lags));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SlidingComplexPeak)->Arg(64)->Arg(256);
 
 /// Chips of a 112-bit frame at L=32.
 constexpr std::size_t kSynthesisChips = 3584;
@@ -109,25 +91,9 @@ std::vector<rfsim::TagTransmission> synthesis_tags(
   return txs;
 }
 
-void BM_ChannelSynthesis(benchmark::State& state) {
-  Rng rng(2);
-  rfsim::ChannelConfig cc;
-  cc.samples_per_chip = 4;
-  cc.chip_rate_hz = 32e6;
-  cc.noise_power_w = 1e-9;
-  const rfsim::Channel channel(cc);
-  const auto chips = synthesis_chips(static_cast<std::size_t>(state.range(0)));
-  const auto txs = synthesis_tags(chips);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(channel.receive(txs, rng));
-  }
-  finish_rate(state,
-              static_cast<std::int64_t>(kSynthesisChips) * state.range(0));
-}
-BENCHMARK(BM_ChannelSynthesis)->Arg(2)->Arg(10);
-
-/// Channel synthesis into caller-owned buffers — the batched pipeline's
-/// zero-allocation path (window, envelope and waveform capacity all reused).
+/// Channel synthesis of Arg(0) tags into caller-owned buffers — the batched
+/// pipeline's zero-allocation path (window, envelope and waveform capacity
+/// all reused).
 void BM_ChannelSynthesisScratch(benchmark::State& state) {
   Rng rng(2);
   rfsim::ChannelConfig cc;
@@ -231,43 +197,11 @@ void BM_EndToEndBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndBatched)->Arg(2)->Arg(5)->Arg(10);
 
-/// Same batched pipeline, but timed manually on util::monotonic_ns — the
-/// single clock every span timer and bench shares (DESIGN.md §7). Each
-/// iteration is also a bench/iteration telemetry span, so a CBMA_TELEMETRY=1
-/// run can cross-check google-benchmark's wall time against the in-pipeline
-/// span percentiles, and a CBMA_TRACE run shows the iterations on the
-/// timeline. Disabled telemetry costs one relaxed atomic load per iteration.
-void BM_EndToEndBatchedManualClock(benchmark::State& state) {
-  core::SystemConfig cfg;
-  cfg.max_tags = static_cast<std::size_t>(state.range(0));
-  auto dep = rfsim::Deployment::paper_frame();
-  for (int k = 0; k < state.range(0); ++k) {
-    dep.add_tag({0.1 * k, 0.6});
-  }
-  const core::CbmaSystem sys(cfg, dep);
-  Rng rng(4);
-  const core::TransmitOptions options;
-  core::TransmitScratch scratch;
-  for (auto _ : state) {
-    const std::uint64_t begin_ns = util::monotonic_ns();
-    {
-      const telemetry::ScopedSpan span(telemetry::Span::kBenchIteration);
-      benchmark::DoNotOptimize(sys.transmit(options, rng, scratch));
-    }
-    state.SetIterationTime(
-        static_cast<double>(util::monotonic_ns() - begin_ns) * 1e-9);
-  }
-  finish_rate(state, state.range(0));
-}
-BENCHMARK(BM_EndToEndBatchedManualClock)->Arg(5)->UseManualTime();
-
 /// The chunked streaming receiver on a continuous stream of Arg(0) decodable
 /// rounds (round + noise gap, fed in 4096-sample chunks through one warm
-/// session). Two counters feed the CI gates: ns_per_sample is the
-/// steady-state ingest cost, and rx_ring_bytes is the resident ring
-/// footprint — which must be identical between the 1x and 10x stream
-/// lengths, the O(window) memory claim of DESIGN.md §10
-/// (check_perf_regression.py --ring-flat).
+/// session). ns_per_sample is the steady-state ingest cost the kernel gate
+/// judges; the flat ring footprint is pinned by the
+/// StreamingReceiver.ContinuousStreamDecodesEveryRoundAtFlatMemory test.
 void BM_StreamingRx(benchmark::State& state) {
   rx::ReceiverConfig cfg;
   cfg.samples_per_chip = 4;
@@ -315,8 +249,6 @@ void BM_StreamingRx(benchmark::State& state) {
     session.flush();
   }
   benchmark::DoNotOptimize(decoded);
-  state.counters["rx_ring_bytes"] =
-      static_cast<double>(session.ring_bytes());
   state.counters["ns_per_sample"] = benchmark::Counter(
       static_cast<double>(samples.size()) * 1e-9,
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);

@@ -84,59 +84,6 @@ double normalized_complex_correlation_at(std::span<const std::complex<double>> s
   return std::abs(dot) / denom;
 }
 
-ComplexCorrelationPeak sliding_complex_peak(
-    std::span<const std::complex<double>> signal, std::span<const double> tmpl,
-    std::size_t search_begin, std::size_t search_end) {
-  CBMA_REQUIRE(search_begin <= search_end, "search window inverted");
-  ComplexCorrelationPeak best;
-  best.value = -1.0;
-  const std::size_t n = tmpl.size();
-  if (n == 0 || signal.size() < n) return ComplexCorrelationPeak{};
-  const std::size_t end = std::min({search_end, signal.size() - n + 1});
-  if (search_begin >= end) return ComplexCorrelationPeak{};
-
-  // The window mean/energy terms are shared across lags — maintain them as
-  // running sums instead of rescanning the window per lag. Only the dot
-  // product is recomputed per lag.
-  double t_norm2 = 0.0;
-  double t_sum = 0.0;
-  for (const double v : tmpl) {
-    t_norm2 += v * v;
-    t_sum += v;
-  }
-  const double inv_n = 1.0 / static_cast<double>(n);
-
-  std::complex<double> s_sum{0.0, 0.0};
-  double s_sumsq = 0.0;
-  for (std::size_t i = search_begin; i < search_begin + n; ++i) {
-    s_sum += signal[i];
-    s_sumsq += std::norm(signal[i]);
-  }
-
-  for (std::size_t off = search_begin; off < end; ++off) {
-    std::complex<double> dot{0.0, 0.0};
-    const std::complex<double>* s = signal.data() + off;
-    for (std::size_t i = 0; i < n; ++i) dot += s[i] * tmpl[i];
-    // Mean-removed forms: dot_c = dot − mean·Σtmpl, ‖window−mean‖².
-    const std::complex<double> mean = s_sum * inv_n;
-    const std::complex<double> dot_c = dot - mean * t_sum;
-    const double s_norm2 = s_sumsq - std::norm(s_sum) * inv_n;
-    const double denom2 = s_norm2 * t_norm2;
-    const double v = denom2 > 0.0 ? std::abs(dot_c) / std::sqrt(denom2) : 0.0;
-    if (v > best.value) {
-      best.value = v;
-      best.offset = off;
-    }
-    if (off + n < signal.size()) {
-      s_sum += signal[off + n] - signal[off];
-      s_sumsq += std::norm(signal[off + n]) - std::norm(signal[off]);
-    }
-  }
-  if (best.value < 0.0) return ComplexCorrelationPeak{};
-  best.phase = std::arg(complex_correlate_at(signal, tmpl, best.offset));
-  return best;
-}
-
 void split_iq(std::span<const std::complex<double>> iq, std::vector<double>& re,
               std::vector<double>& im) {
   re.resize(iq.size());
@@ -216,8 +163,8 @@ ComplexCorrelationPeak sliding_complex_peak_folded(
   const double t_sum = spc * t_chip_sum;
   const double inv_n = 1.0 / static_cast<double>(n);
 
-  // Running window sums shared across lags (identical to the unfolded
-  // sliding peak); only the dot product runs on the folded layout.
+  // The window mean/energy terms are shared across lags: keep them as
+  // running sums; only the dot product runs on the folded layout.
   double s_sum_re = 0.0;
   double s_sum_im = 0.0;
   double s_sumsq = 0.0;

@@ -5,10 +5,13 @@
 //  * code-vs-code correlations on binary chips (periodic / aperiodic), used
 //    to validate family properties (Gold's three-valued cross-correlation,
 //    2NC orthogonality);
-//  * complex-baseband-vs-template sliding correlation, the receiver's
-//    coherent detector and decoder. Templates are mean-removed so the
-//    unipolar OOK chips and constant offsets from other users do not bias
-//    decisions (this is the "correlation-based detector" of §V-B).
+//  * complex-baseband-vs-template correlation, the receiver's coherent
+//    detector and decoder. Templates are mean-removed so the unipolar OOK
+//    chips and constant offsets from other users do not bias decisions
+//    (this is the "correlation-based detector" of §V-B). The one sliding
+//    search is sliding_complex_peak_folded on the split, chip-folded
+//    window; the per-lag complex_correlate_at and
+//    normalized_complex_correlation_at are its reference definitions.
 #pragma once
 
 #include <complex>
@@ -40,13 +43,15 @@ std::vector<double> mean_removed_template(const PnCode& code,
 
 /// Complex dot product of `signal` (from `offset`) against a real template;
 /// returns 0 if the template does not fit. The result's argument is the
-/// signal's carrier phase over the window.
+/// signal's carrier phase over the window: the phase
+/// sliding_complex_peak_folded reports at its peak.
 std::complex<double> complex_correlate_at(std::span<const std::complex<double>> signal,
                                           std::span<const double> tmpl,
                                           std::size_t offset);
 
 /// |complex correlation| normalized by the L2 norms of the template and the
-/// mean-removed signal window — in [0, 1], invariant to carrier phase.
+/// mean-removed signal window — in [0, 1], invariant to carrier phase: the
+/// per-lag score sliding_complex_peak_folded maximizes.
 double normalized_complex_correlation_at(std::span<const std::complex<double>> signal,
                                          std::span<const double> tmpl,
                                          std::size_t offset);
@@ -56,12 +61,6 @@ struct ComplexCorrelationPeak {
   double value = 0.0;  ///< normalized |correlation| at the peak
   double phase = 0.0;  ///< carrier phase estimate at the peak (radians)
 };
-
-/// Slide `tmpl` over complex signal[search_begin, search_end); returns the
-/// offset with the largest normalized |correlation| plus the phase there.
-ComplexCorrelationPeak sliding_complex_peak(
-    std::span<const std::complex<double>> signal, std::span<const double> tmpl,
-    std::size_t search_begin, std::size_t search_end);
 
 // --- split real/imag kernels (hot receiver path) ---
 //
@@ -105,9 +104,12 @@ std::complex<double> complex_correlate_folded_at(std::span<const double> fold_re
                                                  std::size_t samples_per_chip,
                                                  std::size_t offset);
 
-/// sliding_complex_peak driven by the folded dot product. `re`/`im` are the
-/// raw split window (for the normalization terms); `fold_re`/`fold_im` must
-/// be fold_chip_sums of them; `chip_tmpl` is the chip-level (not upsampled)
+/// Slide the upsampled `chip_tmpl` over the window's lags [search_begin,
+/// search_end) and return the lag with the largest normalized |correlation|
+/// plus the carrier phase there; the default peak when no lag fits. The
+/// dot products run on the folded sums. `re`/`im` are the raw split window
+/// (for the normalization terms); `fold_re`/`fold_im` must be
+/// fold_chip_sums of them; `chip_tmpl` is the chip-level (not upsampled)
 /// mean-removed template.
 ComplexCorrelationPeak sliding_complex_peak_folded(
     std::span<const double> re, std::span<const double> im,

@@ -61,18 +61,6 @@ UserDetector::UserDetector(UserDetectConfig config, std::span<const pn::PnCode> 
   }
 }
 
-DetectedUser UserDetector::probe(std::span<const std::complex<double>> iq,
-                                 std::size_t coarse_start, std::size_t tag_index) const {
-  CBMA_REQUIRE(tag_index < templates_.size(), "tag index out of group");
-  const auto spc = static_cast<double>(samples_per_chip_);
-  const auto back = static_cast<std::size_t>(config_.search_back_chips * spc);
-  const auto ahead = static_cast<std::size_t>(config_.search_ahead_chips * spc);
-  const std::size_t begin = coarse_start > back ? coarse_start - back : 0;
-  const std::size_t end = coarse_start + ahead + 1;
-  const auto peak = pn::sliding_complex_peak(iq, templates_[tag_index], begin, end);
-  return DetectedUser{tag_index, peak.offset, peak.value, peak.phase};
-}
-
 std::vector<DetectedUser> UserDetector::detect(const DetectionInput& input,
                                                Scratch& scratch) const {
   CBMA_REQUIRE(input.re.size() == input.im.size(),

@@ -18,7 +18,6 @@
 // still-unassigned code, on the chip-folded residual (DESIGN.md §9).
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -105,11 +104,6 @@ class UserDetector {
   /// packets.
   std::vector<DetectedUser> detect(const DetectionInput& input,
                                    Scratch& scratch) const;
-
-  /// Peak correlation (offset + phase) for one specific code, with no
-  /// thresholding — used by tests and calibration.
-  DetectedUser probe(std::span<const std::complex<double>> iq,
-                     std::size_t coarse_start, std::size_t tag_index) const;
 
  private:
   UserDetectConfig config_;

@@ -12,14 +12,15 @@
 // with CBMA_PROBE=<dump-path>, or set_dump_path() and set_enabled(true).
 //
 // The capture lives in telemetry's one registry (util/telemetry.cpp, which
-// implements the record_* entry points): every record is appended under
+// implements the record_* entry points): every record is stored under
 // its mutex, not into a lock-free per-thread sink, because a probe run is a
 // debugging instrument recording kilobyte-scale waveforms at bounded
 // depth, not a hot-path counter, and a single ordered store is what the
 // dump reader wants. telemetry::snapshot().probe copies it and
 // telemetry::reset() clears it. The bounds make a runaway sweep degrade to
-// "first N records per tap" instead of exhausting memory. See DESIGN.md §8
-// for the full signal-probe contract.
+// the N records per tap with the smallest (sweep point, parallel_for item,
+// capture order) instead of exhausting memory, the same records at any
+// worker count. See DESIGN.md §8 for the full signal-probe contract.
 #pragma once
 
 #include <complex>

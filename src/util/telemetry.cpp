@@ -5,6 +5,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string_view>
 #include <tuple>
 #include <utility>
@@ -145,10 +147,18 @@ struct Series {
   std::size_t filled = 0;
 };
 
-/// The signal-probe capture (util/probe.h) as recorded.
+/// A kept probe record's export key (point, item, capture seq) and its
+/// slot in the capture's vector.
+using KeptKey =
+    std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::size_t>;
+
+/// The signal-probe capture (util/probe.h) as recorded. Each tap and the
+/// link rows keep a max-heap of their kept records' keys, so a full store
+/// finds the record a smaller newcomer evicts.
 struct ProbeStore {
   probe::Capture capture;
-  std::array<std::size_t, probe::kTapCount> per_tap{};
+  std::array<std::vector<KeptKey>, probe::kTapCount> tap_keys;
+  std::vector<KeptKey> link_keys;
   std::uint64_t next_seq = 0;  ///< one order across taps and link rows
 };
 
@@ -527,7 +537,6 @@ const char* span_name(Span s) {
     case Span::kRxDecode: return "rx/decode";
     case Span::kSweepPoint: return "sweep/point";
     case Span::kSweepRun: return "sweep/run";
-    case Span::kBenchIteration: return "bench/iteration";
     case Span::kNetRound: return "net/round";
     case Span::kNetAssociate: return "net/associate";
     case Span::kNetCellRound: return "net/cell_round";
@@ -765,32 +774,56 @@ std::size_t sink_count() {
 namespace cbma::probe {
 namespace {
 
+using telemetry::KeptKey;
 using telemetry::t_item;
 using telemetry::t_point;
 
-/// Append one tap record, labelled with the calling thread's point and
-/// item, unless its tap is at kMaxRecordsPerTap.
+/// Where a new record with export `key` goes among one store's `kept`
+/// records. A full store keeps the `cap` records with the smallest export
+/// key (point, item, capture seq); each (point, item) records on one thread
+/// in order, so which records survive does not depend on how threads
+/// interleave. Returns the capture slot to write: the key's own (the
+/// capture's size) while the store has room, the evicted record's when the
+/// newcomer is below the largest kept key, none when it is dropped. A full
+/// store loses one record either way, counted in `dropped`.
+std::optional<std::size_t> admit(std::vector<KeptKey>& kept, std::size_t cap,
+                                 KeptKey key, std::size_t& dropped) {
+  if (kept.size() >= cap) {
+    ++dropped;
+    if (key > kept.front()) return std::nullopt;
+    std::pop_heap(kept.begin(), kept.end());
+    std::get<3>(key) = std::get<3>(kept.back());
+    kept.pop_back();
+  }
+  kept.push_back(key);
+  std::push_heap(kept.begin(), kept.end());
+  return std::get<3>(key);
+}
+
+/// Store one tap record, labelled with the calling thread's point and
+/// item, if its tap keeps it (admit); `data` is copied only then.
 void store_tap(Tap t, std::uint32_t context, bool complex_iq,
-               std::vector<double> data) {
+               std::span<const double> data) {
   auto& reg = telemetry::Registry::instance();
   const std::lock_guard<std::mutex> lock(reg.mu);
   auto& p = reg.probe;
-  auto& stored = p.per_tap[static_cast<std::size_t>(t)];
-  if (stored >= kMaxRecordsPerTap) {
-    ++p.capture.dropped_taps;
-    return;
-  }
-  ++stored;
-  p.capture.taps.push_back({t, p.next_seq++, t_point, t_item, context,
-                            complex_iq, std::move(data)});
+  auto& taps = p.capture.taps;
+  const std::uint64_t seq = p.next_seq++;
+  const auto slot = admit(p.tap_keys[static_cast<std::size_t>(t)],
+                          kMaxRecordsPerTap, {t_point, t_item, seq, taps.size()},
+                          p.capture.dropped_taps);
+  if (!slot) return;
+  if (*slot == taps.size()) taps.emplace_back();
+  taps[*slot] = {t, seq, t_point, t_item, context, complex_iq,
+                 {data.begin(), data.end()}};
 }
 
 }  // namespace
 
 void record_tap(Tap t, std::uint32_t context, std::span<const double> samples) {
   if (!enabled()) return;
-  const std::size_t n = std::min(samples.size(), kMaxSamplesPerRecord);
-  store_tap(t, context, false, {samples.begin(), samples.begin() + n});
+  store_tap(t, context, false,
+            samples.first(std::min(samples.size(), kMaxSamplesPerRecord)));
 }
 
 void record_tap_iq(Tap t, std::uint32_t context,
@@ -800,7 +833,7 @@ void record_tap_iq(Tap t, std::uint32_t context,
   // allows this access ([complex.numbers]).
   const auto* re_im = reinterpret_cast<const double*>(iq.data());
   const std::size_t n = std::min(iq.size(), kMaxSamplesPerRecord);
-  store_tap(t, context, true, {re_im, re_im + 2 * n});
+  store_tap(t, context, true, {re_im, 2 * n});
 }
 
 void record_link_quality(const LinkQualitySample& sample) {
@@ -808,12 +841,16 @@ void record_link_quality(const LinkQualitySample& sample) {
   auto& reg = telemetry::Registry::instance();
   const std::lock_guard<std::mutex> lock(reg.mu);
   auto& p = reg.probe;
-  if (p.capture.link.size() >= kMaxLinkQualitySamples) {
-    ++p.capture.dropped_link;
-    return;
-  }
-  LinkQualitySample& stored = p.capture.link.emplace_back(sample);
-  stored.seq = p.next_seq++;
+  auto& link = p.capture.link;
+  const std::uint64_t seq = p.next_seq++;
+  const auto slot =
+      admit(p.link_keys, kMaxLinkQualitySamples,
+            {t_point, t_item, seq, link.size()}, p.capture.dropped_link);
+  if (!slot) return;
+  if (*slot == link.size()) link.emplace_back();
+  LinkQualitySample& stored = link[*slot];
+  stored = sample;
+  stored.seq = seq;
   stored.point = t_point;
   stored.item = t_item;
 }

@@ -76,7 +76,6 @@ enum class Span : std::uint8_t {
   kRxDecode,             ///< per-user coherent decode
   kSweepPoint,           ///< one SweepRunner grid-point body
   kSweepRun,             ///< one SweepRunner::run, end to end
-  kBenchIteration,       ///< bench_kernels manual-timed iteration
   kNetRound,             ///< one net::Network::run_round, end to end
   kNetAssociate,         ///< association / hysteresis-roaming pass
   kNetCellRound,         ///< one cell's MAC round inside a network round

@@ -276,6 +276,7 @@ struct ProbeExport {
   std::string manifest;
   std::vector<std::size_t> per_point;  ///< index 0 = outside any sweep
   std::size_t dropped = 0;
+  std::size_t soft_bits = 0;  ///< records the soft_bits tap kept
 };
 
 std::string read_bytes(const std::string& path) {
@@ -283,28 +284,38 @@ std::string read_bytes(const std::string& path) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-/// Eight sweep points on `sweep_workers` threads, each running one probed
-/// round of a two-cell network with its cells on `cell_workers` threads.
-/// Small enough that no capture cap binds.
+/// The network each sweep point runs: `tags` tags per cell of a two-cell
+/// grid, `packets` packets per cell round.
+struct ProbedNetwork {
+  std::size_t points = 8;
+  std::size_t tags = 2;
+  std::size_t packets = 2;
+};
+
+/// `shape.points` sweep points on `sweep_workers` threads, each running one
+/// probed round of a two-cell network with its cells on `cell_workers`
+/// threads. The default shape is small enough that no capture cap binds.
 ProbeExport probed_network_sweep(std::size_t sweep_workers,
-                                 std::size_t cell_workers) {
-  constexpr std::size_t kPoints = 8;
+                                 std::size_t cell_workers,
+                                 ProbedNetwork shape = {}) {
   telemetry::reset();
   SweepSpec spec;
   spec.name = "probe_order";
   spec.base_seed = 31;
-  spec.axes.push_back(Axis::numeric("x", {0, 1, 2, 3, 4, 5, 6, 7}));
+  std::vector<double> xs(shape.points);
+  for (std::size_t p = 0; p < xs.size(); ++p) xs[p] = static_cast<double>(p);
+  spec.axes.push_back(Axis::numeric("x", xs));
   SweepRunner(spec).run(
       [&](const SweepPoint& point) {
         net::NetworkConfig config;
         config.cell.code_family = pn::CodeFamily::kGold;
         config.cell.code_min_length = 31;
-        config.cell.max_tags = 2;
+        config.cell.max_tags = shape.tags;
         config.cell.tx_power_dbm = 30.0;
-        config.packets_per_round = 2;
+        config.packets_per_round = shape.packets;
         auto network = net::Network::grid(config, 8.0, 4.0, 2, 1);
         Rng rng(point.seed());
-        network.place_random_tags(4, rng);
+        network.place_random_tags(2 * shape.tags, rng);
         (void)network.run_round(point.seed(), cell_workers);
       },
       sweep_workers);
@@ -313,16 +324,37 @@ ProbeExport probed_network_sweep(std::size_t sweep_workers,
   w.begin_object();
   observability_planes()[1].write_json_section(w, snap);
   w.end_object();
-  const std::string path = ::testing::TempDir() + "core_probe_order.bin";
+  // One file per test: ctest runs the tests as parallel processes.
+  const std::string path =
+      ::testing::TempDir() +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".bin";
   EXPECT_TRUE(write_probe_dump(path, snap));
   ProbeExport out{w.str(), read_bytes(path), read_bytes(path + ".json"),
-                  std::vector<std::size_t>(kPoints + 1, 0),
+                  std::vector<std::size_t>(shape.points + 1, 0),
                   snap.probe.dropped_taps + snap.probe.dropped_link};
-  for (const auto& r : snap.probe.taps) ++out.per_point.at(r.point);
+  for (const auto& r : snap.probe.taps) {
+    ++out.per_point.at(r.point);
+    out.soft_bits += r.tap == probe::Tap::kSoftBits;
+  }
   for (const auto& r : snap.probe.link) ++out.per_point.at(r.point);
   std::remove(path.c_str());
   std::remove((path + ".json").c_str());
   return out;
+}
+
+/// Three sweeps at (4 sweep workers, 4 cell workers) must export exactly
+/// what `serial`, the sweep at (1, 1), did.
+void expect_parallel_sweeps_match(const ProbeExport& serial,
+                                  ProbedNetwork shape) {
+  for (int run = 0; run < 3; ++run) {
+    const ProbeExport parallel = probed_network_sweep(4, 4, shape);
+    EXPECT_EQ(serial.dropped, parallel.dropped) << "run " << run;
+    EXPECT_EQ(serial.per_point, parallel.per_point) << "run " << run;
+    EXPECT_EQ(serial.section, parallel.section) << "run " << run;
+    // Megabyte-scale: compare without printing them on failure.
+    EXPECT_TRUE(serial.dump == parallel.dump) << "run " << run;
+    EXPECT_TRUE(serial.manifest == parallel.manifest) << "run " << run;
+  }
 }
 
 TEST_F(CoreProbe, SweepExportsDoNotDependOnTheWorkerCount) {
@@ -339,14 +371,20 @@ TEST_F(CoreProbe, SweepExportsDoNotDependOnTheWorkerCount) {
   for (std::size_t p = 1; p < serial.per_point.size(); ++p) {
     EXPECT_GT(serial.per_point[p], 0u) << "point " << p;
   }
-  for (int run = 0; run < 3; ++run) {
-    const ProbeExport parallel = probed_network_sweep(4, 4);
-    EXPECT_EQ(serial.per_point, parallel.per_point) << "run " << run;
-    EXPECT_EQ(serial.section, parallel.section) << "run " << run;
-    // Megabyte-scale: compare without printing them on failure.
-    EXPECT_TRUE(serial.dump == parallel.dump) << "run " << run;
-    EXPECT_TRUE(serial.manifest == parallel.manifest) << "run " << run;
-  }
+  expect_parallel_sweeps_match(serial, {});
+}
+
+TEST_F(CoreProbe, CappedSweepExportsDoNotDependOnTheWorkerCount) {
+  // Thirty points of two ten-tag cells overflow the soft_bits tap: a full
+  // store keeps the records with the smallest (point, item, capture
+  // order), which no interleaving of the workers changes.
+  probe::set_enabled(true);
+  const ProbedNetwork shape{.points = 30, .tags = 10, .packets = 1};
+  const ProbeExport serial = probed_network_sweep(1, 1, shape);
+  ASSERT_EQ(serial.soft_bits, probe::kMaxRecordsPerTap)
+      << "the soft_bits cap must bind";
+  ASSERT_GT(serial.dropped, 0u);
+  expect_parallel_sweeps_match(serial, shape);
 }
 
 TEST_F(CoreProbe, WatchdogFloorRuleFiresOnBreach) {

@@ -231,7 +231,7 @@ TEST_F(ProfilePlane, TreeAndTelemetrySectionsAgreeSpanForSpan) {
   // one clock reading in one per-thread sink.
   telemetry::set_enabled(true);
   {
-    const ScopedSpan warm(Span::kBenchIteration);  // the caller's own sink
+    const ScopedSpan warm(Span::kSweepRun);  // the caller's own sink
   }
   telemetry::reset();
   const std::size_t sinks_before = telemetry::sink_count();

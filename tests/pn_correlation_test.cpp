@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <complex>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "pn/msequence.h"
 #include "util/rng.h"
@@ -79,9 +81,23 @@ TEST(NormalizedComplexCorrelation, PhaseInvariantPerfectMatch) {
   }
 }
 
+/// The receiver's one sliding search on an interleaved window: split it,
+/// fold both components, and slide the chip template over the lags
+/// [begin, end).
+ComplexCorrelationPeak folded_peak(std::span<const std::complex<double>> signal,
+                                   std::span<const double> chip_tmpl,
+                                   std::size_t spc, std::size_t begin,
+                                   std::size_t end) {
+  std::vector<double> re, im, fold_re, fold_im;
+  split_iq(signal, re, im);
+  fold_chip_sums(re, spc, fold_re);
+  fold_chip_sums(im, spc, fold_im);
+  return sliding_complex_peak_folded(re, im, fold_re, fold_im, chip_tmpl, spc,
+                                     begin, end);
+}
+
 TEST(SlidingComplexPeak, FindsOffsetAndPhase) {
   const auto code = msequence_code(5);
-  const auto tmpl = mean_removed_template(code, 2);
   const double phase = -0.9;
   std::vector<std::complex<double>> signal(260, {0.0, 0.0});
   const std::size_t true_offset = 101;
@@ -91,41 +107,41 @@ TEST(SlidingComplexPeak, FindsOffsetAndPhase) {
           std::polar(1.5, phase) * static_cast<double>(code.chip(i));
     }
   }
-  const auto peak = sliding_complex_peak(signal, tmpl, 40, 180);
+  const auto peak =
+      folded_peak(signal, mean_removed_template(code), 2, 40, 180);
   EXPECT_EQ(peak.offset, true_offset);
   EXPECT_NEAR(peak.value, 1.0, 1e-9);
   EXPECT_NEAR(peak.phase, phase, 1e-6);
 }
 
 TEST(SlidingComplexPeak, MatchesBruteForceUnderNoise) {
-  // The incremental running-sum implementation must agree with the direct
-  // per-offset computation.
+  // The folded dots and the running window sums must agree with the
+  // direct per-lag computation on the upsampled template, over lags that
+  // span several of the search's lag blocks.
   Rng rng(5);
   const auto code = msequence_code(5);
-  const auto tmpl = mean_removed_template(code, 2);
-  std::vector<std::complex<double>> signal(300);
-  for (auto& s : signal) s = {rng.gaussian(), rng.gaussian()};
+  for (const std::size_t spc : {1u, 2u, 4u}) {
+    const auto tmpl = mean_removed_template(code, spc);
+    std::vector<std::complex<double>> signal(300 + tmpl.size());
+    for (auto& s : signal) s = {rng.gaussian(), rng.gaussian()};
 
-  const auto peak = sliding_complex_peak(signal, tmpl, 10, 200);
-  double best = -1.0;
-  std::size_t best_off = 0;
-  for (std::size_t off = 10; off < 200; ++off) {
-    const double v = normalized_complex_correlation_at(signal, tmpl, off);
-    if (v > best) {
-      best = v;
-      best_off = off;
+    const auto peak =
+        folded_peak(signal, mean_removed_template(code), spc, 10, 200);
+    double best = -1.0;
+    std::size_t best_off = 0;
+    for (std::size_t off = 10; off < 200; ++off) {
+      const double v = normalized_complex_correlation_at(signal, tmpl, off);
+      if (v > best) {
+        best = v;
+        best_off = off;
+      }
     }
+    EXPECT_EQ(peak.offset, best_off) << "spc " << spc;
+    EXPECT_NEAR(peak.value, best, 1e-9) << "spc " << spc;
+    EXPECT_NEAR(peak.phase,
+                std::arg(complex_correlate_at(signal, tmpl, best_off)), 1e-9)
+        << "spc " << spc;
   }
-  EXPECT_EQ(peak.offset, best_off);
-  EXPECT_NEAR(peak.value, best, 1e-9);
-}
-
-TEST(SlidingComplexPeak, EmptyWindowReturnsDefault) {
-  const std::vector<std::complex<double>> signal(5, {0.0, 0.0});
-  const std::vector<double> tmpl(10, 1.0);
-  const auto peak = sliding_complex_peak(signal, tmpl, 0, 5);
-  EXPECT_EQ(peak.offset, 0u);
-  EXPECT_DOUBLE_EQ(peak.value, 0.0);
 }
 
 TEST(SlidingComplexPeakFolded, WindowShorterThanTemplateYieldsDefaults) {

@@ -34,6 +34,18 @@ phy::Tag make_tag(std::size_t index, const std::vector<pn::PnCode>& codes) {
   return phy::Tag(cfg);
 }
 
+/// A code's spread preamble as the detector correlates it: the
+/// mean-removed code per bit, sign-flipped for '0' bits, `spc` samples per
+/// chip (1 gives the chip-level template of the folded search).
+std::vector<double> preamble_template(const pn::PnCode& code, std::size_t spc) {
+  const auto bit = pn::mean_removed_template(code, spc);
+  std::vector<double> t;
+  for (const auto b : phy::alternating_preamble(kPreambleBits)) {
+    for (const double v : bit) t.push_back(b ? v : -v);
+  }
+  return t;
+}
+
 /// detect() through the unified DetectionInput entry point (the tests keep
 /// interleaved IQ; the detector API takes split views).
 std::vector<DetectedUser> detect_iq(const UserDetector& det,
@@ -43,6 +55,16 @@ std::vector<DetectedUser> detect_iq(const UserDetector& det,
   pn::split_iq(iq, re, im);
   UserDetector::Scratch scratch;
   return det.detect(DetectionInput{re, im, coarse_start}, scratch);
+}
+
+/// The detection `detect_iq` reports for one code; fails the test when the
+/// code was not detected.
+DetectedUser hit_for(const std::vector<DetectedUser>& hits, std::size_t tag) {
+  const auto it = std::find_if(hits.begin(), hits.end(), [&](const auto& h) {
+    return h.tag_index == tag;
+  });
+  EXPECT_NE(it, hits.end()) << "code " << tag << " not detected";
+  return it == hits.end() ? DetectedUser{} : *it;
 }
 
 rfsim::Channel quiet_channel() {
@@ -137,7 +159,8 @@ TEST(UserDetector, RecoversCarrierPhase) {
   tx.delay_chips = 16.0;
   const auto iq = quiet_channel().receive(std::span(&tx, 1), rng);
   const UserDetector det(UserDetectConfig{}, codes, kPreambleBits, kSpc);
-  const auto hit = det.probe(iq, 16 * kSpc, 0);
+  const auto hit = hit_for(detect_iq(det, iq, 16 * kSpc), 0);
+  EXPECT_EQ(hit.offset_samples, 16u * kSpc);
   EXPECT_NEAR(hit.phase, 0.8, 0.05);
 }
 
@@ -158,18 +181,32 @@ TEST(UserDetector, TwoConcurrentUsersBothDetected) {
 
 TEST(UserDetector, AbsentCodesPeakWellBelowActiveOnes) {
   // Asynchronous sidelobes of absent codes are bounded away from the
-  // aligned peaks of the transmitting codes — the separation the
-  // decode+id stage relies on.
+  // aligned peaks of the transmitting codes over the whole anchor search
+  // window — the separation the decode+id stage relies on.
   const auto codes = group_codes(10);
   cbma::Rng rng(4);
-  const UserDetector det(UserDetectConfig{}, codes, kPreambleBits, kSpc);
+  const std::size_t coarse = 16 * kSpc;
+  const UserDetectConfig cfg;
+  const auto back = static_cast<std::size_t>(cfg.search_back_chips * kSpc);
+  const auto ahead = static_cast<std::size_t>(cfg.search_ahead_chips * kSpc);
+  std::vector<std::vector<double>> chip_tmpls;
+  for (const auto& code : codes) chip_tmpls.push_back(preamble_template(code, 1));
   for (int trial = 0; trial < 10; ++trial) {
     const auto iq = synthesize(codes, {{3, 1.0, 0.0}, {7, 1.0, 0.5}}, rng);
-    const double active = std::min(det.probe(iq, 16 * kSpc, 3).correlation,
-                                   det.probe(iq, 16 * kSpc, 7).correlation);
+    std::vector<double> re, im, fold_re, fold_im;
+    pn::split_iq(iq, re, im);
+    pn::fold_chip_sums(re, kSpc, fold_re);
+    pn::fold_chip_sums(im, kSpc, fold_im);
+    const auto peak = [&](std::size_t code) {
+      return pn::sliding_complex_peak_folded(re, im, fold_re, fold_im,
+                                             chip_tmpls[code], kSpc,
+                                             coarse - back, coarse + ahead + 1)
+          .value;
+    };
+    const double active = std::min(peak(3), peak(7));
     EXPECT_GT(active, 0.55);
     for (const std::size_t absent : {0u, 1u, 2u, 4u, 5u, 6u, 8u, 9u}) {
-      EXPECT_LT(det.probe(iq, 16 * kSpc, absent).correlation, 0.8 * active)
+      EXPECT_LT(peak(absent), 0.8 * active)
           << "absent code " << absent << " trial " << trial;
     }
   }
@@ -181,9 +218,9 @@ TEST(UserDetector, AsynchronousOffsetsRecovered) {
   // Tag 1 delayed 2.0 chips after tag 0.
   const auto iq = synthesize(codes, {{0, 1.0, 0.0}, {1, 1.0, 2.0}}, rng);
   const UserDetector det(UserDetectConfig{}, codes, kPreambleBits, kSpc);
-  const auto h0 = det.probe(iq, 16 * kSpc, 0);
-  const auto h1 = det.probe(iq, 16 * kSpc, 1);
-  EXPECT_EQ(h1.offset_samples - h0.offset_samples, 2u * kSpc);
+  const auto hits = detect_iq(det, iq, 16 * kSpc);
+  EXPECT_EQ(hit_for(hits, 0).offset_samples, 16u * kSpc);
+  EXPECT_EQ(hit_for(hits, 1).offset_samples, 18u * kSpc);
 }
 
 TEST(UserDetector, WeakUserSuppressedByRelativeThreshold) {
@@ -197,13 +234,6 @@ TEST(UserDetector, WeakUserSuppressedByRelativeThreshold) {
   const auto hits = detect_iq(det, iq, 16 * kSpc);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].tag_index, 0u);
-}
-
-TEST(UserDetector, ProbeValidatesIndex) {
-  const auto codes = group_codes(2);
-  const UserDetector det(UserDetectConfig{}, codes, kPreambleBits, kSpc);
-  const std::vector<std::complex<double>> iq(100);
-  EXPECT_THROW(det.probe(iq, 0, 2), std::invalid_argument);
 }
 
 TEST(UserDetector, GroupSizeReported) {
@@ -253,14 +283,8 @@ std::vector<DetectedUser> whole_window_detect(const UserDetectConfig& cfg,
   std::vector<std::vector<double>> tmpls, chip_tmpls;
   std::vector<double> norm2;
   for (const auto& code : codes) {
-    for (const std::size_t spc : {kSpc, std::size_t{1}}) {
-      const auto bit = pn::mean_removed_template(code, spc);
-      std::vector<double> t;
-      for (const auto b : phy::alternating_preamble(kPreambleBits)) {
-        for (const double v : bit) t.push_back(b ? v : -v);
-      }
-      (spc == 1 ? chip_tmpls : tmpls).push_back(t);
-    }
+    tmpls.push_back(preamble_template(code, kSpc));
+    chip_tmpls.push_back(preamble_template(code, 1));
     double e = 0.0;
     for (const double v : tmpls.back()) e += v * v;
     norm2.push_back(e);

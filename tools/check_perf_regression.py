@@ -4,7 +4,6 @@
 Usage:
   check_perf_regression.py <BENCH_kernels.json>... <baseline.json> [--tolerance F]
   check_perf_regression.py <BENCH_kernels.json>... <baseline.json> --update
-  check_perf_regression.py <BENCH_kernels.json> --ring-flat
 
 Gates every bench_kernels row on same-run ratios, so the gate judges the
 code, not the host. A row's cost is its ns_per_packet, ns_per_sample or
@@ -39,13 +38,6 @@ median over the runs of its cost relative to that run's median row (commit
 the result). Ratios move far less between hosts than nanoseconds do, but
 kernels with different memory or SIMD profiles still shift against each
 other, so refresh when they do.
-
-`--ring-flat` checks the streaming receiver's O(window) memory claim
-instead of the baseline: every BM_StreamingRx row exports an
-rx_ring_bytes counter (resident ring footprint after the run), and the
-gate requires the value to be byte-identical across all stream lengths —
-a ring that grows with the 10x stream means per-sample state is being
-retained (DESIGN.md §10).
 """
 import json
 import statistics
@@ -59,21 +51,6 @@ GATED_COUNTERS = ("ns_per_packet", "ns_per_sample", "ns_per_round")
 def fail(msg: str) -> None:
     print(f"check_perf_regression: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
-
-
-def counter_by_name(doc: dict, counter: str) -> dict:
-    """benchmark name -> smallest positive `counter` value over the row's
-    repetitions in a google-benchmark JSON doc."""
-    out = {}
-    for bench in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev of --benchmark_repetitions).
-        if bench.get("run_type") == "aggregate":
-            continue
-        name = bench.get("name")
-        value = bench.get(counter)
-        if name and isinstance(value, (int, float)) and value > 0:
-            out[name] = min(out.get(name, float(value)), float(value))
-    return out
 
 
 def relative_costs(paths: list) -> dict:
@@ -114,40 +91,8 @@ def load(path: str) -> dict:
         fail(f"{path} is not valid JSON: {e}")
 
 
-def check_ring_flat(current_path: str) -> None:
-    """Require rx_ring_bytes to be identical across BM_StreamingRx rows."""
-    rings = {
-        name: bytes_
-        for name, bytes_ in counter_by_name(load(current_path),
-                                            "rx_ring_bytes").items()
-        if name.startswith("BM_StreamingRx")
-    }
-    if len(rings) < 2:
-        fail(f"{current_path} has {len(rings)} BM_StreamingRx rows with "
-             "rx_ring_bytes — need at least two stream lengths to judge "
-             "flatness (run bench_kernels with "
-             "--benchmark_filter=BM_StreamingRx)")
-    for name in sorted(rings):
-        print(f"check_perf_regression: ring-flat: {name}: "
-              f"{rings[name]:.0f} resident ring bytes")
-    distinct = set(rings.values())
-    if len(distinct) != 1:
-        fail("rx_ring_bytes differs across stream lengths "
-             f"({sorted(distinct)}) — the streaming receiver is retaining "
-             "per-sample state instead of O(window) rings")
-    print(f"check_perf_regression: ring-flat ok: {len(rings)} stream lengths, "
-          f"{next(iter(distinct)):.0f} bytes resident in every run")
-
-
 def main() -> None:
     args = sys.argv[1:]
-    if "--ring-flat" in args:
-        args = [a for a in args if a != "--ring-flat"]
-        if len(args) != 1:
-            fail("usage: check_perf_regression.py <BENCH_kernels.json> "
-                 "--ring-flat")
-        check_ring_flat(args[0])
-        return
     update = "--update" in args
     args = [a for a in args if a != "--update"]
     tolerance = DEFAULT_TOLERANCE

@@ -2,7 +2,7 @@
 // family construction, channel synthesis, AWGN, leakage tones, frame
 // decode, the full end-to-end collided round over one TransmitScratch
 // reused across packets, the streaming receiver, the detector's folded
-// peak search and one multi-cell network round. Each row times work no
+// peak search, the whole detector, and one multi-cell network round. Each row times work no
 // other row times; together they bound the simulator's packets/second and
 // document where the cycles go.
 //
@@ -24,6 +24,7 @@
 #include "pn/correlation.h"
 #include "rfsim/channel.h"
 #include "rx/decoder.h"
+#include "rx/user_detect.h"
 #include "util/metrics.h"
 #include "util/telemetry.h"
 #include "util/timer.h"
@@ -311,6 +312,50 @@ void detect_peaks_grid(benchmark::internal::Benchmark* b) {
   }
 }
 BENCHMARK(BM_DetectPeaksNaive)->Apply(detect_peaks_grid);
+
+// The whole detector on a colliding window: UserDetector::detect with
+// Arg(0) tags of the default 2NC family starting within one group window,
+// plus noise — the anchor search, every SIC round and the cancellations,
+// which BM_DetectPeaksNaive (the one-template search alone) does not time.
+// ns_per_packet here is ns per detect() call.
+void BM_UserDetect(benchmark::State& state) {
+  const auto n_tags = static_cast<std::size_t>(state.range(0));
+  const auto codes = pn::make_code_set(pn::CodeFamily::kTwoNC, n_tags);
+  const rx::UserDetector det(rx::UserDetectConfig{}, codes, kDetectPreambleBits,
+                             kDetectSpc);
+  Rng rng(9);
+  const std::size_t base = 40 * kDetectSpc;
+  const std::size_t frame = kDetectPreambleBits * codes.front().length() * kDetectSpc;
+  std::vector<double> re(base + 2 * frame), im(re.size());
+  NormalStream normal = rng.normal_stream();
+  for (std::size_t i = 0; i < re.size(); ++i) {
+    re[i] = 0.05 * normal();
+    im[i] = 0.05 * normal();
+  }
+  for (std::size_t t = 0; t < n_tags; ++t) {
+    const double amp = rng.uniform(0.5, 1.0);
+    const double phase = rng.phase();
+    const std::size_t start = base + static_cast<std::size_t>(rng.uniform_int(
+                                         0, static_cast<int>(2 * kDetectSpc)));
+    // Unipolar chips: the tag's code, then a run of random chips.
+    for (std::size_t s = start; s < re.size(); ++s) {
+      const std::size_t chip = (s - start) / kDetectSpc;
+      const bool on = chip < codes[t].length() * kDetectPreambleBits
+                          ? codes[t].chip(chip % codes[t].length()) != 0
+                          : rng.bernoulli(0.5);
+      if (!on) continue;
+      re[s] += amp * std::cos(phase);
+      im[s] += amp * std::sin(phase);
+    }
+  }
+  rx::UserDetector::Scratch scratch;
+  for (auto _ : state) {
+    auto users = det.detect(rx::DetectionInput{re, im, base}, scratch);
+    benchmark::DoNotOptimize(users.data());
+  }
+  finish_rate(state, 1);
+}
+BENCHMARK(BM_UserDetect)->Arg(4)->Arg(10);
 
 /// The multi-cell floor the round row and the overhead gate share: a
 /// side x side gateway grid with 4 tags per cell, after one warm-up round

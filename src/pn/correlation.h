@@ -9,8 +9,11 @@
 //    detector and decoder. Templates are mean-removed so the unipolar OOK
 //    chips and constant offsets from other users do not bias decisions
 //    (this is the "correlation-based detector" of §V-B). The one sliding
-//    search is sliding_complex_peak_folded on the split, chip-folded
-//    window; the per-lag complex_correlate_at and
+//    search runs on the split, chip-folded window: raw template dots
+//    (complex_correlate_folded) and code-independent window terms
+//    (sliding_window_stats) combine into the per-lag score
+//    (peak_from_dots); sliding_complex_peak_folded is that search for one
+//    template. The per-lag complex_correlate_at and
 //    normalized_complex_correlation_at are its reference definitions.
 #pragma once
 
@@ -104,10 +107,79 @@ std::complex<double> complex_correlate_folded_at(std::span<const double> fold_re
                                                  std::size_t samples_per_chip,
                                                  std::size_t offset);
 
+/// complex_correlate_folded_at at every lag in [begin, end): out_*[j] is
+/// lag begin + j. Each lag sums in ascending chip order, so a lag's dot is
+/// the same double however a range is split. Every lag's template must fit
+/// the fold, and the outputs must hold end − begin entries.
+void complex_correlate_folded(std::span<const double> fold_re,
+                              std::span<const double> fold_im,
+                              std::span<const double> chip_tmpl,
+                              std::size_t samples_per_chip, std::size_t begin,
+                              std::size_t end, std::span<double> out_re,
+                              std::span<double> out_im);
+
+/// complex_correlate_at on a split window against a sample-level template,
+/// summed in ascending sample order; 0 if the template does not fit.
+std::complex<double> complex_correlate_split_at(std::span<const double> re,
+                                                std::span<const double> im,
+                                                std::span<const double> tmpl,
+                                                std::size_t offset);
+
+// --- the sliding search, in parts ---
+//
+// The per-lag score, |Σ (r − mean)·t| / √(energy · ‖t‖²), splits into a raw
+// template dot Σ r·t, template sums, and window terms that no template
+// changes. A search over several templates computes the window terms once
+// per lag and the dots once per template and lag (UserDetector::detect).
+
+/// The window terms of the score over lags [begin, end) for templates of
+/// `n` samples: each lag's window mean and mean-removed energy
+/// Σ|r|² − |Σr|²/n. One running pass in ascending lag: the sums start over
+/// [begin, begin + n), and each step adds the sample entering the window
+/// and drops the one leaving it. The last lag's window must fit.
+struct WindowStats {
+  std::vector<double> mean_re;
+  std::vector<double> mean_im;
+  std::vector<double> energy;
+};
+void sliding_window_stats(std::span<const double> re, std::span<const double> im,
+                          std::size_t n, std::size_t begin, std::size_t end,
+                          WindowStats& out);
+
+/// A chip template's sample-level sum and energy, each chip repeated
+/// `samples_per_chip` times: the template terms of the score.
+struct TemplateSums {
+  double sum = 0.0;
+  double norm2 = 0.0;
+};
+TemplateSums upsampled_template_sums(std::span<const double> chip_tmpl,
+                                     std::size_t samples_per_chip);
+
+/// One template's peak over the lags `stats` covers: dot_*[j] and stats
+/// entry j belong to lag first_lag + j. Returns the first lag of the
+/// largest score and the carrier phase of the raw dot there; the default
+/// peak when no lag scores (none given, or NaN input).
+ComplexCorrelationPeak peak_from_dots(std::span<const double> dot_re,
+                                      std::span<const double> dot_im,
+                                      const WindowStats& stats,
+                                      const TemplateSums& tmpl,
+                                      std::size_t first_lag);
+
+/// Cross-correlation of two upsampled templates,
+///   X(d) = Σ_i a[i]·b[i + d],  d in [−max_lag, max_lag] (entry max_lag + d),
+/// built from the chip templates: for d = q·spc + r with 0 ≤ r < spc,
+/// X(d) = (spc − r)·C(q) + r·C(q + 1), C the chip-level cross-correlation.
+/// Cancelling b's template at offset o with gain g lowers a's raw dot at
+/// lag L by exactly g·X(L − o) where b's template lies inside the window.
+std::vector<double> upsampled_cross_correlation(std::span<const double> chip_a,
+                                                std::span<const double> chip_b,
+                                                std::size_t samples_per_chip,
+                                                std::size_t max_lag);
+
 /// Slide the upsampled `chip_tmpl` over the window's lags [search_begin,
 /// search_end) and return the lag with the largest normalized |correlation|
 /// plus the carrier phase there; the default peak when no lag fits. The
-/// dot products run on the folded sums. `re`/`im` are the raw split window
+/// parts above, for one template: the dot products run on the folded sums. `re`/`im` are the raw split window
 /// (for the normalization terms); `fold_re`/`fold_im` must be
 /// fold_chip_sums of them; `chip_tmpl` is the chip-level (not upsampled)
 /// mean-removed template.

@@ -14,8 +14,11 @@
 // peak is regularly beaten by the *sum* of the other users' correlation
 // sidelobes at a nearby lag once several tags collide.
 //
-// Each round's peak search is one pn::sliding_complex_peak_folded call per
-// still-unassigned code, on the chip-folded residual (DESIGN.md §9).
+// The anchor round searches every code on the chip-folded window and keeps
+// each code's raw correlation per lag. Cancelling a user lowers those by a
+// precomputed template cross-correlation times the user's gain (the
+// correlation is linear in the window), so a later round re-scores stored
+// values instead of searching again (DESIGN.md §9).
 #pragma once
 
 #include <cstddef>
@@ -24,6 +27,7 @@
 
 #include "phy/tag.h"
 #include "pn/code.h"
+#include "pn/correlation.h"
 
 namespace cbma::rx {
 
@@ -75,15 +79,23 @@ struct DetectionInput {
 
 class UserDetector {
  public:
-  /// Reusable successive-cancellation buffers (the residual copy of the
-  /// detector's reach and its per-chip folded sums); sized once per reach
-  /// and reused across packets, so in steady state detect() allocates only
-  /// its result and its taken-code mask.
+  /// Reusable detection buffers, sized once per reach and reused across
+  /// packets, so in steady state detect() allocates only its result.
   struct Scratch {
+    /// The reach, minus every cancelled user's preamble.
     std::vector<double> residual_re;
     std::vector<double> residual_im;
-    std::vector<double> fold_re;  ///< pn::fold_chip_sums of residual_re
-    std::vector<double> fold_im;  ///< pn::fold_chip_sums of residual_im
+    /// pn::fold_chip_sums of the reach as received: the anchor round's
+    /// search and the group window's remaining lags read it.
+    std::vector<double> fold_re;
+    std::vector<double> fold_im;
+    /// Every code's raw correlation per lag, code-major, over the anchor
+    /// lags widened by the group span on both sides; each cancellation
+    /// updates the untaken codes' entries in the group window.
+    std::vector<double> dot_re;
+    std::vector<double> dot_im;
+    pn::WindowStats stats;  ///< the current round's per-lag window terms
+    std::vector<bool> taken;
   };
 
   /// `codes`: the group's PN codes (receiver knows all of them), all of one
@@ -99,13 +111,19 @@ class UserDetector {
   /// trigger). Returns every code whose correlation peak clears both
   /// thresholds, offsets relative to the whole window. Copies and folds
   /// only the reach around the trigger that the search windows and the
-  /// template can touch (DESIGN.md §10); the result equals a whole-window
-  /// search bit for bit. `scratch` is caller-owned and reused across
-  /// packets.
+  /// template can touch (DESIGN.md §10); the result equals detect() on
+  /// any window that shares the reach, bit for bit. `scratch` is
+  /// caller-owned and reused across packets.
   std::vector<DetectedUser> detect(const DetectionInput& input,
                                    Scratch& scratch) const;
 
  private:
+  /// Subtract `user`'s preamble from the residual and update every untaken
+  /// code's stored dots over the group window [g0, g1) to match; the store
+  /// starts at lag s0 and holds `width` lags per code.
+  void cancel(const DetectedUser& user, std::size_t g0, std::size_t g1,
+              std::size_t s0, std::size_t width, Scratch& scratch) const;
+
   UserDetectConfig config_;
   std::size_t samples_per_chip_;
   std::vector<std::vector<double>> templates_;  ///< per-bit mean-removed preambles
@@ -114,6 +132,14 @@ class UserDetector {
   /// lag's dot product by samples_per_chip×.
   std::vector<std::vector<double>> chip_templates_;
   std::vector<double> tmpl_norm2_;              ///< template energies (gain fits)
+  std::vector<pn::TemplateSums> tmpl_sums_;     ///< score terms per template
+  /// Every detection and every group-round lag lies within ± group span of
+  /// the anchor, so a cancellation moves a dot by a template
+  /// cross-correlation at most twice that far from zero lag.
+  std::size_t cross_lag_ = 0;
+  /// pn::upsampled_cross_correlation of templates k and b at lags
+  /// [−cross_lag_, cross_lag_], row k·group_size() + b (the diagonal unused).
+  std::vector<double> cross_;
 };
 
 }  // namespace cbma::rx

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -270,63 +271,94 @@ TEST(UserDetector, GoldCodesAlsoDetect) {
 /// tap records them.
 using Profiles = std::vector<std::vector<double>>;
 
-/// The detector as it ran on the whole window, before it copied and folded
-/// only its reach: the bit-exact reference for detect(). Same templates,
-/// one sliding_complex_peak_folded call per untaken code in code order, same
-/// successive cancellation; every offset is absolute.
-std::vector<DetectedUser> whole_window_detect(const UserDetectConfig& cfg,
-                                              const std::vector<pn::PnCode>& codes,
-                                              std::span<const double> re,
-                                              std::span<const double> im,
-                                              std::size_t coarse,
-                                              Profiles& profiles) {
+/// The profile tap's reference: each code's |folded dot| at every lag of the
+/// anchor window, one complex_correlate_folded_at per lag on the window as
+/// received (0 where the template does not fit).
+Profiles anchor_profiles(const UserDetectConfig& cfg,
+                         const std::vector<pn::PnCode>& codes, std::size_t spc,
+                         std::span<const double> re, std::span<const double> im,
+                         std::size_t coarse) {
+  const auto back = static_cast<std::size_t>(cfg.search_back_chips * spc);
+  const auto ahead = static_cast<std::size_t>(cfg.search_ahead_chips * spc);
+  std::vector<double> fold_re, fold_im;
+  pn::fold_chip_sums(re, spc, fold_re);
+  pn::fold_chip_sums(im, spc, fold_im);
+  Profiles profiles(codes.size());
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    const auto chip_tmpl = preamble_template(codes[i], 1);
+    for (std::size_t off = coarse > back ? coarse - back : 0;
+         off < coarse + ahead + 1; ++off) {
+      profiles[i].push_back(std::abs(
+          pn::complex_correlate_folded_at(fold_re, fold_im, chip_tmpl, spc, off)));
+    }
+  }
+  return profiles;
+}
+
+/// The detector as it ran before SIC rounds updated stored correlations:
+/// every round re-searches each untaken code over its window on the actual
+/// residual, here lag by lag with the per-lag reference definitions
+/// (normalized_complex_correlation_at for the score, complex_correlate_at
+/// for the phase). The cancellation gain is fitted as it always was, from
+/// the folded dot on a fold of the current residual, so after the anchor's
+/// cancellation this residual equals detect()'s bit for bit. Whole window,
+/// absolute offsets.
+std::vector<DetectedUser> reference_detect(const UserDetectConfig& cfg,
+                                           const std::vector<pn::PnCode>& codes,
+                                           std::size_t spc,
+                                           std::span<const double> re,
+                                           std::span<const double> im,
+                                           std::size_t coarse) {
   std::vector<std::vector<double>> tmpls, chip_tmpls;
   std::vector<double> norm2;
   for (const auto& code : codes) {
-    tmpls.push_back(preamble_template(code, kSpc));
+    tmpls.push_back(preamble_template(code, spc));
     chip_tmpls.push_back(preamble_template(code, 1));
     double e = 0.0;
     for (const double v : tmpls.back()) e += v * v;
     norm2.push_back(e);
   }
-  const auto spc = static_cast<double>(kSpc);
+  const std::size_t n = tmpls.front().size();
   const auto back = static_cast<std::size_t>(cfg.search_back_chips * spc);
   const auto ahead = static_cast<std::size_t>(cfg.search_ahead_chips * spc);
   const auto group = static_cast<std::size_t>(cfg.group_window_chips * spc);
   std::vector<double> res_re(re.begin(), re.end()), res_im(im.begin(), im.end());
-  std::vector<double> fold_re, fold_im;
-  pn::fold_chip_sums(res_re, kSpc, fold_re);
-  pn::fold_chip_sums(res_im, kSpc, fold_im);
-  const std::size_t anchor_begin = coarse > back ? coarse - back : 0;
-  const std::size_t anchor_end = coarse + ahead + 1;
-  profiles.assign(codes.size(), {});
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    for (std::size_t off = anchor_begin; off < anchor_end; ++off) {
-      profiles[i].push_back(std::abs(pn::complex_correlate_folded_at(
-          fold_re, fold_im, chip_tmpls[i], kSpc, off)));
-    }
-  }
   std::vector<bool> taken(codes.size(), false);
   std::vector<DetectedUser> out;
   double anchor_corr = 0.0;
   for (std::size_t round = 0; round < codes.size(); ++round) {
-    std::size_t begin = anchor_begin;
-    std::size_t end = anchor_end;
+    std::size_t begin = coarse > back ? coarse - back : 0;
+    std::size_t end = coarse + ahead + 1;
     if (!out.empty()) {
       const std::size_t anchor = out.front().offset_samples;
       begin = anchor > group ? anchor - group : 0;
       end = anchor + group + 1;
     }
+    end = std::min(end, res_re.size() >= n ? res_re.size() - n + 1 : 0);
+    std::vector<std::complex<double>> residual(res_re.size());
+    for (std::size_t i = 0; i < residual.size(); ++i) {
+      residual[i] = {res_re[i], res_im[i]};
+    }
     DetectedUser best;
     for (std::size_t i = 0; i < codes.size(); ++i) {
       if (taken[i]) continue;
-      const auto peak = pn::sliding_complex_peak_folded(
-          res_re, res_im, fold_re, fold_im, chip_tmpls[i], kSpc, begin, end);
-      if (peak.value > best.correlation) {
+      double value = 0.0;
+      std::size_t offset = 0;
+      for (std::size_t off = begin, first = 1; off < end; ++off, first = 0) {
+        const double v =
+            pn::normalized_complex_correlation_at(residual, tmpls[i], off);
+        if (first || v > value) {
+          value = v;
+          offset = off;
+        }
+      }
+      const double phase =
+          std::arg(pn::complex_correlate_at(residual, tmpls[i], offset));
+      if (value > best.correlation) {
         const double displaced = best.correlation;
-        best = DetectedUser{i, peak.offset, peak.value, peak.phase, displaced};
-      } else if (peak.value > best.runner_up) {
-        best.runner_up = peak.value;
+        best = DetectedUser{i, offset, value, phase, displaced};
+      } else if (value > best.runner_up) {
+        best.runner_up = value;
       }
     }
     if (best.correlation < cfg.threshold) break;
@@ -338,24 +370,23 @@ std::vector<DetectedUser> whole_window_detect(const UserDetectConfig& cfg,
     taken[best.tag_index] = true;
     out.push_back(best);
     if (!cfg.enable_sic) continue;
-    const auto& tmpl = tmpls[best.tag_index];
+    std::vector<double> fold_re, fold_im;
+    pn::fold_chip_sums(res_re, spc, fold_re);
+    pn::fold_chip_sums(res_im, spc, fold_im);
     const auto corr = pn::complex_correlate_folded_at(
-        fold_re, fold_im, chip_tmpls[best.tag_index], kSpc, best.offset_samples);
+        fold_re, fold_im, chip_tmpls[best.tag_index], spc, best.offset_samples);
     const double g_re = corr.real() / norm2[best.tag_index];
     const double g_im = corr.imag() / norm2[best.tag_index];
-    for (std::size_t k = 0; k < tmpl.size(); ++k) {
-      const std::size_t s = best.offset_samples + k;
-      if (s >= res_re.size()) break;
-      res_re[s] -= g_re * tmpl[k];
-      res_im[s] -= g_im * tmpl[k];
+    const auto& tmpl = tmpls[best.tag_index];
+    for (std::size_t k = 0; k < n; ++k) {
+      res_re[best.offset_samples + k] -= g_re * tmpl[k];
+      res_im[best.offset_samples + k] -= g_im * tmpl[k];
     }
-    // A whole refold: the reference need not be clever about the range.
-    pn::fold_chip_sums(res_re, kSpc, fold_re);
-    pn::fold_chip_sums(res_im, kSpc, fold_im);
   }
   return out;
 }
 
+/// Bitwise equality of two detection lists.
 void expect_same_users(const std::vector<DetectedUser>& got,
                        const std::vector<DetectedUser>& want,
                        const std::string& where) {
@@ -376,9 +407,34 @@ void expect_same_users(const std::vector<DetectedUser>& got,
   }
 }
 
-/// detect() reads only its reach around the trigger; its detections — and,
-/// with the probe on, its correlation-profile taps — must equal the whole
-/// window's bit for bit wherever the trigger and the window end fall.
+/// Same codes and offsets; correlation, runner-up and phase within 1e-9
+/// relative (the phase as an angle, so ±π count as one).
+void expect_close_users(const std::vector<DetectedUser>& got,
+                        const std::vector<DetectedUser>& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  const auto near = [](double a, double b) {
+    return std::abs(a - b) <= 1e-9 * std::max(std::abs(a), std::abs(b));
+  };
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const std::string who = where + " user " + std::to_string(i);
+    EXPECT_EQ(got[i].tag_index, want[i].tag_index) << who;
+    EXPECT_EQ(got[i].offset_samples, want[i].offset_samples) << who;
+    EXPECT_TRUE(near(got[i].correlation, want[i].correlation))
+        << who << ": " << got[i].correlation << " vs " << want[i].correlation;
+    EXPECT_TRUE(near(got[i].runner_up, want[i].runner_up))
+        << who << ": " << got[i].runner_up << " vs " << want[i].runner_up;
+    const double turn =
+        std::abs(std::remainder(got[i].phase - want[i].phase, 2.0 * M_PI));
+    EXPECT_LE(turn, 1e-9 * std::max(1.0, std::abs(want[i].phase)))
+        << who << ": " << got[i].phase << " vs " << want[i].phase;
+  }
+}
+
+/// detect() reads only its reach around the trigger: a window cut down to
+/// the reach, or one whose samples outside it are garbage, detects the same
+/// users bit for bit, and so does the correlation-profile tap. Against the
+/// per-lag reference on the whole window the detections agree to 1e-9.
 TEST(UserDetector, ReachWindowMatchesWholeWindow) {
   const auto codes = group_codes(6);
   cbma::Rng rng(11);
@@ -393,17 +449,16 @@ TEST(UserDetector, ReachWindowMatchesWholeWindow) {
   pn::split_iq(iq, re, im);
   const std::size_t start = 16 * kSpc;
   const std::size_t tmpl_len = kPreambleBits * codes[0].length() * kSpc;
-  // Triggers that put the true start on the anchor search's lower and
-  // upper edges send the group rounds to the reach's two ends.
-  const auto back =
-      static_cast<std::size_t>(UserDetectConfig{}.search_back_chips * kSpc);
-  const auto ahead =
-      static_cast<std::size_t>(UserDetectConfig{}.search_ahead_chips * kSpc);
-  probe::set_enabled(true);
   const UserDetectConfig cfg;
+  const auto back = static_cast<std::size_t>(cfg.search_back_chips * kSpc);
+  const auto ahead = static_cast<std::size_t>(cfg.search_ahead_chips * kSpc);
+  const auto group = static_cast<std::size_t>(cfg.group_window_chips * kSpc);
+  probe::set_enabled(true);
   const UserDetector det(cfg, codes, kPreambleBits, kSpc);
-  // Whole windows and windows cut inside the reach, so the window end
-  // clamps the last lags, the fold and the cancellation.
+  // Triggers that put the true start on the anchor search's lower and
+  // upper edges send the group rounds to the reach's two ends. Whole
+  // windows and windows cut inside the reach, so the window end clamps the
+  // last lags.
   for (const std::size_t size :
        {re.size(), start + tmpl_len + 10, start + tmpl_len + 1, start + tmpl_len,
         start + tmpl_len - 7, start + 5}) {
@@ -414,13 +469,9 @@ TEST(UserDetector, ReachWindowMatchesWholeWindow) {
       const std::span<const double> wim(im.data(), size);
       const std::string where =
           "size " + std::to_string(size) + " coarse " + std::to_string(coarse);
-      Profiles want_profiles;
-      const auto want =
-          whole_window_detect(cfg, codes, wre, wim, coarse, want_profiles);
       telemetry::reset();
       UserDetector::Scratch scratch;
-      expect_same_users(det.detect(DetectionInput{wre, wim, coarse}, scratch),
-                        want, where);
+      const auto got = det.detect(DetectionInput{wre, wim, coarse}, scratch);
       const auto capture = telemetry::snapshot().probe;
       Profiles got_profiles(codes.size());
       for (const auto& rec : capture.taps) {
@@ -429,14 +480,127 @@ TEST(UserDetector, ReachWindowMatchesWholeWindow) {
         }
       }
       // |correlation| is never −0, so == on the values is bitwise.
-      EXPECT_EQ(got_profiles, want_profiles) << where;
+      EXPECT_EQ(got_profiles, anchor_profiles(cfg, codes, kSpc, wre, wim, coarse))
+          << where;
+      expect_close_users(got, reference_detect(cfg, codes, kSpc, wre, wim, coarse),
+                         where);
       if (size == re.size() && coarse == start) {
-        EXPECT_EQ(want.size(), 3u) << where;  // SIC ran three rounds
+        EXPECT_EQ(got.size(), 3u) << where;  // SIC ran three rounds
       }
+
+      // The reach, [lo, hi): DESIGN.md §10.
+      const std::size_t lo =
+          std::min(coarse > back + group ? coarse - back - group : 0, size);
+      const std::size_t hi = std::min(size, coarse + ahead + group + tmpl_len);
+      std::vector<double> cut_re(re.begin() + lo, re.begin() + hi);
+      std::vector<double> cut_im(im.begin() + lo, im.begin() + hi);
+      auto cut = det.detect(DetectionInput{cut_re, cut_im, coarse - lo}, scratch);
+      for (auto& user : cut) user.offset_samples += lo;
+      expect_same_users(cut, got, where + " cut to the reach");
+      std::vector<double> junk_re(wre.begin(), wre.end());
+      std::vector<double> junk_im(wim.begin(), wim.end());
+      for (std::size_t i = 0; i < size; ++i) {
+        if (i < lo || i >= hi) {
+          junk_re[i] = 1e3 * rng.gaussian();
+          junk_im[i] = 1e3 * rng.gaussian();
+        }
+      }
+      expect_same_users(det.detect(DetectionInput{junk_re, junk_im, coarse}, scratch),
+                        got, where + " with junk outside the reach");
     }
   }
   probe::set_enabled(false);
   telemetry::reset();
+}
+
+/// Randomized collisions against the per-lag reference: 2–10 users with
+/// random codes, offsets, gains and noise at 1, 2 and 4 samples per chip,
+/// some windows cut so the group window's last lags do not fit, some
+/// triggers so early that the search windows clip at the window's start.
+/// One trial in four has a dominant user whose cancellation leaves dots a
+/// millionth of their size or less, where the detector must recompute the
+/// lag on the residual rather than keep the updated difference.
+TEST(UserDetector, SicUpdatesMatchPerLagReference) {
+  const auto codes = group_codes(10);
+  cbma::Rng rng(31);
+  const std::vector<std::uint8_t> payload{0x5A, 0xC3, 0x0F};
+  std::size_t guard_trials = 0;
+  std::size_t cut_trials = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    const std::size_t spc = std::size_t{1} << (trial % 3);  // 1, 2, 4
+    const bool dominant = trial % 4 == 3;
+    const bool cut = trial % 5 == 1;
+    UserDetectConfig cfg;
+    if (dominant) cfg.relative_threshold = 0.1;
+    const auto back = static_cast<std::size_t>(cfg.search_back_chips * spc);
+    const auto ahead = static_cast<std::size_t>(cfg.search_ahead_chips * spc);
+    const auto group = static_cast<std::size_t>(cfg.group_window_chips * spc);
+    const std::size_t n = kPreambleBits * codes[0].length() * spc;
+
+    std::vector<std::size_t> order(codes.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1],
+                order[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(i) - 1))]);
+    }
+    const auto users = static_cast<std::size_t>(rng.uniform_int(2, 10));
+    const std::size_t base =
+        trial % 6 == 0 ? static_cast<std::size_t>(rng.uniform_int(0, 3))
+                       : (20 + static_cast<std::size_t>(rng.uniform_int(0, 20))) * spc;
+    std::size_t size = base + group + (2 + codes[0].length() * 48) * spc;
+    if (cut) {
+      size = base + n + static_cast<std::size_t>(
+                            rng.uniform_int(0, static_cast<int>(2 * group)));
+    }
+    const double noise = dominant ? 1e-12 : rng.uniform(0.01, 0.3);
+    std::vector<double> re(size), im(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      re[i] = noise * rng.gaussian();
+      im[i] = noise * rng.gaussian();
+    }
+    for (std::size_t u = 0; u < users; ++u) {
+      const double amp = rng.uniform(0.3, 1.0) * (dominant ? 1e-10 : 1.0);
+      const std::complex<double> gain = std::polar(amp, rng.phase());
+      const std::size_t offset =
+          base + static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(group)));
+      if (dominant && u == 0) {
+        // The dominant user sends exactly its preamble template, so its
+        // cancellation leaves only the faint users (and rounding) behind.
+        const auto tmpl = preamble_template(codes[order[u]], spc);
+        const std::complex<double> g = gain * 1e10;
+        for (std::size_t k = 0; k < n && offset + k < size; ++k) {
+          re[offset + k] += g.real() * tmpl[k];
+          im[offset + k] += g.imag() * tmpl[k];
+        }
+        continue;
+      }
+      const auto chips = make_tag(order[u], codes).chip_sequence(payload);
+      for (std::size_t c = 0; c < chips.size(); ++c) {
+        for (std::size_t k = 0; k < spc; ++k) {
+          const std::size_t s = offset + c * spc + k;
+          if (s >= size || chips[c] == 0) continue;
+          re[s] += gain.real();
+          im[s] += gain.imag();
+        }
+      }
+    }
+    const std::size_t coarse =
+        base + back - static_cast<std::size_t>(rng.uniform_int(
+                          0, static_cast<int>(std::min(back + ahead, base + back))));
+    const std::string where = "trial " + std::to_string(trial) + " spc " +
+                              std::to_string(spc) + " users " +
+                              std::to_string(users);
+    const UserDetector det(cfg, codes, kPreambleBits, spc);
+    UserDetector::Scratch scratch;
+    const auto got = det.detect(DetectionInput{re, im, coarse}, scratch);
+    expect_close_users(got, reference_detect(cfg, codes, spc, re, im, coarse),
+                       where);
+    guard_trials += dominant && got.size() > 1;
+    cut_trials += cut && !got.empty();
+  }
+  // The guarded and the clipped cases must actually have run SIC rounds.
+  EXPECT_GE(guard_trials, 6u);
+  EXPECT_GE(cut_trials, 4u);
 }
 
 }  // namespace

@@ -21,8 +21,8 @@ namespace {
 // --- telemetry: the "telemetry" section ------------------------------------
 
 /// Per-span ns statistics, non-zero counters, thread count, and the flight
-/// recorder with human-readable DecodeOutcome labels (the upper layers'
-/// vocabulary, which util/telemetry cannot speak).
+/// recorder — the frame log — with human-readable DecodeOutcome labels (the
+/// upper layers' vocabulary, which util/telemetry cannot speak).
 void write_telemetry_section(util::JsonWriter& w,
                              const telemetry::Snapshot& snap) {
   w.key("telemetry").begin_object();
@@ -53,8 +53,8 @@ void write_telemetry_section(util::JsonWriter& w,
     w.begin_object();
     w.key("seq").value(f.seq);
     w.key("ts_ns").value(f.ts_ns);
-    w.key("tag").value(static_cast<std::uint64_t>(f.tag_id));
-    w.key("code_length").value(static_cast<std::uint64_t>(f.pn_code_length));
+    w.key("tag").value(static_cast<std::uint64_t>(f.tag));
+    w.key("code_length").value(static_cast<std::uint64_t>(f.code_length));
     w.key("correlation").value(f.correlation);
     w.key("margin").value(f.margin);
     w.key("cfo_hz").value(f.cfo_hz);
@@ -79,25 +79,27 @@ bool write_trace(const std::string& path, const telemetry::Snapshot& snap) {
 // --- probe: the "link_quality" section and the CBPROBE1 dump ---------------
 
 /// Sample/drop totals plus per-tag aggregates (frames, decoded, and the
-/// mean of every link-quality field).
+/// mean of every link-quality field) over the link rows: the frame log's
+/// rows with a valid report. `dropped` counts the rows the log lost.
 void write_link_quality_section(util::JsonWriter& w,
                                 const telemetry::Snapshot& snap) {
-  const probe::Capture& capture = snap.probe;
-
   // std::map keys the per-tag rollups (and decoded counts) in ascending tag
   // order, which keeps the emitted section deterministic for identical
   // captures.
   std::map<std::uint32_t, std::pair<util::LinkQualityRollup, std::uint64_t>>
       tags;
-  for (const auto& s : capture.link) {
-    auto& [rollup, decoded] = tags[s.tag];
-    rollup.add(s);
-    decoded += s.decoded ? 1 : 0;
+  std::uint64_t samples = 0;
+  for (const auto& f : snap.frames) {
+    if (!f.has_quality) continue;
+    auto& [rollup, decoded] = tags[f.tag];
+    rollup.add(f.quality);
+    decoded += f.decoded ? 1 : 0;
+    ++samples;
   }
 
   w.key("link_quality").begin_object();
-  w.key("samples").value(static_cast<std::uint64_t>(capture.link.size()));
-  w.key("dropped").value(static_cast<std::uint64_t>(capture.dropped_link));
+  w.key("samples").value(samples);
+  w.key("dropped").value(static_cast<std::uint64_t>(snap.dropped_frames));
   w.key("tags").begin_array();
   for (const auto& [tag, entry] : tags) {
     const auto& [rollup, decoded] = entry;
@@ -142,15 +144,15 @@ void put_f64(std::string& out, double v) {
   put_u64(out, bits);
 }
 
-void write_link_sample(util::JsonWriter& w, const probe::LinkQualitySample& s) {
+void write_link_sample(util::JsonWriter& w, const telemetry::FrameRow& f) {
   w.begin_object();
-  w.key("seq").value(s.seq);
-  w.key("point").value(s.point);
-  w.key("tag").value(static_cast<std::uint64_t>(s.tag));
+  w.key("seq").value(f.seq);
+  w.key("point").value(f.point);
+  w.key("tag").value(static_cast<std::uint64_t>(f.tag));
   w.key("detected").value(true);  // a row is a detected tag's valid report
-  w.key("decoded").value(s.decoded);
+  w.key("decoded").value(f.decoded);
   for (const auto& [name, field] : util::kLinkQualityFields) {
-    w.key(name).value(s.*field);
+    w.key(name).value(f.quality.*field);
   }
   w.end_object();
 }
@@ -354,7 +356,7 @@ bool write_probe_dump(const std::string& path,
   w.key("dump_bytes").value(static_cast<std::uint64_t>(blob.size()));
   w.key("records").value(static_cast<std::uint64_t>(capture.taps.size()));
   w.key("dropped_taps").value(static_cast<std::uint64_t>(capture.dropped_taps));
-  w.key("dropped_link").value(static_cast<std::uint64_t>(capture.dropped_link));
+  w.key("dropped_link").value(static_cast<std::uint64_t>(snap.dropped_frames));
   w.key("taps").begin_array();
   for (std::size_t i = 0; i < capture.taps.size(); ++i) {
     const auto& r = capture.taps[i];
@@ -374,7 +376,9 @@ bool write_probe_dump(const std::string& path,
   }
   w.end_array();
   w.key("link_quality").begin_array();
-  for (const auto& s : capture.link) write_link_sample(w, s);
+  for (const auto& f : snap.frames) {
+    if (f.has_quality) write_link_sample(w, f);
+  }
   w.end_array();
   w.end_object();
 

@@ -321,24 +321,34 @@ rx::RxReport CbmaSystem::transmit(const TransmitOptions& options, Rng& rng,
     telemetry::count(telemetry::Counter::kTransmitFramesSent, n);
     telemetry::count(telemetry::Counter::kRxFramesDecoded,
                      report.decoded_count());
+  }
+  // The frame log (DESIGN.md §7, §8): one row per frame put on the air,
+  // from the report this call returns, whichever plane wants it.
+  if (telemetry::enabled() || probe::enabled()) {
     const std::uint8_t gates = impairment_gate_bits(impairments_.config());
+    scratch.frames.resize(n);
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t slot = slot_of(k);
       const auto& r = report.results[slot];
-      telemetry::FrameTrace frame;
-      frame.tag_id = static_cast<std::uint32_t>(slot);
-      frame.pn_code_length = static_cast<std::uint32_t>(codes_[slot].length());
-      frame.correlation = r.correlation;
-      frame.margin = r.correlation - config_.detect.threshold;
-      frame.cfo_hz = scratch.txs[k].freq_offset_hz;
       const double a = scratch.txs[k].amplitude;
-      frame.power_dbm = units::watts_to_dbm(a * a);
-      frame.impedance_level =
-          static_cast<std::uint32_t>(impedance_[group_[slot]]);
-      frame.outcome = static_cast<std::uint8_t>(r.outcome);
-      frame.impairment_gates = gates;
-      telemetry::record_frame(frame);
+      telemetry::FrameRow& row = scratch.frames[k];
+      row = {};
+      row.tag = static_cast<std::uint32_t>(slot);
+      row.code_length = static_cast<std::uint32_t>(codes_[slot].length());
+      row.impedance_level = static_cast<std::uint32_t>(impedance_[group_[slot]]);
+      row.outcome = static_cast<std::uint8_t>(r.outcome);
+      row.impairment_gates = gates;
+      row.decoded = r.crc_ok;
+      row.correlation = r.correlation;
+      row.margin = r.correlation - config_.detect.threshold;
+      row.cfo_hz = scratch.txs[k].freq_offset_hz;
+      row.power_dbm = units::watts_to_dbm(a * a);
+      if (slot < report.link_quality.size() && report.link_quality[slot].valid) {
+        row.has_quality = true;
+        row.quality = report.link_quality[slot];
+      }
     }
+    telemetry::record_frames(scratch.frames);
   }
   return report;
 }

@@ -69,6 +69,7 @@ struct TransmitScratch {
   std::vector<const rfsim::Interferer*> interferers;
   rfsim::ChannelScratch channel;
   std::vector<std::complex<double>> iq;
+  std::vector<telemetry::FrameRow> frames;  ///< the packet's frame-log rows
   /// Persistent streaming Rx session (DESIGN.md §10) — the receiver-side
   /// scratch state. Made on the first transmit and bound to the
   /// transmitting system's receiver on every packet; its rings and window

@@ -313,15 +313,6 @@ void Network::publish_round(const NetworkRoundResult& result) {
               std::to_string(cell.tags_served) + " served slots");
     }
     core::publish_outcomes(cell.stats, scope);
-    for (std::size_t o = 0; o < cell.stats.outcomes.size(); ++o) {
-      const auto outcome = static_cast<rx::DecodeOutcome>(o);
-      if (cell.stats.outcomes[o] == 0 || outcome == rx::DecodeOutcome::kOk) {
-        continue;
-      }
-      metrics::push_event(metrics::Severity::kInfo, "decode_failure", scope,
-                          static_cast<double>(cell.stats.outcomes[o]),
-                          rx::to_string(outcome));
-    }
     const auto& quality = cell.stats.quality;
     if (quality.frames > 0) {
       const auto mean = quality.mean();

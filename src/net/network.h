@@ -124,7 +124,7 @@ class Network {
   std::vector<ForeignLeakage> leaks_at(std::size_t gw) const;
   /// Metrics-plane attribution for one finished round (strict no-op when
   /// the plane is off): per-cell samples under scope "cell=<id>", global
-  /// rollup series, code-slice-overflow / decode-failure events, then one
+  /// rollup series, code-slice-overflow events, then one
   /// window close. Runs sequentially after the parallel cell pass joined.
   void publish_round(const NetworkRoundResult& result);
 

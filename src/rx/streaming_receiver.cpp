@@ -268,18 +268,6 @@ void StreamingReceiver::run_attempt() {
 
 void StreamingReceiver::emit_segment(std::uint64_t rearm_pos) {
   if (telemetry::enabled()) count_outcomes(report_);
-  // Record the *winning* candidate's valid reports (rows therefore always
-  // match the report the caller sees, which cbma_inspect.py cross-checks).
-  if (probe::enabled()) {
-    for (std::size_t i = 0; i < report_.link_quality.size(); ++i) {
-      const auto& q = report_.link_quality[i];
-      if (!q.valid) continue;
-      probe::LinkQualitySample sample{q};
-      sample.tag = static_cast<std::uint32_t>(i);
-      sample.decoded = report_.results[i].crc_ok;
-      probe::record_link_quality(sample);
-    }
-  }
   ++reports_since_mark_;
   if (sink_) {
     sink_(std::move(report_));

@@ -1,9 +1,9 @@
 // The one link-quality record (DESIGN.md §8): the six numbers that explain
-// why a tag's frame lived or died. rx::LinkQualityReport and
-// probe::LinkQualitySample both carry it, and LinkQualityRollup is its sum
+// why a tag's frame lived or died. rx::LinkQualityReport and the frame
+// log's telemetry::FrameRow both carry it, and LinkQualityRollup is its sum
 // over frames — the one mean the metrics plane's per-cell `link.*` series
 // and the probe's `link_quality` section both report. It lives in util
-// because the probe capture does, and util does not depend on rx.
+// because the frame log does, and util does not depend on rx.
 #pragma once
 
 #include <array>

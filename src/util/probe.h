@@ -1,6 +1,8 @@
-// Signal-probe capture: bounded per-stage waveform taps and per-tag
-// link-quality samples, recorded by the pipeline and exported as a binary
-// dump + JSON manifest (core/observability.h owns the file format). The
+// Signal-probe capture: bounded per-stage waveform taps, recorded by the
+// pipeline and exported as a binary dump + JSON manifest
+// (core/observability.h owns the file format). The per-tag link-quality
+// rows the manifest lists are the frame log's rows with a valid report
+// (telemetry::FrameRow, util/telemetry.h), which the probe also arms. The
 // logic-analyzer counterpart of util/telemetry.h — telemetry answers *how
 // long* each stage took, the probe answers *what the signal looked like*.
 //
@@ -30,8 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "util/link_quality.h"
-
 namespace cbma::probe {
 
 /// Every tapped stage of the pipeline, in signal-flow order. Names
@@ -51,28 +51,17 @@ const char* tap_name(Tap t);
 /// traces are truncated, never dropped). Kilobyte-scale by construction.
 inline constexpr std::size_t kMaxRecordsPerTap = 256;
 inline constexpr std::size_t kMaxSamplesPerRecord = 1u << 16;
-inline constexpr std::size_t kMaxLinkQualitySamples = 4096;
 
 /// One captured trace: real data holds `data.size()` samples, complex data
 /// interleaves re/im pairs (`data.size() / 2` samples).
 struct TapRecord {
   Tap tap = Tap::kExcitationEnvelope;
-  std::uint64_t seq = 0;      ///< export order: point, item, capture order
+  std::uint64_t seq = 0;      ///< export order, shared with the frame log
   std::uint64_t point = 0;    ///< sweep point (ScopedPoint), 0 outside sweeps
   std::uint64_t item = 0;     ///< innermost parallel_for item; sort key only
   std::uint32_t context = 0;  ///< tag/code index; 0 for window-level taps
   bool complex_iq = false;
   std::vector<double> data;
-};
-
-/// One per-tag link-quality row: a detected tag's valid
-/// rx::LinkQualityReport from a processed window, labelled for the dump.
-struct LinkQualitySample : util::LinkQuality {
-  std::uint64_t seq = 0;
-  std::uint64_t point = 0;
-  std::uint64_t item = 0;  ///< as TapRecord::item; not exported
-  std::uint32_t tag = 0;
-  bool decoded = false;
 };
 
 // --- master switch ---------------------------------------------------------
@@ -89,11 +78,11 @@ void set_dump_path(std::string path);
 void record_tap(Tap t, std::uint32_t context, std::span<const double> samples);
 void record_tap_iq(Tap t, std::uint32_t context,
                    std::span<const std::complex<double>> iq);
-void record_link_quality(const LinkQualitySample& sample);
 
-/// Labels every record made on this thread while alive with a sweep-point
-/// index (SweepRunner wraps each grid-point body in one). Zero work when
-/// probing is disabled at construction.
+/// Labels every tap record and frame row made on this thread while alive
+/// with a sweep-point index (SweepRunner wraps each grid-point body in
+/// one). Zero work when neither the probe nor the span recorder is on at
+/// construction.
 class ScopedPoint {
  public:
   explicit ScopedPoint(std::uint64_t point);
@@ -109,10 +98,8 @@ class ScopedPoint {
 // --- what telemetry::snapshot() copies ------------------------------------
 
 struct Capture {
-  std::vector<TapRecord> taps;           ///< seq order
-  std::vector<LinkQualitySample> link;   ///< seq order
-  std::size_t dropped_taps = 0;          ///< records lost to kMaxRecordsPerTap
-  std::size_t dropped_link = 0;          ///< rows lost to kMaxLinkQualitySamples
+  std::vector<TapRecord> taps;   ///< seq order
+  std::size_t dropped_taps = 0;  ///< records lost to kMaxRecordsPerTap
 };
 
 }  // namespace cbma::probe

@@ -82,14 +82,11 @@ struct Node {
 };
 
 /// Everything recorded by the threads that held this sink, one at a time:
-/// the flat view (span histograms, counters, flight-recorder ring, trace
-/// events) and the tree view (node pool, roots, the live path).
+/// the flat view (span histograms, counters, trace events) and the tree
+/// view (node pool, roots, the live path).
 struct ThreadSink {
   SpanAccum spans[kSpanCount];
   std::uint64_t counters[kCounterCount] = {};
-  std::array<FrameTrace, kFlightRecorderCapacity> ring{};
-  std::size_t ring_next = 0;
-  std::size_t ring_filled = 0;
   std::vector<TraceEvent> events;
   std::uint32_t tid = 0;
 
@@ -111,14 +108,12 @@ struct ThreadSink {
     for (const auto c : counters) {
       if (c != 0) return true;
     }
-    return ring_filled > 0 || !events.empty();
+    return !events.empty();
   }
 
   void clear() {
     for (auto& s : spans) s = SpanAccum{};
     for (auto& c : counters) c = 0;
-    ring_next = 0;
-    ring_filled = 0;
     events.clear();
     pool.clear();
     roots.clear();
@@ -147,19 +142,46 @@ struct Series {
   std::size_t filled = 0;
 };
 
-/// A kept probe record's export key (point, item, capture seq) and its
-/// slot in the capture's vector.
+/// A kept record's export key (point, item, capture seq) and its slot in
+/// its store's vector.
 using KeptKey =
     std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::size_t>;
 
-/// The signal-probe capture (util/probe.h) as recorded. Each tap and the
-/// link rows keep a max-heap of their kept records' keys, so a full store
-/// finds the record a smaller newcomer evicts.
+/// Where a new record with export `key` goes among one store's `kept`
+/// records. A full store keeps the `cap` records with the smallest export
+/// key (point, item, capture seq); each (point, item) records on one thread
+/// in order, so which records survive does not depend on how threads
+/// interleave. Returns the slot to write: the key's own (the store's size)
+/// while the store has room, the evicted record's when the newcomer is
+/// below the largest kept key, none when it is dropped. A full store loses
+/// one record either way, counted in `dropped`.
+std::optional<std::size_t> admit(std::vector<KeptKey>& kept, std::size_t cap,
+                                 KeptKey key, std::size_t& dropped) {
+  if (kept.size() >= cap) {
+    ++dropped;
+    if (key > kept.front()) return std::nullopt;
+    std::pop_heap(kept.begin(), kept.end());
+    std::get<3>(key) = std::get<3>(kept.back());
+    kept.pop_back();
+  }
+  kept.push_back(key);
+  std::push_heap(kept.begin(), kept.end());
+  return std::get<3>(key);
+}
+
+/// The signal-probe taps (util/probe.h) as recorded. Each tap keeps a
+/// max-heap of its kept records' keys, so a full tap finds the record a
+/// smaller newcomer evicts.
 struct ProbeStore {
   probe::Capture capture;
   std::array<std::vector<KeptKey>, probe::kTapCount> tap_keys;
-  std::vector<KeptKey> link_keys;
-  std::uint64_t next_seq = 0;  ///< one order across taps and link rows
+};
+
+/// The frame log as recorded, kept under admit() with its key heap.
+struct FrameLog {
+  std::vector<FrameRow> rows;
+  std::vector<KeptKey> keys;
+  std::size_t dropped = 0;
 };
 
 /// The metric store (util/metrics.h), keyed by (name, scope) so the same
@@ -221,7 +243,8 @@ struct Registry {
   std::vector<std::unique_ptr<ThreadSink>> sinks;
   std::vector<ThreadSink*> idle;
   std::map<std::string, ParallelSiteStats> sites;
-  std::atomic<std::uint64_t> frame_seq{0};
+  std::uint64_t next_seq = 0;  ///< one capture order across taps and frames
+  FrameLog frames;
   ProbeStore probe;
   MetricStore metrics;
 };
@@ -478,26 +501,26 @@ void push_span_window(MetricStore& m, Span span, const SpanHistogram& cur,
   }
 }
 
-/// The probe capture in a scheduling-independent order: workers append
-/// records in whatever order they interleave, but each (point, innermost
-/// parallel_for item) runs on one thread, so renumbering seq in (point,
-/// item, capture order) across taps and link rows and sorting by it makes
-/// the export independent of the worker counts — nested cell workers
+/// The taps and frame rows in a scheduling-independent order: workers
+/// append records in whatever order they interleave, but each (point,
+/// innermost parallel_for item) runs on one thread, so renumbering seq in
+/// (point, item, capture order) across taps and frames and sorting by it
+/// makes the export independent of the worker counts — nested cell workers
 /// included.
-probe::Capture ordered_capture(probe::Capture c) {
+void order_records(std::vector<probe::TapRecord>& taps,
+                   std::vector<FrameRow>& frames) {
   std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
                          std::uint64_t*>>
       order;
-  for (auto& r : c.taps) order.emplace_back(r.point, r.item, r.seq, &r.seq);
-  for (auto& r : c.link) order.emplace_back(r.point, r.item, r.seq, &r.seq);
+  for (auto& r : taps) order.emplace_back(r.point, r.item, r.seq, &r.seq);
+  for (auto& r : frames) order.emplace_back(r.point, r.item, r.seq, &r.seq);
   std::sort(order.begin(), order.end());
   for (std::size_t k = 0; k < order.size(); ++k) *std::get<3>(order[k]) = k;
   const auto by_seq = [](const auto& a, const auto& b) {
     return a.seq < b.seq;
   };
-  std::sort(c.taps.begin(), c.taps.end(), by_seq);
-  std::sort(c.link.begin(), c.link.end(), by_seq);
-  return c;
+  std::sort(taps.begin(), taps.end(), by_seq);
+  std::sort(frames.begin(), frames.end(), by_seq);
 }
 
 metrics::Store copy_metrics(const MetricStore& m) {
@@ -612,15 +635,26 @@ void add_count(Counter c, std::uint64_t n) {
   sink().counters[static_cast<std::size_t>(c)] += n;
 }
 
-void record_frame(FrameTrace frame) {
-  if (!enabled()) return;
-  auto& sk = sink();
-  frame.seq = Registry::instance().frame_seq.fetch_add(
-      1, std::memory_order_relaxed);
-  frame.ts_ns = util::monotonic_ns();
-  sk.ring[sk.ring_next] = frame;
-  sk.ring_next = (sk.ring_next + 1) % sk.ring.size();
-  sk.ring_filled = std::min(sk.ring_filled + 1, sk.ring.size());
+void record_frames(std::span<const FrameRow> rows) {
+  if (!enabled() && !probe::enabled()) return;
+  const std::uint64_t ts_ns = util::monotonic_ns();
+  auto& reg = Registry::instance();
+  const std::lock_guard<std::mutex> lock(reg.mu);
+  auto& log = reg.frames;
+  for (const FrameRow& row : rows) {
+    const std::uint64_t seq = reg.next_seq++;
+    const auto slot = admit(log.keys, kMaxFrameRows,
+                            {t_point, t_item, seq, log.rows.size()},
+                            log.dropped);
+    if (!slot) continue;
+    if (*slot == log.rows.size()) log.rows.emplace_back();
+    FrameRow& kept = log.rows[*slot];
+    kept = row;
+    kept.seq = seq;
+    kept.point = t_point;
+    kept.item = t_item;
+    kept.ts_ns = ts_ns;
+  }
 }
 
 void enter_span(Span s) { push(sink(), s, /*context=*/false); }
@@ -687,22 +721,12 @@ Snapshot snapshot() {
 
   std::map<int, MergedNode> roots;
   for (const auto& sk : reg.sinks) {
-    for (std::size_t k = 0; k < sk->ring_filled; ++k) {
-      out.frames.push_back(sk->ring[k]);
-    }
     out.events.insert(out.events.end(), sk->events.begin(), sk->events.end());
     if (sk->has_flat_data()) ++out.threads;
     if (sk->roots.empty() && sk->dropped == 0) continue;
     ++out.tree.threads;
     out.tree.dropped += sk->dropped;
     for (const std::int32_t r : sk->roots) merge_node(roots, *sk, r);
-  }
-  std::sort(out.frames.begin(), out.frames.end(),
-            [](const FrameTrace& a, const FrameTrace& b) { return a.seq < b.seq; });
-  if (out.frames.size() > kFlightRecorderCapacity) {
-    out.frames.erase(out.frames.begin(),
-                     out.frames.end() -
-                         static_cast<std::ptrdiff_t>(kFlightRecorderCapacity));
   }
   std::sort(out.events.begin(), out.events.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
@@ -713,7 +737,10 @@ Snapshot snapshot() {
 
   out.parallel.reserve(reg.sites.size());
   for (const auto& [site, stats] : reg.sites) out.parallel.push_back(stats);
-  out.probe = ordered_capture(reg.probe.capture);
+  out.probe = reg.probe.capture;
+  out.frames = reg.frames.rows;
+  out.dropped_frames = reg.frames.dropped;
+  order_records(out.probe.taps, out.frames);
   out.metrics = copy_metrics(reg.metrics);
   return out;
 }
@@ -752,7 +779,8 @@ void reset() {
   const std::lock_guard<std::mutex> lock(reg.mu);
   for (auto& sk : reg.sinks) sk->clear();
   reg.sites.clear();
-  reg.frame_seq.store(0, std::memory_order_relaxed);
+  reg.next_seq = 0;
+  reg.frames = FrameLog{};
   reg.probe = ProbeStore{};
   reg.metrics = MetricStore{};
 }
@@ -774,31 +802,8 @@ std::size_t sink_count() {
 namespace cbma::probe {
 namespace {
 
-using telemetry::KeptKey;
 using telemetry::t_item;
 using telemetry::t_point;
-
-/// Where a new record with export `key` goes among one store's `kept`
-/// records. A full store keeps the `cap` records with the smallest export
-/// key (point, item, capture seq); each (point, item) records on one thread
-/// in order, so which records survive does not depend on how threads
-/// interleave. Returns the capture slot to write: the key's own (the
-/// capture's size) while the store has room, the evicted record's when the
-/// newcomer is below the largest kept key, none when it is dropped. A full
-/// store loses one record either way, counted in `dropped`.
-std::optional<std::size_t> admit(std::vector<KeptKey>& kept, std::size_t cap,
-                                 KeptKey key, std::size_t& dropped) {
-  if (kept.size() >= cap) {
-    ++dropped;
-    if (key > kept.front()) return std::nullopt;
-    std::pop_heap(kept.begin(), kept.end());
-    std::get<3>(key) = std::get<3>(kept.back());
-    kept.pop_back();
-  }
-  kept.push_back(key);
-  std::push_heap(kept.begin(), kept.end());
-  return std::get<3>(key);
-}
 
 /// Store one tap record, labelled with the calling thread's point and
 /// item, if its tap keeps it (admit); `data` is copied only then.
@@ -808,10 +813,10 @@ void store_tap(Tap t, std::uint32_t context, bool complex_iq,
   const std::lock_guard<std::mutex> lock(reg.mu);
   auto& p = reg.probe;
   auto& taps = p.capture.taps;
-  const std::uint64_t seq = p.next_seq++;
-  const auto slot = admit(p.tap_keys[static_cast<std::size_t>(t)],
-                          kMaxRecordsPerTap, {t_point, t_item, seq, taps.size()},
-                          p.capture.dropped_taps);
+  const std::uint64_t seq = reg.next_seq++;
+  const auto slot = telemetry::admit(
+      p.tap_keys[static_cast<std::size_t>(t)], kMaxRecordsPerTap,
+      {t_point, t_item, seq, taps.size()}, p.capture.dropped_taps);
   if (!slot) return;
   if (*slot == taps.size()) taps.emplace_back();
   taps[*slot] = {t, seq, t_point, t_item, context, complex_iq,
@@ -836,26 +841,8 @@ void record_tap_iq(Tap t, std::uint32_t context,
   store_tap(t, context, true, {re_im, 2 * n});
 }
 
-void record_link_quality(const LinkQualitySample& sample) {
-  if (!enabled()) return;
-  auto& reg = telemetry::Registry::instance();
-  const std::lock_guard<std::mutex> lock(reg.mu);
-  auto& p = reg.probe;
-  auto& link = p.capture.link;
-  const std::uint64_t seq = p.next_seq++;
-  const auto slot =
-      admit(p.link_keys, kMaxLinkQualitySamples,
-            {t_point, t_item, seq, link.size()}, p.capture.dropped_link);
-  if (!slot) return;
-  if (*slot == link.size()) link.emplace_back();
-  LinkQualitySample& stored = link[*slot];
-  stored = sample;
-  stored.seq = seq;
-  stored.point = t_point;
-  stored.item = t_item;
-}
-
-ScopedPoint::ScopedPoint(std::uint64_t point) : active_(enabled()) {
+ScopedPoint::ScopedPoint(std::uint64_t point)
+    : active_(enabled() || telemetry::enabled()) {
   if (active_) previous_ = std::exchange(t_point, point);
 }
 

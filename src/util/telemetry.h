@@ -1,17 +1,17 @@
-// Pipeline-wide observability store: RAII span timers, monotonic counters, a
-// bounded flight recorder of per-frame structured events and the
-// caller-path attribution tree, all recorded into one lock-free sink per
-// thread, plus the signal-probe capture (util/probe.h) and the metric
-// store (util/metrics.h). One registry owns all of it, one reset() clears
-// all of it and one snapshot() copies all of it.
+// Pipeline-wide observability store: RAII span timers, monotonic counters
+// and the caller-path attribution tree, all recorded into one lock-free sink
+// per thread, plus the frame log (one row per transmitted frame), the
+// signal-probe capture (util/probe.h) and the metric store (util/metrics.h).
+// One registry owns all of it, one reset() clears all of it and one
+// snapshot() copies all of it.
 //
 // One switch arms the span recorder: CBMA_TELEMETRY (or set_enabled), and
 // every export path that reads the recorder arms it too — CBMA_TRACE,
 // CBMA_METRICS and CBMA_PROFILE, by the same rule. When it is on, each
 // ScopedSpan reads the clock once and feeds both views from that one
 // duration, so they agree span for span (DESIGN.md §7, §13). The flat view
-// keeps per-span duration histograms, counters and the flight recorder,
-// plus per-event Chrome/Perfetto capture while CBMA_TRACE is on. The tree
+// keeps per-span duration histograms and counters, plus per-event
+// Chrome/Perfetto capture while CBMA_TRACE is on. The tree
 // view keeps, for every distinct path of nested spans, how often it ran,
 // its inclusive wall time and how much of that was spent in same-thread
 // child spans, so exclusive = inclusive - child_ns holds exactly per node.
@@ -19,7 +19,7 @@
 // The contract that makes this safe to compile into every hot path:
 // **a disabled recorder is a strict identity**. With the switch off (the
 // default), ScopedSpan never reads the clock, count() and
-// record_frame() return immediately, no thread sink is ever allocated, and
+// record_frames() return immediately, no thread sink is ever allocated, and
 // no RNG is touched (the recorder never draws randomness at all) — so
 // every existing bench table and BENCH_*.json stays byte-identical, the
 // same contract rfsim::ImpairmentSuite pins for its stages.
@@ -36,9 +36,9 @@
 // WorkerContext: its span path as zero-cost "context" nodes, so their
 // subtrees merge under the span that launched them, and its probe labels,
 // so their records file under the caller's sweep point. parallel_for also
-// publishes its own worker-utilization report when given a site. Probe
-// records and metric samples are written under the same registry mutex:
-// they arrive per window, not per chip.
+// publishes its own worker-utilization report when given a site. Frame
+// rows, probe records and metric samples are written under the same
+// registry mutex: they arrive per packet or per window, not per chip.
 // snapshot() merges all sinks and must run while no worker is recording —
 // in practice after parallel_for joined, which is how SweepRunner and the
 // benches use it. Durations are histogrammed (log₂ buckets, 4 linear
@@ -47,12 +47,13 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "util/link_quality.h"
 #include "util/metrics.h"
 #include "util/probe.h"
 #include "util/timer.h"
@@ -125,24 +126,31 @@ inline constexpr std::size_t kCounterCount =
     static_cast<std::size_t>(Counter::kCount);
 const char* counter_name(Counter c);
 
-/// One frame's flight-recorder entry: the causal context the paper's
-/// evaluation reasons about (who sent, how strongly, what the correlator
-/// saw, why the frame lived or died, which faults were active).
-struct FrameTrace {
-  std::uint64_t seq = 0;        ///< global order stamp (assigned on record)
-  std::uint64_t ts_ns = 0;      ///< util::monotonic_ns at record time
-  std::uint32_t tag_id = 0;     ///< group slot / code index
-  std::uint32_t pn_code_length = 0;
-  double correlation = 0.0;     ///< normalized correlation peak
-  double margin = 0.0;          ///< peak minus the detection threshold
-  double cfo_hz = 0.0;          ///< carrier frequency offset on the air
-  double power_dbm = 0.0;       ///< received backscatter power
+/// One transmitted frame's row in the frame log: the causal context the
+/// paper's evaluation reasons about (who sent, how strongly, what the
+/// correlator saw, why the frame lived or died, which faults were active).
+/// The flight recorder is the log itself; the probe's link rows are its
+/// rows with a valid link-quality report (DESIGN.md §7, §8).
+struct FrameRow {
+  std::uint64_t seq = 0;    ///< export order: point, item, capture order
+  std::uint64_t point = 0;  ///< sweep point (probe::ScopedPoint), 0 outside
+  std::uint64_t item = 0;   ///< innermost parallel_for item; sort key only
+  std::uint64_t ts_ns = 0;  ///< util::monotonic_ns at record time
+  std::uint32_t tag = 0;    ///< group slot / code index
+  std::uint32_t code_length = 0;
   std::uint32_t impedance_level = 0;
-  std::uint8_t outcome = 0;     ///< rx::DecodeOutcome as an integer
+  std::uint8_t outcome = 0;           ///< rx::DecodeOutcome as an integer
   std::uint8_t impairment_gates = 0;  ///< bit per enabled stage, see masks
+  bool decoded = false;               ///< CRC and in-frame id verified
+  bool has_quality = false;           ///< `quality` is a valid report
+  double correlation = 0.0;  ///< normalized correlation peak
+  double margin = 0.0;       ///< peak minus the detection threshold
+  double cfo_hz = 0.0;       ///< carrier frequency offset on the air
+  double power_dbm = 0.0;    ///< received backscatter power
+  util::LinkQuality quality;
 };
 
-/// FrameTrace::impairment_gates bit assignments (ImpairmentConfig order).
+/// FrameRow::impairment_gates bit assignments (ImpairmentConfig order).
 inline constexpr std::uint8_t kGateDropout = 1u << 0;
 inline constexpr std::uint8_t kGateDrift = 1u << 1;
 inline constexpr std::uint8_t kGateSwitching = 1u << 2;
@@ -158,8 +166,10 @@ struct TraceEvent {
   std::uint32_t tid = 0;  ///< index of the sink that recorded it
 };
 
-/// Flight-recorder depth per sink, and the merged export cap.
-inline constexpr std::size_t kFlightRecorderCapacity = 256;
+/// The frame log's one cap: a full log keeps the rows with the smallest
+/// (point, item, capture order), the same rows at any worker count, and
+/// counts every row it loses in Snapshot::dropped_frames.
+inline constexpr std::size_t kMaxFrameRows = 4096;
 
 /// Trace-capture cap per sink: a runaway trace keeps the first 64k events
 /// each sink recorded instead of exhausting memory. Sinks are recycled
@@ -198,7 +208,11 @@ void set_profile_path(std::string path);
 
 void record_span(Span s, std::uint64_t start_ns, std::uint64_t dur_ns);
 void add_count(Counter c, std::uint64_t n);
-void record_frame(FrameTrace frame);  ///< seq/ts are stamped inside
+
+/// One packet's frame rows into the frame log, under one registry lock,
+/// while the recorder or the probe is on. Labels, seq and ts_ns are
+/// stamped inside.
+void record_frames(std::span<const FrameRow> rows);
 
 inline void count(Counter c, std::uint64_t n = 1) {
   if (enabled()) add_count(c, n);
@@ -362,7 +376,8 @@ struct ParallelSiteStats {
 struct Snapshot {
   std::vector<SpanSnapshot> spans;        ///< spans with count > 0 only
   std::vector<CounterSnapshot> counters;  ///< non-zero counters only
-  std::vector<FrameTrace> frames;   ///< merged rings, seq order, last N
+  std::vector<FrameRow> frames;     ///< the frame log, seq order
+  std::size_t dropped_frames = 0;   ///< rows lost to kMaxFrameRows
   std::vector<TraceEvent> events;   ///< merged, ts order (trace capture on)
   std::size_t threads = 0;          ///< sinks that recorded flat data
   TreeSnapshot tree;
@@ -379,8 +394,8 @@ Snapshot snapshot();
 // --- lifecycle -------------------------------------------------------------
 
 /// Clear everything the registry holds: every sink (counts, histograms,
-/// rings, events, trees), the parallel sites, the probe capture, the metric
-/// store and its window baselines. Switches and paths stay as they are, and
+/// events, trees), the parallel sites, the frame log, the probe capture,
+/// the metric store and its window baselines. Switches and paths stay as they are, and
 /// so do the sinks (sink_count() is unchanged). Sequential-only: no span
 /// may be live on any thread.
 void reset();

@@ -15,7 +15,7 @@ double to_us(std::uint64_t ns) { return static_cast<double>(ns) / 1e3; }
 }  // namespace
 
 std::string chrome_trace_json(std::span<const telemetry::TraceEvent> events,
-                              std::span<const telemetry::FrameTrace> frames) {
+                              std::span<const telemetry::FrameRow> frames) {
   // Rebase to the earliest timestamp so the viewer opens at t = 0 instead
   // of hours into the steady clock's epoch.
   std::uint64_t t0 = ~0ull;
@@ -46,8 +46,8 @@ std::string chrome_trace_json(std::span<const telemetry::TraceEvent> events,
     w.key("s").value("g");  // global-scope instant: visible on every track
     w.key("args").begin_object();
     w.key("seq").value(f.seq);
-    w.key("tag").value(static_cast<std::uint64_t>(f.tag_id));
-    w.key("code_length").value(static_cast<std::uint64_t>(f.pn_code_length));
+    w.key("tag").value(static_cast<std::uint64_t>(f.tag));
+    w.key("code_length").value(static_cast<std::uint64_t>(f.code_length));
     w.key("correlation").value(f.correlation);
     w.key("margin").value(f.margin);
     w.key("cfo_hz").value(f.cfo_hz);
@@ -68,7 +68,7 @@ std::string chrome_trace_json(std::span<const telemetry::TraceEvent> events,
 
 bool write_chrome_trace(const std::string& path,
                         std::span<const telemetry::TraceEvent> events,
-                        std::span<const telemetry::FrameTrace> frames) {
+                        std::span<const telemetry::FrameRow> frames) {
   return write_file_atomically(path, chrome_trace_json(events, frames) + "\n",
                                "trace");
 }

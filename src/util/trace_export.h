@@ -17,12 +17,12 @@ namespace cbma::util {
 /// ({"traceEvents": [...]}). Timestamps are microseconds on the shared
 /// monotonic clock, rebased so the earliest event sits at t = 0.
 std::string chrome_trace_json(std::span<const telemetry::TraceEvent> events,
-                              std::span<const telemetry::FrameTrace> frames);
+                              std::span<const telemetry::FrameRow> frames);
 
 /// Write chrome_trace_json to `path` atomically (util/atomic_file.h);
 /// returns false (with a stderr diagnostic) when it cannot be written.
 bool write_chrome_trace(const std::string& path,
                         std::span<const telemetry::TraceEvent> events,
-                        std::span<const telemetry::FrameTrace> frames);
+                        std::span<const telemetry::FrameRow> frames);
 
 }  // namespace cbma::util

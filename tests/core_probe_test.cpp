@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,16 @@ rfsim::Deployment three_tag_deployment() {
   deployment.add_tag({0.3, -0.7});
   deployment.add_tag({-0.2, 1.0});
   return deployment;
+}
+
+/// The link rows of a frame log: its rows' valid reports, in row order.
+std::vector<util::LinkQuality> link_rows(
+    const std::vector<telemetry::FrameRow>& rows) {
+  std::vector<util::LinkQuality> out;
+  for (const auto& row : rows) {
+    if (row.has_quality) out.push_back(row.quality);
+  }
+  return out;
 }
 
 /// Everything a probe must never change: the decode results and the next
@@ -147,7 +158,7 @@ TEST_F(CoreProbe, DumpAndManifestRoundTrip) {
   }
   const auto& link = manifest.at("link_quality");
   ASSERT_TRUE(link.is_array());
-  EXPECT_EQ(link.array.size(), capture.link.size());
+  EXPECT_EQ(link.array.size(), link_rows(snap.frames).size());
 
   std::remove("core_probe_roundtrip.bin");
   std::remove("core_probe_roundtrip.bin.json");
@@ -157,17 +168,22 @@ TEST_F(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
   probe::set_dump_path("core_probe_section.bin");
   probe::set_enabled(true);
   telemetry::reset();
-  probe::LinkQualitySample sample;
-  sample.tag = 1;
-  sample.decoded = true;
-  sample.snr_db = 10.0;
-  probe::record_link_quality(sample);
-  sample.snr_db = 20.0;
-  sample.decoded = false;
-  probe::record_link_quality(sample);
-  sample.tag = 0;
-  sample.snr_db = 5.0;
-  probe::record_link_quality(sample);
+  telemetry::FrameRow row;
+  row.tag = 1;
+  row.decoded = true;
+  row.has_quality = true;
+  row.quality.snr_db = 10.0;
+  telemetry::record_frames({&row, 1});
+  row.quality.snr_db = 20.0;
+  row.decoded = false;
+  telemetry::record_frames({&row, 1});
+  row.tag = 0;
+  row.quality.snr_db = 5.0;
+  telemetry::record_frames({&row, 1});
+  // A frame without a valid report is no link row.
+  row.tag = 2;
+  row.has_quality = false;
+  telemetry::record_frames({&row, 1});
 
   const ObservabilityPlane& plane = observability_planes()[1];
   ASSERT_STREQ(plane.name, "probe");
@@ -194,10 +210,10 @@ TEST_F(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
 }
 
 /// Every link-quality report of 24 seeded transmissions with the given
-/// planes on, plus the probe rows they produced.
+/// planes on, plus the frame-log rows they produced.
 struct PlaneRun {
   std::vector<rx::LinkQualityReport> reports;
-  std::vector<probe::LinkQualitySample> rows;
+  std::vector<telemetry::FrameRow> rows;
 };
 
 PlaneRun link_quality_with(bool probe_on, bool metrics_on) {
@@ -212,7 +228,7 @@ PlaneRun link_quality_with(bool probe_on, bool metrics_on) {
     run.reports.insert(run.reports.end(), report.link_quality.begin(),
                        report.link_quality.end());
   }
-  run.rows = telemetry::snapshot().probe.link;
+  run.rows = telemetry::snapshot().frames;
   quiesce_observability();
   return run;
 }
@@ -240,19 +256,17 @@ TEST_F(CoreProbe, LinkQualityDoesNotDependOnWhichPlaneAskedForIt) {
   EXPECT_EQ(bits_of(probe_only.reports), bits_of(metrics_only.reports));
   EXPECT_EQ(bits_of(probe_only.reports), bits_of(both.reports));
 
-  // One row per valid report, carrying that report's numbers.
-  std::vector<rx::LinkQualityReport> valid;
+  // One frame row per frame sent; one link row per valid report, carrying
+  // that report's numbers, whichever plane armed the log.
+  std::vector<util::LinkQuality> valid;
   for (const auto& q : probe_only.reports) {
     if (q.valid) valid.push_back(q);
   }
   ASSERT_FALSE(valid.empty());
-  ASSERT_EQ(probe_only.rows.size(), valid.size());
-  for (std::size_t i = 0; i < valid.size(); ++i) {
-    EXPECT_EQ(static_cast<const util::LinkQuality&>(probe_only.rows[i]),
-              static_cast<const util::LinkQuality&>(valid[i]))
-        << "row " << i;
-  }
-  EXPECT_TRUE(metrics_only.rows.empty());
+  EXPECT_EQ(probe_only.rows.size(), 24u * 3u);
+  EXPECT_EQ(link_rows(probe_only.rows), valid);
+  EXPECT_EQ(link_rows(metrics_only.rows), valid);
+  EXPECT_EQ(link_rows(both.rows), valid);
 
   // The rollup counts the same valid reports the rows hold, in row order.
   quiesce_observability();
@@ -261,23 +275,68 @@ TEST_F(CoreProbe, LinkQualityDoesNotDependOnWhichPlaneAskedForIt) {
   Rng rng(41);
   const RoundStats stats = system.run_packets(24, rng);
   util::LinkQualityRollup from_rows;
-  for (const auto& row : telemetry::snapshot().probe.link) from_rows.add(row);
+  for (const auto& q : link_rows(telemetry::snapshot().frames)) {
+    from_rows.add(q);
+  }
   quiesce_observability();
   EXPECT_EQ(from_rows.frames, valid.size());
   EXPECT_EQ(stats.quality.frames, from_rows.frames);
   EXPECT_EQ(stats.quality.sum, from_rows.sum);
+
+  // A probed network round, no cap binding: one row per frame sent, and
+  // one link row per frame its cells' rollups counted.
+  quiesce_observability();
+  probe::set_enabled(true);
+  telemetry::set_enabled(true);
+  net::NetworkConfig config;
+  config.cell.max_tags = 4;
+  config.packets_per_round = 3;
+  auto network = net::Network::grid(config, 8.0, 4.0, 2, 1);
+  Rng placement(5);
+  network.place_random_tags(8, placement);
+  const auto round = network.run_round(17, 2);
+  const auto snap = telemetry::snapshot();
+  quiesce_observability();
+  ASSERT_EQ(snap.dropped_frames, 0u);
+  std::size_t cell_quality = 0;
+  for (const auto& cell : round.cells) cell_quality += cell.stats.quality.frames;
+  std::uint64_t frames_sent = 0;
+  for (const auto& c : snap.counters) {
+    if (c.id == telemetry::Counter::kTransmitFramesSent) frames_sent = c.value;
+  }
+  EXPECT_GT(frames_sent, 0u);
+  EXPECT_EQ(snap.frames.size(), frames_sent);
+  EXPECT_GT(cell_quality, 0u);
+  EXPECT_EQ(link_rows(snap.frames).size(), cell_quality);
 }
 
-/// A probed sweep's exports: the link_quality section, the dump and the
-/// manifest, as bytes, plus how many records each sweep point holds.
+/// A probed and recorded sweep's exports: the link_quality section, the
+/// dump and the manifest, as bytes, and the flight recorder's JSON without
+/// its timestamps, plus how many records each sweep point holds.
 struct ProbeExport {
   std::string section;
   std::string dump;
   std::string manifest;
+  std::string flight_recorder;
   std::vector<std::size_t> per_point;  ///< index 0 = outside any sweep
   std::size_t dropped = 0;
   std::size_t soft_bits = 0;  ///< records the soft_bits tap kept
+  std::size_t frames = 0;     ///< rows the frame log kept
 };
+
+/// The telemetry section's "flight_recorder" array (its last key) with
+/// every row's ts_ns, the one field that reads the clock, taken out.
+std::string flight_recorder_of(const telemetry::Snapshot& snap) {
+  util::JsonWriter w;
+  w.begin_object();
+  observability_planes()[0].write_json_section(w, snap);
+  w.end_object();
+  const std::string section = w.str();
+  const std::size_t at = section.find("\"flight_recorder\"");
+  EXPECT_NE(at, std::string::npos);
+  return std::regex_replace(section.substr(at),
+                            std::regex("\"ts_ns\":[0-9]+,"), "");
+}
 
 std::string read_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -290,11 +349,13 @@ struct ProbedNetwork {
   std::size_t points = 8;
   std::size_t tags = 2;
   std::size_t packets = 2;
+  std::size_t payload_bytes = 8;
 };
 
 /// `shape.points` sweep points on `sweep_workers` threads, each running one
-/// probed round of a two-cell network with its cells on `cell_workers`
-/// threads. The default shape is small enough that no capture cap binds.
+/// probed and recorded round of a two-cell network with its cells on
+/// `cell_workers` threads. The default shape is small enough that no
+/// capture cap binds.
 ProbeExport probed_network_sweep(std::size_t sweep_workers,
                                  std::size_t cell_workers,
                                  ProbedNetwork shape = {}) {
@@ -311,6 +372,7 @@ ProbeExport probed_network_sweep(std::size_t sweep_workers,
         config.cell.code_family = pn::CodeFamily::kGold;
         config.cell.code_min_length = 31;
         config.cell.max_tags = shape.tags;
+        config.cell.payload_bytes = shape.payload_bytes;
         config.cell.tx_power_dbm = 30.0;
         config.packets_per_round = shape.packets;
         auto network = net::Network::grid(config, 8.0, 4.0, 2, 1);
@@ -329,14 +391,19 @@ ProbeExport probed_network_sweep(std::size_t sweep_workers,
       ::testing::TempDir() +
       ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".bin";
   EXPECT_TRUE(write_probe_dump(path, snap));
-  ProbeExport out{w.str(), read_bytes(path), read_bytes(path + ".json"),
+  ProbeExport out{w.str(),
+                  read_bytes(path),
+                  read_bytes(path + ".json"),
+                  flight_recorder_of(snap),
                   std::vector<std::size_t>(shape.points + 1, 0),
-                  snap.probe.dropped_taps + snap.probe.dropped_link};
+                  snap.probe.dropped_taps + snap.dropped_frames,
+                  0,
+                  snap.frames.size()};
   for (const auto& r : snap.probe.taps) {
     ++out.per_point.at(r.point);
     out.soft_bits += r.tap == probe::Tap::kSoftBits;
   }
-  for (const auto& r : snap.probe.link) ++out.per_point.at(r.point);
+  for (const auto& r : snap.frames) ++out.per_point.at(r.point);
   std::remove(path.c_str());
   std::remove((path + ".json").c_str());
   return out;
@@ -354,6 +421,8 @@ void expect_parallel_sweeps_match(const ProbeExport& serial,
     // Megabyte-scale: compare without printing them on failure.
     EXPECT_TRUE(serial.dump == parallel.dump) << "run " << run;
     EXPECT_TRUE(serial.manifest == parallel.manifest) << "run " << run;
+    EXPECT_TRUE(serial.flight_recorder == parallel.flight_recorder)
+        << "run " << run;
   }
 }
 
@@ -365,6 +434,7 @@ TEST_F(CoreProbe, SweepExportsDoNotDependOnTheWorkerCount) {
   // every record carries its body's point by construction, so identical
   // exports prove the workers label theirs alike.
   probe::set_enabled(true);
+  telemetry::set_enabled(true);
   const ProbeExport serial = probed_network_sweep(1, 1);
   ASSERT_EQ(serial.dropped, 0u) << "a capture cap bound; shrink the network";
   EXPECT_EQ(serial.per_point[0], 0u) << "records outside any sweep point";
@@ -375,14 +445,19 @@ TEST_F(CoreProbe, SweepExportsDoNotDependOnTheWorkerCount) {
 }
 
 TEST_F(CoreProbe, CappedSweepExportsDoNotDependOnTheWorkerCount) {
-  // Thirty points of two ten-tag cells overflow the soft_bits tap: a full
-  // store keeps the records with the smallest (point, item, capture
-  // order), which no interleaving of the workers changes.
+  // Thirty points of two ten-tag cells at ten one-byte packets a round
+  // overflow the soft_bits tap and the frame log: a full store keeps the
+  // records with the smallest (point, item, capture order), which no
+  // interleaving of the workers changes.
   probe::set_enabled(true);
-  const ProbedNetwork shape{.points = 30, .tags = 10, .packets = 1};
+  telemetry::set_enabled(true);
+  const ProbedNetwork shape{
+      .points = 30, .tags = 10, .packets = 10, .payload_bytes = 1};
   const ProbeExport serial = probed_network_sweep(1, 1, shape);
   ASSERT_EQ(serial.soft_bits, probe::kMaxRecordsPerTap)
       << "the soft_bits cap must bind";
+  ASSERT_EQ(serial.frames, telemetry::kMaxFrameRows)
+      << "the frame-log cap must bind";
   ASSERT_GT(serial.dropped, 0u);
   expect_parallel_sweeps_match(serial, shape);
 }

@@ -92,7 +92,7 @@ TEST_F(Telemetry, DisabledRunAllocatesNoSinks) {
     telemetry::set_enabled(false);
     const auto sys = make_system(/*with_impairments=*/true);
     (void)run_rounds(sys, 77, 4);
-    // No ScopedSpan, count() or record_frame() call may have touched the
+    // No ScopedSpan, count() or record_frames() call may have touched the
     // registry: the off path must never allocate a thread sink.
     EXPECT_EQ(telemetry::sink_count(), 0u);
     EXPECT_FALSE(telemetry::enabled());
@@ -194,16 +194,16 @@ TEST_F(Telemetry, SnapshotHasOrderedSpansAndNamedCounters) {
   EXPECT_EQ(windows, kRounds);
   EXPECT_EQ(outcomes, kRounds * kTags);
 
-  // Flight recorder: bounded, ordered, and carrying the causal fields.
-  ASSERT_FALSE(snap.frames.empty());
-  EXPECT_LE(snap.frames.size(), telemetry::kFlightRecorderCapacity);
+  // Flight recorder: one row per frame sent, ordered, and carrying the
+  // causal fields.
+  ASSERT_EQ(snap.frames.size(), frames_sent);
   for (std::size_t i = 0; i < snap.frames.size(); ++i) {
     const auto& f = snap.frames[i];
     if (i > 0) {
       EXPECT_GT(f.seq, snap.frames[i - 1].seq);
     }
-    EXPECT_LT(f.tag_id, kTags);
-    EXPECT_GT(f.pn_code_length, 0u);
+    EXPECT_LT(f.tag, kTags);
+    EXPECT_GT(f.code_length, 0u);
     EXPECT_LE(f.outcome,
               static_cast<std::uint8_t>(rx::DecodeOutcome::kIdMismatch));
     // make_system enabled dropout + drift + adc: exactly those gates.
@@ -211,28 +211,6 @@ TEST_F(Telemetry, SnapshotHasOrderedSpansAndNamedCounters) {
                                       telemetry::kGateDrift |
                                       telemetry::kGateAdc);
   }
-  telemetry::reset();
-}
-
-TEST_F(Telemetry, FlightRecorderKeepsOnlyTheLastFrames) {
-  // Offer more frames than the ring holds: 3 tags per round, a few rounds
-  // past capacity.
-  constexpr std::size_t kRounds =
-      telemetry::kFlightRecorderCapacity / kTags + 4;
-  telemetry::set_enabled(true);
-  telemetry::reset();
-  const auto sys = make_system();
-  (void)run_rounds(sys, 7, kRounds);
-  const auto snap = telemetry::snapshot();
-  telemetry::set_enabled(false);
-
-  ASSERT_EQ(snap.frames.size(), telemetry::kFlightRecorderCapacity);
-  // The ring keeps the *latest* frames: seq numbers are the top of the
-  // global sequence, contiguous on this single recording thread.
-  for (std::size_t i = 1; i < snap.frames.size(); ++i) {
-    EXPECT_EQ(snap.frames[i].seq, snap.frames[i - 1].seq + 1);
-  }
-  EXPECT_EQ(snap.frames.back().seq, kRounds * kTags - 1u);
   telemetry::reset();
 }
 

@@ -206,6 +206,17 @@ TEST(Network, MetricsPlaneChangesNoResultsAndAttributesEveryCell) {
   EXPECT_EQ(last_value("net.goodput_bps", ""), on.aggregate_goodput_bps);
   EXPECT_EQ(last_value("net.jain_fairness", ""), on.jain_fairness);
   EXPECT_EQ(last_value("net.tags_total", ""), 8.0);
+
+  // Failed frames chart as their outcome series only: no event repeats
+  // those counts, so events stay free for roams and overflows.
+  std::size_t failed = 0;
+  for (const auto& cell : on.cells) {
+    failed += cell.stats.total_sent() - cell.stats.total_acked();
+  }
+  ASSERT_GT(failed, 0u) << "the round must fail some frames";
+  for (const auto& e : snap.events) {
+    EXPECT_TRUE(e.type == "roam" || e.type == "code_slice_overflow") << e.type;
+  }
 }
 
 TEST(Network, MetricsAttributeEachCellsSeriesToItsGatewayScope) {

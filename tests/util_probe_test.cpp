@@ -1,9 +1,10 @@
 // util/probe unit coverage: the strict-identity off path (no storage, no
 // state), the bounded capture mechanics (per-tap caps, truncation, dropped
-// counters), IQ interleaving, sweep-point labelling via ScopedPoint, and
-// the tap name table the manifest format depends on. The capture is read
-// back through telemetry::snapshot().probe and cleared by
-// telemetry::reset(), the one store's snapshot and reset.
+// counters, the frame log's one cap under the probe alone), IQ
+// interleaving, sweep-point labelling via ScopedPoint, and the tap name
+// table the manifest format depends on. The capture is read back through
+// telemetry::snapshot() and cleared by telemetry::reset(), the one store's
+// snapshot and reset.
 //
 // Every test starts from the shared observability fixture, so enabling
 // probing here cannot leak into other tests.
@@ -47,13 +48,14 @@ TEST_F(UtilProbe, DisabledRecordingIsANoOp) {
   const std::vector<std::complex<double>> iq{{1.0, -1.0}};
   record_tap(Tap::kSyncEnergy, 0, samples);
   record_tap_iq(Tap::kCompositeIq, 0, iq);
-  record_link_quality(LinkQualitySample{});
+  const telemetry::FrameRow row;
+  telemetry::record_frames({&row, 1});
   { const ScopedPoint point(7); }
-  const auto capture = snapshot();
-  EXPECT_TRUE(capture.taps.empty());
-  EXPECT_TRUE(capture.link.empty());
-  EXPECT_EQ(capture.dropped_taps, 0u);
-  EXPECT_EQ(capture.dropped_link, 0u);
+  const auto snap = telemetry::snapshot();
+  EXPECT_TRUE(snap.probe.taps.empty());
+  EXPECT_TRUE(snap.frames.empty());
+  EXPECT_EQ(snap.probe.dropped_taps, 0u);
+  EXPECT_EQ(snap.dropped_frames, 0u);
 
   // The disabled ScopedPoint left the thread's sweep-point label alone: a
   // tap recorded once probing is on still carries point 0.
@@ -73,11 +75,13 @@ TEST_F(UtilProbe, RecordsCarrySequenceContextAndData) {
   const std::vector<double> b{3.0};
   record_tap(Tap::kSyncEnergy, 0, a);
   record_tap(Tap::kSoftBits, 4, b);
-  LinkQualitySample lq;
+  telemetry::FrameRow lq;
   lq.tag = 2;
-  lq.snr_db = 12.5;
-  record_link_quality(lq);
-  const auto capture = snapshot();
+  lq.has_quality = true;
+  lq.quality.snr_db = 12.5;
+  telemetry::record_frames({&lq, 1});
+  const auto snap = telemetry::snapshot();
+  const auto& capture = snap.probe;
   set_enabled(false);
 
   ASSERT_EQ(capture.taps.size(), 2u);
@@ -87,12 +91,12 @@ TEST_F(UtilProbe, RecordsCarrySequenceContextAndData) {
   EXPECT_FALSE(capture.taps[0].complex_iq);
   EXPECT_EQ(capture.taps[1].tap, Tap::kSoftBits);
   EXPECT_EQ(capture.taps[1].context, 4u);
-  // seq is a single global order across taps AND link rows.
+  // seq is a single global order across taps AND frame rows.
   EXPECT_LT(capture.taps[0].seq, capture.taps[1].seq);
-  ASSERT_EQ(capture.link.size(), 1u);
-  EXPECT_EQ(capture.link[0].tag, 2u);
-  EXPECT_DOUBLE_EQ(capture.link[0].snr_db, 12.5);
-  EXPECT_LT(capture.taps[1].seq, capture.link[0].seq);
+  ASSERT_EQ(snap.frames.size(), 1u);
+  EXPECT_EQ(snap.frames[0].tag, 2u);
+  EXPECT_DOUBLE_EQ(snap.frames[0].quality.snr_db, 12.5);
+  EXPECT_LT(capture.taps[1].seq, snap.frames[0].seq);
   reset();
 }
 
@@ -147,16 +151,20 @@ TEST_F(UtilProbe, OverlongRecordsAreTruncatedNotDropped) {
 }
 
 TEST_F(UtilProbe, LinkQualityCapDropsOverflow) {
+  // The link rows are frame-log rows: the probe alone arms the log, and
+  // the log's one cap bounds them.
   set_enabled(true);
   reset();
-  for (std::size_t i = 0; i < kMaxLinkQualitySamples + 5; ++i) {
-    record_link_quality(LinkQualitySample{});
+  telemetry::FrameRow row;
+  row.has_quality = true;
+  for (std::size_t i = 0; i < telemetry::kMaxFrameRows + 5; ++i) {
+    telemetry::record_frames({&row, 1});
   }
-  const auto capture = snapshot();
+  const auto snap = telemetry::snapshot();
   set_enabled(false);
 
-  EXPECT_EQ(capture.link.size(), kMaxLinkQualitySamples);
-  EXPECT_EQ(capture.dropped_link, 5u);
+  EXPECT_EQ(snap.frames.size(), telemetry::kMaxFrameRows);
+  EXPECT_EQ(snap.dropped_frames, 5u);
   reset();
 }
 
@@ -201,17 +209,18 @@ TEST_F(UtilProbe, ResetClearsCaptureAndSequence) {
   reset();
   const std::vector<double> sample{1.0};
   record_tap(Tap::kSyncEnergy, 0, sample);
-  record_link_quality(LinkQualitySample{});
+  const telemetry::FrameRow row;
+  telemetry::record_frames({&row, 1});
   EXPECT_EQ(snapshot().taps.size(), 1u);
   reset();
   EXPECT_TRUE(snapshot().taps.empty());
   record_tap(Tap::kSyncEnergy, 0, sample);
-  const auto capture = snapshot();
+  const auto snap = telemetry::snapshot();
   set_enabled(false);
 
-  ASSERT_EQ(capture.taps.size(), 1u);
-  EXPECT_EQ(capture.taps[0].seq, 0u);  // sequence counter restarted
-  EXPECT_TRUE(capture.link.empty());
+  ASSERT_EQ(snap.probe.taps.size(), 1u);
+  EXPECT_EQ(snap.probe.taps[0].seq, 0u);  // sequence counter restarted
+  EXPECT_TRUE(snap.frames.empty());
   reset();
 }
 

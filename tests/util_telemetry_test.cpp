@@ -1,7 +1,7 @@
 // util/telemetry unit coverage: the pieces the pipeline-level tests can't
 // pin exactly — histogram quantile accuracy against synthetic durations,
-// counter arithmetic, name-table completeness/uniqueness, and the
-// flight-recorder ring mechanics via direct record_frame calls.
+// counter arithmetic, name-table completeness/uniqueness, and the capped
+// frame log via direct record_frames calls.
 //
 // Every test starts from the shared observability fixture; the two that
 // count registered sinks run their bodies in a fresh process.
@@ -13,6 +13,7 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "observability_fixture.h"
@@ -47,7 +48,8 @@ TEST_F(UtilTelemetry, DisabledRecordingIsANoOp) {
     set_enabled(false);
     record_span(Span::kRxProcess, 1, 100);
     add_count(Counter::kRxDetections, 5);
-    record_frame(FrameTrace{});
+    const FrameRow row;
+    record_frames({&row, 1});
     { const ScopedSpan span(Span::kRxDecode); }
     EXPECT_EQ(sink_count(), 0u);
     const auto snap = snapshot();
@@ -108,26 +110,57 @@ TEST_F(UtilTelemetry, CountersAccumulateAcrossCalls) {
   reset();
 }
 
-TEST_F(UtilTelemetry, FrameRingWrapsAndSeqIsGlobal) {
-  constexpr std::size_t kOffered = kFlightRecorderCapacity + 7;
-  set_enabled(true);
-  reset();
-  for (std::uint32_t k = 0; k < kOffered; ++k) {
-    FrameTrace f;
-    f.tag_id = k;
-    record_frame(f);
-  }
-  const auto snap = snapshot();
-  set_enabled(false);
+TEST_F(UtilTelemetry, FrameLogKeepsTheSmallestKeysUnderEveryPlane) {
+  // Each plane that arms the log alone, then both: a full log keeps the
+  // rows with the smallest (point, item, capture order), whichever order
+  // they arrive in, and counts every row it loses.
+  constexpr std::size_t kExtra = 7;
+  const auto record_at = [](std::size_t point, std::vector<FrameRow> rows) {
+    const probe::ScopedPoint label(point);
+    record_frames(rows);
+  };
+  const auto row = [](std::uint32_t tag) {
+    FrameRow r;
+    r.tag = tag;
+    return r;
+  };
+  for (const auto& [telemetry_on, probe_on] :
+       {std::pair{true, false}, {false, true}, {true, true}}) {
+    SCOPED_TRACE(testing::Message() << "telemetry " << telemetry_on
+                                    << ", probe " << probe_on);
+    set_enabled(telemetry_on);
+    probe::set_enabled(probe_on);
+    reset();
+    // Points from kMaxFrameRows + kExtra down to 1, one row each, tagged
+    // with its point: the last kExtra rows evict the largest points.
+    for (std::size_t p = kMaxFrameRows + kExtra; p >= 1; --p) {
+      record_at(p, {row(static_cast<std::uint32_t>(p))});
+    }
+    // A newcomer above the largest kept key is the one dropped; two more
+    // rows at point 1 evict the two largest points and keep their capture
+    // order behind the first row there.
+    record_at(kMaxFrameRows + 1, {row(0)});
+    record_at(1, {row(100), row(101)});
+    const auto snap = snapshot();
 
-  ASSERT_EQ(snap.frames.size(), kFlightRecorderCapacity);
-  // The last kFlightRecorderCapacity of the offered frames, in seq order,
-  // seq stamped 0..kOffered-1 globally: the first seven were overwritten.
-  for (std::size_t i = 0; i < kFlightRecorderCapacity; ++i) {
-    EXPECT_EQ(snap.frames[i].seq, 7u + i);
-    EXPECT_EQ(snap.frames[i].tag_id, 7u + i);
-    EXPECT_GT(snap.frames[i].ts_ns, 0u);
+    ASSERT_EQ(snap.frames.size(), kMaxFrameRows);
+    EXPECT_EQ(snap.dropped_frames, kExtra + 3);
+    const std::vector<std::uint32_t> first{snap.frames[0].tag,
+                                           snap.frames[1].tag,
+                                           snap.frames[2].tag};
+    EXPECT_EQ(first, (std::vector<std::uint32_t>{1, 100, 101}));
+    for (std::size_t i = 0; i < snap.frames.size(); ++i) {
+      const auto& f = snap.frames[i];
+      EXPECT_EQ(f.seq, i);  // renumbered in export order
+      EXPECT_GT(f.ts_ns, 0u);
+      if (i >= 3) {
+        ASSERT_EQ(f.point, i - 1) << "row " << i;
+        EXPECT_EQ(f.tag, i - 1);
+      }
+    }
   }
+  set_enabled(false);
+  probe::set_enabled(false);
   reset();
 }
 

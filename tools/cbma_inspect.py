@@ -17,8 +17,9 @@ document a plane-enabled bench run wrote; `probe` reads the binary dump.
 
   telemetry     the span recorder's "telemetry" section: spans with ordered
                 percentiles, >= 10 layer.event counters, a flight recorder
-                with strictly increasing seq. --trace also parses the
-                CBMA_TRACE Chrome trace and requires traceEvents.
+                (the frame log: one row per frame sent, the first 4096 by
+                sweep point) with strictly increasing seq. --trace also
+                parses the CBMA_TRACE Chrome trace and requires traceEvents.
   link_quality  CBMA_PROBE's "link_quality" + "watchdog" sections: per-tag
                 aggregates that sum to the sample total, typed warnings.
   timeseries    CBMA_METRICS's "timeseries" + "events" sections: unique
